@@ -19,6 +19,7 @@ import sys
 from typing import Sequence
 
 from .core import (
+    DEFAULT_BUDGET,
     AuctionInstance,
     BudgetExceededError,
     ExplicitChoice,
@@ -35,15 +36,13 @@ from .core import (
 from .reporting import canonical_json, render_table
 from .simulate import ExperimentConfig, run_experiment, write_rounds_csv
 from .verify import (
-    DEFAULT_BUDGET,
     VerificationReport,
-    _SweepTally,
-    check_truthfulness,
+    check_instance,
+    check_truthfulness,  # noqa: F401  (bench/tracer.py wraps it under this name)
     classify_case,
     deviation_profile,
     dominance_sweep,
     find_counterexample,
-    pairing_count,
 )
 
 EXIT_PASS = 0
@@ -60,7 +59,7 @@ def _read_json(path: str) -> dict:
             doc = json.load(stream)
     except OSError as exc:
         raise InvalidInstanceError([f"cannot read {path}: {exc}"]) from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise InvalidInstanceError([f"parse failure in {path}: {exc}"]) from None
     if not isinstance(doc, dict):
         raise InvalidInstanceError([f"top-level JSON object required in {path}"])
@@ -122,8 +121,7 @@ def cmd_validate(args) -> tuple[int, dict]:
 
 def cmd_check(args) -> tuple[int, dict]:
     instance = load_instance(args.instance)
-    n = instance.n_bidders
-    policies = _parse_policies(args.policies, args.seed, n)
+    policies = _parse_policies(args.policies, args.seed, instance.n_bidders)
     rule = PaymentRule.from_name(args.rule)
     if args.deviations == "critical":
         deviations = "critical"
@@ -137,27 +135,7 @@ def cmd_check(args) -> tuple[int, dict]:
             )
         deviations = range(args.grid_min, grid_max + 1)
 
-    block = pairing_count(policies, args.adversarial)
-    tally = _SweepTally()
-    for bidder in range(n):
-        others = instance.bids[:bidder] + instance.bids[bidder + 1:]
-        truthful_bids = (
-            instance.bids[:bidder]
-            + (instance.valuations[bidder],)
-            + instance.bids[bidder + 1:]
-        )
-        results = check_truthfulness(
-            instance.valuations, others, bidder, policies, rule,
-            deviations, args.adversarial,
-        )
-        tally.add(
-            results,
-            key_prefix=(),
-            valuations=instance.valuations,
-            truthful_bids=truthful_bids,
-            block=block,
-        )
-    report = tally.report()
+    report = check_instance(instance, policies, rule, deviations, args.adversarial, args.budget)
     return _verdict_exit(report), report.to_doc()
 
 
@@ -242,7 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--budget", type=int, default=DEFAULT_BUDGET,
-        help="state budget: maximum evaluated tuples (default: %(default)s)",
+        help="cap on the rows a run would enumerate (sampled values for simulate; "
+             "for falsify, the whole search up to --n-max), checked before any "
+             "work; exceeding it exits 3 with empty stdout (default: %(default)s)",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -379,6 +359,7 @@ def dispatch(argv: Sequence[str]) -> int:
 
     try:
         code, doc = args.handler(args)
+        text = canonical_json(doc) if args.format == "json" else render_table(doc)
     except InvalidInstanceError as exc:
         for violation in exc.violations:
             print(f"error: {violation}", file=sys.stderr)
@@ -389,8 +370,6 @@ def dispatch(argv: Sequence[str]) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-
-    text = canonical_json(doc) if args.format == "json" else render_table(doc)
     sys.stdout.write(text)
     return code
 

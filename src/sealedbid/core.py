@@ -39,8 +39,22 @@ class InvalidInstanceError(ValueError):
         self.violations = list(violations)
 
 
+DEFAULT_BUDGET = 10**7
+
+
 class BudgetExceededError(RuntimeError):
     """An enumeration or simulation would exceed its state budget."""
+
+
+def check_budget(count: int, budget: int, unit: str):
+    """Refuse a run before its work starts: ``count`` is the exact number of
+    units (rows, sampled values) the run would evaluate."""
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative (got {budget})")
+    if count > budget:
+        # str() refuses ints past 4300 digits; show a vast count by its size.
+        shown = count if count.bit_length() < 4096 else f"2^{count.bit_length() - 1}+"
+        raise BudgetExceededError(f"state budget exceeded: {shown} > {budget} {unit}")
 
 
 @dataclass(frozen=True)

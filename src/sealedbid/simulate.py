@@ -18,18 +18,17 @@ from typing import IO, Iterator, Mapping, Sequence
 from .core import (
     BidderId,
     BidProfile,
-    BudgetExceededError,
+    DEFAULT_BUDGET,
     Money,
     PaymentRule,
     SignedMoney,
     TieBreakPolicy,
     ValuationProfile,
+    check_budget,
     outcome,
     policy_from_dict,
 )
 from .seeding import mix64
-
-DEFAULT_BUDGET = 10**7
 
 
 class Strategy(ABC):
@@ -253,21 +252,13 @@ def fraction_text(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _check_budget(config: ExperimentConfig, budget: int):
-    states = config.n_rounds * config.n_bidders
-    if states > budget:
-        raise BudgetExceededError(
-            f"state budget exceeded: {states} > {budget} sampled values"
-        )
-
-
 def run_experiment(config: ExperimentConfig, budget: int = DEFAULT_BUDGET) -> SimReport:
     """Run all rounds and summarize revenue, winner utility, efficiency.
 
     Integer sums divided once at the end; two runs with equal configs
     produce bit-identical reports.
     """
-    _check_budget(config, budget)
+    check_budget(config.n_rounds * config.n_bidders, budget, "sampled values")
     total_revenue = 0
     total_winner_utility = 0
     efficient_rounds = 0
@@ -327,7 +318,7 @@ def compare_rules(
                 f"mismatched sampling parameters: {field} differs "
                 f"({getattr(config_a, field)} vs {getattr(config_b, field)})"
             )
-    _check_budget(config_a, budget)
+    check_budget(config_a.n_rounds * config_a.n_bidders, budget, "sampled values")
 
     totals_a = [0, 0, 0]  # revenue, winner utility, efficient rounds
     totals_b = [0, 0, 0]
@@ -371,7 +362,7 @@ def write_rounds_csv(config: ExperimentConfig, stream: IO[str], budget: int = DE
 
     Profile columns hold space-joined ticks so each round stays one row.
     """
-    _check_budget(config, budget)
+    check_budget(config.n_rounds * config.n_bidders, budget, "sampled values")
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["round", "valuations", "bids", "winner", "price"])
     for record in iter_rounds(config):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import product
 from typing import Iterable, Sequence, Union
 
@@ -30,21 +31,20 @@ from .core import (
     AuctionInstance,
     BidderId,
     BidProfile,
-    BudgetExceededError,
+    DEFAULT_BUDGET,
     InvalidInstanceError,
     Money,
     PaymentRule,
     SignedMoney,
     TieBreakPolicy,
     ValuationProfile,
+    check_budget,
     max_excluding,
     outcome,
     select_winner,
     standard_policies,
     validate,
 )
-
-DEFAULT_BUDGET = 10**7
 
 DeviationSpec = Union[str, Iterable[Money]]
 
@@ -246,12 +246,11 @@ def critical_deviations(bids: Sequence[Money], bidder: BidderId) -> tuple[Money,
 def _evaluate(
     v_i: Money,
     truthful_bids: BidProfile,
+    deviated: BidProfile,
     bidder: BidderId,
-    new_bid: Money,
     policy: TieBreakPolicy,
     rule: PaymentRule,
 ) -> DeviationCheckResult:
-    deviated = deviation_profile(truthful_bids, bidder, new_bid)
     o_truth = outcome(truthful_bids, policy, rule)
     o_dev = outcome(deviated, policy, rule)
     u_truth = v_i - o_truth.price if o_truth.winner == bidder else 0
@@ -259,7 +258,7 @@ def _evaluate(
     return DeviationCheckResult(
         bidder=bidder,
         truthful_bid=truthful_bids[bidder],
-        deviation_bid=new_bid,
+        deviation_bid=deviated[bidder],
         truthful_utility=u_truth,
         deviation_utility=u_dev,
         case=_case_of(o_truth.winner == bidder, o_dev.winner == bidder),
@@ -294,6 +293,125 @@ def pairing_count(policies: Sequence[TieBreakPolicy], adversarial: bool) -> int:
     return len(policies) + (1 if adversarial and len(policies) > 1 else 0)
 
 
+def _deviation_set(deviations: DeviationSpec, tick_bound: "Money | None" = None):
+    """Resolve a deviation spec once: "critical" stays symbolic, "grid" and
+    unit-step ranges stay lazy (a huge grid costs nothing before the budget
+    refuses it), and other iterables are sorted into key order."""
+    if deviations == "grid" and tick_bound is not None:
+        return range(tick_bound + 1)
+    if isinstance(deviations, str):
+        if deviations != "critical":
+            raise ValueError(f"unknown deviation mode {deviations!r}")
+        return deviations
+    if isinstance(deviations, range) and deviations.step == 1:
+        return deviations
+    return tuple(sorted(deviations))
+
+
+def _size(grid) -> int:
+    # len() of a range overflows past sys.maxsize; _deviation_set keeps only unit steps.
+    return max(0, grid.stop - grid.start) if isinstance(grid, range) else len(grid)
+
+
+def _inserted(others: BidProfile, bid: Money, bidder: BidderId) -> BidProfile:
+    return others[:bidder] + (bid,) + others[bidder:]
+
+
+def _cells(frames, deviations, rule: PaymentRule, adversarial: bool):
+    """The shared enumerator.  Each frame is ``(policies, valuations,
+    bidders, truthful)``: ``truthful(bidder)`` builds a truthful profile and
+    valuations None means every bidder values what it bids.  A frame yields
+    ``(valuations, truthful_bids, rows)`` per (deviation bid, bidder) cell,
+    in that order, with one row per policy plus the adversarial pairing."""
+    for policies, frame_valuations, bidders, truthful in frames:
+        if not policies:
+            raise ValueError("at least one tie-break policy is required")
+        if deviations == "critical":
+            pairs = sorted(
+                (new_bid, bidder)
+                for bidder in bidders
+                for new_bid in critical_deviations(truthful(bidder), bidder)
+            )
+        else:
+            pairs = ((new_bid, bidder) for new_bid in deviations for bidder in bidders)
+        for new_bid, bidder in pairs:
+            bids = truthful(bidder)
+            valuations = frame_valuations or bids
+            deviated = bids[:bidder] + (new_bid,) + bids[bidder + 1:]
+            rows = [
+                _evaluate(valuations[bidder], bids, deviated, bidder, policy, rule)
+                for policy in policies
+            ]
+            if adversarial and len(rows) > 1:
+                rows.append(_adversarial(rows))
+            yield valuations, bids, rows
+
+
+def _grid_cells(n_min, n_max, tick_bound, policies, rule, deviations, adversarial, budget,
+                valuation=None, bidder=None):
+    """Check bounds and budget, then return the cells of N = n_min..n_max,
+    every opposing-bid vector in {0..tick_bound}^(N-1), every valuation (or
+    just ``valuation``) and every bidder (or just ``bidder``), in key order."""
+    if n_max < 2:
+        raise ValueError(f"N >= 2 required (got {n_max})")
+    if tick_bound < 0:
+        raise ValueError(f"tick bound must be nonnegative (got {tick_bound})")
+    deviations = _deviation_set(deviations, tick_bound)
+    values = range(tick_bound + 1) if valuation is None else (valuation,)
+    scopes = []
+    rows = 0
+    for n in range(n_min, n_max + 1):
+        policy_set = policies if policies is not None else standard_policies(n)
+        scopes.append((n, policy_set))
+        # Past the budget's bit length a power of 2 or more exceeds the budget
+        # anyway; capping there keeps the refusal exact and the int small.
+        opposing = (tick_bound + 1) ** min(n - 1, budget.bit_length() + 1)
+        if deviations == "critical":
+            # {0, M, M + 1} per vector, less the 0 when every opposing bid is 0
+            per_value = 3 * opposing - 1
+        else:
+            per_value = opposing * _size(deviations)
+        bidders = n if bidder is None else 1
+        rows += _size(values) * bidders * per_value * pairing_count(policy_set, adversarial)
+        if rows > budget:
+            break
+    check_budget(rows, budget, "evaluated tuples")
+
+    def frames():
+        for n, policy_set in scopes:
+            bidders = range(n) if bidder is None else (bidder,)
+            for others in product(range(tick_bound + 1), repeat=n - 1):
+                for v_i in values:
+                    yield policy_set, None, bidders, partial(_inserted, others, v_i)
+
+    return _cells(frames(), deviations, rule, adversarial)
+
+
+def _counterexample(valuations, bids, row: DeviationCheckResult) -> Counterexample:
+    return Counterexample(
+        valuations, bids, row.bidder, row.deviation_bid, row.pairing,
+        row.truthful_utility, row.deviation_utility,
+    )
+
+
+def _fold(cells) -> VerificationReport:
+    """Count every row by case and verdict and keep the first failure, which
+    is the minimal counterexample because the stream runs in key order."""
+    counts = {tag: 0 for tag in CaseTag}
+    pass_count = fail_count = 0
+    first = None
+    for valuations, bids, rows in cells:
+        for row in rows:
+            counts[row.case] += 1
+            if row.passed:
+                pass_count += 1
+            else:
+                fail_count += 1
+                if first is None:
+                    first = _counterexample(valuations, bids, row)
+    return VerificationReport(pass_count, fail_count, CaseCoverage(counts), first)
+
+
 def check_truthfulness(
     valuations: Sequence[Money],
     others: Sequence[Money],
@@ -309,89 +427,58 @@ def check_truthfulness(
     truthful bid, equal to its valuation, is inserted at its index.
     ``deviations`` is either the string "critical" or an explicit
     iterable of deviation bids (a grid).  Results are ordered by
-    deviation, then policy, with the adversarial pairing (when enabled)
-    closing each deviation's block.
+    deviation bid, then policy, with the adversarial pairing (when
+    enabled) closing each deviation's block.
     """
     valuations = tuple(valuations)
     others = tuple(others)
-    if not policies:
-        raise ValueError("at least one tie-break policy is required")
     if not 0 <= bidder < len(valuations):
         raise ValueError(f"bidder index {bidder} out of range for N={len(valuations)}")
     if len(others) != len(valuations) - 1:
         raise ValueError(
             f"expected {len(valuations) - 1} opposing bids, got {len(others)}"
         )
-    v_i = valuations[bidder]
-    truthful_bids = others[:bidder] + (v_i,) + others[bidder:]
+    truthful_bids = _inserted(others, valuations[bidder], bidder)
     violations = validate(AuctionInstance(valuations, truthful_bids))
     if violations:
         raise InvalidInstanceError(violations)
+    frame = (policies, valuations, (bidder,), lambda _: truthful_bids)
+    cells = _cells([frame], _deviation_set(deviations), rule, adversarial)
+    return [row for _, _, rows in cells for row in rows]
 
-    if isinstance(deviations, str):
-        if deviations != "critical":
-            raise ValueError(f"unknown deviation mode {deviations!r}")
-        grid: tuple[Money, ...] = critical_deviations(truthful_bids, bidder)
+
+def check_instance(
+    instance: AuctionInstance,
+    policies: Sequence[TieBreakPolicy],
+    rule: PaymentRule = PaymentRule.SECOND_PRICE,
+    deviations: DeviationSpec = "critical",
+    adversarial: bool = True,
+    budget: int = DEFAULT_BUDGET,
+) -> VerificationReport:
+    """Check every bidder of one instance; a bidder's truthful profile is
+    the instance's bids with its own bid set to its valuation.
+    ``deviations`` is "critical" (each bidder's own critical set) or an
+    iterable shared by all bidders.  Cells run in (deviation bid, bidder,
+    pairing) order, so the counterexample is minimal under that key."""
+    violations = validate(instance)
+    if violations:
+        raise InvalidInstanceError(violations)
+    deviations = _deviation_set(deviations)
+    valuations, bids = instance.valuations, instance.bids
+    n = len(bids)
+    if deviations == "critical":
+        # Bidder b's set is {0, M, M + 1} less the 0 when every other bid is
+        # 0: for all N bidders when no bid is positive, for one when one is.
+        positive = sum(1 for bid in bids if bid > 0)
+        per_pairing = 3 * n - (n if positive == 0 else int(positive == 1))
     else:
-        grid = tuple(deviations)
+        per_pairing = n * _size(deviations)
+    check_budget(per_pairing * pairing_count(policies, adversarial), budget, "evaluated tuples")
 
-    results = []
-    for new_bid in grid:
-        per_policy = [
-            _evaluate(v_i, truthful_bids, bidder, new_bid, policy, rule)
-            for policy in policies
-        ]
-        results.extend(per_policy)
-        if adversarial and len(per_policy) > 1:
-            results.append(_adversarial(per_policy))
-    return results
+    def truthful(b: BidderId) -> BidProfile:
+        return bids[:b] + (valuations[b],) + bids[b + 1:]
 
-
-class _SweepTally:
-    """Order-independent aggregation: counts are summed and the reported
-    counterexample is the minimum over an explicit sort key."""
-
-    def __init__(self):
-        self.pass_count = 0
-        self.fail_count = 0
-        self.case_counts = {tag: 0 for tag in CaseTag}
-        self._best_key = None
-        self._best: "Counterexample | None" = None
-
-    def add(
-        self,
-        results: Sequence[DeviationCheckResult],
-        key_prefix: tuple,
-        valuations: ValuationProfile,
-        truthful_bids: BidProfile,
-        block: int,
-    ):
-        for index, result in enumerate(results):
-            self.case_counts[result.case] += 1
-            if result.passed:
-                self.pass_count += 1
-                continue
-            self.fail_count += 1
-            key = key_prefix + (result.deviation_bid, result.bidder, index % block)
-            if self._best_key is None or key < self._best_key:
-                self._best_key = key
-                self._best = Counterexample(
-                    valuations=valuations,
-                    bids=truthful_bids,
-                    bidder=result.bidder,
-                    deviation_bid=result.deviation_bid,
-                    policy=result.pairing,
-                    truthful_utility=result.truthful_utility,
-                    deviation_utility=result.deviation_utility,
-                )
-
-    def report(self) -> VerificationReport:
-        return VerificationReport(
-            pass_count=self.pass_count,
-            fail_count=self.fail_count,
-            coverage=CaseCoverage(dict(self.case_counts)),
-            counterexample=self._best,
-        )
+    return _fold(_cells([(policies, valuations, range(n), truthful)], deviations, rule, adversarial))
 
 
 def coverage_guard(results: Iterable[DeviationCheckResult]) -> CaseCoverage:
@@ -412,39 +499,19 @@ def check_dominance(
 ) -> VerificationReport:
     """Check one bidder's truthfulness against every opposing-bid vector.
 
-    Enumerates all opposing bids in {0..tick_bound}^(N-1); the opposing
-    bidders' valuations are taken equal to their bids.  ``deviations``
-    may be "grid" (the full grid 0..tick_bound), "critical", or an
-    explicit iterable.
+    :func:`dominance_sweep` restricted to valuation ``v_i`` and one bidder
+    index, so cells run in (opposing bids, deviation bid, pairing) order.
+    ``deviations`` may be "grid" (the full grid 0..tick_bound),
+    "critical", or an explicit iterable.
     """
-    if n_bidders < 2:
-        raise ValueError(f"N >= 2 required (got {n_bidders})")
-    if tick_bound < 0:
-        raise ValueError(f"tick bound must be nonnegative (got {tick_bound})")
-    if isinstance(deviations, str) and deviations == "grid":
-        deviations = range(tick_bound + 1)
-
-    block = pairing_count(policies, adversarial)
-    tally = _SweepTally()
-    spent = 0
-    for others in product(range(tick_bound + 1), repeat=n_bidders - 1):
-        valuations = others[:bidder] + (v_i,) + others[bidder:]
-        results = check_truthfulness(
-            valuations, others, bidder, policies, rule, deviations, adversarial
-        )
-        spent += len(results)
-        if spent > budget:
-            raise BudgetExceededError(
-                f"state budget exceeded: {spent} > {budget} evaluated tuples"
-            )
-        tally.add(
-            results,
-            key_prefix=(others, v_i),
-            valuations=valuations,
-            truthful_bids=others[:bidder] + (v_i,) + others[bidder:],
-            block=block,
-        )
-    return tally.report()
+    if not 0 <= bidder < n_bidders:
+        raise ValueError(f"bidder index {bidder} out of range for N={n_bidders}")
+    if v_i < 0:
+        raise InvalidInstanceError([f"negative tick (valuations[{bidder}] = {v_i})"])
+    return _fold(_grid_cells(
+        n_bidders, n_bidders, tick_bound, policies, rule, deviations, adversarial, budget,
+        valuation=v_i, bidder=bidder,
+    ))
 
 
 def dominance_sweep(
@@ -456,41 +523,14 @@ def dominance_sweep(
     adversarial: bool = True,
     budget: int = DEFAULT_BUDGET,
 ) -> VerificationReport:
-    """Full sweep: every bidder index, every valuation of that bidder,
-    every opposing-bid vector, every deviation, every policy pairing.
-
-    The reported counterexample is minimal under the ordering
-    (opposing bids, bidder valuation, deviation bid, bidder index,
-    pairing), independent of traversal order.
+    """Full sweep over every opposing-bid vector, bidder valuation,
+    deviation bid, bidder index and policy pairing, in that order, so the
+    reported counterexample is the minimum under that key.  A run of more
+    than ``budget`` rows is refused before any work.
     """
-    if policies is None:
-        policies = standard_policies(n_bidders)
-    if isinstance(deviations, str) and deviations == "grid":
-        deviations = range(tick_bound + 1)
-
-    block = pairing_count(policies, adversarial)
-    tally = _SweepTally()
-    spent = 0
-    for others in product(range(tick_bound + 1), repeat=n_bidders - 1):
-        for v_i in range(tick_bound + 1):
-            for bidder in range(n_bidders):
-                valuations = others[:bidder] + (v_i,) + others[bidder:]
-                results = check_truthfulness(
-                    valuations, others, bidder, policies, rule, deviations, adversarial
-                )
-                spent += len(results)
-                if spent > budget:
-                    raise BudgetExceededError(
-                        f"state budget exceeded: {spent} > {budget} evaluated tuples"
-                    )
-                tally.add(
-                    results,
-                    key_prefix=(others, v_i),
-                    valuations=valuations,
-                    truthful_bids=valuations,
-                    block=block,
-                )
-    return tally.report()
+    return _fold(_grid_cells(
+        n_bidders, n_bidders, tick_bound, policies, rule, deviations, adversarial, budget
+    ))
 
 
 def find_counterexample(
@@ -503,47 +543,18 @@ def find_counterexample(
 ) -> "Counterexample | None":
     """Smallest profitable deviation within bounds, or None.
 
-    Enumerates instances in the order (N, opposing bids, bidder
-    valuation, deviation bid, bidder index, pairing) and returns the
-    first failure, which is therefore the lexicographic minimum under
-    that ordering.  Deviations range over the full grid 0..tick_bound.
-    Output is a pure function of the arguments.
+    The first failure of the sweep over N = 2..n_max, whose cells run in
+    the order (N, opposing bids, bidder valuation, deviation bid, bidder
+    index, pairing), so it is the lexicographic minimum under that order.
+    Deviations range over 0..tick_bound; ``budget`` caps the whole search
+    space.  Output is a pure function of the arguments.
     """
-    if n_max < 2:
-        raise ValueError(f"N >= 2 required (got {n_max})")
-    spent = 0
-    for n_bidders in range(2, n_max + 1):
-        policy_set = policies if policies is not None else standard_policies(n_bidders)
-        block = pairing_count(policy_set, adversarial)
-        for others in product(range(tick_bound + 1), repeat=n_bidders - 1):
-            for v_i in range(tick_bound + 1):
-                for new_bid in range(tick_bound + 1):
-                    for bidder in range(n_bidders):
-                        truthful_bids = others[:bidder] + (v_i,) + others[bidder:]
-                        per_policy = [
-                            _evaluate(v_i, truthful_bids, bidder, new_bid, policy, rule)
-                            for policy in policy_set
-                        ]
-                        rows = list(per_policy)
-                        if adversarial and len(per_policy) > 1:
-                            rows.append(_adversarial(per_policy))
-                        spent += len(rows)
-                        if spent > budget:
-                            raise BudgetExceededError(
-                                f"state budget exceeded: {spent} > {budget} evaluated tuples"
-                            )
-                        for result in rows:
-                            if not result.passed:
-                                return Counterexample(
-                                    valuations=truthful_bids,
-                                    bids=truthful_bids,
-                                    bidder=bidder,
-                                    deviation_bid=new_bid,
-                                    policy=result.pairing,
-                                    truthful_utility=result.truthful_utility,
-                                    deviation_utility=result.deviation_utility,
-                                )
-    return None
+    cells = _grid_cells(2, n_max, tick_bound, policies, rule, "grid", adversarial, budget)
+    failures = (
+        _counterexample(valuations, bids, row)
+        for valuations, bids, rows in cells for row in rows if not row.passed
+    )
+    return next(failures, None)
 
 
 def efficiency_check(valuations: Sequence[Money], policy: TieBreakPolicy) -> bool:

@@ -7,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import bruteforce_minimal_counterexample, sweep_rows
+from sealedbid import verify
 from sealedbid.core import (
+    AuctionInstance,
     BudgetExceededError,
     FirstIndex,
     InvalidInstanceError,
@@ -22,6 +24,7 @@ from sealedbid.verify import (
     DeviationCheckResult,
     assert_case,
     check_dominance,
+    check_instance,
     check_truthfulness,
     classify_case,
     coverage_guard,
@@ -285,3 +288,154 @@ class TestSweepAggregationOrderIndependence:
         assert len(rows) == report.evaluated
         tally = coverage_guard(rows)
         assert tally.counts == report.coverage.counts
+
+
+def grid_rows(n_bidders, ticks, values, bidders, deviations, pairings=5):
+    """Closed-form row count: opposing vectors x valuations x bidders x
+    deviations x pairings."""
+    return (ticks + 1) ** (n_bidders - 1) * values * bidders * deviations * pairings
+
+
+INSTANCE = AuctionInstance((5, 3, 7, 2), (4, 3, 6, 2))
+
+# (label, run(budget) -> report or None, exact rows the run evaluates)
+BUDGETED_RUNS = [
+    ("sweep-grid", lambda b: dominance_sweep(3, 2, budget=b), grid_rows(3, 2, 3, 3, 3)),
+    (
+        "sweep-critical",
+        lambda b: dominance_sweep(3, 2, deviations="critical", budget=b),
+        3 * 3 * (3 * 3 ** 2 - 1) * 5,
+    ),
+    (
+        "sweep-explicit",
+        lambda b: dominance_sweep(2, 3, deviations=[3, 0], budget=b),
+        grid_rows(2, 3, 4, 2, 2),
+    ),
+    (
+        "check-dominance",
+        lambda b: check_dominance(1, 2, 3, 2, standard_policies(3), budget=b),
+        grid_rows(3, 2, 1, 1, 3),
+    ),
+    (
+        "check-dominance-critical",
+        lambda b: check_dominance(
+            0, 0, 2, 3, standard_policies(2), deviations="critical", budget=b),
+        (3 * 4 - 1) * 5,
+    ),
+    (
+        "check-critical",
+        lambda b: check_instance(INSTANCE, standard_policies(4), budget=b),
+        4 * 3 * 5,
+    ),
+    (
+        "check-critical-zero-bids",
+        lambda b: check_instance(
+            AuctionInstance((1, 2, 0), (0, 0, 0)), standard_policies(3), budget=b),
+        3 * 2 * 5,
+    ),
+    (
+        "check-critical-one-positive-bid",
+        lambda b: check_instance(
+            AuctionInstance((1, 2, 0), (0, 4, 0)), standard_policies(3), budget=b),
+        (3 * 3 - 1) * 5,
+    ),
+    (
+        "check-grid",
+        lambda b: check_instance(
+            INSTANCE, standard_policies(4), FIRST, range(9), budget=b),
+        4 * 9 * 5,
+    ),
+    (
+        "falsify-exhausting",
+        lambda b: find_counterexample(SECOND, 3, 2, budget=b),
+        grid_rows(2, 2, 3, 2, 3) + grid_rows(3, 2, 3, 3, 3),
+    ),
+]
+
+
+class TestPreflightBudget:
+    """A budget equal to the exact row count runs to completion; one less
+    is refused before the first outcome is computed."""
+
+    @pytest.fixture
+    def counters(self, monkeypatch):
+        counts = {"outcome": 0, "rows": 0}
+        real_outcome, real_row = verify.outcome, verify.DeviationCheckResult
+
+        def outcome(*args):
+            counts["outcome"] += 1
+            return real_outcome(*args)
+
+        def row(**fields):
+            counts["rows"] += 1
+            return real_row(**fields)
+
+        monkeypatch.setattr(verify, "outcome", outcome)
+        monkeypatch.setattr(verify, "DeviationCheckResult", row)
+        return counts
+
+    @pytest.mark.parametrize(
+        "run, rows", [case[1:] for case in BUDGETED_RUNS],
+        ids=[case[0] for case in BUDGETED_RUNS],
+    )
+    def test_exact_budget_completes(self, counters, run, rows):
+        report = run(rows)
+        assert counters["rows"] == rows
+        if report is not None:
+            assert report.evaluated == rows
+
+    @pytest.mark.parametrize(
+        "run, rows", [case[1:] for case in BUDGETED_RUNS],
+        ids=[case[0] for case in BUDGETED_RUNS],
+    )
+    def test_one_row_short_is_refused_before_any_work(self, counters, run, rows):
+        with pytest.raises(BudgetExceededError):
+            run(rows - 1)
+        assert counters == {"outcome": 0, "rows": 0}
+
+    def test_falsify_budget_caps_the_whole_search(self):
+        # the first failure sits early in the stream, but the space is larger
+        rows = grid_rows(2, 4, 5, 2, 5) + grid_rows(3, 4, 5, 3, 5)
+        assert find_counterexample(FIRST, 3, 4, budget=rows) is not None
+        with pytest.raises(BudgetExceededError):
+            find_counterexample(FIRST, 3, 4, budget=rows - 1)
+
+    def test_vast_grid_is_refused_without_building_it(self):
+        with pytest.raises(BudgetExceededError):
+            dominance_sweep(10**6, 4, [FirstIndex()], budget=10)
+        with pytest.raises(BudgetExceededError):
+            find_counterexample(FIRST, 10**9, 1, [FirstIndex()], budget=10)
+
+    @pytest.mark.parametrize("budget", [-1, -5])
+    def test_negative_budget_is_invalid(self, budget):
+        with pytest.raises(ValueError):
+            dominance_sweep(2, 1, budget=budget)
+
+    def test_negative_tick_bound_is_invalid(self):
+        with pytest.raises(ValueError):
+            dominance_sweep(2, -1)
+        with pytest.raises(ValueError):
+            find_counterexample(FIRST, 2, -1)
+
+
+class TestMinimalOrder:
+    def test_unsorted_explicit_deviations_report_the_minimum(self):
+        forward = dominance_sweep(2, 4, rule=FIRST, deviations=[0, 2, 4])
+        backward = dominance_sweep(2, 4, rule=FIRST, deviations=[4, 2, 0])
+        assert forward == backward
+
+    def test_check_counterexample_is_minimal_by_deviation_then_bidder(self):
+        report = check_instance(INSTANCE, standard_policies(4), FIRST)
+        failures = [
+            (row.deviation_bid, row.bidder, row)
+            for bidder in range(4)
+            for row in check_truthfulness(
+                INSTANCE.valuations,
+                INSTANCE.bids[:bidder] + INSTANCE.bids[bidder + 1:],
+                bidder, standard_policies(4), FIRST,
+            )
+            if not row.passed
+        ]
+        dev, bidder, row = min(failures, key=lambda f: (f[0], f[1]))
+        ce = report.counterexample
+        assert (ce.deviation_bid, ce.bidder, ce.policy) == (dev, bidder, row.pairing)
