@@ -144,6 +144,8 @@ def cmd_classify(args) -> tuple[int, dict]:
     policy = _single_policy(args.policy, args.seed, instance.n_bidders)
     rule = PaymentRule.from_name(args.rule)
     bids = instance.bids
+    if args.deviation < 0:
+        raise InvalidInstanceError([f"negative tick (deviation = {args.deviation})"])
     deviated = deviation_profile(bids, args.bidder, args.deviation)
     tag = classify_case(bids, deviated, args.bidder, policy)
     original = outcome(bids, policy, rule)

@@ -13,6 +13,7 @@ tuples and are safe to share freely.
 
 from __future__ import annotations
 
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
@@ -106,6 +107,9 @@ def validate(instance: AuctionInstance) -> list[str]:
     masquerade as a clean one.
     """
     violations = []
+    # A check evaluates the deviation M + 1 above each bid, and reports and
+    # the seeded tie-break need its decimal text, which Python caps in digits.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     n_vals = len(instance.valuations)
     n_bids = len(instance.bids)
     if n_vals != n_bids:
@@ -118,6 +122,10 @@ def validate(instance: AuctionInstance) -> list[str]:
         for pos, tick in enumerate(profile):
             if tick < 0:
                 violations.append(f"negative tick ({name}[{pos}] = {tick})")
+            elif digits and tick.bit_length() > 3 * digits and tick + 1 >= 10**digits:
+                violations.append(
+                    f"tick too large ({name}[{pos}] + 1 has more than {digits} digits)"
+                )
     return violations
 
 
@@ -157,7 +165,9 @@ class TieBreakPolicy(ABC):
 
     Implementations must return a member of ``argmax_set(bids)``; nothing
     else about the choice is fixed, which is exactly the freedom the
-    verifier has to be robust against.
+    verifier has to be robust against.  ``select`` must be a pure function
+    of the bids: reports are reproducible only if it is, and the verifier
+    evaluates each (profile, policy) pair once and reuses the outcome.
     """
 
     @abstractmethod
@@ -211,6 +221,8 @@ class Seeded(TieBreakPolicy):
 
     def select(self, bids: BidProfile) -> BidderId:
         ties = argmax_set(bids)
+        if len(ties) == 1:
+            return ties[0]  # any hash modulo 1 is 0: the pick needs no hash
         return ties[hash_text(self.seed, canonical_bid_text(bids)) % len(ties)]
 
     def describe(self) -> str:

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import product
-from typing import Iterable, Sequence, Union
+from operator import attrgetter
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .core import (
     AuctionInstance,
@@ -57,6 +58,10 @@ class CaseTag(Enum):
     LOSE_WIN = "lose-win"
     WIN_LOSE = "win-lose"
 
+    # Members are singletons, so identity hashing agrees with equality; Enum's
+    # own __hash__ is Python code, run twice per row by the tally.
+    __hash__ = object.__hash__
+
     @property
     def won_original(self) -> bool:
         return self in (CaseTag.WIN_WIN, CaseTag.WIN_LOSE)
@@ -66,15 +71,17 @@ class CaseTag(Enum):
         return self in (CaseTag.WIN_WIN, CaseTag.LOSE_WIN)
 
 
-def _case_of(won_original: bool, won_deviation: bool) -> CaseTag:
-    if won_original:
-        return CaseTag.WIN_WIN if won_deviation else CaseTag.WIN_LOSE
-    return CaseTag.LOSE_WIN if won_deviation else CaseTag.LOSE_LOSE
+_CASES = {
+    (True, True): CaseTag.WIN_WIN,
+    (True, False): CaseTag.WIN_LOSE,
+    (False, True): CaseTag.LOSE_WIN,
+    (False, False): CaseTag.LOSE_LOSE,
+}
 
 
-@dataclass(frozen=True)
-class DeviationCheckResult:
-    """One truthful-vs-deviation comparison for one bidder."""
+class DeviationCheckResult(NamedTuple):
+    """One truthful-vs-deviation comparison for one bidder.  A tuple, not a
+    dataclass, because a sweep builds one per row."""
 
     bidder: BidderId
     truthful_bid: Money
@@ -191,10 +198,10 @@ def classify_case(
             raise ValueError(f"profiles differ at index {j}, not only at bidder {bidder}")
     if deviation_policy is None:
         deviation_policy = policy
-    return _case_of(
+    return _CASES[
         select_winner(bids, policy) == bidder,
         select_winner(deviated, deviation_policy) == bidder,
-    )
+    ]
 
 
 def assert_case(case: CaseTag, result: DeviationCheckResult) -> "str | None":
@@ -243,38 +250,14 @@ def critical_deviations(bids: Sequence[Money], bidder: BidderId) -> tuple[Money,
     return tuple(sorted(members))
 
 
-def _evaluate(
-    v_i: Money,
-    truthful_bids: BidProfile,
-    deviated: BidProfile,
-    bidder: BidderId,
-    policy: TieBreakPolicy,
-    rule: PaymentRule,
-) -> DeviationCheckResult:
-    o_truth = outcome(truthful_bids, policy, rule)
-    o_dev = outcome(deviated, policy, rule)
-    u_truth = v_i - o_truth.price if o_truth.winner == bidder else 0
-    u_dev = v_i - o_dev.price if o_dev.winner == bidder else 0
-    return DeviationCheckResult(
-        bidder=bidder,
-        truthful_bid=truthful_bids[bidder],
-        deviation_bid=deviated[bidder],
-        truthful_utility=u_truth,
-        deviation_utility=u_dev,
-        case=_case_of(o_truth.winner == bidder, o_dev.winner == bidder),
-        passed=u_truth >= u_dev,
-        pairing=policy.describe(),
-    )
-
-
 def _adversarial(per_policy: Sequence[DeviationCheckResult]) -> DeviationCheckResult:
     # The tie-break abstraction permits any argmax-respecting choice, so the
     # strongest reading lets it differ between the two evaluations: take the
     # policy minimizing the truthful utility against the one maximizing the
     # deviation utility.  min/max keep the first extremal row, so the pairing
     # label is deterministic for a fixed policy order.
-    worst_truth = min(per_policy, key=lambda r: r.truthful_utility)
-    best_dev = max(per_policy, key=lambda r: r.deviation_utility)
+    worst_truth = min(per_policy, key=attrgetter("truthful_utility"))
+    best_dev = max(per_policy, key=attrgetter("deviation_utility"))
     sample = per_policy[0]
     return DeviationCheckResult(
         bidder=sample.bidder,
@@ -282,7 +265,7 @@ def _adversarial(per_policy: Sequence[DeviationCheckResult]) -> DeviationCheckRe
         deviation_bid=sample.deviation_bid,
         truthful_utility=worst_truth.truthful_utility,
         deviation_utility=best_dev.deviation_utility,
-        case=_case_of(worst_truth.case.won_original, best_dev.case.won_deviation),
+        case=_CASES[worst_truth.case.won_original, best_dev.case.won_deviation],
         passed=worst_truth.truthful_utility >= best_dev.deviation_utility,
         pairing=f"adversarial({worst_truth.pairing}|{best_dev.pairing})",
     )
@@ -317,15 +300,42 @@ def _inserted(others: BidProfile, bid: Money, bidder: BidderId) -> BidProfile:
     return others[:bidder] + (bid,) + others[bidder:]
 
 
+def _outcome_table(policies: Sequence[TieBreakPolicy], rule: PaymentRule):
+    """Lookup into one run's outcome table: a profile maps to its
+    ``(winner, price)`` under each policy, in list order, computed through
+    ``outcome`` on first use.  Keyed by profile alone, never by policy
+    (``ExplicitChoice`` is unhashable), so a table serves one policy list;
+    reuse is sound because every ``select`` is a pure function of the bids."""
+    table = {}
+
+    def lookup(bids: BidProfile) -> tuple:
+        entry = table.get(bids)
+        if entry is None:
+            entry = table[bids] = tuple(
+                (result.winner, result.price)
+                for result in (outcome(bids, policy, rule) for policy in policies)
+            )
+        return entry
+
+    return lookup
+
+
 def _cells(frames, deviations, rule: PaymentRule, adversarial: bool):
     """The shared enumerator.  Each frame is ``(policies, valuations,
     bidders, truthful)``: ``truthful(bidder)`` builds a truthful profile and
     valuations None means every bidder values what it bids.  A frame yields
     ``(valuations, truthful_bids, rows)`` per (deviation bid, bidder) cell,
-    in that order, with one row per policy plus the adversarial pairing."""
+    in that order, with one row per policy plus the adversarial pairing.
+    Outcomes come from one table per distinct policy list, so each
+    (profile, policy) pair is evaluated once per run."""
+    table_policies = lookup = labels = None
     for policies, frame_valuations, bidders, truthful in frames:
         if not policies:
             raise ValueError("at least one tie-break policy is required")
+        if policies is not table_policies:
+            table_policies, lookup = policies, _outcome_table(policies, rule)
+            labels = [policy.describe() for policy in policies]
+        paired = adversarial and len(policies) > 1
         if deviations == "critical":
             pairs = sorted(
                 (new_bid, bidder)
@@ -337,12 +347,26 @@ def _cells(frames, deviations, rule: PaymentRule, adversarial: bool):
         for new_bid, bidder in pairs:
             bids = truthful(bidder)
             valuations = frame_valuations or bids
+            value, truthful_bid = valuations[bidder], bids[bidder]
             deviated = bids[:bidder] + (new_bid,) + bids[bidder + 1:]
-            rows = [
-                _evaluate(valuations[bidder], bids, deviated, bidder, policy, rule)
-                for policy in policies
-            ]
-            if adversarial and len(rows) > 1:
+            rows = []
+            for label, (w_truth, p_truth), (w_dev, p_dev) in zip(
+                labels, lookup(bids), lookup(deviated)
+            ):
+                won_truth, won_dev = w_truth == bidder, w_dev == bidder
+                u_truth = value - p_truth if won_truth else 0
+                u_dev = value - p_dev if won_dev else 0
+                rows.append(DeviationCheckResult(
+                    bidder=bidder,
+                    truthful_bid=truthful_bid,
+                    deviation_bid=new_bid,
+                    truthful_utility=u_truth,
+                    deviation_utility=u_dev,
+                    case=_CASES[won_truth, won_dev],
+                    passed=u_truth >= u_dev,
+                    pairing=label,
+                ))
+            if paired:
                 rows.append(_adversarial(rows))
             yield valuations, bids, rows
 

@@ -1,8 +1,9 @@
 """Shared fixtures and reference oracles.
 
 The brute-force oracle here is intentionally naive: materialize every
-tuple, filter the failures, sort.  The streaming search in the package
-must agree with it exactly.
+tuple, filter the failures, sort.  It evaluates auctions with
+``core.outcome`` alone and shares no code with the enumerator, outcome
+table or fold in ``verify``, which must agree with it exactly.
 """
 
 from __future__ import annotations
@@ -12,27 +13,69 @@ from itertools import product
 import pytest
 
 from sealedbid.core import PaymentRule, outcome, standard_policies
-from sealedbid.verify import Counterexample, check_truthfulness
+from sealedbid.verify import CaseTag, Counterexample, DeviationCheckResult
+
+CASES = {
+    (True, True): CaseTag.WIN_WIN,
+    (True, False): CaseTag.WIN_LOSE,
+    (False, True): CaseTag.LOSE_WIN,
+    (False, False): CaseTag.LOSE_LOSE,
+}
+
+
+def oracle_cell(bids, dev, bidder, policies, rule):
+    """Rows of one (truthful profile, deviation bid, bidder) cell, rebuilt
+    from ``outcome`` alone: ``(u_truth, u_dev, won_truth, won_dev, label)``
+    per policy, then the adversarial pairing of the policy minimizing the
+    truthful utility against the one maximizing the deviation utility
+    (first extremal row on ties)."""
+    v_i = bids[bidder]
+    deviated = bids[:bidder] + (dev,) + bids[bidder + 1:]
+    rows = []
+    for policy in policies:
+        o_truth = outcome(bids, policy, rule)
+        o_dev = outcome(deviated, policy, rule)
+        won_truth, won_dev = o_truth.winner == bidder, o_dev.winner == bidder
+        u_truth = v_i - o_truth.price if won_truth else 0
+        u_dev = v_i - o_dev.price if won_dev else 0
+        rows.append((u_truth, u_dev, won_truth, won_dev, policy.describe()))
+    if len(rows) > 1:
+        indices = range(len(rows))
+        worst = rows[min(indices, key=lambda k: rows[k][0])]
+        best = rows[max(indices, key=lambda k: rows[k][1])]
+        rows.append((
+            worst[0], best[1], worst[2], best[3], f"adversarial({worst[4]}|{best[4]})",
+        ))
+    return rows
 
 
 def sweep_rows(n_values, tick_bound, rule=PaymentRule.SECOND_PRICE):
     """Every comparison row of the full-grid sweep: all bidder counts in
     ``n_values``, all valuations, all opposing-bid vectors, all deviation
     bids in 0..tick_bound, all four policy kinds plus the adversarial
-    pairing."""
+    pairing.  Utilities, case and pass/fail come from ``oracle_cell``,
+    not from the package's enumerator."""
     rows = []
     for n_bidders in n_values:
         policies = standard_policies(n_bidders)
         for others in product(range(tick_bound + 1), repeat=n_bidders - 1):
             for v_i in range(tick_bound + 1):
                 for bidder in range(n_bidders):
-                    valuations = others[:bidder] + (v_i,) + others[bidder:]
-                    rows.extend(
-                        check_truthfulness(
-                            valuations, others, bidder, policies, rule,
-                            deviations=range(tick_bound + 1),
-                        )
-                    )
+                    bids = others[:bidder] + (v_i,) + others[bidder:]
+                    for dev in range(tick_bound + 1):
+                        for u_truth, u_dev, won_truth, won_dev, label in oracle_cell(
+                            bids, dev, bidder, policies, rule
+                        ):
+                            rows.append(DeviationCheckResult(
+                                bidder=bidder,
+                                truthful_bid=v_i,
+                                deviation_bid=dev,
+                                truthful_utility=u_truth,
+                                deviation_utility=u_dev,
+                                case=CASES[won_truth, won_dev],
+                                passed=u_truth >= u_dev,
+                                pairing=label,
+                            ))
     return rows
 
 
@@ -57,24 +100,8 @@ def bruteforce_minimal_counterexample(rule, n_max, tick_bound):
                 for dev in range(tick_bound + 1):
                     for bidder in range(n_bidders):
                         bids = others[:bidder] + (v_i,) + others[bidder:]
-                        deviated = bids[:bidder] + (dev,) + bids[bidder + 1:]
-                        rows = []
-                        for policy in policies:
-                            o_truth = outcome(bids, policy, rule)
-                            o_dev = outcome(deviated, policy, rule)
-                            u_truth = v_i - o_truth.price if o_truth.winner == bidder else 0
-                            u_dev = v_i - o_dev.price if o_dev.winner == bidder else 0
-                            rows.append((u_truth, u_dev, policy.describe()))
-                        if len(rows) > 1:
-                            indices = range(len(rows))
-                            worst = min(indices, key=lambda k: rows[k][0])
-                            best = max(indices, key=lambda k: rows[k][1])
-                            rows.append((
-                                rows[worst][0],
-                                rows[best][1],
-                                f"adversarial({rows[worst][2]}|{rows[best][2]})",
-                            ))
-                        for rank, (u_truth, u_dev, label) in enumerate(rows):
+                        rows = oracle_cell(bids, dev, bidder, policies, rule)
+                        for rank, (u_truth, u_dev, _, _, label) in enumerate(rows):
                             if u_dev > u_truth:
                                 key = (n_bidders, others, v_i, dev, bidder, rank)
                                 failures.append((key, Counterexample(

@@ -254,6 +254,13 @@ class TestClassify:
         code = dispatch(["classify", instance_path, "--bidder", "7", "--deviation", "2"])
         assert code == EXIT_INVALID
 
+    def test_negative_deviation_is_invalid(self, instance_path, capsys):
+        code = dispatch(["classify", instance_path, "--bidder", "0", "--deviation", "-5"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INVALID
+        assert captured.out == ""
+        assert "negative tick" in captured.err
+
 
 class TestSimulate:
     def test_report_and_csv(self, config_path, tmp_path, capsys):

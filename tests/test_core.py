@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sealedbid import core
 from sealedbid.core import (
     AuctionInstance,
     ExplicitChoice,
@@ -47,6 +48,16 @@ class TestValidate:
     def test_negative_tick(self):
         violations = validate(AuctionInstance((3, 6), (-1, 2)))
         assert any("negative tick" in v for v in violations)
+
+    def test_tick_whose_successor_has_no_decimal_text(self):
+        # the critical deviation above a bid of 4300 nines has 4301 digits
+        top = int("9" * 4300)
+        assert validate(AuctionInstance((top - 1, 0), (top - 1, 3))) == []
+        violations = validate(AuctionInstance((top, 0), (top, 3)))
+        assert violations == [
+            "tick too large (valuations[0] + 1 has more than 4300 digits)",
+            "tick too large (bids[0] + 1 has more than 4300 digits)",
+        ]
 
     def test_all_violations_reported(self):
         # the gatekeeper must list every broken rule, not stop at the first
@@ -99,6 +110,20 @@ class TestSelectWinner:
         a = [select_winner(t, Seeded(0)) for t in ties]
         b = [select_winner(t, Seeded(1)) for t in ties]
         assert a != b
+
+    def test_seeded_hashes_only_a_tie(self, monkeypatch):
+        hashed = []
+        real = core.hash_text
+
+        def counting(seed, text):
+            hashed.append(text)
+            return real(seed, text)
+
+        monkeypatch.setattr(core, "hash_text", counting)
+        assert select_winner((2, 7, 5), Seeded(42)) == 1
+        assert hashed == []
+        assert select_winner((2, 7, 7), Seeded(42)) in (1, 2)
+        assert hashed == ["2,7,7"]
 
     def test_explicit_uses_choice_table(self):
         policy = ExplicitChoice({(1, 2): 2, (0,): 0})

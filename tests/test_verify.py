@@ -289,6 +289,48 @@ class TestSweepAggregationOrderIndependence:
         tally = coverage_guard(rows)
         assert tally.counts == report.coverage.counts
 
+    @pytest.mark.parametrize("rule", [SECOND, FIRST])
+    @pytest.mark.parametrize("n_bidders", [2, 3])
+    def test_sweep_verdicts_and_cases_match_the_oracle(self, rule, n_bidders):
+        rows = sweep_rows((n_bidders,), 3, rule)
+        report = dominance_sweep(n_bidders, 3, rule=rule)
+        assert report.pass_count == sum(1 for row in rows if row.passed)
+        assert report.fail_count == sum(1 for row in rows if not row.passed)
+        assert report.coverage.counts == coverage_guard(rows).counts
+
+
+class TestOutcomeTable:
+    """Each (profile, policy) pair is evaluated once per run."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        real = verify.outcome
+
+        def outcome(bids, policy, rule):
+            seen.append((tuple(bids), id(policy)))
+            return real(bids, policy, rule)
+
+        monkeypatch.setattr(verify, "outcome", outcome)
+        return seen
+
+    def test_sweep_evaluates_every_profile_once_per_policy(self, calls):
+        dominance_sweep(3, 3)
+        assert len(calls) == 4 ** 3 * 4
+        assert len(set(calls)) == len(calls)
+
+    def test_exhausting_search_evaluates_each_n_once(self, calls):
+        assert find_counterexample(SECOND, 3, 2) is None
+        assert len(calls) == (3 ** 2 + 3 ** 3) * 4
+        assert len(set(calls)) == len(calls)
+
+    @pytest.mark.parametrize("deviations", ["critical", range(9)], ids=["critical", "grid"])
+    def test_check_never_repeats_an_evaluation(self, calls, deviations):
+        for instance in (INSTANCE, AuctionInstance((4, 4, 1), (4, 4, 0))):
+            del calls[:]
+            check_instance(instance, standard_policies(instance.n_bidders), FIRST, deviations)
+            assert calls and len(set(calls)) == len(calls)
+
 
 def grid_rows(n_bidders, ticks, values, bidders, deviations, pairings=5):
     """Closed-form row count: opposing vectors x valuations x bidders x
