@@ -194,11 +194,11 @@ def cmd_simulate(args) -> tuple[int, dict]:
         config = ExperimentConfig.from_dict(doc)
     except ValueError as exc:
         raise InvalidInstanceError([str(exc)]) from None
-    report = run_experiment(config, budget=args.budget)
-    if args.csv is not None:
-        with open(args.csv, "w", encoding="utf-8", newline="") as stream:
-            write_rounds_csv(config, stream, budget=args.budget)
-    return EXIT_PASS, report.to_dict()
+    if args.csv is None:
+        return EXIT_PASS, run_experiment(config, budget=args.budget).to_dict()
+    config.check_budget(args.budget)  # before the CSV file is created or truncated
+    with open(args.csv, "w", encoding="utf-8", newline="") as stream:  # before any round
+        return EXIT_PASS, write_rounds_csv(config, stream, budget=args.budget).to_dict()
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 MASK64 = (1 << 64) - 1
 
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX_A = 0xBF58476D1CE4E5B9
-_MIX_B = 0x94D049BB133111EB
+GOLDEN = 0x9E3779B97F4A7C15
+MIX_A = 0xBF58476D1CE4E5B9
+MIX_B = 0x94D049BB133111EB
 
 
 def splitmix64(x: int) -> int:
@@ -23,9 +23,9 @@ def splitmix64(x: int) -> int:
     ``splitmix64(0)`` is 0xE220A8397B1DCDAF, the well-known first output of
     the reference generator seeded with zero.
     """
-    x = (x + _GOLDEN) & MASK64
-    x = ((x ^ (x >> 30)) * _MIX_A) & MASK64
-    x = ((x ^ (x >> 27)) * _MIX_B) & MASK64
+    x = (x + GOLDEN) & MASK64
+    x = ((x ^ (x >> 30)) * MIX_A) & MASK64
+    x = ((x ^ (x >> 27)) * MIX_B) & MASK64
     return x ^ (x >> 31)
 
 
@@ -34,7 +34,8 @@ def mix64(seed: int, *words: int) -> int:
 
     Used as a counter-based generator: ``mix64(seed, round, index)`` is a
     pure function of its arguments, so draws can be recomputed in any
-    order (or in parallel) without coordination.
+    order (or in parallel) without coordination.  Each word is one more
+    chain step: ``mix64(s, *w, b) == splitmix64(mix64(s, *w) ^ b)``.
     """
     h = splitmix64(seed & MASK64)
     for w in words:

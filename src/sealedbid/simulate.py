@@ -13,7 +13,7 @@ import csv
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterator, Mapping, Sequence
+from typing import IO, Mapping, NamedTuple, Sequence
 
 from .core import (
     BidderId,
@@ -28,7 +28,7 @@ from .core import (
     outcome,
     policy_from_dict,
 )
-from .seeding import mix64
+from .seeding import GOLDEN, MASK64, MIX_A, MIX_B, mix64
 
 
 class Strategy(ABC):
@@ -127,7 +127,9 @@ def strategy_from_dict(doc: Mapping) -> Strategy:
 
 def apply_strategy(valuations: Sequence[Money], strategy: Strategy) -> BidProfile:
     """Element-wise application of a strategy to a valuation profile."""
-    return tuple(strategy.bid(value) for value in valuations)
+    if type(strategy) is Truthful:  # the bids are the values: skip N calls
+        return tuple(valuations)
+    return tuple(map(strategy.bid, valuations))
 
 
 @dataclass(frozen=True)
@@ -195,19 +197,29 @@ class ExperimentConfig:
             seed=integer("seed", 0),
         )
 
+    def check_budget(self, budget: int):
+        """Refuse, before any round runs, a run sampling over ``budget`` values."""
+        check_budget(self.n_rounds * self.n_bidders, budget, "sampled values")
+
 
 def sample_valuations(config: ExperimentConfig, round_index: int) -> ValuationProfile:
     """Valuations for one round: i.i.d. uniform integer ticks on
-    [value_low, value_high], each a pure function of (seed, round, bidder)."""
-    span = config.value_high - config.value_low + 1
-    return tuple(
-        config.value_low + mix64(config.seed, round_index, bidder) % span
-        for bidder in range(config.n_bidders)
-    )
+    [value_low, value_high]; bidder b draws ``mix64(seed, round, b)``, as
+    the round's prefix ``mix64(seed, round)`` finished by an inlined
+    splitmix64 step on ``prefix ^ b``."""
+    low = config.value_low
+    span = config.value_high - low + 1
+    prefix = mix64(config.seed, round_index)
+    values = []
+    for bidder in range(config.n_bidders):
+        x = ((prefix ^ bidder) + GOLDEN) & MASK64
+        x = ((x ^ (x >> 30)) * MIX_A) & MASK64
+        x = ((x ^ (x >> 27)) * MIX_B) & MASK64
+        values.append(low + (x ^ (x >> 31)) % span)
+    return tuple(values)
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     """One simulated auction round."""
 
     index: int
@@ -215,15 +227,6 @@ class RoundRecord:
     bids: BidProfile
     winner: BidderId
     price: Money
-
-
-def iter_rounds(config: ExperimentConfig) -> Iterator[RoundRecord]:
-    """Sample, strategize, and evaluate each round in order."""
-    for index in range(config.n_rounds):
-        valuations = sample_valuations(config, index)
-        bids = apply_strategy(valuations, config.strategy)
-        result = outcome(bids, config.policy, config.rule)
-        yield RoundRecord(index, valuations, bids, result.winner, result.price)
 
 
 @dataclass(frozen=True)
@@ -252,29 +255,40 @@ def fraction_text(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _simulate(configs: Sequence[ExperimentConfig], budget: int, sink=None) -> list[SimReport]:
+    """The one round loop: sample each round once, play it under every
+    config (all share the first one's sampling parameters), fold exact
+    integer sums per config, and hand ``sink`` the round's records, one per
+    config.  The sums are divided once, at the end."""
+    sampling = configs[0]
+    sampling.check_budget(budget)
+    totals = [[0, 0, 0] for _ in configs]  # revenue, winner utility, efficient rounds
+    for index in range(sampling.n_rounds):
+        valuations = sample_valuations(sampling, index)
+        top = max(valuations)
+        records = []
+        for config, total in zip(configs, totals):
+            bids = apply_strategy(valuations, config.strategy)
+            result = outcome(bids, config.policy, config.rule)
+            winner, price = result.winner, result.price
+            total[0] += price
+            total[1] += valuations[winner] - price
+            total[2] += valuations[winner] == top
+            records.append(RoundRecord(index, valuations, bids, winner, price))
+        if sink is not None:
+            sink(records)
+    rounds = sampling.n_rounds
+    return [SimReport(config, rounds, *(Fraction(value, rounds) for value in total))
+            for config, total in zip(configs, totals)]
+
+
 def run_experiment(config: ExperimentConfig, budget: int = DEFAULT_BUDGET) -> SimReport:
     """Run all rounds and summarize revenue, winner utility, efficiency.
 
     Integer sums divided once at the end; two runs with equal configs
     produce bit-identical reports.
     """
-    check_budget(config.n_rounds * config.n_bidders, budget, "sampled values")
-    total_revenue = 0
-    total_winner_utility = 0
-    efficient_rounds = 0
-    for record in iter_rounds(config):
-        total_revenue += record.price
-        total_winner_utility += record.valuations[record.winner] - record.price
-        if record.valuations[record.winner] == max(record.valuations):
-            efficient_rounds += 1
-    rounds = config.n_rounds
-    return SimReport(
-        config=config,
-        rounds=rounds,
-        mean_revenue=Fraction(total_revenue, rounds),
-        mean_winner_utility=Fraction(total_winner_utility, rounds),
-        efficiency_rate=Fraction(efficient_rounds, rounds),
-    )
+    return _simulate([config], budget)[0]
 
 
 @dataclass(frozen=True)
@@ -318,34 +332,15 @@ def compare_rules(
                 f"mismatched sampling parameters: {field} differs "
                 f"({getattr(config_a, field)} vs {getattr(config_b, field)})"
             )
-    check_budget(config_a.n_rounds * config_a.n_bidders, budget, "sampled values")
+    diff_min = diff_max = None
 
-    totals_a = [0, 0, 0]  # revenue, winner utility, efficient rounds
-    totals_b = [0, 0, 0]
-    diff_min = None
-    diff_max = None
-    for rec_a, rec_b in zip(iter_rounds(config_a), iter_rounds(config_b)):
-        for totals, rec in ((totals_a, rec_a), (totals_b, rec_b)):
-            totals[0] += rec.price
-            totals[1] += rec.valuations[rec.winner] - rec.price
-            totals[2] += 1 if rec.valuations[rec.winner] == max(rec.valuations) else 0
-        diff = rec_a.price - rec_b.price
+    def track(records: list[RoundRecord]):
+        nonlocal diff_min, diff_max
+        diff = records[0].price - records[1].price
         diff_min = diff if diff_min is None else min(diff_min, diff)
         diff_max = diff if diff_max is None else max(diff_max, diff)
 
-    rounds = config_a.n_rounds
-
-    def summarize(config: ExperimentConfig, totals: list) -> SimReport:
-        return SimReport(
-            config=config,
-            rounds=rounds,
-            mean_revenue=Fraction(totals[0], rounds),
-            mean_winner_utility=Fraction(totals[1], rounds),
-            efficiency_rate=Fraction(totals[2], rounds),
-        )
-
-    report_a = summarize(config_a, totals_a)
-    report_b = summarize(config_b, totals_b)
+    report_a, report_b = _simulate([config_a, config_b], budget, track)
     return PairedReport(
         report_a=report_a,
         report_b=report_b,
@@ -357,19 +352,22 @@ def compare_rules(
     )
 
 
-def write_rounds_csv(config: ExperimentConfig, stream: IO[str], budget: int = DEFAULT_BUDGET):
-    """Dump per-round (values, bids, winner, price) rows as CSV.
+def write_rounds_csv(
+    config: ExperimentConfig, stream: IO[str], budget: int = DEFAULT_BUDGET
+) -> SimReport:
+    """Run the experiment, dumping per-round (values, bids, winner, price)
+    rows as CSV, and return the report of the same rounds.
 
     Profile columns hold space-joined ticks so each round stays one row.
+    Nothing is written when the budget refuses the run.
     """
-    check_budget(config.n_rounds * config.n_bidders, budget, "sampled values")
+    config.check_budget(budget)
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["round", "valuations", "bids", "winner", "price"])
-    for record in iter_rounds(config):
-        writer.writerow([
-            record.index,
-            " ".join(str(v) for v in record.valuations),
-            " ".join(str(b) for b in record.bids),
-            record.winner,
-            record.price,
-        ])
+
+    def write(records: list[RoundRecord]):
+        index, valuations, bids, winner, price = records[0]
+        writer.writerow([index, " ".join(map(str, valuations)), " ".join(map(str, bids)),
+                         winner, price])
+
+    return _simulate([config], budget, write)[0]

@@ -1,0 +1,66 @@
+"""The benchmark's tracer still finds every name it patches.
+
+`bench/tracer.py` wraps layer functions at the names their callers look
+them up by (`sealedbid.simulate.mix64`, `sealedbid.cli.run_experiment`,
+...).  A refactor that drops or renames one of them breaks
+`bench/run.py --trace 1`; this test makes it fail here first.  The tracer
+module is loaded from its file and only read.
+"""
+
+import contextlib
+import importlib.util
+import io
+import json
+from pathlib import Path
+
+from sealedbid import cli, core, simulate, verify
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+CONFIG = {
+    "n_bidders": 3, "n_rounds": 20, "value_low": 0, "value_high": 7,
+    "rule": "first-price", "policy": {"kind": "seeded", "seed": 2}, "seed": 5,
+}
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("sealedbid_bench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def namespaces():
+    owners = [cli, core, simulate, verify, core.FirstIndex, core.LastIndex, core.Seeded,
+              core.ExplicitChoice]
+    return [(owner, dict(vars(owner))) for owner in owners]
+
+
+def run(dispatch, argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = dispatch(argv)
+    return code, out.getvalue()
+
+
+def test_traced_simulate_counts_each_round_once_and_restores(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(CONFIG), encoding="utf-8")
+    argv = ["simulate", str(config_path), "--csv", str(tmp_path / "rounds.csv"),
+            "--format=json"]
+    expected = run(cli.dispatch, argv)
+    before = namespaces()
+
+    tracer_module = load_tracer()
+    with tracer_module.Tracer() as tracer:
+        probe = tracer_module.SealedbidProbe(tracer)
+        traced = run(probe.dispatch, argv)
+    metrics = probe.metrics(csv_bytes=(tmp_path / "rounds.csv").stat().st_size)
+
+    assert traced == expected
+    rounds = CONFIG["n_rounds"]
+    assert metrics["simulate.rounds_evaluated"][0] == rounds
+    assert metrics["seeding.mix64.calls"][0] == rounds
+    assert metrics["core.outcome.calls"][0] == rounds
+    for (owner, names), (_, names_after) in zip(before, namespaces()):
+        assert names_after.keys() == names.keys(), owner
+        assert all(names_after[name] is value for name, value in names.items()), owner

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sealedbid import verify
+from sealedbid import simulate, verify
 from sealedbid.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -273,6 +273,46 @@ class TestSimulate:
         lines = csv_path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "round,valuations,bids,winner,price"
         assert len(lines) == 51
+
+    @pytest.fixture
+    def rounds_played(self, monkeypatch):
+        calls = []
+        real = simulate.outcome
+
+        def counting(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(simulate, "outcome", counting)
+        return calls
+
+    def test_csv_run_plays_each_round_once(self, config_path, tmp_path, rounds_played, capsys):
+        code = dispatch(["simulate", config_path, "--csv", str(tmp_path / "rounds.csv")])
+        assert code == EXIT_PASS
+        assert len(rounds_played) == 50
+
+    def test_bad_csv_path_fails_before_any_round(self, config_path, tmp_path, rounds_played,
+                                                 capsys):
+        csv_path = tmp_path / "no" / "such" / "x.csv"
+        code = dispatch(["simulate", config_path, "--csv", str(csv_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INVALID
+        assert captured.out == ""
+        assert "x.csv" in captured.err
+        assert rounds_played == []
+
+    def test_budget_refusal_leaves_the_csv_file_alone(self, config_path, tmp_path,
+                                                     rounds_played, capsys):
+        kept = tmp_path / "kept.csv"
+        kept.write_text("earlier rows\n", encoding="utf-8")
+        missing = tmp_path / "missing.csv"
+        for csv_path in (kept, missing):
+            code = dispatch(["simulate", config_path, "--csv", str(csv_path), "--budget", "5"])
+            assert code == EXIT_BUDGET
+        assert capsys.readouterr().out == ""
+        assert kept.read_text(encoding="utf-8") == "earlier rows\n"
+        assert not missing.exists()
+        assert rounds_played == []
 
     def test_seed_flag_overrides_config(self, config_path, capsys):
         dispatch(["simulate", config_path, "--seed", "99", "--format=json"])

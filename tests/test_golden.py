@@ -1,9 +1,12 @@
 """Pinned canonical-JSON bytes for the verifier, the search and the simulator.
 
 Each case renders one report and compares it byte for byte with
-``tests/golden/<case>.json``.  The files were produced by the code before
-the outcome table went in; a refactor or optimisation must reproduce
-them exactly.  After an intended change of output, rewrite them with::
+``tests/golden/<case>.json``; a ``simulate --csv`` case also compares the
+per-round CSV with ``tests/golden/<case>.csv``.  The JSON files were
+produced by the code before the outcome table went in, the CSV case by
+the code before the single simulation pass; a refactor or optimisation
+must reproduce them exactly.  After an intended change of output,
+rewrite them with::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -35,6 +38,12 @@ SIM_CONFIG = {
     "n_bidders": 3, "n_rounds": 300, "value_low": 0, "value_high": 7,
     "rule": "first-price", "policy": {"kind": "seeded", "seed": 5}, "seed": 11,
 }
+CSV_SIM_CONFIG = {
+    "n_bidders": 3, "n_rounds": 2000, "value_low": 0, "value_high": 7,
+    "rule": "first-price", "strategy": {"kind": "shade", "numerator": 3, "denominator": 4},
+    "policy": {"kind": "seeded", "seed": 13}, "seed": 29,
+}
+CSV_CASES = {"simulate-csv-first-price-shade3-4-seeded"}
 
 
 def _cli_cases():
@@ -52,6 +61,8 @@ def _cli_cases():
             cases[f"check-{rule}-{name}-grid"] = [
                 "check", f"{{{name}}}", "--rule", rule, "--deviations", "grid"]
     cases["simulate-first-price-seeded"] = ["simulate", "{sim}"]
+    for case in CSV_CASES:
+        cases[case] = ["simulate", "{csvsim}", "--csv", "{csv}"]
     return cases
 
 
@@ -59,8 +70,9 @@ CLI_CASES = _cli_cases()
 
 
 def _run_cli(argv, workdir: Path) -> str:
-    paths = {}
-    for name, doc in dict(INSTANCES, sim=SIM_CONFIG).items():
+    """Stdout of one CLI case; a ``{csv}`` argument is ``workdir/rounds.csv``."""
+    paths = {"csv": str(workdir / "rounds.csv")}
+    for name, doc in dict(INSTANCES, sim=SIM_CONFIG, csvsim=CSV_SIM_CONFIG).items():
         path = workdir / f"{name}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         paths[name] = str(path)
@@ -107,9 +119,16 @@ def test_report_bytes_match_golden(case, tmp_path):
     assert render(case, tmp_path) == expected
 
 
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_csv_bytes_match_golden(case, tmp_path):
+    render(case, tmp_path)
+    assert (tmp_path / "rounds.csv").read_bytes() == (GOLDEN / f"{case}.csv").read_bytes()
+
+
 def test_every_golden_file_has_a_case():
     pinned = {path.stem for path in GOLDEN.glob("*.json")}
     assert pinned == set(CLI_CASES) | set(API_CASES)
+    assert {path.stem for path in GOLDEN.glob("*.csv")} == CSV_CASES
 
 
 if __name__ == "__main__":
@@ -118,4 +137,7 @@ if __name__ == "__main__":
         for name in sorted(CLI_CASES) + sorted(API_CASES):
             text = render(name, Path(scratch))
             (GOLDEN / f"{name}.json").write_text(text, encoding="utf-8")
-    sys.stdout.write(f"wrote {len(CLI_CASES) + len(API_CASES)} golden files to {GOLDEN}\n")
+            if name in CSV_CASES:
+                (GOLDEN / f"{name}.csv").write_bytes((Path(scratch) / "rounds.csv").read_bytes())
+    written = len(CLI_CASES) + len(API_CASES) + len(CSV_CASES)
+    sys.stdout.write(f"wrote {written} golden files to {GOLDEN}\n")

@@ -40,6 +40,12 @@ def test_mix64_argument_order_matters(seed, a, b):
         assert mix64(seed, a, b) != mix64(seed, b, a)
 
 
+@given(u64, st.lists(u64, max_size=3), u64)
+def test_mix64_prefix_identity(seed, words, last):
+    # the simulator hoists mix64(seed, round) out of its bidder loop
+    assert mix64(seed, *words, last) == splitmix64(mix64(seed, *words) ^ last)
+
+
 def test_hash_text_frozen_values():
     assert hash_text(0, "") == splitmix64(0)
     assert hash_text(0, "3,5,4") == 7461866123945178962

@@ -5,10 +5,12 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from sealedbid import simulate
 from sealedbid.core import BudgetExceededError, FirstIndex, PaymentRule, Seeded
+from sealedbid.seeding import MASK64, mix64
 from sealedbid.simulate import (
     ExperimentConfig,
     Overbid,
@@ -97,6 +99,22 @@ class TestSampling:
         cfg = config()
         profiles = {sample_valuations(cfg, r) for r in range(20)}
         assert len(profiles) > 1
+
+    @given(
+        seed=st.integers(min_value=0, max_value=MASK64),
+        round_index=st.integers(min_value=0, max_value=MASK64),
+        n_bidders=st.integers(min_value=2, max_value=6),
+        value_low=st.integers(min_value=0, max_value=2**70),
+        span=st.integers(min_value=1, max_value=2**70),
+    )
+    @example(seed=MASK64, round_index=0, n_bidders=2, value_low=0, span=1)
+    @example(seed=MASK64, round_index=MASK64, n_bidders=3, value_low=5, span=2**64 + 7)
+    def test_draws_are_mix64_bit_for_bit(self, seed, round_index, n_bidders, value_low, span):
+        cfg = config(n_bidders=n_bidders, value_low=value_low,
+                     value_high=value_low + span - 1, seed=seed)
+        assert sample_valuations(cfg, round_index) == tuple(
+            value_low + mix64(seed, round_index, bidder) % span for bidder in range(n_bidders)
+        )
 
 
 class TestExperimentConfig:
@@ -195,6 +213,18 @@ class TestCompareRules:
             for vals in (sample_valuations(cfg_first, r) for r in range(500))
         )
         assert paired.mean_revenue_diff == Fraction(total_gap, 500)
+
+    def test_samples_each_round_once(self, monkeypatch):
+        calls = []
+        real = simulate.sample_valuations
+
+        def counting(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(simulate, "sample_valuations", counting)
+        compare_rules(config(n_rounds=40), config(n_rounds=40, rule=FIRST))
+        assert len(calls) == 40
 
     def test_rejects_mismatched_sampling_parameters(self):
         with pytest.raises(ValueError, match="mismatched sampling"):
