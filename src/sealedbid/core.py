@@ -18,7 +18,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .seeding import hash_text
 
@@ -144,7 +144,7 @@ def argmax_set(bids: Sequence[Money]) -> tuple[BidderId, ...]:
     """Indices attaining the highest bid, in increasing order."""
     bids = _require_profile(bids)
     top = max(bids)
-    return tuple(i for i, b in enumerate(bids) if b == top)
+    return tuple([i for i, b in enumerate(bids) if b == top])
 
 
 def max_excluding(bids: Sequence[Money], bidder: BidderId) -> Money:
@@ -152,7 +152,7 @@ def max_excluding(bids: Sequence[Money], bidder: BidderId) -> Money:
     bids = _require_profile(bids)
     if not 0 <= bidder < len(bids):
         raise ValueError(f"bidder index {bidder} out of range for N={len(bids)}")
-    return max(b for i, b in enumerate(bids) if i != bidder)
+    return max(bids[:bidder] + bids[bidder + 1:])
 
 
 def canonical_bid_text(bids: Sequence[Money]) -> str:
@@ -165,9 +165,10 @@ class TieBreakPolicy(ABC):
 
     Implementations must return a member of ``argmax_set(bids)``; nothing
     else about the choice is fixed, which is exactly the freedom the
-    verifier has to be robust against.  ``select`` must be a pure function
-    of the bids: reports are reproducible only if it is, and the verifier
-    evaluates each (profile, policy) pair once and reuses the outcome.
+    verifier has to be robust against.  ``select`` receives a profile that
+    ``select_winner`` or ``outcome`` has already validated, and must be a
+    pure function of it: reports are reproducible only if it is, and the
+    verifier evaluates each (profile, policy) pair once and reuses the outcome.
     """
 
     @abstractmethod
@@ -187,7 +188,7 @@ class FirstIndex(TieBreakPolicy):
     """Among tied highest bids, choose the lowest bidder index."""
 
     def select(self, bids: BidProfile) -> BidderId:
-        return argmax_set(bids)[0]
+        return bids.index(max(bids))
 
     def describe(self) -> str:
         return "first-index"
@@ -198,7 +199,7 @@ class LastIndex(TieBreakPolicy):
     """Among tied highest bids, choose the highest bidder index."""
 
     def select(self, bids: BidProfile) -> BidderId:
-        return argmax_set(bids)[-1]
+        return len(bids) - 1 - bids[::-1].index(max(bids))
 
     def describe(self) -> str:
         return "last-index"
@@ -220,9 +221,10 @@ class Seeded(TieBreakPolicy):
             raise ValueError(f"seed {self.seed} outside unsigned 64-bit range")
 
     def select(self, bids: BidProfile) -> BidderId:
+        top = max(bids)
+        if bids.count(top) == 1:
+            return bids.index(top)  # any hash modulo 1 is 0: the pick needs no hash
         ties = argmax_set(bids)
-        if len(ties) == 1:
-            return ties[0]  # any hash modulo 1 is 0: the pick needs no hash
         return ties[hash_text(self.seed, canonical_bid_text(bids)) % len(ties)]
 
     def describe(self) -> str:
@@ -343,8 +345,7 @@ class PaymentRule(Enum):
         raise ValueError(f"unknown payment rule {name!r}")
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     """Result of evaluating one auction: who won, at what price."""
 
     winner: BidderId
@@ -353,13 +354,15 @@ class Outcome:
 
 
 def outcome(bids: Sequence[Money], policy: TieBreakPolicy, rule: PaymentRule) -> Outcome:
-    """Evaluate one auction under a tie-break policy and payment rule."""
+    """Evaluate one auction under a tie-break policy and payment rule.  The
+    second price is the second-highest bid: the highest other bid only when
+    the winner holds a top bid, so a policy picking anyone else raises
+    ``ValueError``."""
     bids = _require_profile(bids)
     winner = policy.select(bids)
-    if rule is PaymentRule.SECOND_PRICE:
-        price = max_excluding(bids, winner)
-    else:
-        price = bids[winner]
+    if not (0 <= winner < len(bids) and bids[winner] == max(bids)):
+        raise ValueError(f"tie-break {policy.describe()} picked {winner}, not a highest bidder")
+    price = sorted(bids)[-2] if rule is PaymentRule.SECOND_PRICE else bids[winner]
     return Outcome(winner, price, rule)
 
 

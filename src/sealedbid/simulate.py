@@ -134,7 +134,9 @@ def apply_strategy(valuations: Sequence[Money], strategy: Strategy) -> BidProfil
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully determines an experiment, including all of its randomness."""
+    """Fully determines an experiment, including all of its randomness: bidder
+    b's value in round r is ``value_low + mix64(seed, r, b) % span``, where
+    ``span = value_high - value_low + 1`` (``sample_valuations`` states its bias)."""
 
     n_bidders: int
     n_rounds: int
@@ -203,10 +205,12 @@ class ExperimentConfig:
 
 
 def sample_valuations(config: ExperimentConfig, round_index: int) -> ValuationProfile:
-    """Valuations for one round: i.i.d. uniform integer ticks on
-    [value_low, value_high]; bidder b draws ``mix64(seed, round, b)``, as
-    the round's prefix ``mix64(seed, round)`` finished by an inlined
-    splitmix64 step on ``prefix ^ b``."""
+    """Valuations for one round: bidder b draws
+    ``value_low + mix64(seed, round, b) % span``, the hash computed as the
+    round's prefix ``mix64(seed, round)`` finished by an inlined splitmix64
+    step on ``prefix ^ b``.  Not exactly uniform on [value_low, value_high]:
+    each tick's chance is 1 / span up to a relative error of span / 2^64,
+    and a span above 2^64 reaches only its lowest 2^64 ticks."""
     low = config.value_low
     span = config.value_high - low + 1
     prefix = mix64(config.seed, round_index)
@@ -269,12 +273,12 @@ def _simulate(configs: Sequence[ExperimentConfig], budget: int, sink=None) -> li
         records = []
         for config, total in zip(configs, totals):
             bids = apply_strategy(valuations, config.strategy)
-            result = outcome(bids, config.policy, config.rule)
-            winner, price = result.winner, result.price
+            winner, price, _ = outcome(bids, config.policy, config.rule)
             total[0] += price
             total[1] += valuations[winner] - price
             total[2] += valuations[winner] == top
-            records.append(RoundRecord(index, valuations, bids, winner, price))
+            if sink is not None:
+                records.append(RoundRecord(index, valuations, bids, winner, price))
         if sink is not None:
             sink(records)
     rounds = sampling.n_rounds

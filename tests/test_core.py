@@ -14,6 +14,7 @@ from sealedbid.core import (
     Outcome,
     PaymentRule,
     Seeded,
+    TieBreakPolicy,
     argmax_set,
     bidder_utility,
     max_bid,
@@ -25,8 +26,16 @@ from sealedbid.core import (
     standard_policies,
     validate,
 )
+from sealedbid.seeding import hash_text
 
 profiles = st.lists(st.integers(min_value=0, max_value=50), min_size=2, max_size=6).map(tuple)
+# A small alphabet makes heavy ties likely; the wide range reaches past 64 bits.
+kernel_profiles = st.lists(
+    st.one_of(st.integers(min_value=0, max_value=3),
+              st.sampled_from([2**64 - 1, 2**64, 2**70]),
+              st.integers(min_value=0, max_value=2**70)),
+    min_size=2, max_size=8,
+).map(tuple)
 
 
 def all_policies(n_bidders, seed=0):
@@ -174,6 +183,63 @@ class TestOutcome:
     def test_first_price_charges_winning_bid(self, bids):
         o = outcome(bids, FirstIndex(), PaymentRule.FIRST_PRICE)
         assert o.price == bids[o.winner] == max_bid(bids)
+
+    @given(kernel_profiles, st.integers(min_value=0, max_value=2**64 - 1))
+    def test_kernel_matches_the_scan_definitions(self, bids, seed):
+        # Reference: the argmax set and highest other bid by plain scans,
+        # and each policy's pick written out from its documented rule.
+        top = max(bids)
+        ties = tuple(i for i, b in enumerate(bids) if b == top)
+        others = [max(b for i, b in enumerate(bids) if i != k) for k in range(len(bids))]
+        assert argmax_set(bids) == ties
+        assert [max_excluding(bids, k) for k in range(len(bids))] == others
+        text = ",".join(str(b) for b in bids)
+        explicit = ExplicitChoice.covering(len(bids))
+        picks = [
+            (FirstIndex(), ties[0]),
+            (LastIndex(), ties[-1]),
+            (Seeded(seed), ties[hash_text(seed, text) % len(ties)]),
+            (explicit, ties[len(ties) // 2]),
+        ]
+        for policy, winner in picks:
+            assert select_winner(list(bids), policy) == winner
+            for rule, price in ((PaymentRule.SECOND_PRICE, others[winner]),
+                                (PaymentRule.FIRST_PRICE, bids[winner])):
+                assert outcome(list(bids), policy, rule) == (winner, price, rule)
+
+
+class RoguePolicy(TieBreakPolicy):
+    """Breaks the tie-break contract: always picks a fixed index."""
+
+    def __init__(self, pick):
+        self.pick = pick
+
+    def select(self, bids):
+        return self.pick
+
+    def describe(self):
+        return "rogue"
+
+
+class TestTieBreakContract:
+    @pytest.mark.parametrize("rule", list(PaymentRule))
+    @pytest.mark.parametrize("pick", [0, 1, 4, 7, -1, -4])
+    def test_outcome_rejects_a_pick_without_the_top_bid(self, rule, pick):
+        # bids[-1] holds a top bid, but -1 is no bidder's index
+        with pytest.raises(ValueError, match="not a highest bidder"):
+            outcome((3, 1, 5, 5), RoguePolicy(pick), rule)
+
+    @pytest.mark.parametrize("rule", list(PaymentRule))
+    def test_outcome_accepts_any_tied_top_bidder(self, rule):
+        assert outcome((3, 5, 5), RoguePolicy(1), rule) == (1, 5, rule)
+        assert outcome((3, 5, 5), RoguePolicy(2), rule) == (2, 5, rule)
+
+    def test_outcome_is_an_immutable_record(self):
+        o = Outcome(winner=1, price=4, rule=PaymentRule.SECOND_PRICE)
+        assert (o.winner, o.price, o.rule) == (1, 4, PaymentRule.SECOND_PRICE)
+        with pytest.raises(AttributeError):
+            o.price = 0
+        assert o == Outcome(1, 4, PaymentRule.SECOND_PRICE)
 
 
 class TestUtility:

@@ -177,6 +177,22 @@ class TestRunExperiment:
         with pytest.raises(BudgetExceededError):
             run_experiment(config(n_rounds=1000), budget=100)
 
+    def test_records_are_built_only_for_a_sink(self, monkeypatch):
+        built = []
+        real = simulate.RoundRecord
+
+        def counting(*args):
+            built.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(simulate, "RoundRecord", counting)
+        report = run_experiment(config())
+        assert built == []
+        assert (report.mean_revenue, report.mean_winner_utility,
+                report.efficiency_rate) == (Fraction(203, 50), Fraction(14, 5), 1)
+        assert write_rounds_csv(config(), io.StringIO()) == report
+        assert len(built) == config().n_rounds
+
     def test_report_document_uses_rational_strings(self):
         doc = run_experiment(config()).to_dict()
         assert doc["mean_revenue"] == "203/50"
