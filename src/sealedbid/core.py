@@ -135,11 +135,6 @@ def _require_profile(bids: Sequence[Money]) -> BidProfile:
     return tuple(bids)
 
 
-def max_bid(bids: Sequence[Money]) -> Money:
-    """Highest bid in the profile."""
-    return max(_require_profile(bids))
-
-
 def argmax_set(bids: Sequence[Money]) -> tuple[BidderId, ...]:
     """Indices attaining the highest bid, in increasing order."""
     bids = _require_profile(bids)
@@ -373,12 +368,6 @@ def bidder_utility(valuations: Sequence[Money], result: Outcome, bidder: BidderI
     if bidder != result.winner:
         return 0
     return valuations[bidder] - result.price
-
-
-def profile_utility(valuations: Sequence[Money], result: Outcome) -> SignedMoney:
-    """Sum of all bidders' utilities; losers contribute zero, so this is
-    just the winner's utility."""
-    return bidder_utility(valuations, result, result.winner)
 
 
 def standard_policies(n_bidders: int, seed: int = 0) -> list[TieBreakPolicy]:

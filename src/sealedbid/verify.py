@@ -21,12 +21,12 @@ tolerance, traversal order, or parallel partitioning.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from itertools import product
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .core import (
     AuctionInstance,
@@ -81,7 +81,7 @@ _CASES = {
 
 class DeviationCheckResult(NamedTuple):
     """One truthful-vs-deviation comparison for one bidder.  A tuple, not a
-    dataclass, because a sweep builds one per row."""
+    dataclass, because a search builds one per row."""
 
     bidder: BidderId
     truthful_bid: Money
@@ -300,82 +300,198 @@ def _inserted(others: BidProfile, bid: Money, bidder: BidderId) -> BidProfile:
     return others[:bidder] + (bid,) + others[bidder:]
 
 
-def _outcome_table(policies: Sequence[TieBreakPolicy], rule: PaymentRule):
-    """Lookup into one run's outcome table: a profile maps to its
-    ``(winner, price)`` under each policy, in list order, computed through
-    ``outcome`` on first use.  Keyed by profile alone, never by policy
-    (``ExplicitChoice`` is unhashable), so a table serves one policy list;
-    reuse is sound because every ``select`` is a pure function of the bids."""
-    table = {}
+class _Interned(dict):
+    """A lazy table: a key maps to a small int naming ``compute(key)`` in
+    ``values``, computed on first use; equal values share one int."""
 
-    def lookup(bids: BidProfile) -> tuple:
-        entry = table.get(bids)
-        if entry is None:
-            entry = table[bids] = tuple(
-                (result.winner, result.price)
-                for result in (outcome(bids, policy, rule) for policy in policies)
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+        self.values: list = []
+        self._ids: dict = {}
+
+    def __missing__(self, key) -> int:
+        value = self.compute(key)
+        ident = self._ids.get(value)
+        if ident is None:
+            ident = self._ids[value] = len(self.values)
+            self.values.append(value)
+        self[key] = ident
+        return ident
+
+
+class _Scope(NamedTuple):
+    """One policy list's share of a run.
+
+    ``cells()`` yields ``(truthful key, deviated key, bidder, value,
+    deviation bid)`` per cell in key order, and ``decode`` turns a key into
+    its bid profile.  ``table`` is the outcome table: a key maps to its
+    entry, the per-policy ``(winner, price)`` tuple, evaluated through
+    ``outcome`` on first use, so each (profile, policy) pair is evaluated
+    once per run.  It is keyed by profile alone, never by policy
+    (``ExplicitChoice`` is unhashable), which is sound because every
+    ``select`` is a pure function of the bids.  ``views`` maps (entry,
+    bidder) to that bidder's view of the entry: per policy, the price it
+    pays if it wins, else None.  ``valuations`` None means every bidder
+    values what it bids.
+    """
+
+    table: _Interned
+    views: _Interned
+    labels: list
+    paired: bool
+    cells: Callable[[], Iterator[tuple]]
+    decode: Callable
+    valuations: "ValuationProfile | None"
+
+
+def _scope(policies, rule, adversarial, cells, decode=tuple, valuations=None) -> _Scope:
+    if not policies:
+        raise ValueError("at least one tie-break policy is required")
+    table = _Interned(lambda key: tuple(
+        (result.winner, result.price)
+        for result in (outcome(decode(key), policy, rule) for policy in policies)
+    ))
+    views = _Interned(lambda pair: tuple(
+        price if winner == pair[1] else None for winner, price in table.values[pair[0]]
+    ))
+    return _Scope(
+        table, views, [policy.describe() for policy in policies],
+        adversarial and len(policies) > 1, cells, decode, valuations,
+    )
+
+
+def _grid_scope(n, tick_bound, values, bidders, deviations, policies, rule, adversarial):
+    """The cells of one bidder count over integer-coded profiles: digit j of
+    a code is bid j less ``low``, so a deviated code is ``code + (d - v) *
+    radix**bidder`` and no tuple is built per cell.  The radix exceeds every
+    bid a profile can hold: the tick bound, the valuation, M + 1 and every
+    explicit deviation."""
+    ends = [0, tick_bound + 1, values[-1]]
+    if deviations != "critical" and _size(deviations):
+        ends += (deviations[0], deviations[-1])
+    low = min(ends)
+    radix = max(ends) - low + 1
+    weights = [radix ** j for j in range(n)]
+
+    def decode(code: int) -> BidProfile:
+        bids = []
+        for _ in weights:
+            code, digit = divmod(code, radix)
+            bids.append(digit + low)
+        return tuple(bids)
+
+    def cells():
+        for others in product(range(tick_bound + 1), repeat=n - 1):
+            # each bidder's code with its own digit at zero
+            bases = [
+                sum((bid - low) * w for bid, w in zip(_inserted(others, low, b), weights))
+                for b in bidders
+            ]
+            # every bidder faces the same opposing bids, so the same critical set
+            new_bids = (
+                critical_deviations((0,) + others, 0) if deviations == "critical" else deviations
             )
-        return entry
+            for value in values:
+                truthful = [
+                    (b, base + (value - low) * weights[b], weights[b])
+                    for b, base in zip(bidders, bases)
+                ]
+                for new_bid in new_bids:
+                    for b, code, weight in truthful:
+                        yield code, code + (new_bid - value) * weight, b, value, new_bid
 
-    return lookup
+    return _scope(policies, rule, adversarial, cells, decode)
 
 
-def _cells(frames, deviations, rule: PaymentRule, adversarial: bool):
-    """The shared enumerator.  Each frame is ``(policies, valuations,
-    bidders, truthful)``: ``truthful(bidder)`` builds a truthful profile and
-    valuations None means every bidder values what it bids.  A frame yields
-    ``(valuations, truthful_bids, rows)`` per (deviation bid, bidder) cell,
-    in that order, with one row per policy plus the adversarial pairing.
-    Outcomes come from one table per distinct policy list, so each
-    (profile, policy) pair is evaluated once per run."""
-    table_policies = lookup = labels = None
-    for policies, frame_valuations, bidders, truthful in frames:
-        if not policies:
-            raise ValueError("at least one tie-break policy is required")
-        if policies is not table_policies:
-            table_policies, lookup = policies, _outcome_table(policies, rule)
-            labels = [policy.describe() for policy in policies]
-        paired = adversarial and len(policies) > 1
+def _instance_scope(instance, bidders, policies, rule, deviations, adversarial):
+    """The cells of one instance: bidder b's truthful profile is the
+    instance's bids with b's bid set to its valuation, keyed by itself."""
+    valuations, bids = instance.valuations, instance.bids
+
+    def truthful(b: BidderId) -> BidProfile:
+        return bids[:b] + (valuations[b],) + bids[b + 1:]
+
+    def cells():
         if deviations == "critical":
             pairs = sorted(
-                (new_bid, bidder)
-                for bidder in bidders
-                for new_bid in critical_deviations(truthful(bidder), bidder)
+                (new_bid, b) for b in bidders for new_bid in critical_deviations(truthful(b), b)
             )
         else:
-            pairs = ((new_bid, bidder) for new_bid in deviations for bidder in bidders)
-        for new_bid, bidder in pairs:
-            bids = truthful(bidder)
-            valuations = frame_valuations or bids
-            value, truthful_bid = valuations[bidder], bids[bidder]
-            deviated = bids[:bidder] + (new_bid,) + bids[bidder + 1:]
-            rows = []
-            for label, (w_truth, p_truth), (w_dev, p_dev) in zip(
-                labels, lookup(bids), lookup(deviated)
-            ):
-                won_truth, won_dev = w_truth == bidder, w_dev == bidder
-                u_truth = value - p_truth if won_truth else 0
-                u_dev = value - p_dev if won_dev else 0
-                rows.append(DeviationCheckResult(
-                    bidder=bidder,
-                    truthful_bid=truthful_bid,
-                    deviation_bid=new_bid,
-                    truthful_utility=u_truth,
-                    deviation_utility=u_dev,
-                    case=_CASES[won_truth, won_dev],
-                    passed=u_truth >= u_dev,
-                    pairing=label,
-                ))
-            if paired:
-                rows.append(_adversarial(rows))
-            yield valuations, bids, rows
+            pairs = ((new_bid, b) for new_bid in deviations for b in bidders)
+        for new_bid, b in pairs:
+            profile = truthful(b)
+            yield profile, profile[:b] + (new_bid,) + profile[b + 1:], b, valuations[b], new_bid
+
+    return _scope(policies, rule, adversarial, cells, valuations=valuations)
 
 
-def _grid_cells(n_min, n_max, tick_bound, policies, rule, deviations, adversarial, budget,
-                valuation=None, bidder=None):
-    """Check bounds and budget, then return the cells of N = n_min..n_max,
-    every opposing-bid vector in {0..tick_bound}^(N-1), every valuation (or
-    just ``valuation``) and every bidder (or just ``bidder``), in key order."""
+def _rows(scope: _Scope, bidder, value, deviation_bid, truthful_view, deviated_view):
+    """The row builder: one row per policy, plus the adversarial pairing,
+    from the bidder's views of its two profiles' entries.  The value is the
+    truthful bid in every scope."""
+    rows = []
+    for label, p_truth, p_dev in zip(scope.labels, truthful_view, deviated_view):
+        won_truth, won_dev = p_truth is not None, p_dev is not None
+        u_truth = value - p_truth if won_truth else 0
+        u_dev = value - p_dev if won_dev else 0
+        rows.append(DeviationCheckResult(
+            bidder=bidder,
+            truthful_bid=value,
+            deviation_bid=deviation_bid,
+            truthful_utility=u_truth,
+            deviation_utility=u_dev,
+            case=_CASES[won_truth, won_dev],
+            passed=u_truth >= u_dev,
+            pairing=label,
+        ))
+    if scope.paired:
+        rows.append(_adversarial(rows))
+    return rows
+
+
+def _counterexample(scope: _Scope, truth, bidder, deviation_bid, row) -> Counterexample:
+    bids = scope.decode(truth)
+    return Counterexample(
+        bids if scope.valuations is None else scope.valuations, bids, bidder,
+        deviation_bid, row.pairing, row.truthful_utility, row.deviation_utility,
+    )
+
+
+def _classes(scope: _Scope):
+    """``(class, truthful key, bidder, deviation bid)`` per cell, in key
+    order.  The class is (value, truthful view, deviated view), on which
+    alone the cell's rows depend."""
+    table, views = scope.table, scope.views
+    for truth, dev, bidder, value, new_bid in scope.cells():
+        key = value, views[table[truth], bidder], views[table[dev], bidder]
+        yield key, truth, bidder, new_bid
+
+
+def _row_stream(scopes):
+    """``(scope, truthful key, rows)`` per cell, in key order."""
+    for scope in scopes:
+        view = scope.views.values
+        for (value, truth_view, dev_view), truth, bidder, new_bid in _classes(scope):
+            yield scope, truth, _rows(
+                scope, bidder, value, new_bid, view[truth_view], view[dev_view]
+            )
+
+
+def _first_failure(scopes) -> "Counterexample | None":
+    """The first failing row in key order, which is the minimal counterexample."""
+    for scope, truth, rows in _row_stream(scopes):
+        for row in rows:
+            if not row.passed:
+                return _counterexample(scope, truth, row.bidder, row.deviation_bid, row)
+    return None
+
+
+def _grid_scopes(n_min, n_max, tick_bound, policies, rule, deviations, adversarial, budget,
+                 valuation=None, bidder=None) -> list[_Scope]:
+    """Check bounds and budget, then return one scope per N = n_min..n_max
+    over every opposing-bid vector in {0..tick_bound}^(N-1), every valuation
+    (or just ``valuation``) and every bidder (or just ``bidder``)."""
     if n_max < 2:
         raise ValueError(f"N >= 2 required (got {n_max})")
     if tick_bound < 0:
@@ -400,39 +516,40 @@ def _grid_cells(n_min, n_max, tick_bound, policies, rule, deviations, adversaria
         if rows > budget:
             break
     check_budget(rows, budget, "evaluated tuples")
-
-    def frames():
-        for n, policy_set in scopes:
-            bidders = range(n) if bidder is None else (bidder,)
-            for others in product(range(tick_bound + 1), repeat=n - 1):
-                for v_i in values:
-                    yield policy_set, None, bidders, partial(_inserted, others, v_i)
-
-    return _cells(frames(), deviations, rule, adversarial)
+    return [
+        _grid_scope(n, tick_bound, values, range(n) if bidder is None else (bidder,),
+                    deviations, policy_set, rule, adversarial)
+        for n, policy_set in scopes
+    ]
 
 
-def _counterexample(valuations, bids, row: DeviationCheckResult) -> Counterexample:
-    return Counterexample(
-        valuations, bids, row.bidder, row.deviation_bid, row.pairing,
-        row.truthful_utility, row.deviation_utility,
-    )
-
-
-def _fold(cells) -> VerificationReport:
-    """Count every row by case and verdict and keep the first failure, which
-    is the minimal counterexample because the stream runs in key order."""
+def _fold(scope: _Scope) -> VerificationReport:
+    """Count one scope's cells by class, build each class's rows once and
+    weigh them by its count, so the counts equal a row-by-row fold's; a
+    class spans bidders and deviation bids, so its rows carry neither.  The
+    minimal counterexample is the first failing row of the first cell, in
+    key order, whose class fails."""
+    view = scope.views.values
+    classes = Counter(key for key, _, _, _ in _classes(scope))
     counts = {tag: 0 for tag in CaseTag}
     pass_count = fail_count = 0
-    first = None
-    for valuations, bids, rows in cells:
-        for row in rows:
-            counts[row.case] += 1
+    failing = {}
+    for key, count in classes.items():
+        value, truth, dev = key
+        for row in _rows(scope, None, value, None, view[truth], view[dev]):
+            counts[row.case] += count
             if row.passed:
-                pass_count += 1
+                pass_count += count
             else:
-                fail_count += 1
-                if first is None:
-                    first = _counterexample(valuations, bids, row)
+                fail_count += count
+                failing.setdefault(key, row)
+    first = None
+    if failing:
+        for key, truth, bidder, new_bid in _classes(scope):
+            row = failing.get(key)
+            if row is not None:
+                first = _counterexample(scope, truth, bidder, new_bid, row)
+                break
     return VerificationReport(pass_count, fail_count, CaseCoverage(counts), first)
 
 
@@ -462,13 +579,14 @@ def check_truthfulness(
         raise ValueError(
             f"expected {len(valuations) - 1} opposing bids, got {len(others)}"
         )
-    truthful_bids = _inserted(others, valuations[bidder], bidder)
-    violations = validate(AuctionInstance(valuations, truthful_bids))
+    instance = AuctionInstance(valuations, _inserted(others, valuations[bidder], bidder))
+    violations = validate(instance)
     if violations:
         raise InvalidInstanceError(violations)
-    frame = (policies, valuations, (bidder,), lambda _: truthful_bids)
-    cells = _cells([frame], _deviation_set(deviations), rule, adversarial)
-    return [row for _, _, rows in cells for row in rows]
+    scope = _instance_scope(
+        instance, (bidder,), policies, rule, _deviation_set(deviations), adversarial
+    )
+    return [row for _, _, rows in _row_stream([scope]) for row in rows]
 
 
 def check_instance(
@@ -488,7 +606,7 @@ def check_instance(
     if violations:
         raise InvalidInstanceError(violations)
     deviations = _deviation_set(deviations)
-    valuations, bids = instance.valuations, instance.bids
+    bids = instance.bids
     n = len(bids)
     if deviations == "critical":
         # Bidder b's set is {0, M, M + 1} less the 0 when every other bid is
@@ -498,11 +616,7 @@ def check_instance(
     else:
         per_pairing = n * _size(deviations)
     check_budget(per_pairing * pairing_count(policies, adversarial), budget, "evaluated tuples")
-
-    def truthful(b: BidderId) -> BidProfile:
-        return bids[:b] + (valuations[b],) + bids[b + 1:]
-
-    return _fold(_cells([(policies, valuations, range(n), truthful)], deviations, rule, adversarial))
+    return _fold(_instance_scope(instance, range(n), policies, rule, deviations, adversarial))
 
 
 def coverage_guard(results: Iterable[DeviationCheckResult]) -> CaseCoverage:
@@ -532,10 +646,11 @@ def check_dominance(
         raise ValueError(f"bidder index {bidder} out of range for N={n_bidders}")
     if v_i < 0:
         raise InvalidInstanceError([f"negative tick (valuations[{bidder}] = {v_i})"])
-    return _fold(_grid_cells(
+    [scope] = _grid_scopes(
         n_bidders, n_bidders, tick_bound, policies, rule, deviations, adversarial, budget,
         valuation=v_i, bidder=bidder,
-    ))
+    )
+    return _fold(scope)
 
 
 def dominance_sweep(
@@ -552,9 +667,10 @@ def dominance_sweep(
     reported counterexample is the minimum under that key.  A run of more
     than ``budget`` rows is refused before any work.
     """
-    return _fold(_grid_cells(
+    [scope] = _grid_scopes(
         n_bidders, n_bidders, tick_bound, policies, rule, deviations, adversarial, budget
-    ))
+    )
+    return _fold(scope)
 
 
 def find_counterexample(
@@ -573,12 +689,9 @@ def find_counterexample(
     Deviations range over 0..tick_bound; ``budget`` caps the whole search
     space.  Output is a pure function of the arguments.
     """
-    cells = _grid_cells(2, n_max, tick_bound, policies, rule, "grid", adversarial, budget)
-    failures = (
-        _counterexample(valuations, bids, row)
-        for valuations, bids, rows in cells for row in rows if not row.passed
+    return _first_failure(
+        _grid_scopes(2, n_max, tick_bound, policies, rule, "grid", adversarial, budget)
     )
-    return next(failures, None)
 
 
 def efficiency_check(valuations: Sequence[Money], policy: TieBreakPolicy) -> bool:

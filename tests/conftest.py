@@ -23,12 +23,13 @@ CASES = {
 }
 
 
-def oracle_cell(bids, dev, bidder, policies, rule):
+def oracle_cell(bids, dev, bidder, policies, rule, adversarial=True):
     """Rows of one (truthful profile, deviation bid, bidder) cell, rebuilt
     from ``outcome`` alone: ``(u_truth, u_dev, won_truth, won_dev, label)``
-    per policy, then the adversarial pairing of the policy minimizing the
-    truthful utility against the one maximizing the deviation utility
-    (first extremal row on ties)."""
+    per policy, then (when ``adversarial`` and there are several policies)
+    the adversarial pairing of the policy minimizing the truthful utility
+    against the one maximizing the deviation utility (first extremal row on
+    ties)."""
     v_i = bids[bidder]
     deviated = bids[:bidder] + (dev,) + bids[bidder + 1:]
     rows = []
@@ -39,7 +40,7 @@ def oracle_cell(bids, dev, bidder, policies, rule):
         u_truth = v_i - o_truth.price if won_truth else 0
         u_dev = v_i - o_dev.price if won_dev else 0
         rows.append((u_truth, u_dev, won_truth, won_dev, policy.describe()))
-    if len(rows) > 1:
+    if adversarial and len(rows) > 1:
         indices = range(len(rows))
         worst = rows[min(indices, key=lambda k: rows[k][0])]
         best = rows[max(indices, key=lambda k: rows[k][1])]
@@ -83,6 +84,42 @@ def sweep_rows(n_values, tick_bound, rule=PaymentRule.SECOND_PRICE):
 def vickrey_rows():
     """The standard second-price sweep: N in {2,3}, ticks 0..4."""
     return sweep_rows((2, 3), 4)
+
+
+def oracle_report(n_bidders, tick_bound, policies, rule, deviations, adversarial,
+                  valuation=None, bidder=None):
+    """``(pass count, fail count, case counts, counterexample)`` of a grid
+    sweep, from every ``oracle_cell`` row in key order: opposing bids,
+    valuation (or just ``valuation``), deviation bid, bidder (or just
+    ``bidder``), pairing.  ``deviations`` is "grid", "critical" or a list."""
+    counts = {tag: 0 for tag in CaseTag}
+    passed = failed = 0
+    first = None
+    values = range(tick_bound + 1) if valuation is None else [valuation]
+    bidders = range(n_bidders) if bidder is None else [bidder]
+    for others in product(range(tick_bound + 1), repeat=n_bidders - 1):
+        if deviations == "grid":
+            devs = range(tick_bound + 1)
+        elif deviations == "critical":
+            top = max(others)
+            devs = sorted({top, top + 1} | ({0} if top > 0 else set()))
+        else:
+            devs = sorted(deviations)
+        for v_i in values:
+            for dev in devs:
+                for b in bidders:
+                    bids = others[:b] + (v_i,) + others[b:]
+                    for u_truth, u_dev, won_truth, won_dev, label in oracle_cell(
+                        bids, dev, b, policies, rule, adversarial
+                    ):
+                        counts[CASES[won_truth, won_dev]] += 1
+                        if u_truth >= u_dev:
+                            passed += 1
+                            continue
+                        failed += 1
+                        if first is None:
+                            first = Counterexample(bids, bids, b, dev, label, u_truth, u_dev)
+    return passed, failed, counts, first
 
 
 def bruteforce_minimal_counterexample(rule, n_max, tick_bound):

@@ -61,6 +61,27 @@ def test_traced_simulate_counts_each_round_once_and_restores(tmp_path):
     assert metrics["simulate.rounds_evaluated"][0] == rounds
     assert metrics["seeding.mix64.calls"][0] == rounds
     assert metrics["core.outcome.calls"][0] == rounds
+    assert_restored(before)
+
+
+def test_traced_dominance_sees_every_outcome_and_restores():
+    argv = ["dominance", "--n", "2", "--ticks", "2"]
+    expected = run(cli.dispatch, argv)
+    before = namespaces()
+
+    tracer_module = load_tracer()
+    with tracer_module.Tracer() as tracer:
+        probe = tracer_module.SealedbidProbe(tracer)
+        traced = run(probe.dispatch, argv)
+    metrics = probe.metrics(csv_bytes=0)
+
+    assert traced == expected
+    # every profile of {0..2}^2 once per standard policy
+    assert metrics["core.outcome.calls"][0] == 3 ** 2 * 4
+    assert_restored(before)
+
+
+def assert_restored(before):
     for (owner, names), (_, names_after) in zip(before, namespaces()):
         assert names_after.keys() == names.keys(), owner
         assert all(names_after[name] is value for name, value in names.items()), owner

@@ -17,11 +17,9 @@ from sealedbid.core import (
     TieBreakPolicy,
     argmax_set,
     bidder_utility,
-    max_bid,
     max_excluding,
     outcome,
     policy_from_dict,
-    profile_utility,
     select_winner,
     standard_policies,
     validate,
@@ -80,9 +78,13 @@ class TestValidate:
 
 class TestMaxima:
     def test_max_bid(self):
-        assert max_bid((3, 5, 4)) == 5
-        assert max_bid((7, 7)) == 7
-        assert max_bid((0, 0, 0)) == 0
+        # the first price is the highest bid
+        def top(bids):
+            return outcome(bids, FirstIndex(), PaymentRule.FIRST_PRICE).price
+
+        assert top((3, 5, 4)) == 5
+        assert top((7, 7)) == 7
+        assert top((0, 0, 0)) == 0
 
     def test_argmax_set(self):
         assert argmax_set((3, 5, 4)) == (1,)
@@ -182,7 +184,7 @@ class TestOutcome:
     @given(profiles)
     def test_first_price_charges_winning_bid(self, bids):
         o = outcome(bids, FirstIndex(), PaymentRule.FIRST_PRICE)
-        assert o.price == bids[o.winner] == max_bid(bids)
+        assert o.price == bids[o.winner] == max(bids)
 
     @given(kernel_profiles, st.integers(min_value=0, max_value=2**64 - 1))
     def test_kernel_matches_the_scan_definitions(self, bids, seed):
@@ -257,15 +259,17 @@ class TestUtility:
 
     def test_profile_utility_examples(self):
         v = (3, 6, 4)
-        assert profile_utility(v, Outcome(1, 4, PaymentRule.SECOND_PRICE)) == 2
-        assert profile_utility(v, Outcome(0, 3, PaymentRule.SECOND_PRICE)) == 0
+        for o, utility in ((Outcome(1, 4, PaymentRule.SECOND_PRICE), 2),
+                           (Outcome(0, 3, PaymentRule.SECOND_PRICE), 0)):
+            assert bidder_utility(v, o, o.winner) == utility
 
     @given(profiles)
     def test_profile_utility_is_winner_utility(self, bids):
         # losers contribute zero, so the sum collapses to the winner's term
         v = tuple(reversed(bids))
         o = outcome(bids, FirstIndex(), PaymentRule.SECOND_PRICE)
-        assert profile_utility(v, o) == bidder_utility(v, o, o.winner)
+        total = sum(bidder_utility(v, o, i) for i in range(len(bids)))
+        assert total == bidder_utility(v, o, o.winner)
         for i in range(len(bids)):
             if i != o.winner:
                 assert bidder_utility(v, o, i) == 0

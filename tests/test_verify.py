@@ -3,10 +3,10 @@
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bruteforce_minimal_counterexample, sweep_rows
+from conftest import bruteforce_minimal_counterexample, oracle_report, sweep_rows
 from sealedbid import verify
 from sealedbid.core import (
     AuctionInstance,
@@ -266,6 +266,46 @@ class TestFindCounterexample:
             find_counterexample(FIRST, 3, 4, budget=50)
 
 
+@st.composite
+def sweeps(draw):
+    """A small sweep: (N, T), rule, a policy list with repeats, adversarial
+    on or off, deviations, and sometimes one valuation and one bidder."""
+    n_bidders = draw(st.integers(min_value=2, max_value=3))
+    ticks = draw(st.integers(min_value=0, max_value=3))
+    kinds = standard_policies(n_bidders, seed=draw(st.integers(min_value=0, max_value=3)))
+    policies = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4))
+    deviations = draw(st.one_of(
+        st.sampled_from(["grid", "critical"]),
+        st.lists(st.integers(min_value=-1, max_value=ticks + 3), max_size=3),
+    ))
+    single = draw(st.one_of(st.none(), st.tuples(
+        st.integers(min_value=0, max_value=ticks + 2),
+        st.integers(min_value=0, max_value=n_bidders - 1),
+    )))
+    return (n_bidders, ticks, policies, draw(st.sampled_from([SECOND, FIRST])), deviations,
+            draw(st.booleans()), single)
+
+
+class TestClassFoldAgainstOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(sweeps())
+    def test_report_matches_the_row_oracle(self, sweep):
+        n_bidders, ticks, policies, rule, deviations, adversarial, single = sweep
+        if single is None:
+            report = dominance_sweep(n_bidders, ticks, policies, rule, deviations, adversarial)
+            expected = oracle_report(n_bidders, ticks, policies, rule, deviations, adversarial)
+        else:
+            valuation, bidder = single
+            report = check_dominance(
+                valuation, bidder, n_bidders, ticks, policies, rule, deviations, adversarial)
+            expected = oracle_report(n_bidders, ticks, policies, rule, deviations, adversarial,
+                                     valuation, bidder)
+        passed, failed, counts, counterexample = expected
+        assert (report.pass_count, report.fail_count) == (passed, failed)
+        assert report.coverage.counts == counts
+        assert report.counterexample == counterexample
+
+
 class TestEfficiency:
     def test_unique_maximum(self):
         assert efficiency_check((3, 6, 4), FirstIndex())
@@ -323,6 +363,20 @@ class TestOutcomeTable:
         assert find_counterexample(SECOND, 3, 2) is None
         assert len(calls) == (3 ** 2 + 3 ** 3) * 4
         assert len(set(calls)) == len(calls)
+
+    def test_sweep_builds_each_class_of_rows_once(self, calls, monkeypatch):
+        built = []
+        real_row = verify.DeviationCheckResult
+
+        def row(**fields):
+            built.append(fields)
+            return real_row(**fields)
+
+        monkeypatch.setattr(verify, "DeviationCheckResult", row)
+        report = dominance_sweep(4, 3)
+        assert len(calls) == 4 ** 4 * 4
+        assert report.evaluated == grid_rows(4, 3, 4, 4, 4)
+        assert 10 * len(built) < report.evaluated
 
     @pytest.mark.parametrize("deviations", ["critical", range(9)], ids=["critical", "grid"])
     def test_check_never_repeats_an_evaluation(self, calls, deviations):
@@ -395,6 +449,12 @@ BUDGETED_RUNS = [
 ]
 
 
+# Instance checks over the critical set whose cells all differ in class.
+ONE_CLASS_PER_CELL = {
+    "check-critical", "check-critical-zero-bids", "check-critical-one-positive-bid",
+}
+
+
 class TestPreflightBudget:
     """A budget equal to the exact row count runs to completion; one less
     is refused before the first outcome is computed."""
@@ -417,14 +477,22 @@ class TestPreflightBudget:
         return counts
 
     @pytest.mark.parametrize(
-        "run, rows", [case[1:] for case in BUDGETED_RUNS],
-        ids=[case[0] for case in BUDGETED_RUNS],
+        "name, run, rows", BUDGETED_RUNS, ids=[case[0] for case in BUDGETED_RUNS],
     )
-    def test_exact_budget_completes(self, counters, run, rows):
+    def test_exact_budget_completes(self, counters, name, run, rows):
         report = run(rows)
-        assert counters["rows"] == rows
-        if report is not None:
+        if report is None:
+            # the search folds row by row: one record per row
+            assert counters["rows"] == rows
+        else:
+            # the report counts every row, but the fold builds each class's
+            # rows once, so it builds fewer records unless every cell is
+            # a class of its own
             assert report.evaluated == rows
+            if name in ONE_CLASS_PER_CELL:
+                assert counters["rows"] == rows
+            else:
+                assert counters["rows"] < rows
 
     @pytest.mark.parametrize(
         "run, rows", [case[1:] for case in BUDGETED_RUNS],
