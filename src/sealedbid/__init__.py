@@ -11,26 +11,17 @@ deterministic Monte Carlo harness for comparing rules and strategies.
 from .core import (
     DEFAULT_BUDGET,
     AuctionInstance,
-    BidderId,
-    BidProfile,
     BudgetExceededError,
     ExplicitChoice,
     FirstIndex,
     InvalidInstanceError,
     LastIndex,
-    Money,
     Outcome,
     PaymentRule,
     Seeded,
-    SignedMoney,
     TieBreakPolicy,
-    ValuationProfile,
-    argmax_set,
     bidder_utility,
-    max_excluding,
     outcome,
-    policy_from_dict,
-    select_winner,
     standard_policies,
     validate,
 )
@@ -43,10 +34,8 @@ from .verify import (
     assert_case,
     check_dominance,
     check_truthfulness,
-    classify_case,
     coverage_guard,
     critical_deviations,
-    deviation_profile,
     dominance_sweep,
     efficiency_check,
     find_counterexample,
@@ -55,24 +44,17 @@ from .simulate import (
     ExperimentConfig,
     Overbid,
     PairedReport,
-    RoundRecord,
     Shade,
     SimReport,
     Strategy,
     Truthful,
-    apply_strategy,
     compare_rules,
     run_experiment,
-    sample_valuations,
-    strategy_from_dict,
     write_rounds_csv,
 )
-from .seeding import mix64, splitmix64
 
 __all__ = [
     "AuctionInstance",
-    "BidProfile",
-    "BidderId",
     "BudgetExceededError",
     "CaseCoverage",
     "CaseTag",
@@ -84,45 +66,30 @@ __all__ = [
     "FirstIndex",
     "InvalidInstanceError",
     "LastIndex",
-    "Money",
     "Outcome",
     "Overbid",
     "PairedReport",
     "PaymentRule",
-    "RoundRecord",
     "Seeded",
     "Shade",
-    "SignedMoney",
     "SimReport",
     "Strategy",
     "TieBreakPolicy",
     "Truthful",
-    "ValuationProfile",
     "VerificationReport",
-    "apply_strategy",
-    "argmax_set",
     "assert_case",
     "bidder_utility",
     "check_dominance",
     "check_truthfulness",
-    "classify_case",
     "compare_rules",
     "coverage_guard",
     "critical_deviations",
-    "deviation_profile",
     "dominance_sweep",
     "efficiency_check",
     "find_counterexample",
-    "max_excluding",
-    "mix64",
     "outcome",
-    "policy_from_dict",
     "run_experiment",
-    "sample_valuations",
-    "select_winner",
-    "splitmix64",
     "standard_policies",
-    "strategy_from_dict",
     "validate",
     "write_rounds_csv",
 ]

@@ -39,7 +39,6 @@ from .verify import (
     VerificationReport,
     check_instance,
     check_truthfulness,  # noqa: F401  (bench/tracer.py wraps it under this name)
-    classify_case,
     deviation_profile,
     dominance_sweep,
     find_counterexample,
@@ -96,13 +95,6 @@ def _parse_policies(text: str, seed: int, n_bidders: int) -> list[TieBreakPolicy
     return policies
 
 
-def _single_policy(name: str, seed: int, n_bidders: int) -> TieBreakPolicy:
-    policies = _parse_policies(name, seed, n_bidders)
-    if len(policies) != 1:
-        raise ValueError("exactly one policy expected here")
-    return policies[0]
-
-
 def _verdict_exit(report: VerificationReport) -> int:
     # A vacuous sweep never earns a passing exit code, even if no
     # comparison failed: untested cases are unverified cases.
@@ -141,20 +133,23 @@ def cmd_check(args) -> tuple[int, dict]:
 
 def cmd_classify(args) -> tuple[int, dict]:
     instance = load_instance(args.instance)
-    policy = _single_policy(args.policy, args.seed, instance.n_bidders)
+    policies = _parse_policies(args.policy, args.seed, instance.n_bidders)
+    if len(policies) != 1:
+        raise ValueError("exactly one policy expected here")
+    [policy] = policies
     rule = PaymentRule.from_name(args.rule)
     bids = instance.bids
     if args.deviation < 0:
         raise InvalidInstanceError([f"negative tick (deviation = {args.deviation})"])
     deviated = deviation_profile(bids, args.bidder, args.deviation)
-    tag = classify_case(bids, deviated, args.bidder, policy)
     original = outcome(bids, policy, rule)
     after = outcome(deviated, policy, rule)
     return EXIT_PASS, {
         "bidder": args.bidder,
         "original_bid": bids[args.bidder],
         "deviation_bid": args.deviation,
-        "case": tag.value,
+        # the four-case tag (CaseTag's value): the bidder's status before, then after
+        "case": "-".join("win" if o.winner == args.bidder else "lose" for o in (original, after)),
         "winner_original": original.winner,
         "winner_deviation": after.winner,
         "utility_original": bidder_utility(instance.valuations, original, args.bidder),
@@ -227,6 +222,18 @@ def build_parser() -> argparse.ArgumentParser:
              "work; exceeding it exits 3 with empty stdout (default: %(default)s)",
     )
 
+    # --rule stays per subcommand: falsify defaults it to first-price, and a
+    # parent's actions are shared, so a default set on one child moves all.
+    sweep = argparse.ArgumentParser(add_help=False, parents=[common])
+    sweep.add_argument(
+        "--policies", default="first-index,last-index,seeded,explicit",
+        help="comma-joined tie-break policies (default: %(default)s)",
+    )
+    sweep.add_argument(
+        "--no-adversarial", dest="adversarial", action="store_false",
+        help="skip the adversarial tie-break pairing (default: included)",
+    )
+
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
@@ -237,14 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser(
-        "check", parents=[common],
+        "check", parents=[sweep],
         help="check truthfulness for every bidder of an instance",
     )
     p.add_argument("instance", help="instance document path")
-    p.add_argument(
-        "--policies", default="first-index,last-index,seeded,explicit",
-        help="comma-joined tie-break policies (default: %(default)s)",
-    )
     p.add_argument(
         "--rule", choices=[r.value for r in PaymentRule], default="second-price",
         help="payment rule (default: %(default)s)",
@@ -263,10 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid-max", type=int, default=None,
         help="upper bid for --deviations=grid (default: highest tick in the "
              "instance plus one)",
-    )
-    p.add_argument(
-        "--no-adversarial", dest="adversarial", action="store_false",
-        help="skip the adversarial tie-break pairing (default: included)",
     )
     p.set_defaults(handler=cmd_check)
 
@@ -288,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser(
-        "dominance", parents=[common],
+        "dominance", parents=[sweep],
         help="exhaustive truthfulness sweep over all instances within bounds",
     )
     p.add_argument("--n", type=int, default=2, help="number of bidders (default: %(default)s)")
@@ -297,21 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="inclusive upper tick for bids and values (default: %(default)s)",
     )
     p.add_argument(
-        "--policies", default="first-index,last-index,seeded,explicit",
-        help="comma-joined tie-break policies (default: %(default)s)",
-    )
-    p.add_argument(
         "--rule", choices=[r.value for r in PaymentRule], default="second-price",
         help="payment rule (default: %(default)s)",
-    )
-    p.add_argument(
-        "--no-adversarial", dest="adversarial", action="store_false",
-        help="skip the adversarial tie-break pairing (default: included)",
     )
     p.set_defaults(handler=cmd_dominance)
 
     p = sub.add_parser(
-        "falsify", parents=[common],
+        "falsify", parents=[sweep],
         help="search for the smallest profitable deviation within bounds",
     )
     p.add_argument(
@@ -322,14 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--ticks", type=int, default=4,
         help="inclusive upper tick for bids and values (default: %(default)s)",
-    )
-    p.add_argument(
-        "--policies", default="first-index,last-index,seeded,explicit",
-        help="comma-joined tie-break policies (default: %(default)s)",
-    )
-    p.add_argument(
-        "--no-adversarial", dest="adversarial", action="store_false",
-        help="skip the adversarial tie-break pairing (default: included)",
     )
     p.set_defaults(handler=cmd_falsify)
 

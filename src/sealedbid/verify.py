@@ -124,13 +124,6 @@ class CaseCoverage:
 
     counts: dict
 
-    @classmethod
-    def tally(cls, tags: Iterable[CaseTag]) -> "CaseCoverage":
-        counts = {tag: 0 for tag in CaseTag}
-        for tag in tags:
-            counts[tag] += 1
-        return cls(counts)
-
     @property
     def vacuous(self) -> bool:
         return any(self.counts[tag] == 0 for tag in CaseTag)
@@ -174,34 +167,6 @@ def deviation_profile(bids: Sequence[Money], bidder: BidderId, new_bid: Money) -
     if not 0 <= bidder < len(bids):
         raise ValueError(f"bidder index {bidder} out of range for N={len(bids)}")
     return bids[:bidder] + (new_bid,) + bids[bidder + 1:]
-
-
-def classify_case(
-    bids: Sequence[Money],
-    deviated: Sequence[Money],
-    bidder: BidderId,
-    policy: TieBreakPolicy,
-    deviation_policy: "TieBreakPolicy | None" = None,
-) -> CaseTag:
-    """Classify a deviation pair by the bidder's win/lose status.
-
-    The profiles may differ only at ``bidder``'s coordinate.  By default
-    the same policy evaluates both profiles; a second policy may be given
-    to classify a mixed pairing.
-    """
-    bids = tuple(bids)
-    deviated = tuple(deviated)
-    if len(bids) != len(deviated):
-        raise ValueError("profiles differ in length")
-    for j, (a, b) in enumerate(zip(bids, deviated)):
-        if j != bidder and a != b:
-            raise ValueError(f"profiles differ at index {j}, not only at bidder {bidder}")
-    if deviation_policy is None:
-        deviation_policy = policy
-    return _CASES[
-        select_winner(bids, policy) == bidder,
-        select_winner(deviated, deviation_policy) == bidder,
-    ]
 
 
 def assert_case(case: CaseTag, result: DeviationCheckResult) -> "str | None":
@@ -279,16 +244,19 @@ def pairing_count(policies: Sequence[TieBreakPolicy], adversarial: bool) -> int:
 def _deviation_set(deviations: DeviationSpec, tick_bound: "Money | None" = None):
     """Resolve a deviation spec once: "critical" stays symbolic, "grid" and
     unit-step ranges stay lazy (a huge grid costs nothing before the budget
-    refuses it), and other iterables are sorted into key order."""
+    refuses it), and other iterables are sorted into key order.  A negative
+    deviation bid is invalid input, as a negative tick is everywhere else."""
     if deviations == "grid" and tick_bound is not None:
         return range(tick_bound + 1)
     if isinstance(deviations, str):
         if deviations != "critical":
             raise ValueError(f"unknown deviation mode {deviations!r}")
         return deviations
-    if isinstance(deviations, range) and deviations.step == 1:
-        return deviations
-    return tuple(sorted(deviations))
+    if not (isinstance(deviations, range) and deviations.step == 1):
+        deviations = tuple(sorted(deviations))
+    if _size(deviations) and deviations[0] < 0:
+        raise InvalidInstanceError([f"negative tick (deviation = {deviations[0]})"])
+    return deviations
 
 
 def _size(grid) -> int:
@@ -363,30 +331,28 @@ def _scope(policies, rule, adversarial, cells, decode=tuple, valuations=None) ->
 
 def _grid_scope(n, tick_bound, values, bidders, deviations, policies, rule, adversarial):
     """The cells of one bidder count over integer-coded profiles: digit j of
-    a code is bid j less ``low``, so a deviated code is ``code + (d - v) *
-    radix**bidder`` and no tuple is built per cell.  The radix exceeds every
-    bid a profile can hold: the tick bound, the valuation, M + 1 and every
-    explicit deviation."""
-    ends = [0, tick_bound + 1, values[-1]]
+    a code is bid j, so a deviated code is ``code + (d - v) * radix**bidder``
+    and no tuple is built per cell.  The radix exceeds every bid a profile
+    can hold: the tick bound, the valuation, M + 1 and every explicit
+    deviation, none of them negative."""
+    ends = [tick_bound + 1, values[-1]]
     if deviations != "critical" and _size(deviations):
-        ends += (deviations[0], deviations[-1])
-    low = min(ends)
-    radix = max(ends) - low + 1
+        ends.append(deviations[-1])
+    radix = max(ends) + 1
     weights = [radix ** j for j in range(n)]
 
     def decode(code: int) -> BidProfile:
         bids = []
         for _ in weights:
             code, digit = divmod(code, radix)
-            bids.append(digit + low)
+            bids.append(digit)
         return tuple(bids)
 
     def cells():
         for others in product(range(tick_bound + 1), repeat=n - 1):
             # each bidder's code with its own digit at zero
             bases = [
-                sum((bid - low) * w for bid, w in zip(_inserted(others, low, b), weights))
-                for b in bidders
+                sum(bid * w for bid, w in zip(_inserted(others, 0, b), weights)) for b in bidders
             ]
             # every bidder faces the same opposing bids, so the same critical set
             new_bids = (
@@ -394,7 +360,7 @@ def _grid_scope(n, tick_bound, values, bidders, deviations, policies, rule, adve
             )
             for value in values:
                 truthful = [
-                    (b, base + (value - low) * weights[b], weights[b])
+                    (b, base + value * weights[b], weights[b])
                     for b, base in zip(bidders, bases)
                 ]
                 for new_bid in new_bids:
@@ -410,7 +376,7 @@ def _instance_scope(instance, bidders, policies, rule, deviations, adversarial):
     valuations, bids = instance.valuations, instance.bids
 
     def truthful(b: BidderId) -> BidProfile:
-        return bids[:b] + (valuations[b],) + bids[b + 1:]
+        return deviation_profile(bids, b, valuations[b])
 
     def cells():
         if deviations == "critical":
@@ -421,7 +387,7 @@ def _instance_scope(instance, bidders, policies, rule, deviations, adversarial):
             pairs = ((new_bid, b) for new_bid in deviations for b in bidders)
         for new_bid, b in pairs:
             profile = truthful(b)
-            yield profile, profile[:b] + (new_bid,) + profile[b + 1:], b, valuations[b], new_bid
+            yield profile, deviation_profile(profile, b, new_bid), b, valuations[b], new_bid
 
     return _scope(policies, rule, adversarial, cells, valuations=valuations)
 
@@ -621,7 +587,10 @@ def check_instance(
 
 def coverage_guard(results: Iterable[DeviationCheckResult]) -> CaseCoverage:
     """Count witnesses per case; callers treat a vacuous sweep as a failure."""
-    return CaseCoverage.tally(result.case for result in results)
+    counts = {tag: 0 for tag in CaseTag}
+    for result in results:
+        counts[result.case] += 1
+    return CaseCoverage(counts)
 
 
 def check_dominance(

@@ -237,18 +237,25 @@ class TestCheck:
 
 
 class TestClassify:
-    def test_reports_case_and_utilities(self, instance_path, capsys):
+    # instance: valuations (3, 6, 4), bids (3, 5, 4); bidder 1 wins at 5
+    @pytest.mark.parametrize("bids, deviation, case, winners, utilities", [
+        ((3, 5, 4), 2, "win-lose", (1, 2), (2, 0)),
+        ((3, 5, 4), 5, "win-win", (1, 1), (2, 2)),
+        ((3, 2, 4), 9, "lose-win", (2, 1), (0, 2)),
+        ((3, 2, 4), 1, "lose-lose", (2, 2), (0, 0)),
+    ], ids=["win-lose", "win-win", "lose-win", "lose-lose"])
+    def test_reports_case_and_utilities(self, tmp_path, capsys, bids, deviation, case,
+                                        winners, utilities):
+        path = write_doc(tmp_path, "instance.json", {"valuations": [3, 6, 4], "bids": bids})
         code = dispatch([
-            "classify", instance_path, "--bidder", "1",
-            "--deviation", "2", "--format=json",
+            "classify", path, "--bidder", "1",
+            "--deviation", str(deviation), "--format=json",
         ])
         report = json.loads(capsys.readouterr().out)
         assert code == EXIT_PASS
-        assert report["case"] == "win-lose"
-        assert report["winner_original"] == 1
-        assert report["winner_deviation"] == 2
-        assert report["utility_original"] == 2
-        assert report["utility_deviation"] == 0
+        assert report["case"] == case
+        assert (report["winner_original"], report["winner_deviation"]) == winners
+        assert (report["utility_original"], report["utility_deviation"]) == utilities
 
     def test_bidder_out_of_range(self, instance_path, capsys):
         code = dispatch(["classify", instance_path, "--bidder", "7", "--deviation", "2"])

@@ -13,7 +13,6 @@ from sealedbid.core import (
     BudgetExceededError,
     FirstIndex,
     InvalidInstanceError,
-    LastIndex,
     PaymentRule,
     standard_policies,
 )
@@ -26,7 +25,6 @@ from sealedbid.verify import (
     check_dominance,
     check_instance,
     check_truthfulness,
-    classify_case,
     coverage_guard,
     critical_deviations,
     deviation_profile,
@@ -52,29 +50,6 @@ class TestDeviationProfile:
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             deviation_profile((7, 7), 2, 9)
-
-
-class TestClassifyCase:
-    def test_win_lose(self):
-        assert classify_case((3, 5, 4), (3, 2, 4), 1, FirstIndex()) is CaseTag.WIN_LOSE
-
-    def test_win_win_identity(self):
-        assert classify_case((3, 5, 4), (3, 5, 4), 1, FirstIndex()) is CaseTag.WIN_WIN
-
-    def test_lose_win(self):
-        assert classify_case((3, 2, 4), (3, 9, 4), 1, FirstIndex()) is CaseTag.LOSE_WIN
-
-    def test_lose_lose(self):
-        assert classify_case((3, 2, 4), (3, 1, 4), 1, FirstIndex()) is CaseTag.LOSE_LOSE
-
-    def test_rejects_profiles_differing_elsewhere(self):
-        with pytest.raises(ValueError):
-            classify_case((3, 5, 4), (2, 5, 4), 1, FirstIndex())
-
-    def test_mixed_policy_pairing(self):
-        # tie under both profiles: first-index wins it, last-index loses it
-        tag = classify_case((7, 7), (7, 7), 0, FirstIndex(), LastIndex())
-        assert tag is CaseTag.WIN_LOSE
 
 
 def result_row(case, u_truth, u_dev):
@@ -276,7 +251,7 @@ def sweeps(draw):
     policies = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4))
     deviations = draw(st.one_of(
         st.sampled_from(["grid", "critical"]),
-        st.lists(st.integers(min_value=-1, max_value=ticks + 3), max_size=3),
+        st.lists(st.integers(min_value=0, max_value=ticks + 3), max_size=3),
     ))
     single = draw(st.one_of(st.none(), st.tuples(
         st.integers(min_value=0, max_value=ticks + 2),
@@ -526,6 +501,19 @@ class TestPreflightBudget:
             dominance_sweep(2, -1)
         with pytest.raises(ValueError):
             find_counterexample(FIRST, 2, -1)
+
+    @pytest.mark.parametrize("run", [
+        lambda: dominance_sweep(2, 2, deviations=[-1]),
+        lambda: check_dominance(1, 0, 2, 2, standard_policies(2), deviations=[2, -1]),
+        lambda: check_instance(AuctionInstance((3, 6), (3, 5)), standard_policies(2),
+                               deviations=range(-1, 3)),
+        lambda: check_truthfulness((3, 6), (5,), 0, standard_policies(2), SECOND, [-1]),
+    ], ids=["dominance_sweep", "check_dominance", "check_instance", "check_truthfulness"])
+    def test_negative_deviation_is_refused_before_any_work(self, counters, run):
+        with pytest.raises(InvalidInstanceError) as info:
+            run()
+        assert info.value.violations == ["negative tick (deviation = -1)"]
+        assert counters == {"outcome": 0, "rows": 0}
 
 
 class TestMinimalOrder:
