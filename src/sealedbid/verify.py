@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from operator import attrgetter
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .core import (
@@ -215,24 +215,17 @@ def critical_deviations(bids: Sequence[Money], bidder: BidderId) -> tuple[Money,
     return tuple(sorted(members))
 
 
-def _adversarial(per_policy: Sequence[DeviationCheckResult]) -> DeviationCheckResult:
+def _adversarial(per_policy: Sequence[tuple]) -> tuple:
     # The tie-break abstraction permits any argmax-respecting choice, so the
     # strongest reading lets it differ between the two evaluations: take the
     # policy minimizing the truthful utility against the one maximizing the
     # deviation utility.  min/max keep the first extremal row, so the pairing
     # label is deterministic for a fixed policy order.
-    worst_truth = min(per_policy, key=attrgetter("truthful_utility"))
-    best_dev = max(per_policy, key=attrgetter("deviation_utility"))
-    sample = per_policy[0]
-    return DeviationCheckResult(
-        bidder=sample.bidder,
-        truthful_bid=sample.truthful_bid,
-        deviation_bid=sample.deviation_bid,
-        truthful_utility=worst_truth.truthful_utility,
-        deviation_utility=best_dev.deviation_utility,
-        case=_CASES[worst_truth.case.won_original, best_dev.case.won_deviation],
-        passed=worst_truth.truthful_utility >= best_dev.deviation_utility,
-        pairing=f"adversarial({worst_truth.pairing}|{best_dev.pairing})",
+    u_truth, _, truth_case, _, truth_label = min(per_policy, key=itemgetter(0))
+    _, u_dev, dev_case, _, dev_label = max(per_policy, key=itemgetter(1))
+    return (
+        u_truth, u_dev, _CASES[truth_case.won_original, dev_case.won_deviation],
+        u_truth >= u_dev, f"adversarial({truth_label}|{dev_label})",
     )
 
 
@@ -300,14 +293,14 @@ class _Scope(NamedTuple):
     (``ExplicitChoice`` is unhashable), which is sound because every
     ``select`` is a pure function of the bids.  ``views`` maps (entry,
     bidder) to that bidder's view of the entry: per policy, the price it
-    pays if it wins, else None.  ``valuations`` None means every bidder
-    values what it bids.
+    pays if it wins, else None.  ``templates`` maps a cell's class to its
+    rows' template (see ``_template``).  ``valuations`` None means every
+    bidder values what it bids.
     """
 
     table: _Interned
     views: _Interned
-    labels: list
-    paired: bool
+    templates: _Interned
     cells: Callable[[], Iterator[tuple]]
     decode: Callable
     valuations: "ValuationProfile | None"
@@ -316,17 +309,22 @@ class _Scope(NamedTuple):
 def _scope(policies, rule, adversarial, cells, decode=tuple, valuations=None) -> _Scope:
     if not policies:
         raise ValueError("at least one tie-break policy is required")
-    table = _Interned(lambda key: tuple(
+    # tuple() of a list, not of a generator: CPython resizes a generator's
+    # tuple, and each one freed as a duplicate then strands on a free list.
+    table = _Interned(lambda key: tuple([
         (result.winner, result.price)
         for result in (outcome(decode(key), policy, rule) for policy in policies)
-    ))
-    views = _Interned(lambda pair: tuple(
+    ]))
+    views = _Interned(lambda pair: tuple([
         price if winner == pair[1] else None for winner, price in table.values[pair[0]]
-    ))
-    return _Scope(
-        table, views, [policy.describe() for policy in policies],
-        adversarial and len(policies) > 1, cells, decode, valuations,
-    )
+    ]))
+    labels = [policy.describe() for policy in policies]
+    paired = adversarial and len(policies) > 1
+    rows = {}  # equal rows of different templates share one tuple
+    templates = _Interned(lambda key: tuple([rows.setdefault(row, row) for row in _template(
+        labels, paired, key[0], views.values[key[1]], views.values[key[2]]
+    )]))
+    return _Scope(table, views, templates, cells, decode, valuations)
 
 
 def _grid_scope(n, tick_bound, values, bidders, deviations, policies, rule, adversarial):
@@ -392,28 +390,28 @@ def _instance_scope(instance, bidders, policies, rule, deviations, adversarial):
     return _scope(policies, rule, adversarial, cells, valuations=valuations)
 
 
-def _rows(scope: _Scope, bidder, value, deviation_bid, truthful_view, deviated_view):
-    """The row builder: one row per policy, plus the adversarial pairing,
-    from the bidder's views of its two profiles' entries.  The value is the
-    truthful bid in every scope."""
+def _template(labels, paired, value, truthful_view, deviated_view) -> list[tuple]:
+    """A class's rows without bidder or deviation bid: per policy, plus the
+    adversarial pairing when ``paired``, ``(truthful utility, deviation
+    utility, case, passed, label)`` from the bidder's views of its two
+    profiles' entries.  The value is the truthful bid in every scope."""
     rows = []
-    for label, p_truth, p_dev in zip(scope.labels, truthful_view, deviated_view):
+    for label, p_truth, p_dev in zip(labels, truthful_view, deviated_view):
         won_truth, won_dev = p_truth is not None, p_dev is not None
         u_truth = value - p_truth if won_truth else 0
         u_dev = value - p_dev if won_dev else 0
-        rows.append(DeviationCheckResult(
-            bidder=bidder,
-            truthful_bid=value,
-            deviation_bid=deviation_bid,
-            truthful_utility=u_truth,
-            deviation_utility=u_dev,
-            case=_CASES[won_truth, won_dev],
-            passed=u_truth >= u_dev,
-            pairing=label,
-        ))
-    if scope.paired:
+        rows.append((u_truth, u_dev, _CASES[won_truth, won_dev], u_truth >= u_dev, label))
+    if paired:
         rows.append(_adversarial(rows))
     return rows
+
+
+def _stamp(template, bidder, value, deviation_bid) -> list[DeviationCheckResult]:
+    """One cell's rows: the class's template with bidder and bids filled in."""
+    return [DeviationCheckResult(
+        bidder=bidder, truthful_bid=value, deviation_bid=deviation_bid, truthful_utility=u_truth,
+        deviation_utility=u_dev, case=case, passed=passed, pairing=label,
+    ) for u_truth, u_dev, case, passed, label in template]
 
 
 def _counterexample(scope: _Scope, truth, bidder, deviation_bid, row) -> Counterexample:
@@ -435,13 +433,12 @@ def _classes(scope: _Scope):
 
 
 def _row_stream(scopes):
-    """``(scope, truthful key, rows)`` per cell, in key order."""
+    """``(scope, truthful key, rows)`` per cell, in key order, each stamped
+    from its class's template."""
     for scope in scopes:
-        view = scope.views.values
-        for (value, truth_view, dev_view), truth, bidder, new_bid in _classes(scope):
-            yield scope, truth, _rows(
-                scope, bidder, value, new_bid, view[truth_view], view[dev_view]
-            )
+        templates, built = scope.templates, scope.templates.values
+        for key, truth, bidder, new_bid in _classes(scope):
+            yield scope, truth, _stamp(built[templates[key]], bidder, key[0], new_bid)
 
 
 def _first_failure(scopes) -> "Counterexample | None":
@@ -454,10 +451,11 @@ def _first_failure(scopes) -> "Counterexample | None":
 
 
 def _grid_scopes(n_min, n_max, tick_bound, policies, rule, deviations, adversarial, budget,
-                 valuation=None, bidder=None) -> list[_Scope]:
+                 valuation=None, bidder=None) -> Iterator[_Scope]:
     """Check bounds and budget, then return one scope per N = n_min..n_max
     over every opposing-bid vector in {0..tick_bound}^(N-1), every valuation
-    (or just ``valuation``) and every bidder (or just ``bidder``)."""
+    (or just ``valuation``) and every bidder (or just ``bidder``), built
+    lazily so that a finished N's tables are freed before the next fills."""
     if n_max < 2:
         raise ValueError(f"N >= 2 required (got {n_max})")
     if tick_bound < 0:
@@ -482,27 +480,27 @@ def _grid_scopes(n_min, n_max, tick_bound, policies, rule, deviations, adversari
         if rows > budget:
             break
     check_budget(rows, budget, "evaluated tuples")
-    return [
+    return (
         _grid_scope(n, tick_bound, values, range(n) if bidder is None else (bidder,),
                     deviations, policy_set, rule, adversarial)
         for n, policy_set in scopes
-    ]
+    )
 
 
 def _fold(scope: _Scope) -> VerificationReport:
-    """Count one scope's cells by class, build each class's rows once and
+    """Count one scope's cells by class, stamp each class's rows once and
     weigh them by its count, so the counts equal a row-by-row fold's; a
     class spans bidders and deviation bids, so its rows carry neither.  The
     minimal counterexample is the first failing row of the first cell, in
-    key order, whose class fails."""
-    view = scope.views.values
+    key order, whose class fails.  Each class's template is computed once,
+    so it is not kept in the scope's memo."""
+    compute = scope.templates.compute
     classes = Counter(key for key, _, _, _ in _classes(scope))
     counts = {tag: 0 for tag in CaseTag}
     pass_count = fail_count = 0
     failing = {}
     for key, count in classes.items():
-        value, truth, dev = key
-        for row in _rows(scope, None, value, None, view[truth], view[dev]):
+        for row in _stamp(compute(key), None, key[0], None):
             counts[row.case] += count
             if row.passed:
                 pass_count += count

@@ -42,18 +42,24 @@ def run(dispatch, argv) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def traced_run(argv):
+    """Run ``argv`` untraced, then under the tracer.  Returns both (exit
+    code, stdout) pairs, the probe, and the namespaces before tracing."""
+    expected = run(cli.dispatch, argv)
+    before = namespaces()
+    tracer_module = load_tracer()
+    with tracer_module.Tracer() as tracer:
+        probe = tracer_module.SealedbidProbe(tracer)
+        traced = run(probe.dispatch, argv)
+    return expected, traced, probe, before
+
+
 def test_traced_simulate_counts_each_round_once_and_restores(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(CONFIG), encoding="utf-8")
     argv = ["simulate", str(config_path), "--csv", str(tmp_path / "rounds.csv"),
             "--format=json"]
-    expected = run(cli.dispatch, argv)
-    before = namespaces()
-
-    tracer_module = load_tracer()
-    with tracer_module.Tracer() as tracer:
-        probe = tracer_module.SealedbidProbe(tracer)
-        traced = run(probe.dispatch, argv)
+    expected, traced, probe, before = traced_run(argv)
     metrics = probe.metrics(csv_bytes=(tmp_path / "rounds.csv").stat().st_size)
 
     assert traced == expected
@@ -65,19 +71,26 @@ def test_traced_simulate_counts_each_round_once_and_restores(tmp_path):
 
 
 def test_traced_dominance_sees_every_outcome_and_restores():
-    argv = ["dominance", "--n", "2", "--ticks", "2"]
-    expected = run(cli.dispatch, argv)
-    before = namespaces()
-
-    tracer_module = load_tracer()
-    with tracer_module.Tracer() as tracer:
-        probe = tracer_module.SealedbidProbe(tracer)
-        traced = run(probe.dispatch, argv)
+    expected, traced, probe, before = traced_run(["dominance", "--n", "2", "--ticks", "2"])
     metrics = probe.metrics(csv_bytes=0)
 
     assert traced == expected
     # every profile of {0..2}^2 once per standard policy
     assert metrics["core.outcome.calls"][0] == 3 ** 2 * 4
+    assert_restored(before)
+
+
+def test_traced_search_counts_one_row_record_per_row_and_restores():
+    expected, traced, probe, before = traced_run(
+        ["falsify", "--rule", "second-price", "--n-max", "3", "--ticks", "2"])
+    metrics = probe.metrics(csv_bytes=0)
+
+    assert traced == expected
+    # The search finds nothing, so it builds one DeviationCheckResult per row:
+    # opposing bids x valuations x bidders x deviations x 5 pairings, per N.
+    assert metrics["verify.rows"][0] == 3 * 3 * 2 * 3 * 5 + 3 ** 2 * 3 * 3 * 3 * 5 == 1_485
+    # every profile of {0..2}^N once per standard policy, for N = 2 and 3
+    assert metrics["core.outcome.calls"][0] == (3 ** 2 + 3 ** 3) * 4
     assert_restored(before)
 
 

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bruteforce_minimal_counterexample, oracle_report, sweep_rows
+from conftest import (
+    CASES, bruteforce_minimal_counterexample, oracle_cell, oracle_report, sweep_rows,
+)
 from sealedbid import verify
 from sealedbid.core import (
     AuctionInstance,
@@ -14,6 +16,7 @@ from sealedbid.core import (
     FirstIndex,
     InvalidInstanceError,
     PaymentRule,
+    outcome,
     standard_policies,
 )
 from sealedbid.verify import (
@@ -150,6 +153,51 @@ class TestCheckTruthfulness:
             SECOND, range(10),
         )
         assert all(r.passed for r in results)
+
+
+@st.composite
+def truthfulness_checks(draw):
+    """One ``check_truthfulness`` call: N = 2..4, ticks 0..6, a policy list
+    of 1-4 drawn with repeats from all four kinds, either rule, adversarial
+    on or off, and the critical set or an explicit deviation list."""
+    n_bidders = draw(st.integers(min_value=2, max_value=4))
+    ticks = draw(st.integers(min_value=0, max_value=6))
+    tick = st.integers(min_value=0, max_value=ticks)
+    valuations = tuple(draw(st.lists(tick, min_size=n_bidders, max_size=n_bidders)))
+    others = tuple(draw(st.lists(tick, min_size=n_bidders - 1, max_size=n_bidders - 1)))
+    bidder = draw(st.integers(min_value=0, max_value=n_bidders - 1))
+    kinds = standard_policies(n_bidders, seed=draw(st.integers(min_value=0, max_value=3)))
+    policies = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4))
+    deviations = draw(st.one_of(
+        st.just("critical"),
+        st.lists(st.integers(min_value=0, max_value=ticks + 2), max_size=4),
+    ))
+    return (valuations, others, bidder, policies, draw(st.sampled_from([SECOND, FIRST])),
+            deviations, draw(st.booleans()))
+
+
+class TestCheckTruthfulnessAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(truthfulness_checks())
+    def test_rows_match_the_oracle_field_for_field(self, check):
+        valuations, others, bidder, policies, rule, deviations, adversarial = check
+        rows = check_truthfulness(
+            valuations, others, bidder, policies, rule, deviations, adversarial)
+        v_i = valuations[bidder]
+        bids = others[:bidder] + (v_i,) + others[bidder:]
+        if deviations == "critical":
+            top = max(others)
+            devs = sorted({top, top + 1} | ({0} if top > 0 else set()))
+        else:
+            devs = sorted(deviations)
+        expected = [
+            (bidder, v_i, dev, u_truth, u_dev, CASES[won_truth, won_dev], u_truth >= u_dev, label)
+            for dev in devs
+            for u_truth, u_dev, won_truth, won_dev, label in oracle_cell(
+                bids, dev, bidder, policies, rule, adversarial)
+        ]
+        assert all(type(row) is DeviationCheckResult for row in rows)
+        assert [tuple(row) for row in rows] == expected
 
 
 class TestCoverage:
@@ -353,6 +401,19 @@ class TestOutcomeTable:
         assert report.evaluated == grid_rows(4, 3, 4, 4, 4)
         assert 10 * len(built) < report.evaluated
 
+    def test_search_computes_one_template_per_class(self, monkeypatch):
+        built = []
+        real_template = verify._template
+
+        def template(*args):
+            built.append(args)
+            return real_template(*args)
+
+        monkeypatch.setattr(verify, "_template", template)
+        assert find_counterexample(SECOND, 3, 2) is None
+        cells = grid_rows(2, 2, 3, 2, 3, pairings=1) + grid_rows(3, 2, 3, 3, 3, pairings=1)
+        assert len(built) == search_classes(SECOND, 3, 2) < cells == 297
+
     @pytest.mark.parametrize("deviations", ["critical", range(9)], ids=["critical", "grid"])
     def test_check_never_repeats_an_evaluation(self, calls, deviations):
         for instance in (INSTANCE, AuctionInstance((4, 4, 1), (4, 4, 0))):
@@ -365,6 +426,28 @@ def grid_rows(n_bidders, ticks, values, bidders, deviations, pairings=5):
     """Closed-form row count: opposing vectors x valuations x bidders x
     deviations x pairings."""
     return (ticks + 1) ** (n_bidders - 1) * values * bidders * deviations * pairings
+
+
+def search_classes(rule, n_max, tick_bound):
+    """Distinct (value, truthful view, deviated view) classes of an
+    exhausted search, counted per N from ``outcome`` alone: a bidder's view
+    of a profile is, per standard policy, the price it pays if it wins,
+    else None."""
+    total = 0
+    for n_bidders in range(2, n_max + 1):
+        policies = standard_policies(n_bidders)
+
+        def view(bids, bidder):
+            results = (outcome(bids, policy, rule) for policy in policies)
+            return tuple(o.price if o.winner == bidder else None for o in results)
+
+        total += len({
+            (bids[b], view(bids, b), view(deviation_profile(bids, b, dev), b))
+            for bids in product(range(tick_bound + 1), repeat=n_bidders)
+            for b in range(n_bidders)
+            for dev in range(tick_bound + 1)
+        })
+    return total
 
 
 INSTANCE = AuctionInstance((5, 3, 7, 2), (4, 3, 6, 2))
