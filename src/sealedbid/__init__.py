@@ -8,88 +8,28 @@ that pins the smallest profitable deviation under mutated rules, and a
 deterministic Monte Carlo harness for comparing rules and strategies.
 """
 
-from .core import (
-    DEFAULT_BUDGET,
-    AuctionInstance,
-    BudgetExceededError,
-    ExplicitChoice,
-    FirstIndex,
-    InvalidInstanceError,
-    LastIndex,
-    Outcome,
-    PaymentRule,
-    Seeded,
-    TieBreakPolicy,
-    bidder_utility,
-    outcome,
-    standard_policies,
-    validate,
-)
-from .verify import (
-    CaseCoverage,
-    CaseTag,
-    Counterexample,
-    DeviationCheckResult,
-    VerificationReport,
-    assert_case,
-    check_dominance,
-    check_truthfulness,
-    coverage_guard,
-    critical_deviations,
-    dominance_sweep,
-    efficiency_check,
-    find_counterexample,
-)
-from .simulate import (
-    ExperimentConfig,
-    Overbid,
-    PairedReport,
-    Shade,
-    SimReport,
-    Strategy,
-    Truthful,
-    compare_rules,
-    run_experiment,
-    write_rounds_csv,
-)
+from importlib import import_module
 
-__all__ = [
-    "AuctionInstance",
-    "BudgetExceededError",
-    "CaseCoverage",
-    "CaseTag",
-    "Counterexample",
-    "DEFAULT_BUDGET",
-    "DeviationCheckResult",
-    "ExperimentConfig",
-    "ExplicitChoice",
-    "FirstIndex",
-    "InvalidInstanceError",
-    "LastIndex",
-    "Outcome",
-    "Overbid",
-    "PairedReport",
-    "PaymentRule",
-    "Seeded",
-    "Shade",
-    "SimReport",
-    "Strategy",
-    "TieBreakPolicy",
-    "Truthful",
-    "VerificationReport",
-    "assert_case",
-    "bidder_utility",
-    "check_dominance",
-    "check_truthfulness",
-    "compare_rules",
-    "coverage_guard",
-    "critical_deviations",
-    "dominance_sweep",
-    "efficiency_check",
-    "find_counterexample",
-    "outcome",
-    "run_experiment",
-    "standard_policies",
-    "validate",
-    "write_rounds_csv",
-]
+# Each export and the module that defines it, imported on first use (PEP 562),
+# so a process loads only the modules its names come from.
+_EXPORTS = {
+    name: module for module, names in {
+        "core": "DEFAULT_BUDGET AuctionInstance BudgetExceededError ExplicitChoice FirstIndex "
+                "InvalidInstanceError LastIndex Outcome PaymentRule Seeded TieBreakPolicy "
+                "bidder_utility outcome standard_policies validate",
+        "verify": "CaseCoverage CaseTag Counterexample DeviationCheckResult VerificationReport "
+                  "assert_case check_dominance check_truthfulness coverage_guard "
+                  "critical_deviations dominance_sweep efficiency_check find_counterexample",
+        "simulate": "ExperimentConfig Overbid PairedReport Shade SimReport Strategy Truthful "
+                    "compare_rules run_experiment write_rounds_csv",
+    }.items() for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    return value

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib import import_module
 from typing import Sequence
 
 from .core import (
@@ -34,15 +35,18 @@ from .core import (
     validate,
 )
 from .reporting import canonical_json, render_table
-from .simulate import ExperimentConfig, run_experiment, write_rounds_csv
-from .verify import (
-    VerificationReport,
-    check_instance,
-    check_truthfulness,  # noqa: F401  (bench/tracer.py wraps it under this name)
-    deviation_profile,
-    dominance_sweep,
-    find_counterexample,
-)
+
+# The names a subcommand takes from `verify` or `simulate`, bound here by
+# `_load` when it first runs, so a process imports only the module it runs.
+# They stay module attributes, looked up at call time (a module __getattr__
+# resolves them before that), because bench/tracer.py wraps
+# `dominance_sweep`, `find_counterexample`, `check_truthfulness`,
+# `run_experiment` and `write_rounds_csv` here under those names.
+_DEFERRED = {
+    "verify": ("check_instance", "check_truthfulness", "deviation_profile", "dominance_sweep",
+               "find_counterexample"),
+    "simulate": ("ExperimentConfig", "run_experiment", "write_rounds_csv"),
+}
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -50,6 +54,22 @@ EXIT_INVALID = 2
 EXIT_BUDGET = 3
 
 POLICY_KINDS = ("first-index", "last-index", "seeded", "explicit")
+
+
+def _load(module: str) -> None:
+    """Bind ``module``'s deferred names here, keeping any already bound
+    (a tracer's wrapper, say)."""
+    imported = import_module(f".{module}", __package__)
+    for name in _DEFERRED[module]:
+        globals().setdefault(name, getattr(imported, name))
+
+
+def __getattr__(name: str):
+    # Resolves without binding, so reading a name leaves the namespace as it was.
+    for module, names in _DEFERRED.items():
+        if name in names:
+            return getattr(import_module(f".{module}", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _read_json(path: str) -> dict:
@@ -95,7 +115,7 @@ def _parse_policies(text: str, seed: int, n_bidders: int) -> list[TieBreakPolicy
     return policies
 
 
-def _verdict_exit(report: VerificationReport) -> int:
+def _verdict_exit(report) -> int:
     # A vacuous sweep never earns a passing exit code, even if no
     # comparison failed: untested cases are unverified cases.
     if report.passed and not report.coverage.vacuous:
@@ -112,6 +132,7 @@ def cmd_validate(args) -> tuple[int, dict]:
 
 
 def cmd_check(args) -> tuple[int, dict]:
+    _load("verify")
     instance = load_instance(args.instance)
     policies = _parse_policies(args.policies, args.seed, instance.n_bidders)
     rule = PaymentRule.from_name(args.rule)
@@ -132,6 +153,7 @@ def cmd_check(args) -> tuple[int, dict]:
 
 
 def cmd_classify(args) -> tuple[int, dict]:
+    _load("verify")
     instance = load_instance(args.instance)
     policies = _parse_policies(args.policy, args.seed, instance.n_bidders)
     if len(policies) != 1:
@@ -160,6 +182,7 @@ def cmd_classify(args) -> tuple[int, dict]:
 
 
 def cmd_dominance(args) -> tuple[int, dict]:
+    _load("verify")
     policies = _parse_policies(args.policies, args.seed, args.n)
     rule = PaymentRule.from_name(args.rule)
     report = dominance_sweep(
@@ -170,6 +193,7 @@ def cmd_dominance(args) -> tuple[int, dict]:
 
 
 def cmd_falsify(args) -> tuple[int, dict]:
+    _load("verify")
     policies = _parse_policies(args.policies, args.seed, args.n_max)
     rule = PaymentRule.from_name(args.rule)
     found = find_counterexample(
@@ -182,6 +206,7 @@ def cmd_falsify(args) -> tuple[int, dict]:
 
 
 def cmd_simulate(args) -> tuple[int, dict]:
+    _load("simulate")
     doc = _read_json(args.config)
     if args.seed is not None:
         doc = dict(doc, seed=args.seed)

@@ -284,37 +284,43 @@ class _Interned(dict):
 class _Scope(NamedTuple):
     """One policy list's share of a run.
 
-    ``cells()`` yields ``(truthful key, deviated key, bidder, value,
-    deviation bid)`` per cell in key order, and ``decode`` turns a key into
-    its bid profile.  ``table`` is the outcome table: a key maps to its
-    entry, the per-policy ``(winner, price)`` tuple, evaluated through
-    ``outcome`` on first use, so each (profile, policy) pair is evaluated
-    once per run.  It is keyed by profile alone, never by policy
-    (``ExplicitChoice`` is unhashable), which is sound because every
-    ``select`` is a pure function of the bids.  ``views`` maps (entry,
-    bidder) to that bidder's view of the entry: per policy, the price it
-    pays if it wins, else None.  ``templates`` maps a cell's class to its
-    rows' template (see ``_template``).  ``valuations`` None means every
-    bidder values what it bids.
+    ``blocks()`` yields, per opposing-bid vector in key order, ``(values,
+    deviation bids, blocks)`` with one block per bidder: ``(bidder,
+    truthful keys, deviated keys)``, a truthful key per value and a
+    deviated key per deviation bid.  A block's cells pair each truthful key
+    with each deviated key, since the profile deviated to bid d is the
+    truthful profile for value d; ``decode`` turns a key into its bid
+    profile.  ``table`` is the outcome table: a key maps to its entry, the
+    per-policy ``(winner, price)`` tuple, evaluated through ``outcome`` on
+    first use, so each (profile, policy) pair is evaluated once per run.
+    It is keyed by profile alone, never by policy (``ExplicitChoice`` is
+    unhashable), which is sound because every ``select`` is a pure
+    function of the bids.  ``views`` maps (entry, bidder) to that bidder's
+    view of the entry: per policy, the price it pays if it wins, else
+    None.  ``templates`` maps a cell's class to its rows' template (see
+    ``_template``).  ``valuations`` None means every bidder values what it
+    bids.
     """
 
     table: _Interned
     views: _Interned
     templates: _Interned
-    cells: Callable[[], Iterator[tuple]]
+    blocks: Callable[[], Iterator[tuple]]
     decode: Callable
     valuations: "ValuationProfile | None"
 
 
-def _scope(policies, rule, adversarial, cells, decode=tuple, valuations=None) -> _Scope:
+def _scope(policies, rule, adversarial, blocks, decode=tuple, valuations=None) -> _Scope:
     if not policies:
         raise ValueError("at least one tie-break policy is required")
-    # tuple() of a list, not of a generator: CPython resizes a generator's
-    # tuple, and each one freed as a duplicate then strands on a free list.
-    table = _Interned(lambda key: tuple([
-        (result.winner, result.price)
-        for result in (outcome(decode(key), policy, rule) for policy in policies)
-    ]))
+
+    def entry(key) -> tuple:
+        bids = decode(key)
+        # tuple() of a list, not of a generator: CPython resizes a generator's
+        # tuple, and each one freed as a duplicate then strands on a free list.
+        return tuple([outcome(bids, policy, rule)[:2] for policy in policies])
+
+    table = _Interned(entry)
     views = _Interned(lambda pair: tuple([
         price if winner == pair[1] else None for winner, price in table.values[pair[0]]
     ]))
@@ -324,20 +330,24 @@ def _scope(policies, rule, adversarial, cells, decode=tuple, valuations=None) ->
     templates = _Interned(lambda key: tuple([rows.setdefault(row, row) for row in _template(
         labels, paired, key[0], views.values[key[1]], views.values[key[2]]
     )]))
-    return _Scope(table, views, templates, cells, decode, valuations)
+    return _Scope(table, views, templates, blocks, decode, valuations)
 
 
 def _grid_scope(n, tick_bound, values, bidders, deviations, policies, rule, adversarial):
-    """The cells of one bidder count over integer-coded profiles: digit j of
-    a code is bid j, so a deviated code is ``code + (d - v) * radix**bidder``
-    and no tuple is built per cell.  The radix exceeds every bid a profile
-    can hold: the tick bound, the valuation, M + 1 and every explicit
-    deviation, none of them negative."""
+    """The blocks of one bidder count over integer-coded profiles: digit j
+    of a code is bid j, so bidder b's profile at bid x is ``base + x *
+    radix**b``, with base its code at bid 0, and no tuple is built per
+    profile.  The radix exceeds every bid a profile can hold: the tick
+    bound, the valuation, M + 1 and every explicit deviation, none of them
+    negative.  Every bidder faces the same opposing bids, so the same
+    critical set, and over the full grid its deviated keys are its
+    truthful keys."""
     ends = [tick_bound + 1, values[-1]]
     if deviations != "critical" and _size(deviations):
         ends.append(deviations[-1])
     radix = max(ends) + 1
     weights = [radix ** j for j in range(n)]
+    shared = deviations == values
 
     def decode(code: int) -> BidProfile:
         bids = []
@@ -346,37 +356,33 @@ def _grid_scope(n, tick_bound, values, bidders, deviations, policies, rule, adve
             bids.append(digit)
         return tuple(bids)
 
-    def cells():
+    def blocks():
         for others in product(range(tick_bound + 1), repeat=n - 1):
-            # each bidder's code with its own digit at zero
-            bases = [
-                sum(bid * w for bid, w in zip(_inserted(others, 0, b), weights)) for b in bidders
-            ]
-            # every bidder faces the same opposing bids, so the same critical set
             new_bids = (
                 critical_deviations((0,) + others, 0) if deviations == "critical" else deviations
             )
-            for value in values:
-                truthful = [
-                    (b, base + value * weights[b], weights[b])
-                    for b, base in zip(bidders, bases)
-                ]
-                for new_bid in new_bids:
-                    for b, code, weight in truthful:
-                        yield code, code + (new_bid - value) * weight, b, value, new_bid
+            group = []
+            for b in bidders:
+                base = sum(bid * w for bid, w in zip(_inserted(others, 0, b), weights))
+                weight = weights[b]
+                truths = tuple([base + value * weight for value in values])
+                devs = truths if shared else tuple([base + bid * weight for bid in new_bids])
+                group.append((b, truths, devs))
+            yield values, new_bids, group
 
-    return _scope(policies, rule, adversarial, cells, decode)
+    return _scope(policies, rule, adversarial, blocks, decode)
 
 
 def _instance_scope(instance, bidders, policies, rule, deviations, adversarial):
-    """The cells of one instance: bidder b's truthful profile is the
-    instance's bids with b's bid set to its valuation, keyed by itself."""
+    """The blocks of one instance, one per cell in (deviation bid, bidder)
+    order: bidder b's truthful profile is the instance's bids with b's bid
+    set to its valuation, keyed by itself."""
     valuations, bids = instance.valuations, instance.bids
 
     def truthful(b: BidderId) -> BidProfile:
         return deviation_profile(bids, b, valuations[b])
 
-    def cells():
+    def blocks():
         if deviations == "critical":
             pairs = sorted(
                 (new_bid, b) for b in bidders for new_bid in critical_deviations(truthful(b), b)
@@ -385,9 +391,11 @@ def _instance_scope(instance, bidders, policies, rule, deviations, adversarial):
             pairs = ((new_bid, b) for new_bid in deviations for b in bidders)
         for new_bid, b in pairs:
             profile = truthful(b)
-            yield profile, deviation_profile(profile, b, new_bid), b, valuations[b], new_bid
+            yield (valuations[b],), (new_bid,), [
+                (b, (profile,), (deviation_profile(profile, b, new_bid),))
+            ]
 
-    return _scope(policies, rule, adversarial, cells, valuations=valuations)
+    return _scope(policies, rule, adversarial, blocks, valuations=valuations)
 
 
 def _template(labels, paired, value, truthful_view, deviated_view) -> list[tuple]:
@@ -422,14 +430,32 @@ def _counterexample(scope: _Scope, truth, bidder, deviation_bid, row) -> Counter
     )
 
 
+def _view_rows(scope: _Scope):
+    """``scope.blocks()`` with each block read by its bidder: per
+    opposing-bid vector ``(values, deviation bids, rows)``, a row per block
+    ``(bidder, truthful keys, truthful view row, deviated view row)``."""
+    table, views = scope.table, scope.views
+    for values, new_bids, blocks in scope.blocks():
+        rows = []
+        for bidder, truths, devs in blocks:
+            truth_views = tuple([views[table[key], bidder] for key in truths])
+            dev_views = truth_views if devs is truths else tuple([
+                views[table[key], bidder] for key in devs
+            ])
+            rows.append((bidder, truths, truth_views, dev_views))
+        yield values, new_bids, rows
+
+
 def _classes(scope: _Scope):
     """``(class, truthful key, bidder, deviation bid)`` per cell, in key
-    order.  The class is (value, truthful view, deviated view), on which
-    alone the cell's rows depend."""
-    table, views = scope.table, scope.views
-    for truth, dev, bidder, value, new_bid in scope.cells():
-        key = value, views[table[truth], bidder], views[table[dev], bidder]
-        yield key, truth, bidder, new_bid
+    order (value, deviation bid, bidder within each opposing-bid vector).
+    The class is (value, truthful view, deviated view), on which alone the
+    cell's rows depend."""
+    for values, new_bids, rows in _view_rows(scope):
+        for i, value in enumerate(values):
+            for j, new_bid in enumerate(new_bids):
+                for bidder, truths, truth_views, dev_views in rows:
+                    yield (value, truth_views[i], dev_views[j]), truths[i], bidder, new_bid
 
 
 def _row_stream(scopes):
@@ -488,14 +514,23 @@ def _grid_scopes(n_min, n_max, tick_bound, policies, rule, deviations, adversari
 
 
 def _fold(scope: _Scope) -> VerificationReport:
-    """Count one scope's cells by class, stamp each class's rows once and
-    weigh them by its count, so the counts equal a row-by-row fold's; a
-    class spans bidders and deviation bids, so its rows carry neither.  The
+    """Count one scope's blocks by (values, truthful view row, deviated
+    view row) and expand each distinct triple once into its cells' classes,
+    weighted by its count; then stamp each class's rows once and weigh them
+    by the class's count, so the counts equal a row-by-row fold's.  A class
+    spans bidders and deviation bids, so its rows carry neither.  The
     minimal counterexample is the first failing row of the first cell, in
     key order, whose class fails.  Each class's template is computed once,
     so it is not kept in the scope's memo."""
     compute = scope.templates.compute
-    classes = Counter(key for key, _, _, _ in _classes(scope))
+    blocks = Counter(
+        (values, truth_views, dev_views)
+        for values, _, rows in _view_rows(scope) for _, _, truth_views, dev_views in rows
+    )
+    classes = Counter()
+    for (values, truth_views, dev_views), count in blocks.items():
+        for (value, truth_view), dev_view in product(zip(values, truth_views), dev_views):
+            classes[value, truth_view, dev_view] += count
     counts = {tag: 0 for tag in CaseTag}
     pass_count = fail_count = 0
     failing = {}

@@ -1,6 +1,11 @@
-"""The top-level package surface and the README's library example."""
+"""The top-level package surface, the README's library example, and the
+modules each subcommand imports."""
 
+import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -22,3 +27,53 @@ def test_readme_library_example_runs():
     example = re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
     with redirect_stdout(StringIO()):
         exec(compile(example, str(README), "exec"), {})
+
+
+SRC = Path(sealedbid.__file__).resolve().parents[1]
+# The names bench/tracer.py wraps on `sealedbid.cli`; it looks each one up there.
+TRACED_ON_CLI = (
+    "build_parser", "canonical_json", "check_truthfulness", "dispatch", "dominance_sweep",
+    "find_counterexample", "outcome", "run_experiment", "write_rounds_csv",
+)
+RUN_AND_LIST_MODULES = """
+import json, runpy, sys
+sys.argv = ["sealedbid", *sys.argv[1:]]
+try:
+    runpy.run_module("sealedbid", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(json.dumps([exc.code, sorted(sys.modules)]), file=sys.stderr)
+"""
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+
+
+def modules_loaded_by(*argv: str) -> set:
+    """The modules a fresh ``python -m sealedbid *argv`` holds when it exits 0."""
+    child = fresh_python("-c", RUN_AND_LIST_MODULES, *argv)
+    code, modules = json.loads(child.stderr.splitlines()[-1])
+    assert code == 0
+    return set(modules)
+
+
+def test_dominance_loads_no_simulation_module():
+    loaded = modules_loaded_by("dominance", "--n", "2", "--ticks", "2")
+    assert "sealedbid.verify" in loaded
+    assert loaded.isdisjoint({"sealedbid.simulate", "fractions", "csv"})
+
+
+def test_simulate_loads_no_verification_module(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_bidders": 2, "n_rounds": 5, "value_low": 0, "value_high": 3}))
+    loaded = modules_loaded_by("simulate", str(config))
+    assert "sealedbid.simulate" in loaded and "sealedbid.verify" not in loaded
+
+
+def test_traced_cli_names_resolve_in_a_fresh_process():
+    child = fresh_python("-c", "import sys, sealedbid.cli as cli\n"
+                               "assert all(callable(getattr(cli, n)) for n in sys.argv[1:])",
+                         *TRACED_ON_CLI)
+    assert child.returncode == 0, child.stderr

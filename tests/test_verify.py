@@ -292,9 +292,10 @@ class TestFindCounterexample:
 @st.composite
 def sweeps(draw):
     """A small sweep: (N, T), rule, a policy list with repeats, adversarial
-    on or off, deviations, and sometimes one valuation and one bidder."""
-    n_bidders = draw(st.integers(min_value=2, max_value=3))
-    ticks = draw(st.integers(min_value=0, max_value=3))
+    on or off, deviations, and sometimes one valuation and one bidder.  N
+    reaches 4, so a block holds three opposing bids and a code four digits."""
+    n_bidders = draw(st.integers(min_value=2, max_value=4))
+    ticks = draw(st.integers(min_value=0, max_value=3 if n_bidders < 4 else 2))
     kinds = standard_policies(n_bidders, seed=draw(st.integers(min_value=0, max_value=3)))
     policies = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4))
     deviations = draw(st.one_of(
@@ -382,6 +383,18 @@ class TestOutcomeTable:
         assert len(calls) == 4 ** 3 * 4
         assert len(set(calls)) == len(calls)
 
+    def test_each_profile_is_decoded_once(self, monkeypatch):
+        profiles = []
+        real = verify.outcome
+
+        def outcome(bids, policy, rule):
+            profiles.append(bids)  # kept alive, so the ids stay distinct
+            return real(bids, policy, rule)
+
+        monkeypatch.setattr(verify, "outcome", outcome)
+        dominance_sweep(3, 3)
+        assert len({id(bids) for bids in profiles}) == 4 ** 3
+
     def test_exhausting_search_evaluates_each_n_once(self, calls):
         assert find_counterexample(SECOND, 3, 2) is None
         assert len(calls) == (3 ** 2 + 3 ** 3) * 4
@@ -400,6 +413,14 @@ class TestOutcomeTable:
         assert len(calls) == 4 ** 4 * 4
         assert report.evaluated == grid_rows(4, 3, 4, 4, 4)
         assert 10 * len(built) < report.evaluated
+
+    def test_sweep_counts_blocks_not_cells(self, monkeypatch):
+        def per_cell(scope):
+            raise AssertionError("a passing sweep streams no cells")
+
+        monkeypatch.setattr(verify, "_classes", per_cell)
+        report = dominance_sweep(4, 3)
+        assert report.passed and report.evaluated == grid_rows(4, 3, 4, 4, 4)
 
     def test_search_computes_one_template_per_class(self, monkeypatch):
         built = []
