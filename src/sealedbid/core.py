@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import sys
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -58,16 +57,60 @@ def check_budget(count: int, budget: int, unit: str):
         raise BudgetExceededError(f"state budget exceeded: {shown} > {budget} {unit}")
 
 
-@dataclass(frozen=True)
-class AuctionInstance:
+class Record:
+    """Base of the package's immutable value types (not ``dataclasses``: see the
+    README).  The fields are the class body's annotations, after inherited ones;
+    a record compares and hashes by them, within its class, and its repr is
+    ``Name(field=value, ...)``."""
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields += tuple(cls.__annotations__)  # own annotations only (3.10+)
+
+    def __init__(self, *args, **kwargs):
+        values = dict(zip(self._fields, args), **kwargs)  # zip drops surplus args
+        if len(values) != len(args) + len(kwargs) or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__qualname__}() takes exactly the fields {self._fields}")
+        # Fields are set and read by name, never through __dict__: once that dict
+        # exists, CPython stops specializing field reads, which the simulation
+        # makes on its config every round.
+        for name in self._fields:
+            object.__setattr__(self, name, values[name])
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check the bound fields; a record with invariants overrides this."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class AuctionInstance(Record):
     """A valuation profile paired with a bid profile of the same length."""
 
     valuations: ValuationProfile
     bids: BidProfile
 
     def __init__(self, valuations: Sequence[Money], bids: Sequence[Money]):
-        object.__setattr__(self, "valuations", tuple(valuations))
-        object.__setattr__(self, "bids", tuple(bids))
+        super().__init__(tuple(valuations), tuple(bids))
 
     @property
     def n_bidders(self) -> int:
@@ -79,24 +122,17 @@ class AuctionInstance:
     @classmethod
     def from_dict(cls, doc: Mapping) -> "AuctionInstance":
         issues = []
-        profiles = {}
         for key in ("valuations", "bids"):
             entries = doc.get(key)
             if not isinstance(entries, (list, tuple)):
                 issues.append(f"missing or non-array field {key!r}")
-                profiles[key] = ()
                 continue
-            ticks = []
-            for pos, tick in enumerate(entries):
-                # bool is an int subclass; reject it along with floats etc.
-                if type(tick) is not int:
-                    issues.append(f"non-integer tick ({key}[{pos}] = {tick!r})")
-                    tick = 0
-                ticks.append(tick)
-            profiles[key] = tuple(ticks)
+            # bool is an int subclass; reject it along with floats etc.
+            issues += [f"non-integer tick ({key}[{pos}] = {tick!r})"
+                       for pos, tick in enumerate(entries) if type(tick) is not int]
         if issues:
             raise InvalidInstanceError(issues)
-        return cls(profiles["valuations"], profiles["bids"])
+        return cls(doc["valuations"], doc["bids"])
 
 
 def validate(instance: AuctionInstance) -> list[str]:
@@ -120,7 +156,9 @@ def validate(instance: AuctionInstance) -> list[str]:
         violations.append(f"N >= 2 required (got {min(n_vals, n_bids)})")
     for name, profile in (("valuations", instance.valuations), ("bids", instance.bids)):
         for pos, tick in enumerate(profile):
-            if tick < 0:
+            if type(tick) is not int:  # as in from_dict
+                violations.append(f"non-integer tick ({name}[{pos}] = {tick!r})")
+            elif tick < 0:
                 violations.append(f"negative tick ({name}[{pos}] = {tick})")
             elif digits and tick.bit_length() > 3 * digits and tick + 1 >= 10**digits:
                 violations.append(
@@ -178,8 +216,7 @@ class TieBreakPolicy(ABC):
         return {"kind": self.describe()}
 
 
-@dataclass(frozen=True)
-class FirstIndex(TieBreakPolicy):
+class FirstIndex(Record, TieBreakPolicy):
     """Among tied highest bids, choose the lowest bidder index."""
 
     def select(self, bids: BidProfile) -> BidderId:
@@ -189,8 +226,7 @@ class FirstIndex(TieBreakPolicy):
         return "first-index"
 
 
-@dataclass(frozen=True)
-class LastIndex(TieBreakPolicy):
+class LastIndex(Record, TieBreakPolicy):
     """Among tied highest bids, choose the highest bidder index."""
 
     def select(self, bids: BidProfile) -> BidderId:
@@ -200,8 +236,7 @@ class LastIndex(TieBreakPolicy):
         return "last-index"
 
 
-@dataclass(frozen=True)
-class Seeded(TieBreakPolicy):
+class Seeded(Record, TieBreakPolicy):
     """Pseudo-random choice among tied highest bids.
 
     Deterministic: the pick is a 64-bit mix of the seed and the canonical
@@ -229,8 +264,7 @@ class Seeded(TieBreakPolicy):
         return {"kind": "seeded", "seed": self.seed}
 
 
-@dataclass(frozen=True, eq=True)
-class ExplicitChoice(TieBreakPolicy):
+class ExplicitChoice(Record, TieBreakPolicy):
     """Winner chosen by an explicit map from each argmax set to a bidder.
 
     The map is validated at construction: every chosen winner must belong

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Mapping, NamedTuple, Sequence
 
@@ -21,6 +20,7 @@ from .core import (
     DEFAULT_BUDGET,
     Money,
     PaymentRule,
+    Record,
     SignedMoney,
     TieBreakPolicy,
     ValuationProfile,
@@ -46,8 +46,7 @@ class Strategy(ABC):
         return {"kind": self.describe()}
 
 
-@dataclass(frozen=True)
-class Truthful(Strategy):
+class Truthful(Record, Strategy):
     """Bid exactly the value."""
 
     def bid(self, value: Money) -> Money:
@@ -57,8 +56,7 @@ class Truthful(Strategy):
         return "truthful"
 
 
-@dataclass(frozen=True)
-class Shade(Strategy):
+class Shade(Record, Strategy):
     """Bid below value: floor(value * numerator / denominator)."""
 
     numerator: int
@@ -87,8 +85,7 @@ class Shade(Strategy):
         }
 
 
-@dataclass(frozen=True)
-class Overbid(Strategy):
+class Overbid(Record, Strategy):
     """Bid a fixed amount above value."""
 
     delta: Money
@@ -132,8 +129,7 @@ def apply_strategy(valuations: Sequence[Money], strategy: Strategy) -> BidProfil
     return tuple(map(strategy.bid, valuations))
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """Fully determines an experiment, including all of its randomness: bidder
     b's value in round r is ``value_low + mix64(seed, r, b) % span``, where
     ``span = value_high - value_low + 1`` (``sample_valuations`` states its bias)."""
@@ -233,8 +229,7 @@ class RoundRecord(NamedTuple):
     price: Money
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(Record):
     """Exact-rational summary statistics of one experiment."""
 
     config: ExperimentConfig
@@ -295,8 +290,7 @@ def run_experiment(config: ExperimentConfig, budget: int = DEFAULT_BUDGET) -> Si
     return _simulate([config], budget)[0]
 
 
-@dataclass(frozen=True)
-class PairedReport:
+class PairedReport(Record):
     """Two experiments on the same valuation stream, with exact differences
     (first minus second) and the per-round revenue difference range."""
 

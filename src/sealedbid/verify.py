@@ -22,7 +22,6 @@ tolerance, traversal order, or parallel partitioning.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 from operator import itemgetter
@@ -36,6 +35,7 @@ from .core import (
     InvalidInstanceError,
     Money,
     PaymentRule,
+    Record,
     SignedMoney,
     TieBreakPolicy,
     ValuationProfile,
@@ -80,8 +80,8 @@ _CASES = {
 
 
 class DeviationCheckResult(NamedTuple):
-    """One truthful-vs-deviation comparison for one bidder.  A tuple, not a
-    dataclass, because a search builds one per row."""
+    """One truthful-vs-deviation comparison for one bidder.  A named tuple,
+    the cheapest record to build, because a search builds one per row."""
 
     bidder: BidderId
     truthful_bid: Money
@@ -93,8 +93,7 @@ class DeviationCheckResult(NamedTuple):
     pairing: str  # tie-break policy label, or the adversarial pairing label
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     """A recorded profitable deviation: evidence that a mechanism is not
     truthful.  ``bids`` is the truthful profile the deviation departs from."""
 
@@ -107,19 +106,12 @@ class Counterexample:
     deviation_utility: SignedMoney
 
     def to_dict(self) -> dict:
-        return {
-            "valuations": list(self.valuations),
-            "bids": list(self.bids),
-            "bidder": self.bidder,
-            "deviation_bid": self.deviation_bid,
-            "policy": self.policy,
-            "truthful_utility": self.truthful_utility,
-            "deviation_utility": self.deviation_utility,
-        }
+        """Every field by name, the two profiles as lists."""
+        return {name: list(value) if isinstance(value, tuple) else value
+                for name, value in zip(self._fields, self._values())}
 
 
-@dataclass(frozen=True)
-class CaseCoverage:
+class CaseCoverage(Record):
     """Witness counts per case; vacuous when any case never occurred."""
 
     counts: dict
@@ -132,8 +124,7 @@ class CaseCoverage:
         return {tag.value: self.counts[tag] for tag in CaseTag}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Aggregate verdict of a sweep, with coverage and the minimal failure."""
 
     pass_count: int

@@ -10,6 +10,8 @@ from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
 
+import pytest
+
 import sealedbid
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -51,11 +53,11 @@ def fresh_python(*args: str) -> subprocess.CompletedProcess:
                           env=dict(os.environ, PYTHONPATH=path), timeout=60)
 
 
-def modules_loaded_by(*argv: str) -> set:
-    """The modules a fresh ``python -m sealedbid *argv`` holds when it exits 0."""
+def modules_loaded_by(*argv: str, exit_code: int = 0) -> set:
+    """The modules a fresh ``python -m sealedbid *argv`` holds when it exits."""
     child = fresh_python("-c", RUN_AND_LIST_MODULES, *argv)
     code, modules = json.loads(child.stderr.splitlines()[-1])
-    assert code == 0
+    assert code == exit_code
     return set(modules)
 
 
@@ -70,6 +72,38 @@ def test_simulate_loads_no_verification_module(tmp_path):
     config.write_text(json.dumps({"n_bidders": 2, "n_rounds": 5, "value_low": 0, "value_high": 3}))
     loaded = modules_loaded_by("simulate", str(config))
     assert "sealedbid.simulate" in loaded and "sealedbid.verify" not in loaded
+
+
+# Each CLI start imports the package afresh, so nothing on its path may pull in
+# `dataclasses`: it and the `inspect` it imports would add their import time to
+# every invocation.
+START_UP_FREE = {"dataclasses", "inspect"}
+
+
+def test_building_the_parser_loads_no_dataclasses_or_inspect():
+    child = fresh_python("-c", "import json, sys, sealedbid.cli\n"
+                               "sealedbid.cli.build_parser()\n"
+                               "print(json.dumps(sorted(sys.modules)))")
+    assert child.returncode == 0, child.stderr
+    assert START_UP_FREE.isdisjoint(json.loads(child.stdout))
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["validate", "{instance}"], 0),
+    (["check", "{instance}"], 0),
+    (["classify", "{instance}", "--bidder", "0", "--deviation", "5"], 0),
+    (["dominance", "--n", "2", "--ticks", "2"], 0),
+    (["falsify", "--n-max", "2", "--ticks", "1"], 1),  # first-price: a counterexample
+    (["simulate", "{config}", "--csv", "{csv}"], 0),
+], ids=lambda value: value[0] if isinstance(value, list) else None)
+def test_no_subcommand_loads_dataclasses_or_inspect(tmp_path, argv, exit_code):
+    paths = {"instance": tmp_path / "instance.json", "config": tmp_path / "config.json",
+             "csv": tmp_path / "rounds.csv"}
+    paths["instance"].write_text(json.dumps({"valuations": [3, 6, 4], "bids": [3, 5, 4]}))
+    paths["config"].write_text(json.dumps({"n_bidders": 2, "n_rounds": 5,
+                                           "value_low": 0, "value_high": 3}))
+    argv = [arg.format(**paths) for arg in argv]
+    assert START_UP_FREE.isdisjoint(modules_loaded_by(*argv, exit_code=exit_code))
 
 
 def test_traced_cli_names_resolve_in_a_fresh_process():

@@ -1,5 +1,7 @@
 """Auction primitives: winner selection, payment rules, utilities."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,6 +27,15 @@ from sealedbid.core import (
     validate,
 )
 from sealedbid.seeding import hash_text
+from sealedbid.simulate import (
+    ExperimentConfig,
+    Overbid,
+    PairedReport,
+    Shade,
+    SimReport,
+    Truthful,
+)
+from sealedbid.verify import CaseCoverage, CaseTag, Counterexample, VerificationReport
 
 profiles = st.lists(st.integers(min_value=0, max_value=50), min_size=2, max_size=6).map(tuple)
 # A small alphabet makes heavy ties likely; the wide range reaches past 64 bits.
@@ -64,6 +75,14 @@ class TestValidate:
         assert violations == [
             "tick too large (valuations[0] + 1 has more than 4300 digits)",
             "tick too large (bids[0] + 1 has more than 4300 digits)",
+        ]
+
+    def test_non_integer_ticks_are_reported_like_from_dict(self):
+        # a float, a bool (an int subclass) and a string; none may reach the tick checks
+        assert validate(AuctionInstance((1.5, 2), (True, "3"))) == [
+            "non-integer tick (valuations[0] = 1.5)",
+            "non-integer tick (bids[0] = True)",
+            "non-integer tick (bids[1] = '3')",
         ]
 
     def test_all_violations_reported(self):
@@ -309,6 +328,7 @@ class TestSerialization:
         assert instance.valuations == (3, 6, 4)
         assert instance.bids == (3, 5, 4)
         assert instance.to_dict() == doc
+        assert instance == AuctionInstance.from_dict(doc) == AuctionInstance(**doc)
 
     def test_from_dict_rejects_non_integer_ticks(self):
         with pytest.raises(InvalidInstanceError):
@@ -319,5 +339,117 @@ class TestSerialization:
     def test_policy_from_dict_roundtrip(self):
         for policy in standard_policies(3, seed=9):
             clone = policy_from_dict(policy.to_dict())
+            assert clone == policy
             for bids in [(1, 1, 1), (0, 2, 2), (5, 0, 0)]:
                 assert select_winner(bids, clone) == select_winner(bids, policy)
+
+
+CONFIG_FIELDS = dict(n_bidders=2, n_rounds=3, value_low=0, value_high=4,
+                     rule=PaymentRule.FIRST_PRICE, strategy=Shade(3, 4), policy=Seeded(7), seed=5)
+CONFIG_REPR = ("ExperimentConfig(n_bidders=2, n_rounds=3, value_low=0, value_high=4, "
+               "rule=<PaymentRule.FIRST_PRICE: 'first-price'>, "
+               "strategy=Shade(numerator=3, denominator=4), policy=Seeded(seed=7), seed=5)")
+REPORT_FIELDS = dict(config=ExperimentConfig(**CONFIG_FIELDS), rounds=3,
+                     mean_revenue=Fraction(1, 2), mean_winner_utility=Fraction(0),
+                     efficiency_rate=Fraction(1))
+REPORT_REPR = (f"SimReport(config={CONFIG_REPR}, rounds=3, mean_revenue=Fraction(1, 2), "
+               "mean_winner_utility=Fraction(0, 1), efficiency_rate=Fraction(1, 1))")
+# Every record type: its fields in order, whether it hashes, and its repr,
+# pinned byte for byte to what `dataclasses` printed for it.
+RECORDS = [
+    (AuctionInstance, dict(valuations=[1, 2], bids=[2, 1]), True,
+     "AuctionInstance(valuations=(1, 2), bids=(2, 1))"),
+    (FirstIndex, {}, True, "FirstIndex()"),
+    (LastIndex, {}, True, "LastIndex()"),
+    (Seeded, dict(seed=7), True, "Seeded(seed=7)"),
+    (ExplicitChoice, dict(choice={(1, 0): 1}), False, "ExplicitChoice(choice={(0, 1): 1})"),
+    (Counterexample, dict(valuations=(1, 2), bids=(1, 2), bidder=0, deviation_bid=3,
+                          policy="first-index", truthful_utility=0, deviation_utility=1), True,
+     "Counterexample(valuations=(1, 2), bids=(1, 2), bidder=0, deviation_bid=3, "
+     "policy='first-index', truthful_utility=0, deviation_utility=1)"),
+    (CaseCoverage, dict(counts={CaseTag.WIN_WIN: 1}), False,
+     "CaseCoverage(counts={<CaseTag.WIN_WIN: 'win-win'>: 1})"),
+    (VerificationReport, dict(pass_count=2, fail_count=0, coverage=CaseCoverage({}),
+                              counterexample=None), False,
+     "VerificationReport(pass_count=2, fail_count=0, coverage=CaseCoverage(counts={}), "
+     "counterexample=None)"),
+    (Truthful, {}, True, "Truthful()"),
+    (Shade, dict(numerator=3, denominator=4), True, "Shade(numerator=3, denominator=4)"),
+    (Overbid, dict(delta=2), True, "Overbid(delta=2)"),
+    (ExperimentConfig, CONFIG_FIELDS, True, CONFIG_REPR),
+    (SimReport, REPORT_FIELDS, True, REPORT_REPR),
+    (PairedReport, dict(report_a=SimReport(**REPORT_FIELDS), report_b=SimReport(**REPORT_FIELDS),
+                        mean_revenue_diff=Fraction(0), mean_winner_utility_diff=Fraction(0),
+                        efficiency_rate_diff=Fraction(0), revenue_diff_min=-1,
+                        revenue_diff_max=2), True,
+     f"PairedReport(report_a={REPORT_REPR}, report_b={REPORT_REPR}, "
+     "mean_revenue_diff=Fraction(0, 1), mean_winner_utility_diff=Fraction(0, 1), "
+     "efficiency_rate_diff=Fraction(0, 1), revenue_diff_min=-1, revenue_diff_max=2)"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, hashable, text", RECORDS,
+                         ids=[case[0].__name__ for case in RECORDS])
+class TestRecordContract:
+    """The value-type contract every record keeps: positional or keyword
+    construction, frozen fields, equality within one class, hashing and repr."""
+
+    def test_equality_is_by_fields_within_one_class(self, cls, fields, hashable, text):
+        record = cls(**fields)
+        assert record == cls(*fields.values())
+        assert not record != cls(**fields)
+
+        class Twin(cls):
+            """Holds the same fields as ``cls``, but is another class."""
+
+        assert record != Twin(*fields.values())
+        assert record != object()
+
+    def test_hash_agrees_with_equality(self, cls, fields, hashable, text):
+        record, clone = cls(**fields), cls(**fields)
+        if hashable:
+            assert hash(record) == hash(clone) and len({record, clone}) == 1
+        else:
+            with pytest.raises(TypeError):
+                hash(record)
+
+    def test_fields_are_frozen(self, cls, fields, hashable, text):
+        record = cls(**fields)
+        for name in [*fields, "extra"]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert record == cls(**fields)
+
+    def test_bad_arguments_raise_type_error(self, cls, fields, hashable, text):
+        values = list(fields.values())
+        with pytest.raises(TypeError):
+            cls(*values, 0)  # one too many
+        with pytest.raises(TypeError):
+            cls(**fields, extra=0)
+        if fields:
+            first = next(iter(fields))
+            with pytest.raises(TypeError):
+                cls(*values[:-1])  # one missing
+            with pytest.raises(TypeError):
+                cls(*values, **{first: fields[first]})  # given twice
+
+    def test_repr_is_the_dataclass_repr(self, cls, fields, hashable, text):
+        assert repr(cls(**fields)) == repr(cls(*fields.values())) == text
+
+
+def test_empty_records_of_different_classes_differ():
+    # a tuple-based record would make these equal: all three hold ()
+    assert FirstIndex() != LastIndex() and FirstIndex() != Truthful() != LastIndex()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Seeded(-1),
+    lambda: Shade(4, 3),
+    lambda: Overbid(-1),
+    lambda: ExperimentConfig(**dict(CONFIG_FIELDS, value_low=5, value_high=4)),
+])
+def test_records_still_validate_their_fields(build):
+    with pytest.raises(ValueError):
+        build()

@@ -62,7 +62,7 @@ class TestStrategies:
     def test_strategy_documents_round_trip(self):
         for strategy in (Truthful(), Shade(2, 3), Overbid(4)):
             clone = strategy_from_dict(strategy.to_dict())
-            assert clone == strategy
+            assert clone == strategy and hash(clone) == hash(strategy)
 
     def test_unknown_strategy_kind(self):
         with pytest.raises(ValueError):
@@ -132,7 +132,8 @@ class TestExperimentConfig:
 
     def test_document_round_trip(self):
         cfg = config(strategy=Shade(1, 2), policy=Seeded(5), rule=FIRST)
-        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        clone = ExperimentConfig.from_dict(cfg.to_dict())
+        assert clone == cfg and hash(clone) == hash(cfg) and repr(clone) == repr(cfg)
 
     def test_from_dict_defaults(self):
         cfg = ExperimentConfig.from_dict(

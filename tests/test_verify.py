@@ -141,6 +141,8 @@ class TestCheckTruthfulness:
     def test_rejects_invalid_instance(self):
         with pytest.raises(InvalidInstanceError):
             check_truthfulness((3, -1), (-1,), 0, [FirstIndex()], SECOND, [0])
+        with pytest.raises(InvalidInstanceError, match=r"non-integer tick \(valuations\[0\]"):
+            check_truthfulness([1.5, 2], [1], 0, [FirstIndex()])
 
     @given(
         st.integers(min_value=0, max_value=9),
