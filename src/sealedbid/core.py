@@ -190,7 +190,7 @@ def max_excluding(bids: Sequence[Money], bidder: BidderId) -> Money:
 
 def canonical_bid_text(bids: Sequence[Money]) -> str:
     """Canonical serialization of a bid profile: comma-joined decimal ticks."""
-    return ",".join(str(b) for b in bids)
+    return ",".join(map(str, bids))
 
 
 class TieBreakPolicy(ABC):
@@ -254,7 +254,7 @@ class Seeded(Record, TieBreakPolicy):
         top = max(bids)
         if bids.count(top) == 1:
             return bids.index(top)  # any hash modulo 1 is 0: the pick needs no hash
-        ties = argmax_set(bids)
+        ties = [i for i, b in enumerate(bids) if b == top]  # bids already validated
         return ties[hash_text(self.seed, canonical_bid_text(bids)) % len(ties)]
 
     def describe(self) -> str:
@@ -392,7 +392,7 @@ def outcome(bids: Sequence[Money], policy: TieBreakPolicy, rule: PaymentRule) ->
     if not (0 <= winner < len(bids) and bids[winner] == max(bids)):
         raise ValueError(f"tie-break {policy.describe()} picked {winner}, not a highest bidder")
     price = sorted(bids)[-2] if rule is PaymentRule.SECOND_PRICE else bids[winner]
-    return Outcome(winner, price, rule)
+    return Outcome._make((winner, price, rule))  # skips the generated keyword __new__
 
 
 def bidder_utility(valuations: Sequence[Money], result: Outcome, bidder: BidderId) -> SignedMoney:

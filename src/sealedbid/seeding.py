@@ -38,14 +38,14 @@ def mix64(seed: int, *words: int) -> int:
     chain step: ``mix64(s, *w, b) == splitmix64(mix64(s, *w) ^ b)``.
     """
     h = splitmix64(seed & MASK64)
-    for w in words:
-        h = splitmix64(h ^ (w & MASK64))
+    for w in words:  # splitmix64(h ^ (w & MASK64)) inlined; its first mask drops w's high bits
+        x = ((h ^ w) + GOLDEN) & MASK64
+        x = ((x ^ (x >> 30)) * MIX_A) & MASK64
+        x = ((x ^ (x >> 27)) * MIX_B) & MASK64
+        h = x ^ (x >> 31)
     return h
 
 
 def hash_text(seed: int, text: str) -> int:
     """Mix a seed with a text key, one UTF-8 byte per chain step."""
-    h = splitmix64(seed & MASK64)
-    for b in text.encode("utf-8"):
-        h = splitmix64(h ^ b)
-    return h
+    return mix64(seed, *text.encode("utf-8"))

@@ -262,13 +262,15 @@ def _simulate(configs: Sequence[ExperimentConfig], budget: int, sink=None) -> li
     sampling = configs[0]
     sampling.check_budget(budget)
     totals = [[0, 0, 0] for _ in configs]  # revenue, winner utility, efficient rounds
+    plays = [(config.strategy, config.policy, config.rule, total)
+             for config, total in zip(configs, totals)]
     for index in range(sampling.n_rounds):
         valuations = sample_valuations(sampling, index)
         top = max(valuations)
         records = []
-        for config, total in zip(configs, totals):
-            bids = apply_strategy(valuations, config.strategy)
-            winner, price, _ = outcome(bids, config.policy, config.rule)
+        for strategy, policy, rule, total in plays:
+            bids = apply_strategy(valuations, strategy)
+            winner, price, _ = outcome(bids, policy, rule)
             total[0] += price
             total[1] += valuations[winner] - price
             total[2] += valuations[winner] == top

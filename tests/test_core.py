@@ -205,6 +205,23 @@ class TestOutcome:
         o = outcome(bids, FirstIndex(), PaymentRule.FIRST_PRICE)
         assert o.price == bids[o.winner] == max(bids)
 
+    @pytest.mark.parametrize("rule", list(PaymentRule))
+    def test_result_is_the_keyword_built_outcome(self, rule):
+        bids = [3, 5, 5, 4]  # a list profile, with a tie
+        for policy in all_policies(len(bids)):
+            winner = select_winner(bids, policy)
+            price = max_excluding(bids, winner) if rule is PaymentRule.SECOND_PRICE else 5
+            o = outcome(bids, policy, rule)
+            assert type(o) is Outcome
+            assert o == Outcome(winner=winner, price=price, rule=rule)
+            assert o._asdict() == {"winner": winner, "price": price, "rule": rule}
+
+    @pytest.mark.parametrize("rule", list(PaymentRule))
+    def test_one_bidder_profile_is_refused(self, rule):
+        for policy in all_policies(2):
+            with pytest.raises(ValueError, match="N >= 2"):
+                outcome([5], policy, rule)
+
     @given(kernel_profiles, st.integers(min_value=0, max_value=2**64 - 1))
     def test_kernel_matches_the_scan_definitions(self, bids, seed):
         # Reference: the argmax set and highest other bid by plain scans,

@@ -1,11 +1,22 @@
 """Generator primitives: published vectors, determinism, range."""
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sealedbid.seeding import MASK64, hash_text, mix64, splitmix64
 
 u64 = st.integers(min_value=0, max_value=MASK64)
+# Words past 64 bits exercise the mask applied to each absorbed word.
+wide = st.one_of(u64, st.sampled_from([MASK64, 2**64, 2**64 + 1, 2**70]),
+                 st.integers(min_value=0, max_value=2**70))
+
+
+def splitmix64_fold(seed, words):
+    """The documented chain, one ``splitmix64`` call per step."""
+    h = splitmix64(seed & MASK64)
+    for w in words:
+        h = splitmix64(h ^ (w & MASK64))
+    return h
 
 
 def test_splitmix64_reference_vectors():
@@ -44,6 +55,19 @@ def test_mix64_argument_order_matters(seed, a, b):
 def test_mix64_prefix_identity(seed, words, last):
     # the simulator hoists mix64(seed, round) out of its bidder loop
     assert mix64(seed, *words, last) == splitmix64(mix64(seed, *words) ^ last)
+
+
+@given(wide, st.lists(wide, max_size=6))
+def test_mix64_is_the_splitmix64_fold(seed, words):
+    assert mix64(seed, *words) == splitmix64_fold(seed, words)
+
+
+@given(u64, st.text())
+@example(0, "")
+@example(7, "3,5,4")
+@example(2**64 - 1, "\u00e9\u4e2d\U0001f600")
+def test_hash_text_is_the_fold_over_utf8_bytes(seed, text):
+    assert hash_text(seed, text) == splitmix64_fold(seed, text.encode("utf-8"))
 
 
 def test_hash_text_frozen_values():

@@ -406,9 +406,9 @@ class TestOutcomeTable:
         built = []
         real_row = verify.DeviationCheckResult
 
-        def row(**fields):
-            built.append(fields)
-            return real_row(**fields)
+        def row(*args, **fields):
+            built.append((args, fields))
+            return real_row(*args, **fields)
 
         monkeypatch.setattr(verify, "DeviationCheckResult", row)
         report = dominance_sweep(4, 3)
@@ -549,9 +549,9 @@ class TestPreflightBudget:
             counts["outcome"] += 1
             return real_outcome(*args)
 
-        def row(**fields):
+        def row(*args, **fields):
             counts["rows"] += 1
-            return real_row(**fields)
+            return real_row(*args, **fields)
 
         monkeypatch.setattr(verify, "outcome", outcome)
         monkeypatch.setattr(verify, "DeviationCheckResult", row)
