@@ -247,8 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
              "work; exceeding it exits 3 with empty stdout (default: %(default)s)",
     )
 
-    # --rule stays per subcommand: falsify defaults it to first-price, and a
-    # parent's actions are shared, so a default set on one child moves all.
+    # check, classify and dominance share --rule; falsify declares its own (default
+    # first-price), since a parent's actions are shared: one child's default moves all.
+    ruled = argparse.ArgumentParser(add_help=False)
+    ruled.add_argument(
+        "--rule", choices=[r.value for r in PaymentRule], default="second-price",
+        help="payment rule (default: %(default)s)",
+    )
     sweep = argparse.ArgumentParser(add_help=False, parents=[common])
     sweep.add_argument(
         "--policies", default="first-index,last-index,seeded,explicit",
@@ -269,14 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser(
-        "check", parents=[sweep],
+        "check", parents=[sweep, ruled],
         help="check truthfulness for every bidder of an instance",
     )
     p.add_argument("instance", help="instance document path")
-    p.add_argument(
-        "--rule", choices=[r.value for r in PaymentRule], default="second-price",
-        help="payment rule (default: %(default)s)",
-    )
     p.add_argument(
         "--deviations", choices=("critical", "grid"), default="critical",
         help="deviation bids to try (default: %(default)s)",
@@ -295,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser(
-        "classify", parents=[common],
+        "classify", parents=[common, ruled],
         help="classify one deviation into its win/lose case",
     )
     p.add_argument("instance", help="instance document path")
@@ -305,24 +306,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy", default="first-index",
         help="tie-break policy (default: %(default)s)",
     )
-    p.add_argument(
-        "--rule", choices=[r.value for r in PaymentRule], default="second-price",
-        help="payment rule (default: %(default)s)",
-    )
     p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser(
-        "dominance", parents=[sweep],
+        "dominance", parents=[sweep, ruled],
         help="exhaustive truthfulness sweep over all instances within bounds",
     )
     p.add_argument("--n", type=int, default=2, help="number of bidders (default: %(default)s)")
     p.add_argument(
         "--ticks", type=int, default=4,
         help="inclusive upper tick for bids and values (default: %(default)s)",
-    )
-    p.add_argument(
-        "--rule", choices=[r.value for r in PaymentRule], default="second-price",
-        help="payment rule (default: %(default)s)",
     )
     p.set_defaults(handler=cmd_dominance)
 

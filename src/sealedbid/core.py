@@ -267,9 +267,10 @@ class Seeded(Record, TieBreakPolicy):
 class ExplicitChoice(Record, TieBreakPolicy):
     """Winner chosen by an explicit map from each argmax set to a bidder.
 
-    The map is validated at construction: every chosen winner must belong
-    to its own argmax set.  Selecting on an argmax set the map does not
-    cover is an error.
+    The map is validated at construction: every argmax set is a set of
+    distinct nonnegative indices, named by no two keys with different
+    choices, and every chosen winner belongs to its own argmax set.
+    Selecting on an argmax set the map does not cover is an error.
     """
 
     choice: Mapping[tuple[BidderId, ...], BidderId]
@@ -278,11 +279,12 @@ class ExplicitChoice(Record, TieBreakPolicy):
         normalized = {}
         for key, pick in self.choice.items():
             ties = tuple(sorted(key))
+            if len(set(ties)) < len(ties) or (ties and ties[0] < 0):
+                raise ValueError(f"argmax set {list(ties)} must hold distinct nonnegative indices")
             if pick not in ties:
-                raise ValueError(
-                    f"explicit choice {pick} not a member of argmax set {list(ties)}"
-                )
-            normalized[ties] = pick
+                raise ValueError(f"explicit choice {pick} not a member of argmax set {list(ties)}")
+            if normalized.setdefault(ties, pick) != pick:
+                raise ValueError(f"conflicting explicit choices for argmax set {list(ties)}")
         object.__setattr__(self, "choice", normalized)
 
     @classmethod

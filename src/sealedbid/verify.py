@@ -227,16 +227,19 @@ def pairing_count(policies: Sequence[TieBreakPolicy], adversarial: bool) -> int:
 
 def _deviation_set(deviations: DeviationSpec, tick_bound: "Money | None" = None):
     """Resolve a deviation spec once: "critical" stays symbolic, "grid" and
-    unit-step ranges stay lazy (a huge grid costs nothing before the budget
-    refuses it), and other iterables are sorted into key order.  A negative
-    deviation bid is invalid input, as a negative tick is everywhere else."""
+    every range stay lazy and ascending (a huge grid costs nothing before
+    the budget refuses it), and other iterables are sorted into key order.
+    A negative deviation bid is invalid input, as a negative tick is
+    everywhere else."""
     if deviations == "grid" and tick_bound is not None:
         return range(tick_bound + 1)
     if isinstance(deviations, str):
         if deviations != "critical":
             raise ValueError(f"unknown deviation mode {deviations!r}")
         return deviations
-    if not (isinstance(deviations, range) and deviations.step == 1):
+    if isinstance(deviations, range):
+        deviations = deviations if deviations.step > 0 else deviations[::-1]
+    else:
         deviations = tuple(sorted(deviations))
     if _size(deviations) and deviations[0] < 0:
         raise InvalidInstanceError([f"negative tick (deviation = {deviations[0]})"])
@@ -244,8 +247,10 @@ def _deviation_set(deviations: DeviationSpec, tick_bound: "Money | None" = None)
 
 
 def _size(grid) -> int:
-    # len() of a range overflows past sys.maxsize; _deviation_set keeps only unit steps.
-    return max(0, grid.stop - grid.start) if isinstance(grid, range) else len(grid)
+    # len() of a range overflows past sys.maxsize; _deviation_set keeps ranges ascending.
+    if isinstance(grid, range):
+        return max(0, -((grid.start - grid.stop) // grid.step))
+    return len(grid)
 
 
 def _inserted(others: BidProfile, bid: Money, bidder: BidderId) -> BidProfile:
@@ -289,8 +294,9 @@ class _Scope(NamedTuple):
     function of the bids.  ``views`` maps (entry, bidder) to that bidder's
     view of the entry: per policy, the price it pays if it wins, else
     None.  ``templates`` maps a cell's class to its rows' template (see
-    ``_template``).  ``valuations`` None means every bidder values what it
-    bids.
+    ``_template``), memoized for the ordered scan; the fold tallies
+    templates without keeping them.  ``valuations`` None means every bidder
+    values what it bids.
     """
 
     table: _Interned
@@ -405,20 +411,6 @@ def _template(labels, paired, value, truthful_view, deviated_view) -> list[tuple
     return rows
 
 
-def _stamp(template, bidder, value, deviation_bid) -> list[DeviationCheckResult]:
-    """One cell's rows: the class's template with bidder and bids filled in."""
-    return [DeviationCheckResult(bidder, value, deviation_bid, u_truth, u_dev, case, passed, label)
-            for u_truth, u_dev, case, passed, label in template]
-
-
-def _counterexample(scope: _Scope, truth, bidder, deviation_bid, row) -> Counterexample:
-    bids = scope.decode(truth)
-    return Counterexample(
-        bids if scope.valuations is None else scope.valuations, bids, bidder,
-        deviation_bid, row.pairing, row.truthful_utility, row.deviation_utility,
-    )
-
-
 def _view_rows(scope: _Scope):
     """``scope.blocks()`` with each block read by its bidder: per
     opposing-bid vector ``(values, deviation bids, rows)``, a row per block
@@ -435,25 +427,21 @@ def _view_rows(scope: _Scope):
         yield values, new_bids, rows
 
 
-def _classes(scope: _Scope):
-    """``(class, truthful key, bidder, deviation bid)`` per cell, in key
-    order (value, deviation bid, bidder within each opposing-bid vector).
-    The class is (value, truthful view, deviated view), on which alone the
-    cell's rows depend."""
-    for values, new_bids, rows in _view_rows(scope):
-        for i, value in enumerate(values):
-            for j, new_bid in enumerate(new_bids):
-                for bidder, truths, truth_views, dev_views in rows:
-                    yield (value, truth_views[i], dev_views[j]), truths[i], bidder, new_bid
-
-
 def _row_stream(scopes):
-    """``(scope, truthful key, rows)`` per cell, in key order, each stamped
-    from its class's template."""
+    """``(scope, truthful key, rows)`` per cell, in key order (value,
+    deviation bid, bidder within each opposing-bid vector).  A cell's rows
+    are its class's template with bidder and bids filled in; the class is
+    (value, truthful view, deviated view), on which alone they depend."""
     for scope in scopes:
         templates, built = scope.templates, scope.templates.values
-        for key, truth, bidder, new_bid in _classes(scope):
-            yield scope, truth, _stamp(built[templates[key]], bidder, key[0], new_bid)
+        for values, new_bids, rows in _view_rows(scope):
+            for i, value in enumerate(values):
+                for j, new_bid in enumerate(new_bids):
+                    for bidder, truths, truth_views, dev_views in rows:
+                        template = built[templates[value, truth_views[i], dev_views[j]]]
+                        yield scope, truths[i], [DeviationCheckResult(
+                            bidder, value, new_bid, u_truth, u_dev, case, passed, label
+                        ) for u_truth, u_dev, case, passed, label in template]
 
 
 def _first_failure(scopes) -> "Counterexample | None":
@@ -461,7 +449,11 @@ def _first_failure(scopes) -> "Counterexample | None":
     for scope, truth, rows in _row_stream(scopes):
         for row in rows:
             if not row.passed:
-                return _counterexample(scope, truth, row.bidder, row.deviation_bid, row)
+                bids = scope.decode(truth)
+                return Counterexample(
+                    scope.valuations or bids, bids, row.bidder, row.deviation_bid, row.pairing,
+                    row.truthful_utility, row.deviation_utility,
+                )
     return None
 
 
@@ -505,12 +497,11 @@ def _grid_scopes(n_min, n_max, tick_bound, policies, rule, deviations, adversari
 def _fold(scope: _Scope) -> VerificationReport:
     """Count one scope's blocks by (values, truthful view row, deviated
     view row) and expand each distinct triple once into its cells' classes,
-    weighted by its count; then stamp each class's rows once and weigh them
-    by the class's count, so the counts equal a row-by-row fold's.  A class
-    spans bidders and deviation bids, so its rows carry neither.  The
-    minimal counterexample is the first failing row of the first cell, in
-    key order, whose class fails.  Each class's template is computed once,
-    so it is not kept in the scope's memo."""
+    weighted by its count; then tally each class's template, weighted by
+    the class's count, so the counts equal a row-by-row fold's, without
+    building a row record.  Each template is computed once, so it is not
+    kept in the scope's memo.  When a row failed, the counterexample comes
+    from the ordered scan that ``find_counterexample`` runs."""
     compute = scope.templates.compute
     blocks = Counter(
         (values, truth_views, dev_views)
@@ -522,22 +513,14 @@ def _fold(scope: _Scope) -> VerificationReport:
             classes[value, truth_view, dev_view] += count
     counts = {tag: 0 for tag in CaseTag}
     pass_count = fail_count = 0
-    failing = {}
     for key, count in classes.items():
-        for row in _stamp(compute(key), None, key[0], None):
-            counts[row.case] += count
-            if row.passed:
+        for _, _, case, passed, _ in compute(key):
+            counts[case] += count
+            if passed:
                 pass_count += count
             else:
                 fail_count += count
-                failing.setdefault(key, row)
-    first = None
-    if failing:
-        for key, truth, bidder, new_bid in _classes(scope):
-            row = failing.get(key)
-            if row is not None:
-                first = _counterexample(scope, truth, bidder, new_bid, row)
-                break
+    first = _first_failure([scope]) if fail_count else None
     return VerificationReport(pass_count, fail_count, CaseCoverage(counts), first)
 
 

@@ -332,6 +332,14 @@ class TestSimulate:
         code = dispatch(["simulate", path])
         assert code == EXIT_INVALID
 
+    def test_conflicting_explicit_choices_are_invalid(self, tmp_path, capsys):
+        path = write_doc(tmp_path, "bad.json", {
+            "n_bidders": 2, "n_rounds": 5, "value_low": 0, "value_high": 4,
+            "policy": {"kind": "explicit", "choice": {"0,1": 0, "1,0": 1}},
+        })
+        assert dispatch(["simulate", path]) == EXIT_INVALID == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestReportFormat:
     def test_json_round_trip_is_byte_identical(self, capsys):

@@ -168,6 +168,23 @@ class TestSelectWinner:
         with pytest.raises(ValueError):
             ExplicitChoice({(1, 2): 0})
 
+    @pytest.mark.parametrize("choice", [
+        {"0,1": 0, "1,0": 1},  # one argmax set, two different winners
+        {"0,0,1": 0},  # a repeated index names no argmax set
+        {"-1": -1},
+        {"1,-1": 1},
+    ])
+    def test_explicit_rejects_a_key_that_cannot_name_one_argmax_set(self, choice):
+        with pytest.raises(ValueError):
+            policy_from_dict({"kind": "explicit", "choice": choice})
+        with pytest.raises(ValueError):
+            ExplicitChoice({tuple(int(i) for i in key.split(",")): pick
+                            for key, pick in choice.items()})
+
+    def test_explicit_accepts_one_argmax_set_named_twice_with_one_winner(self):
+        policy = policy_from_dict({"kind": "explicit", "choice": {"0,1": 1, "1,0": 1}})
+        assert policy.choice == {(0, 1): 1}
+
     def test_covering_table_handles_every_argmax_set(self):
         policy = ExplicitChoice.covering(3)
         for bids in [(1, 1, 1), (2, 2, 0), (0, 5, 5), (9, 1, 1), (0, 0, 7)]:

@@ -402,25 +402,43 @@ class TestOutcomeTable:
         assert len(calls) == (3 ** 2 + 3 ** 3) * 4
         assert len(set(calls)) == len(calls)
 
-    def test_sweep_builds_each_class_of_rows_once(self, calls, monkeypatch):
-        built = []
+    @pytest.fixture
+    def built(self, monkeypatch):
+        records = []
         real_row = verify.DeviationCheckResult
 
         def row(*args, **fields):
-            built.append((args, fields))
+            records.append((args, fields))
             return real_row(*args, **fields)
 
         monkeypatch.setattr(verify, "DeviationCheckResult", row)
+        return records
+
+    def test_passing_sweep_builds_no_row_record(self, calls, built):
         report = dominance_sweep(4, 3)
         assert len(calls) == 4 ** 4 * 4
-        assert report.evaluated == grid_rows(4, 3, 4, 4, 4)
-        assert 10 * len(built) < report.evaluated
+        assert report.passed and report.evaluated == grid_rows(4, 3, 4, 4, 4)
+        assert built == []
+
+    def test_failing_sweep_builds_rows_up_to_its_counterexample_only(self, built):
+        report = dominance_sweep(3, 2, rule=FIRST)
+        ce = report.counterexample
+        # cells in key order: opposing bids, value, deviation bid, bidder
+        cells = [
+            (others, value, dev, b)
+            for others in product(range(3), repeat=2)
+            for value in range(3) for dev in range(3) for b in range(3)
+        ]
+        others = ce.bids[:ce.bidder] + ce.bids[ce.bidder + 1:]
+        index = cells.index((others, ce.bids[ce.bidder], ce.deviation_bid, ce.bidder))
+        assert 0 < index < len(cells) - 1
+        assert len(built) == (index + 1) * 5 < report.evaluated
 
     def test_sweep_counts_blocks_not_cells(self, monkeypatch):
-        def per_cell(scope):
+        def per_cell(scopes):
             raise AssertionError("a passing sweep streams no cells")
 
-        monkeypatch.setattr(verify, "_classes", per_cell)
+        monkeypatch.setattr(verify, "_row_stream", per_cell)
         report = dominance_sweep(4, 3)
         assert report.passed and report.evaluated == grid_rows(4, 3, 4, 4, 4)
 
@@ -542,8 +560,9 @@ class TestPreflightBudget:
 
     @pytest.fixture
     def counters(self, monkeypatch):
-        counts = {"outcome": 0, "rows": 0}
+        counts = {"outcome": 0, "rows": 0, "templates": 0}
         real_outcome, real_row = verify.outcome, verify.DeviationCheckResult
+        real_template = verify._template
 
         def outcome(*args):
             counts["outcome"] += 1
@@ -553,8 +572,13 @@ class TestPreflightBudget:
             counts["rows"] += 1
             return real_row(*args, **fields)
 
+        def template(*args):
+            counts["templates"] += 1
+            return real_template(*args)
+
         monkeypatch.setattr(verify, "outcome", outcome)
         monkeypatch.setattr(verify, "DeviationCheckResult", row)
+        monkeypatch.setattr(verify, "_template", template)
         return counts
 
     @pytest.mark.parametrize(
@@ -566,14 +590,16 @@ class TestPreflightBudget:
             # the search folds row by row: one record per row
             assert counters["rows"] == rows
         else:
-            # the report counts every row, but the fold builds each class's
-            # rows once, so it builds fewer records unless every cell is
-            # a class of its own
+            # the report counts every row, but the fold computes each class's
+            # template once, so fewer templates than cells (5 rows each)
+            # unless every cell is a class of its own; it builds row records
+            # only when the ordered scan looks for the first failure
             assert report.evaluated == rows
             if name in ONE_CLASS_PER_CELL:
-                assert counters["rows"] == rows
+                assert counters["templates"] == rows // 5
             else:
-                assert counters["rows"] < rows
+                assert counters["templates"] < rows // 5
+            assert (counters["rows"] == 0) == report.passed
 
     @pytest.mark.parametrize(
         "run, rows", [case[1:] for case in BUDGETED_RUNS],
@@ -582,7 +608,16 @@ class TestPreflightBudget:
     def test_one_row_short_is_refused_before_any_work(self, counters, run, rows):
         with pytest.raises(BudgetExceededError):
             run(rows - 1)
-        assert counters == {"outcome": 0, "rows": 0}
+        assert counters == {"outcome": 0, "rows": 0, "templates": 0}
+
+    @pytest.mark.parametrize("stop", [10**8, 10**30])
+    def test_stepped_range_is_refused_without_building_it(self, counters, stop):
+        with pytest.raises(BudgetExceededError):
+            check_instance(AuctionInstance((3, 6), (3, 5)), standard_policies(2),
+                           deviations=range(0, stop, 2), budget=10)
+        with pytest.raises(BudgetExceededError):
+            dominance_sweep(2, 2, deviations=range(stop, -1, -2), budget=10)
+        assert counters == {"outcome": 0, "rows": 0, "templates": 0}
 
     def test_falsify_budget_caps_the_whole_search(self):
         # the first failure sits early in the stream, but the space is larger
@@ -619,7 +654,7 @@ class TestPreflightBudget:
         with pytest.raises(InvalidInstanceError) as info:
             run()
         assert info.value.violations == ["negative tick (deviation = -1)"]
-        assert counters == {"outcome": 0, "rows": 0}
+        assert counters == {"outcome": 0, "rows": 0, "templates": 0}
 
 
 class TestMinimalOrder:
@@ -627,6 +662,20 @@ class TestMinimalOrder:
         forward = dominance_sweep(2, 4, rule=FIRST, deviations=[0, 2, 4])
         backward = dominance_sweep(2, 4, rule=FIRST, deviations=[4, 2, 0])
         assert forward == backward
+
+    @pytest.mark.parametrize("deviations, listed", [
+        (range(8, -1, -1), list(range(9))),
+        (range(8, -1, -3), [2, 5, 8]),
+        (range(7, 0, -2), [1, 3, 5, 7]),
+        (range(1, 9, 3), [1, 4, 7]),
+        (range(5, 8, -1), []),
+    ])
+    def test_a_range_reports_as_its_sorted_list(self, deviations, listed):
+        for rule in (FIRST, SECOND):
+            assert check_instance(INSTANCE, standard_policies(4), rule, deviations) == (
+                check_instance(INSTANCE, standard_policies(4), rule, listed))
+            assert dominance_sweep(2, 4, rule=rule, deviations=deviations) == (
+                dominance_sweep(2, 4, rule=rule, deviations=listed))
 
     def test_check_counterexample_is_minimal_by_deviation_then_bidder(self):
         report = check_instance(INSTANCE, standard_policies(4), FIRST)
