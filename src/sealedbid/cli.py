@@ -24,14 +24,12 @@ from .core import (
     AuctionInstance,
     BudgetExceededError,
     ExplicitChoice,
-    FirstIndex,
     InvalidInstanceError,
-    LastIndex,
     PaymentRule,
-    Seeded,
     TieBreakPolicy,
     bidder_utility,
     outcome,
+    policy_from_dict,
     validate,
 )
 from .reporting import canonical_json, render_table
@@ -52,8 +50,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
-
-POLICY_KINDS = ("first-index", "last-index", "seeded", "explicit")
 
 
 def _load(module: str) -> None:
@@ -95,24 +91,10 @@ def load_instance(path: str) -> AuctionInstance:
 
 
 def _parse_policies(text: str, seed: int, n_bidders: int) -> list[TieBreakPolicy]:
-    policies: list[TieBreakPolicy] = []
-    for name in text.split(","):
-        name = name.strip()
-        if name == "first-index":
-            policies.append(FirstIndex())
-        elif name == "last-index":
-            policies.append(LastIndex())
-        elif name == "seeded":
-            policies.append(Seeded(seed))
-        elif name == "explicit":
-            policies.append(ExplicitChoice.covering(n_bidders))
-        else:
-            raise ValueError(
-                f"unknown policy {name!r}; expected any of {', '.join(POLICY_KINDS)}"
-            )
-    if not policies:
-        raise ValueError("at least one tie-break policy is required")
-    return policies
+    # A name is a policy's kind; "explicit" is the table covering every argmax set.
+    names = [name.strip() for name in text.split(",")]
+    return [ExplicitChoice.covering(n_bidders) if name == "explicit"
+            else policy_from_dict({"kind": name, "seed": seed}) for name in names]
 
 
 def _verdict_exit(report) -> int:
@@ -135,7 +117,7 @@ def cmd_check(args) -> tuple[int, dict]:
     _load("verify")
     instance = load_instance(args.instance)
     policies = _parse_policies(args.policies, args.seed, instance.n_bidders)
-    rule = PaymentRule.from_name(args.rule)
+    rule = PaymentRule(args.rule)
     if args.deviations == "critical":
         deviations = "critical"
     else:
@@ -159,7 +141,7 @@ def cmd_classify(args) -> tuple[int, dict]:
     if len(policies) != 1:
         raise ValueError("exactly one policy expected here")
     [policy] = policies
-    rule = PaymentRule.from_name(args.rule)
+    rule = PaymentRule(args.rule)
     bids = instance.bids
     if args.deviation < 0:
         raise InvalidInstanceError([f"negative tick (deviation = {args.deviation})"])
@@ -184,7 +166,7 @@ def cmd_classify(args) -> tuple[int, dict]:
 def cmd_dominance(args) -> tuple[int, dict]:
     _load("verify")
     policies = _parse_policies(args.policies, args.seed, args.n)
-    rule = PaymentRule.from_name(args.rule)
+    rule = PaymentRule(args.rule)
     report = dominance_sweep(
         args.n, args.ticks, policies, rule,
         adversarial=args.adversarial, budget=args.budget,
@@ -195,7 +177,7 @@ def cmd_dominance(args) -> tuple[int, dict]:
 def cmd_falsify(args) -> tuple[int, dict]:
     _load("verify")
     policies = _parse_policies(args.policies, args.seed, args.n_max)
-    rule = PaymentRule.from_name(args.rule)
+    rule = PaymentRule(args.rule)
     found = find_counterexample(
         rule, args.n_max, args.ticks, policies,
         adversarial=args.adversarial, budget=args.budget,
@@ -210,10 +192,7 @@ def cmd_simulate(args) -> tuple[int, dict]:
     doc = _read_json(args.config)
     if args.seed is not None:
         doc = dict(doc, seed=args.seed)
-    try:
-        config = ExperimentConfig.from_dict(doc)
-    except ValueError as exc:
-        raise InvalidInstanceError([str(exc)]) from None
+    config = ExperimentConfig.from_dict(doc)
     if args.csv is None:
         return EXIT_PASS, run_experiment(config, budget=args.budget).to_dict()
     config.check_budget(args.budget)  # before the CSV file is created or truncated

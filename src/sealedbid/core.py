@@ -102,6 +102,47 @@ class Record:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({shown})"
 
+    def to_dict(self) -> dict:
+        """The record's document: its class's ``kind``, if any, then every field by
+        name: a tuple as a list, an enum as its value, a policy or strategy as its document."""
+        doc = {"kind": self.kind} if hasattr(self, "kind") else {}
+        for name in self._fields:
+            value = getattr(self, name)
+            if isinstance(value, tuple):
+                value = list(value)
+            elif isinstance(value, Enum):
+                value = value.value
+            elif hasattr(value, "to_dict"):
+                value = value.to_dict()
+            doc[name] = value
+        return doc
+
+
+def read_fields(cls: type, doc: Mapping, label: str, defaults: Mapping = {}, **given) -> Record:
+    """A ``cls`` record from its document: the fields in ``given`` as given,
+    every other field read by name, or from ``defaults``, as an ``int``."""
+    for name in cls._fields:
+        if name not in given:
+            value = given[name] = doc.get(name, defaults.get(name))
+            if type(value) is not int:  # a bool is an int subclass: refused too
+                raise ValueError(f"{label} field {name!r} must be an integer (got {value!r})")
+    return cls(**given)
+
+
+def record_from_dict(doc: Mapping, what: str, classes: Sequence[type], defaults: Mapping = {}):
+    """The record of ``doc``'s kind among ``classes``, read by the class's own
+    ``from_dict`` if it has one, else by ``read_fields``."""
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"{what} document must be an object")
+    kind = doc.get("kind")
+    for cls in classes:  # not a dict lookup: a kind may be any JSON value, hashable or not
+        if cls.kind == kind:
+            if hasattr(cls, "from_dict"):
+                return cls.from_dict(doc)
+            return read_fields(cls, doc, kind, defaults)
+    expected = ", ".join(cls.kind for cls in classes)
+    raise ValueError(f"unknown {what} {kind!r}; expected any of {expected}")
+
 
 class AuctionInstance(Record):
     """A valuation profile paired with a bid profile of the same length."""
@@ -115,9 +156,6 @@ class AuctionInstance(Record):
     @property
     def n_bidders(self) -> int:
         return len(self.bids)
-
-    def to_dict(self) -> dict:
-        return {"valuations": list(self.valuations), "bids": list(self.bids)}
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "AuctionInstance":
@@ -208,9 +246,9 @@ class TieBreakPolicy(ABC):
     def select(self, bids: BidProfile) -> BidderId:
         """Pick the winner among the highest bidders."""
 
-    @abstractmethod
     def describe(self) -> str:
-        """Stable label used in reports and serialized documents."""
+        """Stable label used in reports: the policy's ``kind`` unless it says more."""
+        return self.kind
 
     def to_dict(self) -> dict:
         return {"kind": self.describe()}
@@ -219,21 +257,19 @@ class TieBreakPolicy(ABC):
 class FirstIndex(Record, TieBreakPolicy):
     """Among tied highest bids, choose the lowest bidder index."""
 
+    kind = "first-index"
+
     def select(self, bids: BidProfile) -> BidderId:
         return bids.index(max(bids))
-
-    def describe(self) -> str:
-        return "first-index"
 
 
 class LastIndex(Record, TieBreakPolicy):
     """Among tied highest bids, choose the highest bidder index."""
 
+    kind = "last-index"
+
     def select(self, bids: BidProfile) -> BidderId:
         return len(bids) - 1 - bids[::-1].index(max(bids))
-
-    def describe(self) -> str:
-        return "last-index"
 
 
 class Seeded(Record, TieBreakPolicy):
@@ -244,6 +280,7 @@ class Seeded(Record, TieBreakPolicy):
     agree on the winner.
     """
 
+    kind = "seeded"
     seed: int
 
     def __post_init__(self):
@@ -260,9 +297,6 @@ class Seeded(Record, TieBreakPolicy):
     def describe(self) -> str:
         return f"seeded({self.seed})"
 
-    def to_dict(self) -> dict:
-        return {"kind": "seeded", "seed": self.seed}
-
 
 class ExplicitChoice(Record, TieBreakPolicy):
     """Winner chosen by an explicit map from each argmax set to a bidder.
@@ -273,6 +307,7 @@ class ExplicitChoice(Record, TieBreakPolicy):
     Selecting on an argmax set the map does not cover is an error.
     """
 
+    kind = "explicit"
     choice: Mapping[tuple[BidderId, ...], BidderId]
 
     def __post_init__(self):
@@ -312,32 +347,18 @@ class ExplicitChoice(Record, TieBreakPolicy):
                 f"explicit tie-break has no choice for argmax set {list(ties)}"
             ) from None
 
-    def describe(self) -> str:
-        return "explicit"
-
     def to_dict(self) -> dict:
+        """A JSON object cannot have tuple keys: each argmax set is comma-joined."""
         return {
-            "kind": "explicit",
+            "kind": self.kind,
             "choice": {
                 ",".join(str(i) for i in ties): pick
                 for ties, pick in sorted(self.choice.items())
             },
         }
 
-
-def policy_from_dict(doc: Mapping) -> TieBreakPolicy:
-    """Parse a tie-break policy from its serialized form."""
-    kind = doc.get("kind")
-    if kind == "first-index":
-        return FirstIndex()
-    if kind == "last-index":
-        return LastIndex()
-    if kind == "seeded":
-        seed = doc.get("seed", 0)
-        if type(seed) is not int:
-            raise ValueError(f"seeded policy needs an integer seed (got {seed!r})")
-        return Seeded(seed)
-    if kind == "explicit":
+    @classmethod
+    def from_dict(cls, doc: Mapping) -> "ExplicitChoice":
         raw = doc.get("choice")
         if not isinstance(raw, Mapping):
             raise ValueError("explicit policy needs a 'choice' mapping")
@@ -350,8 +371,13 @@ def policy_from_dict(doc: Mapping) -> TieBreakPolicy:
             if type(pick) is not int:
                 raise ValueError(f"explicit choice for {key!r} must be an integer")
             table[ties] = pick
-        return ExplicitChoice(table)
-    raise ValueError(f"unknown tie-break policy kind {kind!r}")
+        return cls(table)
+
+
+def policy_from_dict(doc: Mapping) -> TieBreakPolicy:
+    """Parse a tie-break policy from its document; a seeded one's seed defaults to 0."""
+    return record_from_dict(doc, "policy", (FirstIndex, LastIndex, Seeded, ExplicitChoice),
+                            {"seed": 0})
 
 
 def select_winner(bids: Sequence[Money], policy: TieBreakPolicy) -> BidderId:
@@ -367,13 +393,6 @@ class PaymentRule(Enum):
 
     def __str__(self) -> str:
         return self.value
-
-    @classmethod
-    def from_name(cls, name: str) -> "PaymentRule":
-        for rule in cls:
-            if rule.value == name:
-                return rule
-        raise ValueError(f"unknown payment rule {name!r}")
 
 
 class Outcome(NamedTuple):

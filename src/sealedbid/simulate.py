@@ -27,6 +27,8 @@ from .core import (
     check_budget,
     outcome,
     policy_from_dict,
+    read_fields,
+    record_from_dict,
 )
 from .seeding import GOLDEN, MASK64, MIX_A, MIX_B, mix64
 
@@ -38,9 +40,9 @@ class Strategy(ABC):
     def bid(self, value: Money) -> Money:
         """Bid placed by a bidder whose value is ``value``."""
 
-    @abstractmethod
     def describe(self) -> str:
-        """Stable label for reports."""
+        """Stable label for reports: the strategy's ``kind`` unless it says more."""
+        return self.kind
 
     def to_dict(self) -> dict:
         return {"kind": self.describe()}
@@ -49,16 +51,16 @@ class Strategy(ABC):
 class Truthful(Record, Strategy):
     """Bid exactly the value."""
 
+    kind = "truthful"
+
     def bid(self, value: Money) -> Money:
         return value
-
-    def describe(self) -> str:
-        return "truthful"
 
 
 class Shade(Record, Strategy):
     """Bid below value: floor(value * numerator / denominator)."""
 
+    kind = "shade"
     numerator: int
     denominator: int
 
@@ -77,17 +79,11 @@ class Shade(Record, Strategy):
     def describe(self) -> str:
         return f"shade({self.numerator}/{self.denominator})"
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "shade",
-            "numerator": self.numerator,
-            "denominator": self.denominator,
-        }
-
 
 class Overbid(Record, Strategy):
     """Bid a fixed amount above value."""
 
+    kind = "overbid"
     delta: Money
 
     def __post_init__(self):
@@ -100,26 +96,10 @@ class Overbid(Record, Strategy):
     def describe(self) -> str:
         return f"overbid({self.delta})"
 
-    def to_dict(self) -> dict:
-        return {"kind": "overbid", "delta": self.delta}
-
 
 def strategy_from_dict(doc: Mapping) -> Strategy:
-    """Parse a strategy from its serialized form."""
-    kind = doc.get("kind")
-    if kind == "truthful":
-        return Truthful()
-    if kind == "shade":
-        num, den = doc.get("numerator"), doc.get("denominator")
-        if type(num) is not int or type(den) is not int:
-            raise ValueError("shade strategy needs integer numerator and denominator")
-        return Shade(num, den)
-    if kind == "overbid":
-        delta = doc.get("delta")
-        if type(delta) is not int:
-            raise ValueError("overbid strategy needs an integer delta")
-        return Overbid(delta)
-    raise ValueError(f"unknown strategy kind {kind!r}")
+    """Parse a strategy from its document."""
+    return record_from_dict(doc, "strategy", (Truthful, Shade, Overbid))
 
 
 def apply_strategy(valuations: Sequence[Money], strategy: Strategy) -> BidProfile:
@@ -157,42 +137,12 @@ class ExperimentConfig(Record):
         if not 0 <= self.seed < (1 << 64):
             raise ValueError(f"seed {self.seed} outside unsigned 64-bit range")
 
-    def to_dict(self) -> dict:
-        return {
-            "n_bidders": self.n_bidders,
-            "n_rounds": self.n_rounds,
-            "value_low": self.value_low,
-            "value_high": self.value_high,
-            "rule": self.rule.value,
-            "strategy": self.strategy.to_dict(),
-            "policy": self.policy.to_dict(),
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ExperimentConfig":
-        def integer(key: str, default=None):
-            value = doc.get(key, default)
-            if type(value) is not int:
-                raise ValueError(f"config field {key!r} must be an integer (got {value!r})")
-            return value
-
-        rule_name = doc.get("rule", "second-price")
-        strategy_doc = doc.get("strategy", {"kind": "truthful"})
-        policy_doc = doc.get("policy", {"kind": "first-index"})
-        if not isinstance(strategy_doc, Mapping):
-            raise ValueError("config field 'strategy' must be an object")
-        if not isinstance(policy_doc, Mapping):
-            raise ValueError("config field 'policy' must be an object")
-        return cls(
-            n_bidders=integer("n_bidders"),
-            n_rounds=integer("n_rounds"),
-            value_low=integer("value_low"),
-            value_high=integer("value_high"),
-            rule=PaymentRule.from_name(rule_name),
-            strategy=strategy_from_dict(strategy_doc),
-            policy=policy_from_dict(policy_doc),
-            seed=integer("seed", 0),
+        return read_fields(
+            cls, doc, "config", {"seed": 0}, rule=PaymentRule(doc.get("rule", "second-price")),
+            strategy=strategy_from_dict(doc.get("strategy", {"kind": "truthful"})),
+            policy=policy_from_dict(doc.get("policy", {"kind": "first-index"})),
         )
 
     def check_budget(self, budget: int):

@@ -105,11 +105,6 @@ class Counterexample(Record):
     truthful_utility: SignedMoney
     deviation_utility: SignedMoney
 
-    def to_dict(self) -> dict:
-        """Every field by name, the two profiles as lists."""
-        return {name: list(value) if isinstance(value, tuple) else value
-                for name, value in zip(self._fields, self._values())}
-
 
 class CaseCoverage(Record):
     """Witness counts per case; vacuous when any case never occurred."""
@@ -225,12 +220,14 @@ def pairing_count(policies: Sequence[TieBreakPolicy], adversarial: bool) -> int:
     return len(policies) + (1 if adversarial and len(policies) > 1 else 0)
 
 
-def _deviation_set(deviations: DeviationSpec, tick_bound: "Money | None" = None):
+def _deviation_set(deviations: DeviationSpec, tick_bound: "Money | None" = None,
+                   budget: "int | None" = None):
     """Resolve a deviation spec once: "critical" stays symbolic, "grid" and
     every range stay lazy and ascending (a huge grid costs nothing before
     the budget refuses it), and other iterables are sorted into key order.
-    A negative deviation bid is invalid input, as a negative tick is
-    everywhere else."""
+    At most ``budget + 1`` explicit bids are read: each is at least one row,
+    so that many is over the budget.  A negative deviation bid is invalid
+    input, as a negative tick is everywhere else."""
     if deviations == "grid" and tick_bound is not None:
         return range(tick_bound + 1)
     if isinstance(deviations, str):
@@ -240,6 +237,8 @@ def _deviation_set(deviations: DeviationSpec, tick_bound: "Money | None" = None)
     if isinstance(deviations, range):
         deviations = deviations if deviations.step > 0 else deviations[::-1]
     else:
+        if budget is not None:
+            deviations = [bid for _, bid in zip(range(budget + 1), deviations)]
         deviations = tuple(sorted(deviations))
     if _size(deviations) and deviations[0] < 0:
         raise InvalidInstanceError([f"negative tick (deviation = {deviations[0]})"])
@@ -467,7 +466,7 @@ def _grid_scopes(n_min, n_max, tick_bound, policies, rule, deviations, adversari
         raise ValueError(f"N >= 2 required (got {n_max})")
     if tick_bound < 0:
         raise ValueError(f"tick bound must be nonnegative (got {tick_bound})")
-    deviations = _deviation_set(deviations, tick_bound)
+    deviations = _deviation_set(deviations, tick_bound, budget)
     values = range(tick_bound + 1) if valuation is None else (valuation,)
     scopes = []
     rows = 0
@@ -576,7 +575,7 @@ def check_instance(
     violations = validate(instance)
     if violations:
         raise InvalidInstanceError(violations)
-    deviations = _deviation_set(deviations)
+    deviations = _deviation_set(deviations, budget=budget)
     bids = instance.bids
     n = len(bids)
     if deviations == "critical":

@@ -166,7 +166,10 @@ class TestExitCodes:
     def test_unknown_policy_name(self, instance_path, capsys):
         code = dispatch(["check", instance_path, "--policies", "coin-flip"])
         assert code == EXIT_INVALID
-        assert "unknown policy" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: unknown policy 'coin-flip'; "
+            "expected any of first-index, last-index, seeded, explicit\n"
+        )
 
 
 class TestBudgetRefusedBeforeWork:
@@ -326,19 +329,37 @@ class TestSimulate:
         report = json.loads(capsys.readouterr().out)
         assert report["seed"] == 99
 
-    def test_invalid_config(self, tmp_path, capsys):
-        path = write_doc(tmp_path, "bad.json", {"n_bidders": 1, "n_rounds": 5,
-                                                "value_low": 0, "value_high": 4})
-        code = dispatch(["simulate", path])
-        assert code == EXIT_INVALID
+    MALFORMED_CONFIGS = {
+        "one-bidder": {"n_bidders": 1},
+        "conflicting-explicit-choices": {
+            "policy": {"kind": "explicit", "choice": {"0,1": 0, "1,0": 1}}},
+        "policy-kind-list": {"policy": {"kind": [1]}},
+        "policy-kind-object": {"policy": {"kind": {}}},
+        "policy-kind-null": {"policy": {"kind": None}},
+        "policy-kind-missing": {"policy": {}},
+        "strategy-kind-list": {"strategy": {"kind": [1]}},
+        "strategy-kind-object": {"strategy": {"kind": {}}},
+        "strategy-kind-null": {"strategy": {"kind": None}},
+        "strategy-kind-missing": {"strategy": {}},
+        "policy-seed-bool": {"policy": {"kind": "seeded", "seed": True}},
+        "config-seed-bool": {"seed": True},
+        "overbid-delta-string": {"strategy": {"kind": "overbid", "delta": "2"}},
+        "shade-without-numerator": {"strategy": {"kind": "shade", "denominator": 4}},
+        "strategy-number": {"strategy": 5},
+        "policy-list": {"policy": [1]},
+        "rule-list": {"rule": [1]},
+        "rule-unknown": {"rule": "third-price"},
+    }
 
-    def test_conflicting_explicit_choices_are_invalid(self, tmp_path, capsys):
+    @pytest.mark.parametrize("fields", MALFORMED_CONFIGS.values(), ids=list(MALFORMED_CONFIGS))
+    def test_invalid_config(self, tmp_path, capsys, fields):
         path = write_doc(tmp_path, "bad.json", {
-            "n_bidders": 2, "n_rounds": 5, "value_low": 0, "value_high": 4,
-            "policy": {"kind": "explicit", "choice": {"0,1": 0, "1,0": 1}},
+            "n_bidders": 2, "n_rounds": 5, "value_low": 0, "value_high": 4, **fields,
         })
-        assert dispatch(["simulate", path]) == EXIT_INVALID == 2
-        assert capsys.readouterr().out == ""
+        assert dispatch(["simulate", path, "--format=json"]) == EXIT_INVALID == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 class TestReportFormat:

@@ -370,12 +370,45 @@ class TestSerialization:
         with pytest.raises(InvalidInstanceError):
             AuctionInstance.from_dict({"valuations": [True, False], "bids": [1, 0]})
 
-    def test_policy_from_dict_roundtrip(self):
-        for policy in standard_policies(3, seed=9):
-            clone = policy_from_dict(policy.to_dict())
-            assert clone == policy
-            for bids in [(1, 1, 1), (0, 2, 2), (5, 0, 0)]:
-                assert select_winner(bids, clone) == select_winner(bids, policy)
+    @pytest.mark.parametrize("policy, doc", [
+        (FirstIndex(), {"kind": "first-index"}),
+        (LastIndex(), {"kind": "last-index"}),
+        (Seeded(7), {"kind": "seeded", "seed": 7}),
+        (ExplicitChoice.covering(3), {"kind": "explicit", "choice": {
+            "0": 0, "0,1": 1, "0,1,2": 1, "0,2": 2, "1": 1, "1,2": 2, "2": 2,
+        }}),
+    ], ids=["first-index", "last-index", "seeded", "explicit"])
+    def test_policy_from_dict_roundtrip(self, policy, doc):
+        assert policy.to_dict() == doc
+        clone = policy_from_dict(doc)
+        assert clone == policy
+        for bids in [(1, 1, 1), (0, 2, 2), (5, 0, 0)]:
+            assert select_winner(bids, clone) == select_winner(bids, policy)
+
+    def test_seeded_document_seed_defaults_to_zero(self):
+        assert policy_from_dict({"kind": "seeded"}) == Seeded(0)
+
+    # Odd kinds and fields through a config: tests/test_cli.py::TestSimulate.
+    @pytest.mark.parametrize("doc", [
+        {"kind": "Seeded"}, {"kind": "seeded", "seed": "2"}, {"kind": "explicit"},
+        {"kind": "explicit", "choice": {"0,x": 0}}, [1], 5,
+    ])
+    def test_malformed_policy_documents_raise_value_error(self, doc):
+        with pytest.raises(ValueError):
+            policy_from_dict(doc)
+
+    def test_counterexample_document_lists_its_profiles(self):
+        found = Counterexample((1, 2), (1, 0), 1, 3, "first-index", 0, 1)
+        assert found.to_dict() == {
+            "valuations": [1, 2], "bids": [1, 0], "bidder": 1, "deviation_bid": 3,
+            "policy": "first-index", "truthful_utility": 0, "deviation_utility": 1,
+        }
+
+    def test_a_policy_that_is_not_a_record_writes_its_label_as_its_kind(self):
+        assert RoguePolicy(0).describe() == "rogue"
+        assert RoguePolicy(0).to_dict() == {"kind": "rogue"}
+        config = ExperimentConfig(**dict(CONFIG_FIELDS, policy=RoguePolicy(0)))
+        assert config.to_dict()["policy"] == {"kind": "rogue"}
 
 
 CONFIG_FIELDS = dict(n_bidders=2, n_rounds=3, value_low=0, value_high=4,

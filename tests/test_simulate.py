@@ -59,14 +59,23 @@ class TestStrategies:
         with pytest.raises(ValueError):
             Overbid(-1)
 
-    def test_strategy_documents_round_trip(self):
-        for strategy in (Truthful(), Shade(2, 3), Overbid(4)):
-            clone = strategy_from_dict(strategy.to_dict())
-            assert clone == strategy and hash(clone) == hash(strategy)
+    @pytest.mark.parametrize("strategy, doc", [
+        (Truthful(), {"kind": "truthful"}),
+        (Shade(3, 4), {"kind": "shade", "numerator": 3, "denominator": 4}),
+        (Overbid(2), {"kind": "overbid", "delta": 2}),
+    ], ids=["truthful", "shade", "overbid"])
+    def test_strategy_documents_round_trip(self, strategy, doc):
+        assert strategy.to_dict() == doc
+        clone = strategy_from_dict(doc)
+        assert clone == strategy and hash(clone) == hash(strategy)
 
-    def test_unknown_strategy_kind(self):
+    @pytest.mark.parametrize("doc", [
+        {"kind": "bluff"}, {"kind": "overbid"}, {"kind": "overbid", "delta": True},
+        {"kind": "shade", "numerator": 1}, [1],
+    ])
+    def test_malformed_strategy_documents_raise_value_error(self, doc):
         with pytest.raises(ValueError):
-            strategy_from_dict({"kind": "bluff"})
+            strategy_from_dict(doc)
 
 
 class TestSampling:
@@ -132,7 +141,13 @@ class TestExperimentConfig:
 
     def test_document_round_trip(self):
         cfg = config(strategy=Shade(1, 2), policy=Seeded(5), rule=FIRST)
-        clone = ExperimentConfig.from_dict(cfg.to_dict())
+        doc = {
+            "n_bidders": 3, "n_rounds": 100, "value_low": 0, "value_high": 9,
+            "rule": "first-price", "strategy": {"kind": "shade", "numerator": 1, "denominator": 2},
+            "policy": {"kind": "seeded", "seed": 5}, "seed": 7,
+        }
+        assert cfg.to_dict() == doc
+        clone = ExperimentConfig.from_dict(doc)
         assert clone == cfg and hash(clone) == hash(cfg) and repr(clone) == repr(cfg)
 
     def test_from_dict_defaults(self):

@@ -632,6 +632,33 @@ class TestPreflightBudget:
         with pytest.raises(BudgetExceededError):
             find_counterexample(FIRST, 10**9, 1, [FirstIndex()], budget=10)
 
+    @pytest.fixture
+    def reads(self):
+        """A lazy deviation iterable of 3 * 10^6 bids that counts the bids read."""
+        count = [0]
+
+        def bids():
+            for bid in range(3 * 10**6):
+                count[0] += 1
+                yield bid
+
+        return count, bids
+
+    @pytest.mark.parametrize("run", [
+        lambda deviations, budget: check_instance(
+            AuctionInstance((3, 6), (3, 5)), standard_policies(2), deviations=deviations,
+            budget=budget),
+        lambda deviations, budget: dominance_sweep(2, 2, deviations=deviations, budget=budget),
+    ], ids=["check_instance", "dominance_sweep"])
+    def test_lazy_deviations_are_read_at_most_one_past_the_budget(self, counters, reads, run):
+        count, bids = reads
+        with pytest.raises(BudgetExceededError):
+            run(bids(), 10)
+        assert count[0] <= 11
+        assert counters == {"outcome": 0, "rows": 0, "templates": 0}
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            run(bids(), -1)
+
     @pytest.mark.parametrize("budget", [-1, -5])
     def test_negative_budget_is_invalid(self, budget):
         with pytest.raises(ValueError):
