@@ -30,7 +30,6 @@ from .core import (
     bidder_utility,
     outcome,
     policy_from_dict,
-    validate,
 )
 from .reporting import canonical_json, render_table
 
@@ -83,18 +82,16 @@ def _read_json(path: str) -> dict:
 
 def load_instance(path: str) -> AuctionInstance:
     """Read, parse, and validate an instance document."""
-    instance = AuctionInstance.from_dict(_read_json(path))
-    violations = validate(instance)
-    if violations:
-        raise InvalidInstanceError(violations)
-    return instance
+    return AuctionInstance.from_dict(_read_json(path))
 
 
 def _parse_policies(text: str, seed: int, n_bidders: int) -> list[TieBreakPolicy]:
-    # A name is a policy's kind; "explicit" is the table covering every argmax set.
+    # A name is a policy's kind; "explicit" is the table covering every argmax set,
+    # and only "seeded" takes the seed: another kind refuses the key.
     names = [name.strip() for name in text.split(",")]
     return [ExplicitChoice.covering(n_bidders) if name == "explicit"
-            else policy_from_dict({"kind": name, "seed": seed}) for name in names]
+            else policy_from_dict({"kind": name, "seed": seed}) if name == "seeded"
+            else policy_from_dict({"kind": name}) for name in names]
 
 
 def _verdict_exit(report) -> int:
@@ -118,9 +115,8 @@ def cmd_check(args) -> tuple[int, dict]:
     instance = load_instance(args.instance)
     policies = _parse_policies(args.policies, args.seed, instance.n_bidders)
     rule = PaymentRule(args.rule)
-    if args.deviations == "critical":
-        deviations = "critical"
-    else:
+    deviations = args.deviations
+    if deviations == "grid":
         grid_max = args.grid_max
         if grid_max is None:
             grid_max = max(instance.valuations + instance.bids) + 1

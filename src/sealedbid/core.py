@@ -17,7 +17,7 @@ import sys
 from abc import ABC, abstractmethod
 from enum import Enum
 from itertools import combinations
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .seeding import hash_text
 
@@ -120,7 +120,11 @@ class Record:
 
 def read_fields(cls: type, doc: Mapping, label: str, defaults: Mapping = {}, **given) -> Record:
     """A ``cls`` record from its document: the fields in ``given`` as given,
-    every other field read by name, or from ``defaults``, as an ``int``."""
+    every other field read by name, or from ``defaults``, as an ``int``.  An
+    unknown key is refused, lest a misspelt optional field take its default."""
+    for key in doc:
+        if key not in cls._fields and not (key == "kind" and hasattr(cls, "kind")):
+            raise ValueError(f"unknown {label} field {key!r}")
     for name in cls._fields:
         if name not in given:
             value = given[name] = doc.get(name, defaults.get(name))
@@ -159,18 +163,22 @@ class AuctionInstance(Record):
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "AuctionInstance":
-        issues = []
+        """Refused with every violation: ``validate``'s list once both fields are arrays."""
+        issues, fields = [], []
         for key in ("valuations", "bids"):
             entries = doc.get(key)
             if not isinstance(entries, (list, tuple)):
                 issues.append(f"missing or non-array field {key!r}")
                 continue
+            fields.append(entries)
             # bool is an int subclass; reject it along with floats etc.
             issues += [f"non-integer tick ({key}[{pos}] = {tick!r})"
                        for pos, tick in enumerate(entries) if type(tick) is not int]
+        if len(fields) == 2:
+            issues = validate(cls(*fields))
         if issues:
             raise InvalidInstanceError(issues)
-        return cls(doc["valuations"], doc["bids"])
+        return cls(*fields)
 
 
 def validate(instance: AuctionInstance) -> list[str]:
@@ -371,7 +379,7 @@ class ExplicitChoice(Record, TieBreakPolicy):
             if type(pick) is not int:
                 raise ValueError(f"explicit choice for {key!r} must be an integer")
             table[ties] = pick
-        return cls(table)
+        return read_fields(cls, doc, cls.kind, choice=table)
 
 
 def policy_from_dict(doc: Mapping) -> TieBreakPolicy:

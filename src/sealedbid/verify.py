@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from itertools import product
+from itertools import product, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -194,11 +194,11 @@ def critical_deviations(bids: Sequence[Money], bidder: BidderId) -> tuple[Money,
     deviation is value - M regardless of the bid.  So one representative
     per class decides the verdict: {0 (when M > 0), M, M + 1}.
     """
-    top = max_excluding(bids, bidder)
-    members = {top, top + 1}
-    if top > 0:
-        members.add(0)
-    return tuple(sorted(members))
+    return _critical(max_excluding(bids, bidder))
+
+
+def _critical(top: Money) -> tuple[Money, ...]:
+    return (0, top, top + 1) if top else (0, 1)
 
 
 def _adversarial(per_policy: Sequence[tuple]) -> tuple:
@@ -220,20 +220,18 @@ def pairing_count(policies: Sequence[TieBreakPolicy], adversarial: bool) -> int:
     return len(policies) + (1 if adversarial and len(policies) > 1 else 0)
 
 
-def _deviation_set(deviations: DeviationSpec, tick_bound: "Money | None" = None,
-                   budget: "int | None" = None):
-    """Resolve a deviation spec once: "critical" stays symbolic, "grid" and
-    every range stay lazy and ascending (a huge grid costs nothing before
-    the budget refuses it), and other iterables are sorted into key order.
-    At most ``budget + 1`` explicit bids are read: each is at least one row,
-    so that many is over the budget.  A negative deviation bid is invalid
-    input, as a negative tick is everywhere else."""
-    if deviations == "grid" and tick_bound is not None:
-        return range(tick_bound + 1)
+def _deviation_set(deviations: DeviationSpec, budget: "int | None" = None):
+    """Resolve a deviation spec once into its rule: a function from a cell's
+    top opposing bid M to that cell's ascending deviation bids, ``_critical``
+    for "critical" and the same bids for every M otherwise.  A range stays
+    lazy and ascending (a huge grid costs nothing before the budget refuses
+    it); other iterables are sorted, read at most ``budget + 1`` deep: each
+    bid is at least one row, so that many is over the budget.  A negative
+    deviation bid is invalid input, as a negative tick is everywhere else."""
+    if deviations == "critical":
+        return _critical
     if isinstance(deviations, str):
-        if deviations != "critical":
-            raise ValueError(f"unknown deviation mode {deviations!r}")
-        return deviations
+        raise ValueError(f"unknown deviation mode {deviations!r}")
     if isinstance(deviations, range):
         deviations = deviations if deviations.step > 0 else deviations[::-1]
     else:
@@ -242,7 +240,7 @@ def _deviation_set(deviations: DeviationSpec, tick_bound: "Money | None" = None,
         deviations = tuple(sorted(deviations))
     if _size(deviations) and deviations[0] < 0:
         raise InvalidInstanceError([f"negative tick (deviation = {deviations[0]})"])
-    return deviations
+    return lambda top: deviations
 
 
 def _size(grid) -> int:
@@ -334,16 +332,13 @@ def _grid_scope(n, tick_bound, values, bidders, deviations, policies, rule, adve
     of a code is bid j, so bidder b's profile at bid x is ``base + x *
     radix**b``, with base its code at bid 0, and no tuple is built per
     profile.  The radix exceeds every bid a profile can hold: the tick
-    bound, the valuation, M + 1 and every explicit deviation, none of them
-    negative.  Every bidder faces the same opposing bids, so the same
-    critical set, and over the full grid its deviated keys are its
-    truthful keys."""
-    ends = [tick_bound + 1, values[-1]]
-    if deviations != "critical" and _size(deviations):
-        ends.append(deviations[-1])
-    radix = max(ends) + 1
+    bound, the valuation and every deviation bid, none of them negative; a
+    rule's bids peak at the largest M, the tick bound.  Every bidder faces
+    the same opposing bids, so the same deviation bids, and over the full
+    grid its deviated keys are its truthful keys."""
+    radix = max(tick_bound + 1, values[-1], *deviations(tick_bound)[-1:]) + 1
     weights = [radix ** j for j in range(n)]
-    shared = deviations == values
+    shared = deviations(0) == values
 
     def decode(code: int) -> BidProfile:
         bids = []
@@ -354,9 +349,7 @@ def _grid_scope(n, tick_bound, values, bidders, deviations, policies, rule, adve
 
     def blocks():
         for others in product(range(tick_bound + 1), repeat=n - 1):
-            new_bids = (
-                critical_deviations((0,) + others, 0) if deviations == "critical" else deviations
-            )
+            new_bids = deviations(max(others))
             group = []
             for b in bidders:
                 base = sum(bid * w for bid, w in zip(_inserted(others, 0, b), weights))
@@ -369,24 +362,29 @@ def _grid_scope(n, tick_bound, values, bidders, deviations, policies, rule, adve
     return _scope(policies, rule, adversarial, blocks, decode)
 
 
-def _instance_scope(instance, bidders, policies, rule, deviations, adversarial):
-    """The blocks of one instance, one per cell in (deviation bid, bidder)
-    order: bidder b's truthful profile is the instance's bids with b's bid
-    set to its valuation, keyed by itself."""
+def _instance_scope(instance, bidders, policies, rule, deviations, adversarial, budget=None):
+    """Validate the instance, resolve the deviations and refuse a run over
+    ``budget`` rows, all before any work; then one block per cell, in
+    (deviation bid, bidder) order.  Bidder b's truthful profile is the
+    instance's bids with b's bid set to its valuation, keyed by itself; its
+    deviation bids are the rule's at its top opposing bid."""
+    violations = validate(instance)
+    if violations:
+        raise InvalidInstanceError(violations)
+    deviations = _deviation_set(deviations, budget)
     valuations, bids = instance.valuations, instance.bids
-
-    def truthful(b: BidderId) -> BidProfile:
-        return deviation_profile(bids, b, valuations[b])
+    per_bidder = [deviations(max_excluding(bids, b)) for b in bidders]
+    if budget is not None:
+        rows = sum(_size(new_bids) for new_bids in per_bidder)
+        check_budget(rows * pairing_count(policies, adversarial), budget, "evaluated tuples")
 
     def blocks():
-        if deviations == "critical":
-            pairs = sorted(
-                (new_bid, b) for b in bidders for new_bid in critical_deviations(truthful(b), b)
-            )
-        else:
-            pairs = ((new_bid, b) for new_bid in deviations for b in bidders)
-        for new_bid, b in pairs:
-            profile = truthful(b)
+        # Each bidder's bids ascend, so the merge is in (deviation bid, bidder) order, lazily.
+        from heapq import merge  # here: the grid commands never need it
+
+        streams = [zip(new_bids, repeat(b)) for b, new_bids in zip(bidders, per_bidder)]
+        for new_bid, b in merge(*streams):
+            profile = deviation_profile(bids, b, valuations[b])
             yield (valuations[b],), (new_bid,), [
                 (b, (profile,), (deviation_profile(profile, b, new_bid),))
             ]
@@ -466,8 +464,9 @@ def _grid_scopes(n_min, n_max, tick_bound, policies, rule, deviations, adversari
         raise ValueError(f"N >= 2 required (got {n_max})")
     if tick_bound < 0:
         raise ValueError(f"tick bound must be nonnegative (got {tick_bound})")
-    deviations = _deviation_set(deviations, tick_bound, budget)
-    values = range(tick_bound + 1) if valuation is None else (valuation,)
+    grid = range(tick_bound + 1)
+    deviations = _deviation_set(grid if deviations == "grid" else deviations, budget)
+    values = grid if valuation is None else (valuation,)
     scopes = []
     rows = 0
     for n in range(n_min, n_max + 1):
@@ -476,11 +475,8 @@ def _grid_scopes(n_min, n_max, tick_bound, policies, rule, deviations, adversari
         # Past the budget's bit length a power of 2 or more exceeds the budget
         # anyway; capping there keeps the refusal exact and the int small.
         opposing = (tick_bound + 1) ** min(n - 1, budget.bit_length() + 1)
-        if deviations == "critical":
-            # {0, M, M + 1} per vector, less the 0 when every opposing bid is 0
-            per_value = 3 * opposing - 1
-        else:
-            per_value = opposing * _size(deviations)
+        # Only the all-zero opposing vector has M = 0; a rule's size is equal for all M > 0.
+        per_value = _size(deviations(0)) + (opposing - 1) * _size(deviations(1))
         bidders = n if bidder is None else 1
         rows += _size(values) * bidders * per_value * pairing_count(policy_set, adversarial)
         if rows > budget:
@@ -550,12 +546,7 @@ def check_truthfulness(
             f"expected {len(valuations) - 1} opposing bids, got {len(others)}"
         )
     instance = AuctionInstance(valuations, _inserted(others, valuations[bidder], bidder))
-    violations = validate(instance)
-    if violations:
-        raise InvalidInstanceError(violations)
-    scope = _instance_scope(
-        instance, (bidder,), policies, rule, _deviation_set(deviations), adversarial
-    )
+    scope = _instance_scope(instance, (bidder,), policies, rule, deviations, adversarial)
     return [row for _, _, rows in _row_stream([scope]) for row in rows]
 
 
@@ -572,21 +563,9 @@ def check_instance(
     ``deviations`` is "critical" (each bidder's own critical set) or an
     iterable shared by all bidders.  Cells run in (deviation bid, bidder,
     pairing) order, so the counterexample is minimal under that key."""
-    violations = validate(instance)
-    if violations:
-        raise InvalidInstanceError(violations)
-    deviations = _deviation_set(deviations, budget=budget)
-    bids = instance.bids
-    n = len(bids)
-    if deviations == "critical":
-        # Bidder b's set is {0, M, M + 1} less the 0 when every other bid is
-        # 0: for all N bidders when no bid is positive, for one when one is.
-        positive = sum(1 for bid in bids if bid > 0)
-        per_pairing = 3 * n - (n if positive == 0 else int(positive == 1))
-    else:
-        per_pairing = n * _size(deviations)
-    check_budget(per_pairing * pairing_count(policies, adversarial), budget, "evaluated tuples")
-    return _fold(_instance_scope(instance, range(n), policies, rule, deviations, adversarial))
+    return _fold(_instance_scope(
+        instance, range(instance.n_bidders), policies, rule, deviations, adversarial, budget
+    ))
 
 
 def coverage_guard(results: Iterable[DeviationCheckResult]) -> CaseCoverage:

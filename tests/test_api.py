@@ -1,6 +1,7 @@
 """The top-level package surface, the README's library example, and the
 modules each subcommand imports."""
 
+import ast
 import json
 import os
 import re
@@ -64,7 +65,7 @@ def modules_loaded_by(*argv: str, exit_code: int = 0) -> set:
 def test_dominance_loads_no_simulation_module():
     loaded = modules_loaded_by("dominance", "--n", "2", "--ticks", "2")
     assert "sealedbid.verify" in loaded
-    assert loaded.isdisjoint({"sealedbid.simulate", "fractions", "csv"})
+    assert loaded.isdisjoint({"sealedbid.simulate", "fractions", "csv", "heapq"})
 
 
 def test_simulate_loads_no_verification_module(tmp_path):
@@ -111,3 +112,28 @@ def test_traced_cli_names_resolve_in_a_fresh_process():
                                "assert all(callable(getattr(cli, n)) for n in sys.argv[1:])",
                          *TRACED_ON_CLI)
     assert child.returncode == 0, child.stderr
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads: not as a name, nor inside a
+    quoted annotation."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        annotation = getattr(node, "returns", None) or getattr(node, "annotation", None)
+        for part in ast.walk(annotation) if annotation else ():
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                quoted = ast.parse(part.value, mode="eval")
+                used |= {name.id for name in ast.walk(quoted) if isinstance(name, ast.Name)}
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "sealedbid").glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_nothing_it_does_not_use(path):
+    assert unused_imports(path) == []

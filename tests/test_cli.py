@@ -95,6 +95,25 @@ class TestExitCodes:
         assert report["valid"] is False
         assert any("length mismatch" in v for v in report["violations"])
 
+    def test_validate_lists_every_violation_of_non_integer_ticks(self, tmp_path, capsys):
+        path = write_doc(tmp_path, "bad.json", {"valuations": [1.5, 2, -3], "bids": [1, 2]})
+        code = dispatch(["validate", path, "--format=json"])
+        assert code == EXIT_INVALID
+        assert json.loads(capsys.readouterr().out)["violations"] == [
+            "length mismatch (3 valuations vs 2 bids)",
+            "non-integer tick (valuations[0] = 1.5)",
+            "negative tick (valuations[2] = -3)",
+        ]
+
+    def test_validate_reports_a_non_array_field_beside_tick_faults(self, tmp_path, capsys):
+        path = write_doc(tmp_path, "bad.json", {"valuations": [1.5], "bids": "x"})
+        code = dispatch(["validate", path, "--format=json"])
+        assert code == EXIT_INVALID
+        assert json.loads(capsys.readouterr().out)["violations"] == [
+            "non-integer tick (valuations[0] = 1.5)",
+            "missing or non-array field 'bids'",
+        ]
+
     def test_validate_good_instance(self, instance_path, capsys):
         code = dispatch(["validate", instance_path, "--format=json"])
         report = json.loads(capsys.readouterr().out)
@@ -170,6 +189,11 @@ class TestExitCodes:
             "error: unknown policy 'coin-flip'; "
             "expected any of first-index, last-index, seeded, explicit\n"
         )
+
+
+    def test_seed_flag_beside_an_unseeded_policy_is_accepted(self, instance_path, capsys):
+        for argv in (["check", instance_path], ["dominance"]):
+            assert dispatch([*argv, "--policies", "first-index", "--seed", "9"]) == EXIT_PASS
 
 
 class TestBudgetRefusedBeforeWork:
@@ -360,6 +384,21 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+    @pytest.mark.parametrize("fields, key", [
+        ({"sed": 42, "polcy": {"kind": "seeded", "seed": 5}}, "config field 'sed'"),
+        ({"policy": {"kind": "first-index", "seed": 9, "choice": 1}}, "first-index field 'seed'"),
+        ({"policy": {"kind": "explicit", "choice": {"0,1": 0}, "seed": 1}},
+         "explicit field 'seed'"),
+        ({"strategy": {"kind": "overbid", "delta": 1, "delat": 2}}, "overbid field 'delat'"),
+    ], ids=["config", "first-index", "explicit", "overbid"])
+    def test_unknown_key_is_invalid(self, tmp_path, capsys, fields, key):
+        path = write_doc(tmp_path, "bad.json", {
+            "n_bidders": 3, "n_rounds": 50, "value_low": 0, "value_high": 9, **fields,
+        })
+        assert dispatch(["simulate", path, "--format=json"]) == EXIT_INVALID
+        assert capsys.readouterr() == ("", f"error: unknown {key}\n")
 
 
 class TestReportFormat:

@@ -392,6 +392,8 @@ class TestSerialization:
     @pytest.mark.parametrize("doc", [
         {"kind": "Seeded"}, {"kind": "seeded", "seed": "2"}, {"kind": "explicit"},
         {"kind": "explicit", "choice": {"0,x": 0}}, [1], 5,
+        {"kind": "first-index", "seed": 9, "choice": 1}, {"kind": "seeded", "sede": 1},
+        {"kind": "explicit", "choice": {"0": 0}, "seed": 9},
     ])
     def test_malformed_policy_documents_raise_value_error(self, doc):
         with pytest.raises(ValueError):

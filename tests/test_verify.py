@@ -507,6 +507,12 @@ BUDGETED_RUNS = [
         grid_rows(2, 3, 4, 2, 2),
     ),
     (
+        # tick bound 0: the one opposing vector is all zeros, so M = 0 everywhere
+        "sweep-critical-zero-ticks",
+        lambda b: dominance_sweep(2, 0, deviations="critical", budget=b),
+        20,
+    ),
+    (
         "check-dominance",
         lambda b: check_dominance(1, 2, 3, 2, standard_policies(3), budget=b),
         grid_rows(3, 2, 1, 1, 3),
@@ -535,6 +541,12 @@ BUDGETED_RUNS = [
         (3 * 3 - 1) * 5,
     ),
     (
+        "check-critical-all-bids-positive",
+        lambda b: check_instance(
+            AuctionInstance((5, 5, 1), (5, 5, 1)), standard_policies(3), budget=b),
+        45,
+    ),
+    (
         "check-grid",
         lambda b: check_instance(
             INSTANCE, standard_policies(4), FIRST, range(9), budget=b),
@@ -548,9 +560,10 @@ BUDGETED_RUNS = [
 ]
 
 
-# Instance checks over the critical set whose cells all differ in class.
+# Runs over the critical set whose cells all differ in class.
 ONE_CLASS_PER_CELL = {
     "check-critical", "check-critical-zero-bids", "check-critical-one-positive-bid",
+    "check-critical-all-bids-positive", "sweep-critical-zero-ticks",
 }
 
 
