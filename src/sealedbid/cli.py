@@ -30,6 +30,7 @@ from .core import (
     bidder_utility,
     outcome,
     policy_from_dict,
+    tick_violation,
 )
 from .reporting import canonical_json, render_table
 
@@ -114,19 +115,17 @@ def cmd_check(args) -> tuple[int, dict]:
     _load("verify")
     instance = load_instance(args.instance)
     policies = _parse_policies(args.policies, args.seed, instance.n_bidders)
-    rule = PaymentRule(args.rule)
     deviations = args.deviations
     if deviations == "grid":
         grid_max = args.grid_max
         if grid_max is None:
             grid_max = max(instance.valuations + instance.bids) + 1
-        if not 0 <= args.grid_min <= grid_max:
-            raise ValueError(
-                f"grid range [{args.grid_min}, {grid_max}] is empty or negative"
-            )
+        if args.grid_min > grid_max:  # a negative bid is refused by check_instance
+            raise ValueError(f"grid range [{args.grid_min}, {grid_max}] is empty")
         deviations = range(args.grid_min, grid_max + 1)
 
-    report = check_instance(instance, policies, rule, deviations, args.adversarial, args.budget)
+    report = check_instance(instance, policies, args.rule, deviations, args.adversarial,
+                            args.budget)
     return _verdict_exit(report), report.to_doc()
 
 
@@ -137,13 +136,12 @@ def cmd_classify(args) -> tuple[int, dict]:
     if len(policies) != 1:
         raise ValueError("exactly one policy expected here")
     [policy] = policies
-    rule = PaymentRule(args.rule)
     bids = instance.bids
-    if args.deviation < 0:
-        raise InvalidInstanceError([f"negative tick (deviation = {args.deviation})"])
+    if fault := tick_violation("deviation", args.deviation):
+        raise InvalidInstanceError([fault])
     deviated = deviation_profile(bids, args.bidder, args.deviation)
-    original = outcome(bids, policy, rule)
-    after = outcome(deviated, policy, rule)
+    original = outcome(bids, policy, args.rule)
+    after = outcome(deviated, policy, args.rule)
     return EXIT_PASS, {
         "bidder": args.bidder,
         "original_bid": bids[args.bidder],
@@ -155,16 +153,15 @@ def cmd_classify(args) -> tuple[int, dict]:
         "utility_original": bidder_utility(instance.valuations, original, args.bidder),
         "utility_deviation": bidder_utility(instance.valuations, after, args.bidder),
         "policy": policy.describe(),
-        "rule": rule.value,
+        "rule": args.rule.value,
     }
 
 
 def cmd_dominance(args) -> tuple[int, dict]:
     _load("verify")
     policies = _parse_policies(args.policies, args.seed, args.n)
-    rule = PaymentRule(args.rule)
     report = dominance_sweep(
-        args.n, args.ticks, policies, rule,
+        args.n, args.ticks, policies, args.rule,
         adversarial=args.adversarial, budget=args.budget,
     )
     return _verdict_exit(report), report.to_doc()
@@ -173,9 +170,8 @@ def cmd_dominance(args) -> tuple[int, dict]:
 def cmd_falsify(args) -> tuple[int, dict]:
     _load("verify")
     policies = _parse_policies(args.policies, args.seed, args.n_max)
-    rule = PaymentRule(args.rule)
     found = find_counterexample(
-        rule, args.n_max, args.ticks, policies,
+        args.rule, args.n_max, args.ticks, policies,
         adversarial=args.adversarial, budget=args.budget,
     )
     if found is None:
@@ -226,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     # first-price), since a parent's actions are shared: one child's default moves all.
     ruled = argparse.ArgumentParser(add_help=False)
     ruled.add_argument(
-        "--rule", choices=[r.value for r in PaymentRule], default="second-price",
+        "--rule", type=PaymentRule, choices=list(PaymentRule), default="second-price",
         help="payment rule (default: %(default)s)",
     )
     sweep = argparse.ArgumentParser(add_help=False, parents=[common])
@@ -299,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="search for the smallest profitable deviation within bounds",
     )
     p.add_argument(
-        "--rule", choices=[r.value for r in PaymentRule], default="first-price",
+        "--rule", type=PaymentRule, choices=list(PaymentRule), default="first-price",
         help="payment rule to attack (default: %(default)s)",
     )
     p.add_argument("--n-max", type=int, default=2, help="largest N to try (default: %(default)s)")

@@ -171,9 +171,7 @@ class AuctionInstance(Record):
                 issues.append(f"missing or non-array field {key!r}")
                 continue
             fields.append(entries)
-            # bool is an int subclass; reject it along with floats etc.
-            issues += [f"non-integer tick ({key}[{pos}] = {tick!r})"
-                       for pos, tick in enumerate(entries) if type(tick) is not int]
+            issues += _tick_violations(key, entries)
         if len(fields) == 2:
             issues = validate(cls(*fields))
         if issues:
@@ -189,9 +187,6 @@ def validate(instance: AuctionInstance) -> list[str]:
     masquerade as a clean one.
     """
     violations = []
-    # A check evaluates the deviation M + 1 above each bid, and reports and
-    # the seeded tie-break need its decimal text, which Python caps in digits.
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     n_vals = len(instance.valuations)
     n_bids = len(instance.bids)
     if n_vals != n_bids:
@@ -201,16 +196,28 @@ def validate(instance: AuctionInstance) -> list[str]:
     if min(n_vals, n_bids) < 2:
         violations.append(f"N >= 2 required (got {min(n_vals, n_bids)})")
     for name, profile in (("valuations", instance.valuations), ("bids", instance.bids)):
-        for pos, tick in enumerate(profile):
-            if type(tick) is not int:  # as in from_dict
-                violations.append(f"non-integer tick ({name}[{pos}] = {tick!r})")
-            elif tick < 0:
-                violations.append(f"negative tick ({name}[{pos}] = {tick})")
-            elif digits and tick.bit_length() > 3 * digits and tick + 1 >= 10**digits:
-                violations.append(
-                    f"tick too large ({name}[{pos}] + 1 has more than {digits} digits)"
-                )
+        violations += _tick_violations(name, profile)
     return violations
+
+
+def tick_violation(label: str, tick) -> "str | None":
+    """The tick rule, asked by every boundary that admits a tick: the fault of ``tick``,
+    named by ``label``, or None.  A tick is a nonnegative ``int``, not a ``bool``, whose
+    successor (a deviation bid that checks try and reports print) fits the digit cap."""
+    if type(tick) is not int:  # bool is an int subclass: refused too
+        return f"non-integer tick ({label} = {tick!r})"
+    if tick < 0:
+        return f"negative tick ({label} = {tick})"
+    # Read per call, as sys.set_int_max_str_digits moves the cap.  A tick of at
+    # most 3 bits a digit is below 8**digits: only a huge one builds 10**digits.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits and tick.bit_length() > 3 * digits and tick + 1 >= 10**digits:
+        return f"tick too large ({label} + 1 has more than {digits} digits)"
+
+
+def _tick_violations(name: str, ticks: Sequence) -> list[str]:
+    return [fault for pos, tick in enumerate(ticks)
+            if (fault := tick_violation(f"{name}[{pos}]", tick))]
 
 
 def _require_profile(bids: Sequence[Money]) -> BidProfile:
@@ -416,6 +423,8 @@ def outcome(bids: Sequence[Money], policy: TieBreakPolicy, rule: PaymentRule) ->
     second price is the second-highest bid: the highest other bid only when
     the winner holds a top bid, so a policy picking anyone else raises
     ``ValueError``."""
+    if type(rule) is not PaymentRule:  # a rule's name would be priced as first-price
+        raise ValueError(f"payment rule must be a PaymentRule member (got {rule!r})")
     bids = _require_profile(bids)
     winner = policy.select(bids)
     if not (0 <= winner < len(bids) and bids[winner] == max(bids)):

@@ -29,6 +29,7 @@ from .core import (
     policy_from_dict,
     read_fields,
     record_from_dict,
+    tick_violation,
 )
 from .seeding import GOLDEN, MASK64, MIX_A, MIX_B, mix64
 
@@ -128,8 +129,9 @@ class ExperimentConfig(Record):
             raise ValueError(f"N >= 2 required (got {self.n_bidders})")
         if self.n_rounds < 1:
             raise ValueError(f"round count must be positive (got {self.n_rounds})")
-        if self.value_low < 0:
-            raise ValueError(f"negative tick (value_low = {self.value_low})")
+        for bound in ("value_low", "value_high"):
+            if fault := tick_violation(bound, getattr(self, bound)):
+                raise ValueError(fault)
         if self.value_low > self.value_high:
             raise ValueError(
                 f"value_low {self.value_low} exceeds value_high {self.value_high}"

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from itertools import product, repeat
+from itertools import islice, product, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -44,6 +44,7 @@ from .core import (
     outcome,
     select_winner,
     standard_policies,
+    tick_violation,
     validate,
 )
 
@@ -57,10 +58,6 @@ class CaseTag(Enum):
     LOSE_LOSE = "lose-lose"
     LOSE_WIN = "lose-win"
     WIN_LOSE = "win-lose"
-
-    # Members are singletons, so identity hashing agrees with equality; Enum's
-    # own __hash__ is Python code, run twice per row by the tally.
-    __hash__ = object.__hash__
 
     @property
     def won_original(self) -> bool:
@@ -201,20 +198,6 @@ def _critical(top: Money) -> tuple[Money, ...]:
     return (0, top, top + 1) if top else (0, 1)
 
 
-def _adversarial(per_policy: Sequence[tuple]) -> tuple:
-    # The tie-break abstraction permits any argmax-respecting choice, so the
-    # strongest reading lets it differ between the two evaluations: take the
-    # policy minimizing the truthful utility against the one maximizing the
-    # deviation utility.  min/max keep the first extremal row, so the pairing
-    # label is deterministic for a fixed policy order.
-    u_truth, _, truth_case, _, truth_label = min(per_policy, key=itemgetter(0))
-    _, u_dev, dev_case, _, dev_label = max(per_policy, key=itemgetter(1))
-    return (
-        u_truth, u_dev, _CASES[truth_case.won_original, dev_case.won_deviation],
-        u_truth >= u_dev, f"adversarial({truth_label}|{dev_label})",
-    )
-
-
 def pairing_count(policies: Sequence[TieBreakPolicy], adversarial: bool) -> int:
     """Comparisons generated per deviation bid."""
     return len(policies) + (1 if adversarial and len(policies) > 1 else 0)
@@ -226,20 +209,21 @@ def _deviation_set(deviations: DeviationSpec, budget: "int | None" = None):
     for "critical" and the same bids for every M otherwise.  A range stays
     lazy and ascending (a huge grid costs nothing before the budget refuses
     it); other iterables are sorted, read at most ``budget + 1`` deep: each
-    bid is at least one row, so that many is over the budget.  A negative
-    deviation bid is invalid input, as a negative tick is everywhere else."""
+    bid is at least one row, so that many is over the budget.  A deviation
+    bid that is not a tick is invalid input, as it is everywhere else."""
     if deviations == "critical":
         return _critical
     if isinstance(deviations, str):
         raise ValueError(f"unknown deviation mode {deviations!r}")
     if isinstance(deviations, range):
         deviations = deviations if deviations.step > 0 else deviations[::-1]
+        bids = (*deviations[:1], *deviations[-1:])  # a range holds ints: its ends decide
     else:
-        if budget is not None:
-            deviations = [bid for _, bid in zip(range(budget + 1), deviations)]
+        bids = deviations = tuple(islice(deviations, None if budget is None else budget + 1))
+    if violations := [fault for bid in bids if (fault := tick_violation("deviation", bid))]:
+        raise InvalidInstanceError(violations)
+    if isinstance(deviations, tuple):  # sorted once every bid is known to be a tick
         deviations = tuple(sorted(deviations))
-    if _size(deviations) and deviations[0] < 0:
-        raise InvalidInstanceError([f"negative tick (deviation = {deviations[0]})"])
     return lambda top: deviations
 
 
@@ -402,10 +386,19 @@ def _template(labels, paired, value, truthful_view, deviated_view) -> list[tuple
         won_truth, won_dev = p_truth is not None, p_dev is not None
         u_truth = value - p_truth if won_truth else 0
         u_dev = value - p_dev if won_dev else 0
-        rows.append((u_truth, u_dev, _CASES[won_truth, won_dev], u_truth >= u_dev, label))
+        rows.append((u_truth, u_dev, won_truth, won_dev, label))
     if paired:
-        rows.append(_adversarial(rows))
-    return rows
+        # The tie-break abstraction permits any argmax-respecting choice, so the
+        # strongest reading lets it differ between the two evaluations: take the
+        # policy minimizing the truthful utility against the one maximizing the
+        # deviation utility.  min/max keep the first extremal row, so the pairing
+        # label is deterministic for a fixed policy order.
+        u_truth, _, won_truth, _, truth_label = min(rows, key=itemgetter(0))
+        _, u_dev, _, won_dev, dev_label = max(rows, key=itemgetter(1))
+        label = f"adversarial({truth_label}|{dev_label})"
+        rows.append((u_truth, u_dev, won_truth, won_dev, label))
+    return [(u_truth, u_dev, _CASES[won_truth, won_dev], u_truth >= u_dev, label)
+            for u_truth, u_dev, won_truth, won_dev, label in rows]
 
 
 def _view_rows(scope: _Scope):
@@ -462,8 +455,8 @@ def _grid_scopes(n_min, n_max, tick_bound, policies, rule, deviations, adversari
     lazily so that a finished N's tables are freed before the next fills."""
     if n_max < 2:
         raise ValueError(f"N >= 2 required (got {n_max})")
-    if tick_bound < 0:
-        raise ValueError(f"tick bound must be nonnegative (got {tick_bound})")
+    if fault := tick_violation("tick_bound", tick_bound):
+        raise InvalidInstanceError([fault])
     grid = range(tick_bound + 1)
     deviations = _deviation_set(grid if deviations == "grid" else deviations, budget)
     values = grid if valuation is None else (valuation,)
@@ -570,10 +563,7 @@ def check_instance(
 
 def coverage_guard(results: Iterable[DeviationCheckResult]) -> CaseCoverage:
     """Count witnesses per case; callers treat a vacuous sweep as a failure."""
-    counts = {tag: 0 for tag in CaseTag}
-    for result in results:
-        counts[result.case] += 1
-    return CaseCoverage(counts)
+    return CaseCoverage(dict.fromkeys(CaseTag, 0) | Counter(result.case for result in results))
 
 
 def check_dominance(
@@ -596,8 +586,8 @@ def check_dominance(
     """
     if not 0 <= bidder < n_bidders:
         raise ValueError(f"bidder index {bidder} out of range for N={n_bidders}")
-    if v_i < 0:
-        raise InvalidInstanceError([f"negative tick (valuations[{bidder}] = {v_i})"])
+    if fault := tick_violation(f"valuations[{bidder}]", v_i):
+        raise InvalidInstanceError([fault])
     [scope] = _grid_scopes(
         n_bidders, n_bidders, tick_bound, policies, rule, deviations, adversarial, budget,
         valuation=v_i, bidder=bidder,

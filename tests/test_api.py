@@ -137,3 +137,30 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted((SRC / "sealedbid").glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_nothing_it_does_not_use(path):
     assert unused_imports(path) == []
+
+
+TICK_FAULTS = ("non-integer tick (", "negative tick (", "tick too large (")
+
+
+def functions_wording_tick_faults() -> set:
+    """The qualified names of the functions in whose own body a string literal,
+    or an f-string's literal part, begins like a tick fault."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+            elif (isinstance(child, ast.Constant) and isinstance(child.value, str)
+                  and child.value.startswith(TICK_FAULTS)):
+                found.add(scope)
+            else:
+                visit(child, scope)
+
+    for path in sorted((SRC / "sealedbid").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_the_tick_rule_is_worded_in_one_function():
+    assert functions_wording_tick_faults() == {"core.tick_violation"}
