@@ -427,9 +427,10 @@ def outcome(bids: Sequence[Money], policy: TieBreakPolicy, rule: PaymentRule) ->
         raise ValueError(f"payment rule must be a PaymentRule member (got {rule!r})")
     bids = _require_profile(bids)
     winner = policy.select(bids)
-    if not (0 <= winner < len(bids) and bids[winner] == max(bids)):
+    ordered = sorted(bids)  # the top bid, for the check, and the second price
+    if not (0 <= winner < len(bids) and bids[winner] == ordered[-1]):
         raise ValueError(f"tie-break {policy.describe()} picked {winner}, not a highest bidder")
-    price = sorted(bids)[-2] if rule is PaymentRule.SECOND_PRICE else bids[winner]
+    price = ordered[-2] if rule is PaymentRule.SECOND_PRICE else bids[winner]
     return Outcome._make((winner, price, rule))  # skips the generated keyword __new__
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 from abc import ABC, abstractmethod
 from fractions import Fraction
+from functools import cache
 from typing import IO, Mapping, NamedTuple, Sequence
 
 from .core import (
@@ -35,7 +36,13 @@ from .seeding import GOLDEN, MASK64, MIX_A, MIX_B, mix64
 
 
 class Strategy(ABC):
-    """Maps a bidder's value to its bid, element-wise over a profile."""
+    """Maps a bidder's value to its bid, element-wise over a profile.
+
+    ``bid`` must be a pure function of the value, as ``TieBreakPolicy.select``
+    must be of the bids: reports are reproducible only if it is, and the
+    simulation plays each distinct valuation profile of a small profile
+    space once and reuses the round's bids, winner and price.
+    """
 
     @abstractmethod
     def bid(self, value: Money) -> Money:
@@ -125,6 +132,12 @@ class ExperimentConfig(Record):
     seed: int
 
     def __post_init__(self):
+        for count in ("n_bidders", "n_rounds", "seed"):
+            value = getattr(self, count)
+            if type(value) is not int:  # a bool is an int subclass: refused too
+                raise ValueError(f"{count} must be an integer (got {value!r})")
+        if type(self.rule) is not PaymentRule:  # as outcome would, but before any round
+            raise ValueError(f"payment rule must be a PaymentRule member (got {self.rule!r})")
         if self.n_bidders < 2:
             raise ValueError(f"N >= 2 required (got {self.n_bidders})")
         if self.n_rounds < 1:
@@ -206,6 +219,31 @@ def fraction_text(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+# A config whose valuation profile space, span ** n_bidders, holds at most
+# this many profiles plays each distinct profile once and looks up its
+# repeats in a table; above it no table is kept, so memory stays bounded
+# whatever the value range or the round count.
+PROFILE_TABLE_LIMIT = 4096
+
+
+def _player(config: ExperimentConfig):
+    """``config``'s ``play(valuations) -> (bids, winner, price)``, memoized per
+    profile when its profile space is at most ``PROFILE_TABLE_LIMIT``.
+    ``outcome`` is looked up at each real play, so a wrapper sees every one."""
+    strategy, policy, rule = config.strategy, config.policy, config.rule
+
+    def play(valuations: ValuationProfile) -> tuple[BidProfile, BidderId, Money]:
+        bids = apply_strategy(valuations, strategy)
+        winner, price, _ = outcome(bids, policy, rule)
+        return bids, winner, price
+
+    span = config.value_high - config.value_low + 1
+    # A span of 2 or more passes the limit within its bit length of bidders.
+    if span ** min(config.n_bidders, PROFILE_TABLE_LIMIT.bit_length()) <= PROFILE_TABLE_LIMIT:
+        return cache(play)  # freed with the run; bounded by the limit
+    return play
+
+
 def _simulate(configs: Sequence[ExperimentConfig], budget: int, sink=None) -> list[SimReport]:
     """The one round loop: sample each round once, play it under every
     config (all share the first one's sampling parameters), fold exact
@@ -214,15 +252,13 @@ def _simulate(configs: Sequence[ExperimentConfig], budget: int, sink=None) -> li
     sampling = configs[0]
     sampling.check_budget(budget)
     totals = [[0, 0, 0] for _ in configs]  # revenue, winner utility, efficient rounds
-    plays = [(config.strategy, config.policy, config.rule, total)
-             for config, total in zip(configs, totals)]
+    plays = [(_player(config), total) for config, total in zip(configs, totals)]
     for index in range(sampling.n_rounds):
         valuations = sample_valuations(sampling, index)
         top = max(valuations)
         records = []
-        for strategy, policy, rule, total in plays:
-            bids = apply_strategy(valuations, strategy)
-            winner, price, _ = outcome(bids, policy, rule)
+        for play, total in plays:
+            bids, winner, price = play(valuations)
             total[0] += price
             total[1] += valuations[winner] - price
             total[2] += valuations[winner] == top

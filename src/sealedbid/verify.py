@@ -21,6 +21,7 @@ tolerance, traversal order, or parallel partitioning.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from enum import Enum
 from itertools import islice, product, repeat
@@ -203,7 +204,7 @@ def pairing_count(policies: Sequence[TieBreakPolicy], adversarial: bool) -> int:
     return len(policies) + (1 if adversarial and len(policies) > 1 else 0)
 
 
-def _deviation_set(deviations: DeviationSpec, budget: "int | None" = None):
+def _deviation_set(deviations: DeviationSpec, budget: int):
     """Resolve a deviation spec once into its rule: a function from a cell's
     top opposing bid M to that cell's ascending deviation bids, ``_critical``
     for "critical" and the same bids for every M otherwise.  A range stays
@@ -219,7 +220,10 @@ def _deviation_set(deviations: DeviationSpec, budget: "int | None" = None):
         deviations = deviations if deviations.step > 0 else deviations[::-1]
         bids = (*deviations[:1], *deviations[-1:])  # a range holds ints: its ends decide
     else:
-        bids = deviations = tuple(islice(deviations, None if budget is None else budget + 1))
+        # islice stops at most sys.maxsize deep, past any list; check_budget refuses a
+        # negative budget.
+        depth = min(max(budget, 0), sys.maxsize - 1) + 1
+        bids = deviations = tuple(islice(deviations, depth))
     if violations := [fault for bid in bids if (fault := tick_violation("deviation", bid))]:
         raise InvalidInstanceError(violations)
     if isinstance(deviations, tuple):  # sorted once every bid is known to be a tick
@@ -346,7 +350,7 @@ def _grid_scope(n, tick_bound, values, bidders, deviations, policies, rule, adve
     return _scope(policies, rule, adversarial, blocks, decode)
 
 
-def _instance_scope(instance, bidders, policies, rule, deviations, adversarial, budget=None):
+def _instance_scope(instance, bidders, policies, rule, deviations, adversarial, budget):
     """Validate the instance, resolve the deviations and refuse a run over
     ``budget`` rows, all before any work; then one block per cell, in
     (deviation bid, bidder) order.  Bidder b's truthful profile is the
@@ -358,9 +362,8 @@ def _instance_scope(instance, bidders, policies, rule, deviations, adversarial, 
     deviations = _deviation_set(deviations, budget)
     valuations, bids = instance.valuations, instance.bids
     per_bidder = [deviations(max_excluding(bids, b)) for b in bidders]
-    if budget is not None:
-        rows = sum(_size(new_bids) for new_bids in per_bidder)
-        check_budget(rows * pairing_count(policies, adversarial), budget, "evaluated tuples")
+    rows = sum(_size(new_bids) for new_bids in per_bidder)
+    check_budget(rows * pairing_count(policies, adversarial), budget, "evaluated tuples")
 
     def blocks():
         # Each bidder's bids ascend, so the merge is in (deviation bid, bidder) order, lazily.
@@ -520,6 +523,7 @@ def check_truthfulness(
     rule: PaymentRule = PaymentRule.SECOND_PRICE,
     deviations: DeviationSpec = "critical",
     adversarial: bool = True,
+    budget: int = DEFAULT_BUDGET,
 ) -> list[DeviationCheckResult]:
     """Compare the truthful bid of one bidder against deviation bids.
 
@@ -528,7 +532,8 @@ def check_truthfulness(
     ``deviations`` is either the string "critical" or an explicit
     iterable of deviation bids (a grid).  Results are ordered by
     deviation bid, then policy, with the adversarial pairing (when
-    enabled) closing each deviation's block.
+    enabled) closing each deviation's block.  A run of more than
+    ``budget`` rows is refused before any work.
     """
     valuations = tuple(valuations)
     others = tuple(others)
@@ -539,7 +544,7 @@ def check_truthfulness(
             f"expected {len(valuations) - 1} opposing bids, got {len(others)}"
         )
     instance = AuctionInstance(valuations, _inserted(others, valuations[bidder], bidder))
-    scope = _instance_scope(instance, (bidder,), policies, rule, deviations, adversarial)
+    scope = _instance_scope(instance, (bidder,), policies, rule, deviations, adversarial, budget)
     return [row for _, _, rows in _row_stream([scope]) for row in rows]
 
 

@@ -3,16 +3,21 @@
 The brute-force oracle here is intentionally naive: materialize every
 tuple, filter the failures, sort.  It evaluates auctions with
 ``core.outcome`` alone and shares no code with the enumerator, outcome
-table or fold in ``verify``, which must agree with it exactly.
+table or fold in ``verify``, which must agree with it exactly.  The
+simulation oracle, ``naive_rounds``, recomputes every round from
+``seeding`` and plain Python, without ``core.outcome``, strategies'
+``bid`` or policies' ``select``.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from sealedbid.core import PaymentRule, outcome, standard_policies
+from sealedbid.seeding import hash_text, mix64
 from sealedbid.verify import CaseTag, Counterexample, DeviationCheckResult
 
 CASES = {
@@ -154,3 +159,44 @@ def bruteforce_minimal_counterexample(rule, n_max, tick_bound):
         return None
     failures.sort(key=lambda pair: pair[0])
     return failures[0][1]
+
+
+def naive_rounds(config):
+    """Every round of a simulation config as ``(valuations, bids, winner,
+    price)``, recomputed one round at a time from the config's fields:
+    bidder b's value is ``value_low + mix64(seed, round, b) % span``; the
+    strategy and the tie-break policy are read by kind."""
+    span = config.value_high - config.value_low + 1
+    strategy, policy = config.strategy, config.policy
+    rounds = []
+    for index in range(config.n_rounds):
+        values = tuple(config.value_low + mix64(config.seed, index, b) % span
+                       for b in range(config.n_bidders))
+        if strategy.kind == "truthful":
+            bids = values
+        elif strategy.kind == "shade":
+            bids = tuple(v * strategy.numerator // strategy.denominator for v in values)
+        else:
+            bids = tuple(v + strategy.delta for v in values)
+        ties = [b for b, bid in enumerate(bids) if bid == max(bids)]
+        if policy.kind == "first-index":
+            winner = ties[0]
+        elif policy.kind == "last-index":
+            winner = ties[-1]
+        elif policy.kind == "seeded":
+            winner = ties[hash_text(policy.seed, ",".join(map(str, bids))) % len(ties)]
+        else:
+            winner = policy.choice[tuple(ties)]
+        price = sorted(bids)[-2] if config.rule.value == "second-price" else bids[winner]
+        rounds.append((values, bids, winner, price))
+    return rounds
+
+
+def naive_means(rounds):
+    """``(mean revenue, mean winner utility, efficiency rate)`` of ``naive_rounds``."""
+    count = len(rounds)
+    return (
+        Fraction(sum(price for _, _, _, price in rounds), count),
+        Fraction(sum(values[winner] - price for values, _, winner, price in rounds), count),
+        Fraction(sum(values[winner] == max(values) for values, _, winner, _ in rounds), count),
+    )

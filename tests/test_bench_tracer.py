@@ -14,10 +14,11 @@ import json
 from pathlib import Path
 
 from sealedbid import cli, core, simulate, verify
+from sealedbid.seeding import mix64
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 CONFIG = {
-    "n_bidders": 3, "n_rounds": 20, "value_low": 0, "value_high": 7,
+    "n_bidders": 3, "n_rounds": 200, "value_low": 0, "value_high": 7,
     "rule": "first-price", "policy": {"kind": "seeded", "seed": 2}, "seed": 5,
 }
 
@@ -66,7 +67,11 @@ def test_traced_simulate_counts_each_round_once_and_restores(tmp_path):
     rounds = CONFIG["n_rounds"]
     assert metrics["simulate.rounds_evaluated"][0] == rounds
     assert metrics["seeding.mix64.calls"][0] == rounds
-    assert metrics["core.outcome.calls"][0] == rounds
+    # The 8^3 profiles are tabled: outcome runs once per distinct (truthful)
+    # bid profile, and every call the tracer sees is a distinct one.
+    profiles = {tuple(mix64(5, r, b) % 8 for b in range(3)) for r in range(rounds)}
+    assert metrics["core.outcome.calls"][0] == len(profiles) == 167
+    assert metrics["core.outcome.distinct_ratio"][0] == 1.0
     assert_restored(before)
 
 

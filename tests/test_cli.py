@@ -20,6 +20,7 @@ from sealedbid.cli import (
 )
 from sealedbid.core import InvalidInstanceError
 from sealedbid.reporting import canonical_json
+from sealedbid.seeding import mix64
 
 
 def write_doc(tmp_path, name, doc):
@@ -320,10 +321,19 @@ class TestSimulate:
         monkeypatch.setattr(simulate, "outcome", counting)
         return calls
 
-    def test_csv_run_plays_each_round_once(self, config_path, tmp_path, rounds_played, capsys):
+    def test_csv_run_plays_each_round_once(self, config_path, tmp_path, rounds_played,
+                                           monkeypatch, capsys):
+        sampled = []
+        real = simulate.sample_valuations
+        monkeypatch.setattr(simulate, "sample_valuations",
+                            lambda *args: sampled.append(None) or real(*args))
         code = dispatch(["simulate", config_path, "--csv", str(tmp_path / "rounds.csv")])
         assert code == EXIT_PASS
-        assert len(rounds_played) == 50
+        # One pass samples every round once; the 10^3-profile space is tabled,
+        # so outcome runs once per distinct (truthful) bid profile: 47 of 50.
+        profiles = {tuple(mix64(7, r, b) % 10 for b in range(3)) for r in range(50)}
+        assert len(sampled) == 50
+        assert len(rounds_played) == len(profiles) == 47
 
     def test_bad_csv_path_fails_before_any_round(self, config_path, tmp_path, rounds_played,
                                                  capsys):

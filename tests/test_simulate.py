@@ -3,15 +3,25 @@
 import io
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import naive_means, naive_rounds
 from sealedbid import simulate
-from sealedbid.core import BudgetExceededError, FirstIndex, PaymentRule, Seeded
+from sealedbid.core import (
+    BudgetExceededError,
+    ExplicitChoice,
+    FirstIndex,
+    LastIndex,
+    PaymentRule,
+    Seeded,
+)
 from sealedbid.seeding import MASK64, mix64
 from sealedbid.simulate import (
+    PROFILE_TABLE_LIMIT,
     ExperimentConfig,
     Overbid,
     Shade,
@@ -158,6 +168,17 @@ class TestExperimentConfig:
         assert cfg.strategy == Truthful()
         assert cfg.seed == 0
 
+    @pytest.mark.parametrize("field", ["n_bidders", "n_rounds", "seed"])
+    @pytest.mark.parametrize("value", [True, False, 3.0, "3", None], ids=repr)
+    def test_refuses_a_count_that_is_not_an_int(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            config(**{field: value})
+
+    @pytest.mark.parametrize("rule", ["second-price", "first-price", None, 0])
+    def test_refuses_a_rule_that_is_not_a_member(self, rule):
+        with pytest.raises(ValueError, match="payment rule must be a PaymentRule member"):
+            config(rule=rule)
+
     def test_from_dict_rejects_non_integer(self):
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict(
@@ -282,3 +303,116 @@ class TestCsv:
         write_rounds_csv(config(n_rounds=4, strategy=Shade(1, 2)), buf)
         lines = buf.getvalue().splitlines()
         assert lines[1].split(",")[2] == "3 4 1"
+
+
+def distinct_profiles(cfg):
+    """The distinct valuation profiles of ``cfg``'s rounds, drawn from ``mix64``."""
+    span = cfg.value_high - cfg.value_low + 1
+    return {tuple(cfg.value_low + mix64(cfg.seed, r, b) % span for b in range(cfg.n_bidders))
+            for r in range(cfg.n_rounds)}
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of the real ``outcome`` and ``sample_valuations`` calls the simulation makes."""
+    counts = Counter()
+    for name in ("outcome", "sample_valuations"):
+        real = getattr(simulate, name)
+
+        def counting(*args, real=real, name=name):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(simulate, name, counting)
+    return counts
+
+
+def explicit_choices(n_bidders):
+    """An ``ExplicitChoice`` covering every argmax set, each pick drawn."""
+    sets = [ties for size in range(1, n_bidders + 1)
+            for ties in combinations(range(n_bidders), size)]
+    return st.tuples(*(st.sampled_from(ties) for ties in sets)).map(
+        lambda picks: ExplicitChoice(dict(zip(sets, picks))))
+
+
+@st.composite
+def repeating_configs(draw):
+    """Two configs over one small profile space (N <= 3, span <= 4, up to
+    300 rounds), so rounds repeat profiles; each draws its own rule,
+    strategy and tie-break policy."""
+    n_bidders = draw(st.integers(2, 3))
+    low = draw(st.integers(0, 6))
+    sampling = dict(
+        n_bidders=n_bidders, n_rounds=draw(st.integers(1, 300)), value_low=low,
+        value_high=low + draw(st.integers(0, 3)), seed=draw(st.integers(0, MASK64)),
+    )
+    strategies = st.one_of(
+        st.just(Truthful()),
+        st.integers(2, 5).flatmap(lambda d: st.integers(1, d - 1).map(lambda n: Shade(n, d))),
+        st.integers(0, 3).map(Overbid),
+    )
+    policies = st.one_of(
+        st.just(FirstIndex()), st.just(LastIndex()),
+        st.integers(0, MASK64).map(Seeded), explicit_choices(n_bidders),
+    )
+    return [ExperimentConfig(**sampling, rule=draw(st.sampled_from(PaymentRule)),
+                             strategy=draw(strategies), policy=draw(policies))
+            for _ in range(2)]
+
+
+class TestProfileTable:
+    """A config with at most ``PROFILE_TABLE_LIMIT`` valuation profiles plays
+    each distinct one once; every report and row is the per-round one."""
+
+    @given(repeating_configs())
+    def test_matches_a_naive_per_round_recomputation(self, configs):
+        cfg_a, cfg_b = configs
+        rounds_a, rounds_b = naive_rounds(cfg_a), naive_rounds(cfg_b)
+        report = run_experiment(cfg_a)
+        assert report.rounds == cfg_a.n_rounds
+        assert (report.mean_revenue, report.mean_winner_utility,
+                report.efficiency_rate) == naive_means(rounds_a)
+
+        paired = compare_rules(cfg_a, cfg_b)
+        assert paired.report_a == report and paired.report_b == run_experiment(cfg_b)
+        diffs = [a[3] - b[3] for a, b in zip(rounds_a, rounds_b)]
+        assert (paired.revenue_diff_min, paired.revenue_diff_max) == (min(diffs), max(diffs))
+
+        buf = io.StringIO()
+        assert write_rounds_csv(cfg_a, buf) == report
+        assert buf.getvalue() == "round,valuations,bids,winner,price\n" + "".join(
+            f"{index},{' '.join(map(str, values))},{' '.join(map(str, bids))},{winner},{price}\n"
+            for index, (values, bids, winner, price) in enumerate(rounds_a)
+        )
+
+    def test_the_limit_is_4096_profiles(self):
+        assert PROFILE_TABLE_LIMIT == 4096
+
+    # (n_bidders, span) with span ** n_bidders exactly at the limit, and just over it
+    AT_LIMIT = [(2, 64), (3, 16), (12, 2)]
+    OVER_LIMIT = [(2, 65), (3, 17), (13, 2)]
+
+    @pytest.mark.parametrize("n_bidders, span", AT_LIMIT, ids=str)
+    def test_a_config_at_the_limit_plays_each_distinct_profile_once(
+            self, counted, n_bidders, span):
+        assert span ** n_bidders == PROFILE_TABLE_LIMIT
+        cfg = config(n_bidders=n_bidders, n_rounds=300, value_high=span - 1)
+        distinct = len(distinct_profiles(cfg))
+        assert distinct < cfg.n_rounds  # the rounds repeat a profile
+        write_rounds_csv(cfg, io.StringIO())
+        assert counted == {"sample_valuations": cfg.n_rounds, "outcome": distinct}
+
+    @pytest.mark.parametrize("n_bidders, span", OVER_LIMIT, ids=str)
+    def test_a_config_over_the_limit_keeps_no_table(self, counted, n_bidders, span):
+        assert span ** n_bidders > PROFILE_TABLE_LIMIT
+        cfg = config(n_bidders=n_bidders, n_rounds=300, value_high=span - 1)
+        assert len(distinct_profiles(cfg)) < cfg.n_rounds  # a table would play fewer
+        write_rounds_csv(cfg, io.StringIO())
+        assert counted == {"sample_valuations": cfg.n_rounds, "outcome": cfg.n_rounds}
+
+    def test_each_config_of_a_comparison_keeps_its_own_table(self, counted):
+        cfg = config(n_rounds=300)
+        distinct = len(distinct_profiles(cfg))
+        assert distinct < cfg.n_rounds
+        compare_rules(cfg, config(n_rounds=300, rule=FIRST, strategy=Shade(1, 2)))
+        assert counted == {"sample_valuations": cfg.n_rounds, "outcome": 2 * distinct}

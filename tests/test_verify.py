@@ -632,6 +632,26 @@ class TestPreflightBudget:
             dominance_sweep(2, 2, deviations=range(stop, -1, -2), budget=10)
         assert counters == {"outcome": 0, "rows": 0, "templates": 0}
 
+    def test_check_truthfulness_is_budgeted_like_its_siblings(self, counters):
+        # one bidder, deviations 0..2, two policies plus the adversarial pairing
+        run = lambda budget: check_truthfulness(
+            (3, 6), (5,), 0, standard_policies(2)[:2], SECOND, range(3), budget=budget)
+        with pytest.raises(BudgetExceededError):
+            run(8)
+        with pytest.raises(BudgetExceededError):  # a tick range: it ran unbounded before
+            check_truthfulness((3, 6), (5,), 0, [FirstIndex()], SECOND, range(0, 10**9))
+        assert counters == {"outcome": 0, "rows": 0, "templates": 0}
+        assert len(run(9)) == 9
+
+    @pytest.mark.parametrize("run", [
+        lambda budget: check_instance(AuctionInstance((3, 6), (3, 5)), [FirstIndex()],
+                                      deviations=[2, 0], budget=budget).evaluated,
+        lambda budget: len(check_truthfulness((3, 6), (5,), 0, [FirstIndex()],
+                                              deviations=[2, 0], budget=budget)),
+    ], ids=["check_instance", "check_truthfulness"])
+    def test_a_budget_past_sys_maxsize_reads_a_deviation_list(self, run):
+        assert run(10**20) == run(10**7)
+
     def test_falsify_budget_caps_the_whole_search(self):
         # the first failure sits early in the stream, but the space is larger
         rows = grid_rows(2, 4, 5, 2, 5) + grid_rows(3, 4, 5, 3, 5)
@@ -662,7 +682,9 @@ class TestPreflightBudget:
             AuctionInstance((3, 6), (3, 5)), standard_policies(2), deviations=deviations,
             budget=budget),
         lambda deviations, budget: dominance_sweep(2, 2, deviations=deviations, budget=budget),
-    ], ids=["check_instance", "dominance_sweep"])
+        lambda deviations, budget: check_truthfulness(
+            (3, 6), (5,), 0, standard_policies(2), SECOND, deviations, budget=budget),
+    ], ids=["check_instance", "dominance_sweep", "check_truthfulness"])
     def test_lazy_deviations_are_read_at_most_one_past_the_budget(self, counters, reads, run):
         count, bids = reads
         with pytest.raises(BudgetExceededError):
