@@ -9,7 +9,6 @@ sums; reports are bit-identical across runs and platforms.
 
 from __future__ import annotations
 
-import csv
 from abc import ABC, abstractmethod
 from fractions import Fraction
 from functools import cache
@@ -41,7 +40,9 @@ class Strategy(ABC):
     ``bid`` must be a pure function of the value, as ``TieBreakPolicy.select``
     must be of the bids: reports are reproducible only if it is, and the
     simulation plays each distinct valuation profile of a small profile
-    space once and reuses the round's bids, winner and price.
+    space once and reuses the round's bids, winner and price.  It must also
+    be nondecreasing in the value: ``ExperimentConfig`` checks only the bid
+    at ``value_high`` against the tick rule.
     """
 
     @abstractmethod
@@ -54,6 +55,14 @@ class Strategy(ABC):
 
     def to_dict(self) -> dict:
         return {"kind": self.describe()}
+
+
+def _require_int_fields(strategy: Strategy):
+    """Refuse, as its document reader would, a field that is not an ``int``."""
+    for name in strategy._fields:
+        value = getattr(strategy, name)
+        if type(value) is not int:  # a bool is an int subclass: refused too
+            raise ValueError(f"{strategy.kind} field {name!r} must be an integer (got {value!r})")
 
 
 class Truthful(Record, Strategy):
@@ -73,6 +82,7 @@ class Shade(Record, Strategy):
     denominator: int
 
     def __post_init__(self):
+        _require_int_fields(self)
         if self.numerator <= 0 or self.denominator <= 0:
             raise ValueError("shade factor needs positive numerator and denominator")
         if self.numerator >= self.denominator:
@@ -95,6 +105,7 @@ class Overbid(Record, Strategy):
     delta: Money
 
     def __post_init__(self):
+        _require_int_fields(self)
         if self.delta < 0:
             raise ValueError(f"overbid delta must be nonnegative (got {self.delta})")
 
@@ -149,8 +160,15 @@ class ExperimentConfig(Record):
             raise ValueError(
                 f"value_low {self.value_low} exceeds value_high {self.value_high}"
             )
+        # Every strategy bids nondecreasingly in the value: its bid at value_high
+        # is the highest a run can place, price or print.
+        if fault := tick_violation("strategy.bid(value_high)", self.strategy.bid(self.value_high)):
+            raise ValueError(fault)
         if not 0 <= self.seed < (1 << 64):
             raise ValueError(f"seed {self.seed} outside unsigned 64-bit range")
+        # The head of every round's chain, mix64(seed), taken once per config.  Not a
+        # field, so equality, hashing, repr and the document do not see it.
+        object.__setattr__(self, "_chain_head", mix64(self.seed))
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ExperimentConfig":
@@ -167,14 +185,19 @@ class ExperimentConfig(Record):
 
 def sample_valuations(config: ExperimentConfig, round_index: int) -> ValuationProfile:
     """Valuations for one round: bidder b draws
-    ``value_low + mix64(seed, round, b) % span``, the hash computed as the
-    round's prefix ``mix64(seed, round)`` finished by an inlined splitmix64
-    step on ``prefix ^ b``.  Not exactly uniform on [value_low, value_high]:
-    each tick's chance is 1 / span up to a relative error of span / 2^64,
-    and a span above 2^64 reaches only its lowest 2^64 ticks."""
+    ``value_low + mix64(seed, round, b) % span``.  The hash is two inlined
+    splitmix64 steps on the config's chain head ``mix64(seed)``, which is
+    computed once per config: one on ``head ^ round`` gives the round's
+    prefix ``mix64(seed, round)``, one on ``prefix ^ b`` the bidder's draw.
+    Not exactly uniform on [value_low, value_high]: each tick's chance is
+    1 / span up to a relative error of span / 2^64, and a span above 2^64
+    reaches only its lowest 2^64 ticks."""
     low = config.value_low
     span = config.value_high - low + 1
-    prefix = mix64(config.seed, round_index)
+    x = ((config._chain_head ^ round_index) + GOLDEN) & MASK64
+    x = ((x ^ (x >> 30)) * MIX_A) & MASK64
+    x = ((x ^ (x >> 27)) * MIX_B) & MASK64
+    prefix = x ^ (x >> 31)
     values = []
     for bidder in range(config.n_bidders):
         x = ((prefix ^ bidder) + GOLDEN) & MASK64
@@ -220,16 +243,27 @@ def fraction_text(value: Fraction) -> str:
 
 
 # A config whose valuation profile space, span ** n_bidders, holds at most
-# this many profiles plays each distinct profile once and looks up its
-# repeats in a table; above it no table is kept, so memory stays bounded
-# whatever the value range or the round count.
+# this many profiles computes what it makes of each distinct profile once
+# and looks up its repeats in a table; above it no table is kept, so memory
+# stays bounded whatever the value range or the round count.
 PROFILE_TABLE_LIMIT = 4096
 
 
+def _per_profile(config: ExperimentConfig, fn):
+    """``fn``, a pure function of a round's profile under ``config`` (and of
+    what ``config`` makes of it), memoized on its arguments when ``config``'s
+    profile space is at most ``PROFILE_TABLE_LIMIT``; above it, ``fn`` itself."""
+    span = config.value_high - config.value_low + 1
+    # A span of 2 or more passes the limit within its bit length of bidders.
+    if span ** min(config.n_bidders, PROFILE_TABLE_LIMIT.bit_length()) <= PROFILE_TABLE_LIMIT:
+        return cache(fn)  # freed with the run; bounded by the limit
+    return fn
+
+
 def _player(config: ExperimentConfig):
-    """``config``'s ``play(valuations) -> (bids, winner, price)``, memoized per
-    profile when its profile space is at most ``PROFILE_TABLE_LIMIT``.
-    ``outcome`` is looked up at each real play, so a wrapper sees every one."""
+    """``config``'s ``play(valuations) -> (bids, winner, price)``, once per
+    distinct profile of a small profile space.  ``outcome`` is looked up at
+    each real play, so a wrapper sees every one."""
     strategy, policy, rule = config.strategy, config.policy, config.rule
 
     def play(valuations: ValuationProfile) -> tuple[BidProfile, BidderId, Money]:
@@ -237,11 +271,7 @@ def _player(config: ExperimentConfig):
         winner, price, _ = outcome(bids, policy, rule)
         return bids, winner, price
 
-    span = config.value_high - config.value_low + 1
-    # A span of 2 or more passes the limit within its bit length of bidders.
-    if span ** min(config.n_bidders, PROFILE_TABLE_LIMIT.bit_length()) <= PROFILE_TABLE_LIMIT:
-        return cache(play)  # freed with the run; bounded by the limit
-    return play
+    return _per_profile(config, play)
 
 
 def _simulate(configs: Sequence[ExperimentConfig], budget: int, sink=None) -> list[SimReport]:
@@ -256,15 +286,15 @@ def _simulate(configs: Sequence[ExperimentConfig], budget: int, sink=None) -> li
     for index in range(sampling.n_rounds):
         valuations = sample_valuations(sampling, index)
         top = max(valuations)
-        records = []
+        records = None if sink is None else []
         for play, total in plays:
             bids, winner, price = play(valuations)
             total[0] += price
             total[1] += valuations[winner] - price
             total[2] += valuations[winner] == top
-            if sink is not None:
+            if records is not None:
                 records.append(RoundRecord(index, valuations, bids, winner, price))
-        if sink is not None:
+        if records is not None:
             sink(records)
     rounds = sampling.n_rounds
     return [SimReport(config, rounds, *(Fraction(value, rounds) for value in total))
@@ -340,22 +370,29 @@ def compare_rules(
     )
 
 
+def _row_text(valuations: ValuationProfile, bids: BidProfile, winner: BidderId,
+              price: Money) -> str:
+    """A round's CSV row after its index."""
+    return f"{' '.join(map(str, valuations))},{' '.join(map(str, bids))},{winner},{price}"
+
+
 def write_rounds_csv(
     config: ExperimentConfig, stream: IO[str], budget: int = DEFAULT_BUDGET
 ) -> SimReport:
     """Run the experiment, dumping per-round (values, bids, winner, price)
     rows as CSV, and return the report of the same rounds.
 
-    Profile columns hold space-joined ticks so each round stays one row.
+    Profile columns hold space-joined ticks so each round stays one row; no
+    field ever needs CSV quoting, so rows are written as plain text, the
+    text after the round index once per distinct profile of a small space.
     Nothing is written when the budget refuses the run.
     """
     config.check_budget(budget)
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["round", "valuations", "bids", "winner", "price"])
+    stream.write("round,valuations,bids,winner,price\n")
+    row_text = _per_profile(config, _row_text)
 
     def write(records: list[RoundRecord]):
         index, valuations, bids, winner, price = records[0]
-        writer.writerow([index, " ".join(map(str, valuations)), " ".join(map(str, bids)),
-                         winner, price])
+        stream.write(f"{index},{row_text(valuations, bids, winner, price)}\n")
 
     return _simulate([config], budget, write)[0]

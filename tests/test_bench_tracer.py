@@ -65,8 +65,10 @@ def test_traced_simulate_counts_each_round_once_and_restores(tmp_path):
 
     assert traced == expected
     rounds = CONFIG["n_rounds"]
+    # Each round is sampled once; mix64 runs once per config, for the chain
+    # head every round's draws finish inline.
     assert metrics["simulate.rounds_evaluated"][0] == rounds
-    assert metrics["seeding.mix64.calls"][0] == rounds
+    assert metrics["seeding.mix64.calls"][0] == 1
     # The 8^3 profiles are tabled: outcome runs once per distinct (truthful)
     # bid profile, and every call the tracer sees is a distinct one.
     profiles = {tuple(mix64(5, r, b) % 8 for b in range(3)) for r in range(rounds)}

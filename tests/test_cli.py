@@ -345,6 +345,19 @@ class TestSimulate:
         assert "x.csv" in captured.err
         assert rounds_played == []
 
+    def test_a_bid_past_the_digit_cap_is_refused_before_any_round(self, tmp_path, rounds_played,
+                                                                  capsys):
+        path = write_doc(tmp_path, "overbid.json", {
+            "n_bidders": 2, "n_rounds": 3, "value_low": 0, "value_high": 1,
+            "rule": "first-price", "strategy": {"kind": "overbid", "delta": 10**4300 - 1},
+        })
+        csv_path = tmp_path / "rounds.csv"
+        assert dispatch(["simulate", path, "--csv", str(csv_path)]) == EXIT_INVALID
+        assert capsys.readouterr() == ("", "error: tick too large "
+                                       "(strategy.bid(value_high) + 1 has more than 4300 digits)\n")
+        assert not csv_path.exists()
+        assert rounds_played == []
+
     def test_budget_refusal_leaves_the_csv_file_alone(self, config_path, tmp_path,
                                                      rounds_played, capsys):
         kept = tmp_path / "kept.csv"

@@ -69,6 +69,25 @@ class TestStrategies:
         with pytest.raises(ValueError):
             Overbid(-1)
 
+    @pytest.mark.parametrize("cls, fields, fault", [
+        (Shade, {"numerator": 1.5, "denominator": 4}, "shade field 'numerator' must be an integer (got 1.5)"),
+        (Shade, {"numerator": 1, "denominator": True}, "shade field 'denominator' must be an integer (got True)"),
+        (Overbid, {"delta": 0.5}, "overbid field 'delta' must be an integer (got 0.5)"),
+        (Overbid, {"delta": True}, "overbid field 'delta' must be an integer (got True)"),
+    ], ids=["shade-float", "shade-bool", "overbid-float", "overbid-bool"])
+    def test_a_non_int_field_is_refused_at_construction(self, cls, fields, fault):
+        """Refused as the strategy's document is, before any round runs."""
+        for make in (lambda: cls(**fields), lambda: strategy_from_dict({"kind": cls.kind, **fields})):
+            with pytest.raises(ValueError) as info:
+                make()
+            assert str(info.value) == fault
+
+    def test_a_config_refuses_a_bid_past_the_digit_cap(self):
+        with pytest.raises(ValueError) as info:
+            config(strategy=Overbid(10**5000))
+        assert str(info.value) == (
+            "tick too large (strategy.bid(value_high) + 1 has more than 4300 digits)")
+
     @pytest.mark.parametrize("strategy, doc", [
         (Truthful(), {"kind": "truthful"}),
         (Shade(3, 4), {"kind": "shade", "numerator": 3, "denominator": 4}),
@@ -337,14 +356,18 @@ def explicit_choices(n_bidders):
 
 @st.composite
 def repeating_configs(draw):
-    """Two configs over one small profile space (N <= 3, span <= 4, up to
-    300 rounds), so rounds repeat profiles; each draws its own rule,
-    strategy and tie-break policy."""
-    n_bidders = draw(st.integers(2, 3))
+    """Two configs over one profile space, with up to 300 rounds: a small
+    one (N <= 3, span <= 4), whose rounds repeat profiles, or one just over
+    ``PROFILE_TABLE_LIMIT`` (N = 2, span 65-80), which keeps no table.
+    Each config draws its own rule, strategy and tie-break policy."""
+    n_bidders, span = draw(st.one_of(
+        st.tuples(st.integers(2, 3), st.integers(1, 4)),
+        st.tuples(st.just(2), st.integers(65, 80)),
+    ))
     low = draw(st.integers(0, 6))
     sampling = dict(
         n_bidders=n_bidders, n_rounds=draw(st.integers(1, 300)), value_low=low,
-        value_high=low + draw(st.integers(0, 3)), seed=draw(st.integers(0, MASK64)),
+        value_high=low + span - 1, seed=draw(st.integers(0, MASK64)),
     )
     strategies = st.one_of(
         st.just(Truthful()),
@@ -360,9 +383,22 @@ def repeating_configs(draw):
             for _ in range(2)]
 
 
+def test_state_cached_on_a_config_is_not_part_of_it():
+    """Two configs equal in every field compare, hash, print and serialize
+    alike, whatever per-run state (the chain head) is cached on them."""
+    a, b = config(), config()
+    cached = vars(b).keys() - set(ExperimentConfig._fields)
+    assert cached
+    for name in cached:
+        object.__setattr__(b, name, object())
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) and a.to_dict() == b.to_dict()
+
+
 class TestProfileTable:
     """A config with at most ``PROFILE_TABLE_LIMIT`` valuation profiles plays
-    each distinct one once; every report and row is the per-round one."""
+    each distinct one, and renders its CSV text, once; tabled or not, every
+    report and row is the per-round one."""
 
     @given(repeating_configs())
     def test_matches_a_naive_per_round_recomputation(self, configs):

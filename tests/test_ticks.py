@@ -18,7 +18,7 @@ from sealedbid.core import (
     tick_violation,
     validate,
 )
-from sealedbid.simulate import ExperimentConfig, Truthful, run_experiment
+from sealedbid.simulate import ExperimentConfig, Overbid, Strategy, Truthful, run_experiment
 from sealedbid.verify import (
     check_dominance,
     check_instance,
@@ -48,8 +48,20 @@ def faults(call) -> list:
         return getattr(exc, "violations", [str(exc)])
 
 
-def config(low=0, high=9, rule=SECOND) -> ExperimentConfig:
-    return ExperimentConfig(2, 10, low, high, rule, Truthful(), FirstIndex(), 1)
+def config(low=0, high=9, rule=SECOND, strategy=Truthful()) -> ExperimentConfig:
+    return ExperimentConfig(2, 10, low, high, rule, strategy, FirstIndex(), 1)
+
+
+class Constant(Strategy):
+    """Bids ``tick`` whatever the value (nondecreasing, as every strategy must be)."""
+
+    kind = "constant"
+
+    def __init__(self, tick):
+        self.tick = tick
+
+    def bid(self, value):
+        return self.tick
 
 
 def ends_at(tick) -> range:
@@ -90,6 +102,10 @@ BOUNDARIES = {
                                        [], ALL),
     "config-value_low": ("value_low", lambda t: config(low=t), [], ALL),
     "config-value_high": ("value_high", lambda t: config(high=t), [], ALL),
+    "config-strategy-bid": ("strategy.bid(value_high)",
+                            lambda t: config(strategy=Constant(t)), [], ALL),
+    "config-overbid": ("strategy.bid(value_high)",
+                       lambda t: config(high=0, strategy=Overbid(t)), [], ("too-large",)),
 }
 
 
