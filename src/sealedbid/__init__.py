@@ -18,7 +18,7 @@ _EXPORTS = {
                 "InvalidInstanceError LastIndex Outcome PaymentRule Seeded TieBreakPolicy "
                 "bidder_utility outcome standard_policies validate",
         "verify": "CaseCoverage CaseTag Counterexample DeviationCheckResult VerificationReport "
-                  "assert_case check_dominance check_truthfulness coverage_guard "
+                  "assert_case check_truthfulness coverage_guard "
                   "critical_deviations dominance_sweep efficiency_check find_counterexample",
         "simulate": "ExperimentConfig Overbid PairedReport Shade SimReport Strategy Truthful "
                     "compare_rules run_experiment write_rounds_csv",

@@ -61,13 +61,18 @@ class Record:
     """Base of the package's immutable value types (not ``dataclasses``: see the
     README).  The fields are the class body's annotations, after inherited ones;
     a record compares and hashes by them, within its class, and its repr is
-    ``Name(field=value, ...)``."""
+    ``Name(field=value, ...)``.  Each field annotated ``int`` asks ``integer_violation``
+    at construction, naming the record by its ``label`` class keyword, else its kind."""
 
     _fields = ()
+    _ints = ()
 
-    def __init_subclass__(cls, **kwargs):
+    def __init_subclass__(cls, label: "str | None" = None, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields += tuple(cls.__annotations__)  # own annotations only (3.10+)
+        own = cls.__annotations__  # own annotations only (3.10+)
+        cls._fields += tuple(own)
+        cls._ints += tuple(name for name in own if own[name] in ("int", int))
+        cls._label = label or getattr(cls, "kind", cls.__name__)
 
     def __init__(self, *args, **kwargs):
         values = dict(zip(self._fields, args), **kwargs)  # zip drops surplus args
@@ -78,6 +83,9 @@ class Record:
         # makes on its config every round.
         for name in self._fields:
             object.__setattr__(self, name, values[name])
+        for name in self._ints:
+            if fault := integer_violation(f"{self._label} field {name!r}", values[name]):
+                raise ValueError(fault)
         self.__post_init__()
 
     def __post_init__(self):
@@ -118,18 +126,25 @@ class Record:
         return doc
 
 
-def read_fields(cls: type, doc: Mapping, label: str, defaults: Mapping = {}, **given) -> Record:
+def integer_violation(label: str, value) -> "str | None":
+    """The integer-field rule, asked by every record field and document field
+    that holds an integer: the fault of ``value``, named by ``label``, or None."""
+    if type(value) is not int:  # a bool is an int subclass: refused too
+        return f"{label} must be an integer (got {value!r})"
+
+
+def read_fields(cls: type, doc: Mapping, defaults: Mapping = {}, **given) -> Record:
     """A ``cls`` record from its document: the fields in ``given`` as given,
     every other field read by name, or from ``defaults``, as an ``int``.  An
     unknown key is refused, lest a misspelt optional field take its default."""
     for key in doc:
         if key not in cls._fields and not (key == "kind" and hasattr(cls, "kind")):
-            raise ValueError(f"unknown {label} field {key!r}")
+            raise ValueError(f"unknown {cls._label} field {key!r}")
     for name in cls._fields:
         if name not in given:
             value = given[name] = doc.get(name, defaults.get(name))
-            if type(value) is not int:  # a bool is an int subclass: refused too
-                raise ValueError(f"{label} field {name!r} must be an integer (got {value!r})")
+            if fault := integer_violation(f"{cls._label} field {name!r}", value):
+                raise ValueError(fault)
     return cls(**given)
 
 
@@ -143,7 +158,7 @@ def record_from_dict(doc: Mapping, what: str, classes: Sequence[type], defaults:
         if cls.kind == kind:
             if hasattr(cls, "from_dict"):
                 return cls.from_dict(doc)
-            return read_fields(cls, doc, kind, defaults)
+            return read_fields(cls, doc, defaults)
     expected = ", ".join(cls.kind for cls in classes)
     raise ValueError(f"unknown {what} {kind!r}; expected any of {expected}")
 
@@ -163,20 +178,17 @@ class AuctionInstance(Record):
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "AuctionInstance":
-        """Refused with every violation: ``validate``'s list once both fields are arrays."""
-        issues, fields = [], []
-        for key in ("valuations", "bids"):
-            entries = doc.get(key)
-            if not isinstance(entries, (list, tuple)):
-                issues.append(f"missing or non-array field {key!r}")
-                continue
-            fields.append(entries)
-            issues += _tick_violations(key, entries)
-        if len(fields) == 2:
-            issues = validate(cls(*fields))
-        if issues:
-            raise InvalidInstanceError(issues)
-        return cls(*fields)
+        """Refused with every violation: ``validate``'s list once both fields are
+        arrays, else each field's own.  Built once; each tick is walked once."""
+        fields = {key: doc.get(key) for key in ("valuations", "bids")}
+        if all(isinstance(entries, (list, tuple)) for entries in fields.values()):
+            instance = cls(**fields)
+            if issues := validate(instance):
+                raise InvalidInstanceError(issues)
+            return instance
+        raise InvalidInstanceError([fault for key, entries in fields.items() for fault in (
+            _tick_violations(key, entries) if isinstance(entries, (list, tuple))
+            else [f"missing or non-array field {key!r}"])])
 
 
 def validate(instance: AuctionInstance) -> list[str]:
@@ -252,7 +264,7 @@ class TieBreakPolicy(ABC):
     Implementations must return a member of ``argmax_set(bids)``; nothing
     else about the choice is fixed, which is exactly the freedom the
     verifier has to be robust against.  ``select`` receives a profile that
-    ``select_winner`` or ``outcome`` has already validated, and must be a
+    ``outcome`` has already validated, and must be a
     pure function of it: reports are reproducible only if it is, and the
     verifier evaluates each (profile, policy) pair once and reuses the outcome.
     """
@@ -317,8 +329,8 @@ class ExplicitChoice(Record, TieBreakPolicy):
     """Winner chosen by an explicit map from each argmax set to a bidder.
 
     The map is validated at construction: every argmax set is a set of
-    distinct nonnegative indices, named by no two keys with different
-    choices, and every chosen winner belongs to its own argmax set.
+    distinct nonnegative ``int`` indices, named by no two keys with different
+    choices, and every chosen winner is an ``int`` in its own argmax set.
     Selecting on an argmax set the map does not cover is an error.
     """
 
@@ -328,6 +340,10 @@ class ExplicitChoice(Record, TieBreakPolicy):
     def __post_init__(self):
         normalized = {}
         for key, pick in self.choice.items():
+            labels = [f"argmax set {list(key)} member"] * len(key)
+            for label, value in zip(labels + [f"explicit choice for {list(key)}"], (*key, pick)):
+                if fault := integer_violation(label, value):
+                    raise ValueError(fault)
             ties = tuple(sorted(key))
             if len(set(ties)) < len(ties) or (ties and ties[0] < 0):
                 raise ValueError(f"argmax set {list(ties)} must hold distinct nonnegative indices")
@@ -383,21 +399,16 @@ class ExplicitChoice(Record, TieBreakPolicy):
                 ties = tuple(int(part) for part in str(key).split(","))
             except ValueError:
                 raise ValueError(f"malformed argmax-set key {key!r}") from None
-            if type(pick) is not int:
+            if integer_violation("choice", pick):  # refused in the document's words
                 raise ValueError(f"explicit choice for {key!r} must be an integer")
             table[ties] = pick
-        return read_fields(cls, doc, cls.kind, choice=table)
+        return read_fields(cls, doc, choice=table)
 
 
 def policy_from_dict(doc: Mapping) -> TieBreakPolicy:
     """Parse a tie-break policy from its document; a seeded one's seed defaults to 0."""
     return record_from_dict(doc, "policy", (FirstIndex, LastIndex, Seeded, ExplicitChoice),
                             {"seed": 0})
-
-
-def select_winner(bids: Sequence[Money], policy: TieBreakPolicy) -> BidderId:
-    """Winner of the profile under the given tie-break policy."""
-    return policy.select(_require_profile(bids))
 
 
 class PaymentRule(Enum):

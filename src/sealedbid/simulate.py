@@ -57,14 +57,6 @@ class Strategy(ABC):
         return {"kind": self.describe()}
 
 
-def _require_int_fields(strategy: Strategy):
-    """Refuse, as its document reader would, a field that is not an ``int``."""
-    for name in strategy._fields:
-        value = getattr(strategy, name)
-        if type(value) is not int:  # a bool is an int subclass: refused too
-            raise ValueError(f"{strategy.kind} field {name!r} must be an integer (got {value!r})")
-
-
 class Truthful(Record, Strategy):
     """Bid exactly the value."""
 
@@ -82,7 +74,6 @@ class Shade(Record, Strategy):
     denominator: int
 
     def __post_init__(self):
-        _require_int_fields(self)
         if self.numerator <= 0 or self.denominator <= 0:
             raise ValueError("shade factor needs positive numerator and denominator")
         if self.numerator >= self.denominator:
@@ -102,10 +93,9 @@ class Overbid(Record, Strategy):
     """Bid a fixed amount above value."""
 
     kind = "overbid"
-    delta: Money
+    delta: int
 
     def __post_init__(self):
-        _require_int_fields(self)
         if self.delta < 0:
             raise ValueError(f"overbid delta must be nonnegative (got {self.delta})")
 
@@ -128,7 +118,7 @@ def apply_strategy(valuations: Sequence[Money], strategy: Strategy) -> BidProfil
     return tuple(map(strategy.bid, valuations))
 
 
-class ExperimentConfig(Record):
+class ExperimentConfig(Record, label="config"):
     """Fully determines an experiment, including all of its randomness: bidder
     b's value in round r is ``value_low + mix64(seed, r, b) % span``, where
     ``span = value_high - value_low + 1`` (``sample_valuations`` states its bias)."""
@@ -143,10 +133,6 @@ class ExperimentConfig(Record):
     seed: int
 
     def __post_init__(self):
-        for count in ("n_bidders", "n_rounds", "seed"):
-            value = getattr(self, count)
-            if type(value) is not int:  # a bool is an int subclass: refused too
-                raise ValueError(f"{count} must be an integer (got {value!r})")
         if type(self.rule) is not PaymentRule:  # as outcome would, but before any round
             raise ValueError(f"payment rule must be a PaymentRule member (got {self.rule!r})")
         if self.n_bidders < 2:
@@ -162,7 +148,14 @@ class ExperimentConfig(Record):
             )
         # Every strategy bids nondecreasingly in the value: its bid at value_high
         # is the highest a run can place, price or print.
-        if fault := tick_violation("strategy.bid(value_high)", self.strategy.bid(self.value_high)):
+        top = self.strategy.bid(self.value_high)
+        if fault := tick_violation("strategy.bid(value_high)", top):
+            raise ValueError(fault)
+        # A report prints sums over the rounds of prices and utilities, each within
+        # max(value_high, top), and compare_rules the difference of two such sums.
+        bound = 2 * self.n_rounds * max(self.value_high, top)
+        if fault := tick_violation("2 * n_rounds * max(value_high, strategy.bid(value_high))",
+                                   bound):
             raise ValueError(fault)
         if not 0 <= self.seed < (1 << 64):
             raise ValueError(f"seed {self.seed} outside unsigned 64-bit range")
@@ -173,7 +166,7 @@ class ExperimentConfig(Record):
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ExperimentConfig":
         return read_fields(
-            cls, doc, "config", {"seed": 0}, rule=PaymentRule(doc.get("rule", "second-price")),
+            cls, doc, {"seed": 0}, rule=PaymentRule(doc.get("rule", "second-price")),
             strategy=strategy_from_dict(doc.get("strategy", {"kind": "truthful"})),
             policy=policy_from_dict(doc.get("policy", {"kind": "first-index"})),
         )

@@ -43,7 +43,6 @@ from .core import (
     check_budget,
     max_excluding,
     outcome,
-    select_winner,
     standard_policies,
     tick_violation,
     validate,
@@ -59,10 +58,6 @@ class CaseTag(Enum):
     LOSE_LOSE = "lose-lose"
     LOSE_WIN = "lose-win"
     WIN_LOSE = "win-lose"
-
-    @property
-    def won_original(self) -> bool:
-        return self in (CaseTag.WIN_WIN, CaseTag.WIN_LOSE)
 
     @property
     def won_deviation(self) -> bool:
@@ -315,18 +310,18 @@ def _scope(policies, rule, adversarial, blocks, decode=tuple, valuations=None) -
     return _Scope(table, views, templates, blocks, decode, valuations)
 
 
-def _grid_scope(n, tick_bound, values, bidders, deviations, policies, rule, adversarial):
+def _grid_scope(n, grid, deviations, policies, rule, adversarial):
     """The blocks of one bidder count over integer-coded profiles: digit j
     of a code is bid j, so bidder b's profile at bid x is ``base + x *
     radix**b``, with base its code at bid 0, and no tuple is built per
-    profile.  The radix exceeds every bid a profile can hold: the tick
-    bound, the valuation and every deviation bid, none of them negative; a
-    rule's bids peak at the largest M, the tick bound.  Every bidder faces
-    the same opposing bids, so the same deviation bids, and over the full
-    grid its deviated keys are its truthful keys."""
-    radix = max(tick_bound + 1, values[-1], *deviations(tick_bound)[-1:]) + 1
+    profile.  Every bidder takes every valuation in ``grid``, 0..T.  The
+    radix exceeds every bid a profile can hold: T + 1 and every deviation
+    bid, none of them negative; a rule's bids peak at the largest M, T.
+    Every bidder faces the same opposing bids, so the same deviation bids,
+    and over the full grid its deviated keys are its truthful keys."""
+    radix = max([grid[-1] + 1, *deviations(grid[-1])[-1:]]) + 1
     weights = [radix ** j for j in range(n)]
-    shared = deviations(0) == values
+    shared = deviations(0) == grid
 
     def decode(code: int) -> BidProfile:
         bids = []
@@ -336,16 +331,16 @@ def _grid_scope(n, tick_bound, values, bidders, deviations, policies, rule, adve
         return tuple(bids)
 
     def blocks():
-        for others in product(range(tick_bound + 1), repeat=n - 1):
+        for others in product(grid, repeat=n - 1):
             new_bids = deviations(max(others))
             group = []
-            for b in bidders:
+            for b in range(n):
                 base = sum(bid * w for bid, w in zip(_inserted(others, 0, b), weights))
                 weight = weights[b]
-                truths = tuple([base + value * weight for value in values])
+                truths = tuple([base + value * weight for value in grid])
                 devs = truths if shared else tuple([base + bid * weight for bid in new_bids])
                 group.append((b, truths, devs))
-            yield values, new_bids, group
+            yield grid, new_bids, group
 
     return _scope(policies, rule, adversarial, blocks, decode)
 
@@ -450,19 +445,18 @@ def _first_failure(scopes) -> "Counterexample | None":
     return None
 
 
-def _grid_scopes(n_min, n_max, tick_bound, policies, rule, deviations, adversarial, budget,
-                 valuation=None, bidder=None) -> Iterator[_Scope]:
+def _grid_scopes(n_min, n_max, tick_bound, policies, rule, deviations, adversarial,
+                 budget) -> Iterator[_Scope]:
     """Check bounds and budget, then return one scope per N = n_min..n_max
     over every opposing-bid vector in {0..tick_bound}^(N-1), every valuation
-    (or just ``valuation``) and every bidder (or just ``bidder``), built
-    lazily so that a finished N's tables are freed before the next fills."""
+    and every bidder, built lazily so that a finished N's tables are freed
+    before the next fills."""
     if n_max < 2:
         raise ValueError(f"N >= 2 required (got {n_max})")
     if fault := tick_violation("tick_bound", tick_bound):
         raise InvalidInstanceError([fault])
     grid = range(tick_bound + 1)
     deviations = _deviation_set(grid if deviations == "grid" else deviations, budget)
-    values = grid if valuation is None else (valuation,)
     scopes = []
     rows = 0
     for n in range(n_min, n_max + 1):
@@ -473,16 +467,12 @@ def _grid_scopes(n_min, n_max, tick_bound, policies, rule, deviations, adversari
         opposing = (tick_bound + 1) ** min(n - 1, budget.bit_length() + 1)
         # Only the all-zero opposing vector has M = 0; a rule's size is equal for all M > 0.
         per_value = _size(deviations(0)) + (opposing - 1) * _size(deviations(1))
-        bidders = n if bidder is None else 1
-        rows += _size(values) * bidders * per_value * pairing_count(policy_set, adversarial)
+        rows += _size(grid) * n * per_value * pairing_count(policy_set, adversarial)
         if rows > budget:
             break
     check_budget(rows, budget, "evaluated tuples")
-    return (
-        _grid_scope(n, tick_bound, values, range(n) if bidder is None else (bidder,),
-                    deviations, policy_set, rule, adversarial)
-        for n, policy_set in scopes
-    )
+    return (_grid_scope(n, grid, deviations, policy_set, rule, adversarial)
+            for n, policy_set in scopes)
 
 
 def _fold(scope: _Scope) -> VerificationReport:
@@ -571,35 +561,6 @@ def coverage_guard(results: Iterable[DeviationCheckResult]) -> CaseCoverage:
     return CaseCoverage(dict.fromkeys(CaseTag, 0) | Counter(result.case for result in results))
 
 
-def check_dominance(
-    v_i: Money,
-    bidder: BidderId,
-    n_bidders: int,
-    tick_bound: Money,
-    policies: Sequence[TieBreakPolicy],
-    rule: PaymentRule = PaymentRule.SECOND_PRICE,
-    deviations: DeviationSpec = "grid",
-    adversarial: bool = True,
-    budget: int = DEFAULT_BUDGET,
-) -> VerificationReport:
-    """Check one bidder's truthfulness against every opposing-bid vector.
-
-    :func:`dominance_sweep` restricted to valuation ``v_i`` and one bidder
-    index, so cells run in (opposing bids, deviation bid, pairing) order.
-    ``deviations`` may be "grid" (the full grid 0..tick_bound),
-    "critical", or an explicit iterable.
-    """
-    if not 0 <= bidder < n_bidders:
-        raise ValueError(f"bidder index {bidder} out of range for N={n_bidders}")
-    if fault := tick_violation(f"valuations[{bidder}]", v_i):
-        raise InvalidInstanceError([fault])
-    [scope] = _grid_scopes(
-        n_bidders, n_bidders, tick_bound, policies, rule, deviations, adversarial, budget,
-        valuation=v_i, bidder=bidder,
-    )
-    return _fold(scope)
-
-
 def dominance_sweep(
     n_bidders: int,
     tick_bound: Money,
@@ -643,6 +604,5 @@ def find_counterexample(
 
 def efficiency_check(valuations: Sequence[Money], policy: TieBreakPolicy) -> bool:
     """With truthful bids, does the good go to a maximum-valuation bidder?"""
-    valuations = tuple(valuations)
-    winner = select_winner(valuations, policy)
+    winner = outcome(valuations, policy, PaymentRule.SECOND_PRICE).winner
     return valuations[winner] == max(valuations)

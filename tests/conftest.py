@@ -91,17 +91,14 @@ def vickrey_rows():
     return sweep_rows((2, 3), 4)
 
 
-def oracle_report(n_bidders, tick_bound, policies, rule, deviations, adversarial,
-                  valuation=None, bidder=None):
+def oracle_report(n_bidders, tick_bound, policies, rule, deviations, adversarial):
     """``(pass count, fail count, case counts, counterexample)`` of a grid
     sweep, from every ``oracle_cell`` row in key order: opposing bids,
-    valuation (or just ``valuation``), deviation bid, bidder (or just
-    ``bidder``), pairing.  ``deviations`` is "grid", "critical" or a list."""
+    valuation, deviation bid, bidder, pairing.  ``deviations`` is "grid",
+    "critical" or a list."""
     counts = {tag: 0 for tag in CaseTag}
     passed = failed = 0
     first = None
-    values = range(tick_bound + 1) if valuation is None else [valuation]
-    bidders = range(n_bidders) if bidder is None else [bidder]
     for others in product(range(tick_bound + 1), repeat=n_bidders - 1):
         if deviations == "grid":
             devs = range(tick_bound + 1)
@@ -110,9 +107,9 @@ def oracle_report(n_bidders, tick_bound, policies, rule, deviations, adversarial
             devs = sorted({top, top + 1} | ({0} if top > 0 else set()))
         else:
             devs = sorted(deviations)
-        for v_i in values:
+        for v_i in range(tick_bound + 1):
             for dev in devs:
-                for b in bidders:
+                for b in range(n_bidders):
                     bids = others[:b] + (v_i,) + others[b:]
                     for u_truth, u_dev, won_truth, won_dev, label in oracle_cell(
                         bids, dev, b, policies, rule, adversarial

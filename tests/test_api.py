@@ -142,25 +142,39 @@ def test_module_imports_nothing_it_does_not_use(path):
 TICK_FAULTS = ("non-integer tick (", "negative tick (", "tick too large (")
 
 
-def functions_wording_tick_faults() -> set:
-    """The qualified names of the functions in whose own body a string literal,
-    or an f-string's literal part, begins like a tick fault."""
-    found = set()
+def functions_where(found) -> set:
+    """The qualified names of the functions in whose own body a node is ``found``."""
+    names = set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}")
-            elif (isinstance(child, ast.Constant) and isinstance(child.value, str)
-                  and child.value.startswith(TICK_FAULTS)):
-                found.add(scope)
+            elif found(child):
+                names.add(scope)
             else:
                 visit(child, scope)
 
     for path in sorted((SRC / "sealedbid").glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    return found
+    return names
+
+
+def words_a_tick_fault(node) -> bool:
+    """A string literal, or an f-string's literal part, that begins like a tick fault."""
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.startswith(TICK_FAULTS))
+
+
+def compares_type_with_int(node) -> bool:
+    """A ``type(...) is not int`` comparison."""
+    return isinstance(node, ast.Compare) and bool(
+        re.fullmatch(r"type\(.+\) is not int", ast.unparse(node)))
 
 
 def test_the_tick_rule_is_worded_in_one_function():
-    assert functions_wording_tick_faults() == {"core.tick_violation"}
+    assert functions_where(words_a_tick_fault) == {"core.tick_violation"}
+
+
+def test_only_the_tick_and_integer_field_rules_test_for_an_int():
+    assert functions_where(compares_type_with_int) == {"core.tick_violation", "core.integer_violation"}

@@ -358,6 +358,33 @@ class TestSimulate:
         assert not csv_path.exists()
         assert rounds_played == []
 
+    def test_a_report_past_the_digit_cap_is_refused_before_any_round(self, tmp_path,
+                                                                     rounds_played, capsys):
+        # Every bid + 1 prints in 4300 digits, but the mean revenue's numerator, a sum
+        # of seven such prices, would not: refused at construction, not after the rounds.
+        path = write_doc(tmp_path, "overbid.json", {
+            "n_bidders": 2, "n_rounds": 7, "value_low": 0, "value_high": 1,
+            "rule": "first-price", "strategy": {"kind": "overbid", "delta": 9 * 10**4299},
+        })
+        csv_path = tmp_path / "rounds.csv"
+        assert dispatch(["simulate", path, "--csv", str(csv_path)]) == EXIT_INVALID
+        assert capsys.readouterr() == ("", "error: tick too large (2 * n_rounds * max(value_high, "
+                                       "strategy.bid(value_high)) + 1 has more than 4300 digits)\n")
+        assert not csv_path.exists()
+        assert rounds_played == []
+
+    def test_a_one_round_config_at_the_largest_admitted_bid_renders(self, tmp_path, capsys):
+        largest = 5 * 10**4299 - 1  # 2 * 1 * largest + 1 prints in 4300 digits
+        doc = {"n_bidders": 2, "n_rounds": 1, "value_low": 0, "value_high": 0,
+               "rule": "first-price", "strategy": {"kind": "overbid", "delta": largest}}
+        path = write_doc(tmp_path, "largest.json", doc)
+        assert dispatch(["simulate", path, "--format=json"]) == EXIT_PASS
+        report = json.loads(capsys.readouterr().out)
+        assert (report["mean_revenue"], report["mean_winner_utility"]) == (
+            f"{largest}/1", f"-{largest}/1")
+        doc["strategy"]["delta"] += 1
+        assert dispatch(["simulate", write_doc(tmp_path, "past.json", doc)]) == EXIT_INVALID
+
     def test_budget_refusal_leaves_the_csv_file_alone(self, config_path, tmp_path,
                                                      rounds_played, capsys):
         kept = tmp_path / "kept.csv"

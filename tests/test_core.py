@@ -22,7 +22,6 @@ from sealedbid.core import (
     max_excluding,
     outcome,
     policy_from_dict,
-    select_winner,
     standard_policies,
     validate,
 )
@@ -37,6 +36,7 @@ from sealedbid.simulate import (
 )
 from sealedbid.verify import CaseCoverage, CaseTag, Counterexample, VerificationReport
 
+SECOND = PaymentRule.SECOND_PRICE
 profiles = st.lists(st.integers(min_value=0, max_value=50), min_size=2, max_size=6).map(tuple)
 # A small alphabet makes heavy ties likely; the wide range reaches past 64 bits.
 kernel_profiles = st.lists(
@@ -122,23 +122,23 @@ class TestMaxima:
 
 class TestSelectWinner:
     def test_unique_maximum(self):
-        assert select_winner((3, 5, 4), FirstIndex()) == 1
+        assert outcome((3, 5, 4), FirstIndex(), SECOND).winner == 1
 
     def test_tie_first_vs_last(self):
-        assert select_winner((2, 7, 7), FirstIndex()) == 1
-        assert select_winner((2, 7, 7), LastIndex()) == 2
+        assert outcome((2, 7, 7), FirstIndex(), SECOND).winner == 1
+        assert outcome((2, 7, 7), LastIndex(), SECOND).winner == 2
 
     def test_seeded_is_deterministic(self):
         policy = Seeded(42)
-        picks = {select_winner((2, 7, 7), policy) for _ in range(10)}
+        picks = {outcome((2, 7, 7), policy, SECOND).winner for _ in range(10)}
         assert len(picks) == 1
         assert picks.pop() in (1, 2)
 
     def test_seeded_depends_on_seed_somewhere(self):
         # over many tie profiles, two seeds cannot agree everywhere
         ties = [(k, k) for k in range(40)]
-        a = [select_winner(t, Seeded(0)) for t in ties]
-        b = [select_winner(t, Seeded(1)) for t in ties]
+        a = [outcome(t, Seeded(0), SECOND).winner for t in ties]
+        b = [outcome(t, Seeded(1), SECOND).winner for t in ties]
         assert a != b
 
     def test_seeded_hashes_only_a_tie(self, monkeypatch):
@@ -150,19 +150,19 @@ class TestSelectWinner:
             return real(seed, text)
 
         monkeypatch.setattr(core, "hash_text", counting)
-        assert select_winner((2, 7, 5), Seeded(42)) == 1
+        assert outcome((2, 7, 5), Seeded(42), SECOND).winner == 1
         assert hashed == []
-        assert select_winner((2, 7, 7), Seeded(42)) in (1, 2)
+        assert outcome((2, 7, 7), Seeded(42), SECOND).winner in (1, 2)
         assert hashed == ["2,7,7"]
 
     def test_explicit_uses_choice_table(self):
         policy = ExplicitChoice({(1, 2): 2, (0,): 0})
-        assert select_winner((2, 7, 7), policy) == 2
+        assert outcome((2, 7, 7), policy, SECOND).winner == 2
 
     def test_explicit_missing_entry(self):
         policy = ExplicitChoice({(0,): 0})
         with pytest.raises(ValueError):
-            select_winner((2, 7, 7), policy)
+            outcome((2, 7, 7), policy, SECOND).winner
 
     def test_explicit_rejects_pick_outside_set(self):
         with pytest.raises(ValueError):
@@ -188,13 +188,13 @@ class TestSelectWinner:
     def test_covering_table_handles_every_argmax_set(self):
         policy = ExplicitChoice.covering(3)
         for bids in [(1, 1, 1), (2, 2, 0), (0, 5, 5), (9, 1, 1), (0, 0, 7)]:
-            winner = select_winner(bids, policy)
+            winner = outcome(bids, policy, SECOND).winner
             assert winner in argmax_set(bids)
 
     @given(profiles)
     def test_winner_always_in_argmax_set(self, bids):
         for policy in all_policies(len(bids)):
-            assert select_winner(bids, policy) in argmax_set(bids)
+            assert outcome(bids, policy, SECOND).winner in argmax_set(bids)
 
 
 class TestOutcome:
@@ -226,7 +226,7 @@ class TestOutcome:
     def test_result_is_the_keyword_built_outcome(self, rule):
         bids = [3, 5, 5, 4]  # a list profile, with a tie
         for policy in all_policies(len(bids)):
-            winner = select_winner(bids, policy)
+            winner = policy.select(tuple(bids))  # the policy's own pick
             price = max_excluding(bids, winner) if rule is PaymentRule.SECOND_PRICE else 5
             o = outcome(bids, policy, rule)
             assert type(o) is Outcome
@@ -257,7 +257,7 @@ class TestOutcome:
             (explicit, ties[len(ties) // 2]),
         ]
         for policy, winner in picks:
-            assert select_winner(list(bids), policy) == winner
+            assert outcome(list(bids), policy, SECOND).winner == winner
             for rule, price in ((PaymentRule.SECOND_PRICE, others[winner]),
                                 (PaymentRule.FIRST_PRICE, bids[winner])):
                 assert outcome(list(bids), policy, rule) == (winner, price, rule)
@@ -334,7 +334,7 @@ class TestScalingAndPermutation:
         scaled = tuple(b * factor for b in bids)
         assert argmax_set(scaled) == argmax_set(bids)
         for policy in (FirstIndex(), LastIndex(), ExplicitChoice.covering(len(bids))):
-            assert select_winner(scaled, policy) == select_winner(bids, policy)
+            assert outcome(scaled, policy, SECOND).winner == outcome(bids, policy, SECOND).winner
             o = outcome(bids, policy, PaymentRule.SECOND_PRICE)
             o_scaled = outcome(scaled, policy, PaymentRule.SECOND_PRICE)
             assert o_scaled.price == o.price * factor
@@ -344,7 +344,7 @@ class TestScalingAndPermutation:
         order = list(range(len(bids)))
         rng.shuffle(order)
         permuted = tuple(bids[j] for j in order)
-        winner = select_winner(permuted, FirstIndex())
+        winner = outcome(permuted, FirstIndex(), SECOND).winner
         assert order[winner] in argmax_set(bids)
 
     @given(profiles)
@@ -383,7 +383,7 @@ class TestSerialization:
         clone = policy_from_dict(doc)
         assert clone == policy
         for bids in [(1, 1, 1), (0, 2, 2), (5, 0, 0)]:
-            assert select_winner(bids, clone) == select_winner(bids, policy)
+            assert outcome(bids, clone, SECOND).winner == outcome(bids, policy, SECOND).winner
 
     def test_seeded_document_seed_defaults_to_zero(self):
         assert policy_from_dict({"kind": "seeded"}) == Seeded(0)
@@ -522,3 +522,21 @@ def test_empty_records_of_different_classes_differ():
 def test_records_still_validate_their_fields(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("build, fault", [
+    (lambda: ExplicitChoice({(0, 1): True}),
+     "explicit choice for [0, 1] must be an integer (got True)"),
+    (lambda: ExplicitChoice({(0, 1): 1.0}),
+     "explicit choice for [0, 1] must be an integer (got 1.0)"),
+    (lambda: ExplicitChoice({(0, True): 0}),
+     "argmax set [0, True] member must be an integer (got True)"),
+    (lambda: ExplicitChoice({(0.0, 1): 1}),
+     "argmax set [0.0, 1] member must be an integer (got 0.0)"),
+    (lambda: Seeded(1.5), "seeded field 'seed' must be an integer (got 1.5)"),
+    (lambda: Seeded(True), "seeded field 'seed' must be an integer (got True)"),
+], ids=["pick-bool", "pick-float", "member-bool", "member-float", "seed-float", "seed-bool"])
+def test_a_policy_refuses_a_non_int_pick_member_or_seed_at_construction(build, fault):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == fault

@@ -190,7 +190,7 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("field", ["n_bidders", "n_rounds", "seed"])
     @pytest.mark.parametrize("value", [True, False, 3.0, "3", None], ids=repr)
     def test_refuses_a_count_that_is_not_an_int(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        with pytest.raises(ValueError, match=f"^config field '{field}' must be an integer"):
             config(**{field: value})
 
     @pytest.mark.parametrize("rule", ["second-price", "first-price", None, 0])

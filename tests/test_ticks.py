@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from sealedbid import cli, simulate, verify
-from sealedbid.cli import EXIT_INVALID, dispatch
+from sealedbid import cli, core, simulate, verify
+from sealedbid.cli import EXIT_INVALID, dispatch, load_instance
 from sealedbid.core import (
     AuctionInstance,
     FirstIndex,
@@ -20,7 +20,6 @@ from sealedbid.core import (
 )
 from sealedbid.simulate import ExperimentConfig, Overbid, Strategy, Truthful, run_experiment
 from sealedbid.verify import (
-    check_dominance,
     check_instance,
     check_truthfulness,
     dominance_sweep,
@@ -81,22 +80,16 @@ BOUNDARIES = {
                             ["missing or non-array field 'bids'"], ALL),
     "dominance_sweep-list": ("deviation", lambda t: dominance_sweep(2, 2, deviations=[2, t]),
                              [], ALL),
-    "check_dominance-list": ("deviation", lambda t: check_dominance(
-        1, 0, 2, 2, standard_policies(2), deviations=[t]), [], ALL),
     "check_instance-list": ("deviation", lambda t: check_instance(
         INSTANCE, standard_policies(2), deviations=[0, t]), [], ALL),
     "check_truthfulness-list": ("deviation", lambda t: check_truthfulness(
         (3, 6), (5,), 0, standard_policies(2), SECOND, [t]), [], ALL),
     "dominance_sweep-range": ("deviation", lambda t: dominance_sweep(
         2, 2, deviations=ends_at(t)), [], RANGE_ENDS),
-    "check_dominance-range": ("deviation", lambda t: check_dominance(
-        1, 0, 2, 2, standard_policies(2), deviations=ends_at(t)), [], RANGE_ENDS),
     "check_instance-range": ("deviation", lambda t: check_instance(
         INSTANCE, standard_policies(2), deviations=ends_at(t)), [], RANGE_ENDS),
     "check_truthfulness-range": ("deviation", lambda t: check_truthfulness(
         (3, 6), (5,), 0, standard_policies(2), SECOND, ends_at(t)), [], RANGE_ENDS),
-    "check_dominance-valuation": ("valuations[1]", lambda t: check_dominance(
-        t, 1, 2, 2, standard_policies(2)), [], ALL),
     "dominance_sweep-tick_bound": ("tick_bound", lambda t: dominance_sweep(2, t), [], ALL),
     "find_counterexample-tick_bound": ("tick_bound", lambda t: find_counterexample(SECOND, 2, t),
                                        [], ALL),
@@ -154,6 +147,17 @@ def test_the_digit_cap_is_read_on_each_call():
     finally:
         sys.set_int_max_str_digits(cap)
     assert tick_violation("x", HUGE) == "tick too large (x + 1 has more than 4300 digits)"
+
+
+def test_loading_an_instance_walks_each_tick_once(tmp_path, monkeypatch):
+    walked = []
+    real = core.tick_violation
+    monkeypatch.setattr(core, "tick_violation",
+                        lambda label, tick: walked.append(label) or real(label, tick))
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"valuations": [3, 6], "bids": [3, 5]}), encoding="utf-8")
+    assert load_instance(str(path)) == INSTANCE
+    assert walked == ["valuations[0]", "valuations[1]", "bids[0]", "bids[1]"]
 
 
 def test_a_too_large_deviation_is_invalid_before_it_is_over_budget(outcome_calls):

@@ -25,7 +25,6 @@ from sealedbid.verify import (
     Counterexample,
     DeviationCheckResult,
     assert_case,
-    check_dominance,
     check_instance,
     check_truthfulness,
     coverage_guard,
@@ -204,10 +203,9 @@ class TestCheckTruthfulnessAgainstOracle:
 
 class TestCoverage:
     def test_all_cases_witnessed(self):
-        results = check_dominance(2, 0, 2, 4, standard_policies(2))
-        # check_dominance itself reports coverage; rebuild it with the guard
-        assert not results.coverage.vacuous
-        assert all(count > 0 for count in results.coverage.counts.values())
+        report = dominance_sweep(2, 4, standard_policies(2))
+        assert not report.coverage.vacuous
+        assert all(count > 0 for count in report.coverage.counts.values())
 
     def test_empty_results_are_vacuous(self):
         assert coverage_guard([]).vacuous
@@ -221,7 +219,7 @@ class TestCoverage:
         assert coverage.vacuous
 
     def test_tick_bound_zero_passes_but_is_vacuous(self):
-        report = check_dominance(0, 0, 2, 0, standard_policies(2))
+        report = dominance_sweep(2, 0, standard_policies(2))
         assert report.passed
         assert report.coverage.vacuous
 
@@ -235,7 +233,7 @@ class TestCoverage:
 
 class TestDominance:
     def test_second_price_two_bidders_passes(self):
-        report = check_dominance(2, 0, 2, 4, standard_policies(2))
+        report = dominance_sweep(2, 4, standard_policies(2))
         assert report.passed and not report.coverage.vacuous
 
     def test_first_price_fails_with_counterexample(self):
@@ -294,8 +292,8 @@ class TestFindCounterexample:
 @st.composite
 def sweeps(draw):
     """A small sweep: (N, T), rule, a policy list with repeats, adversarial
-    on or off, deviations, and sometimes one valuation and one bidder.  N
-    reaches 4, so a block holds three opposing bids and a code four digits."""
+    on or off, and deviations.  N reaches 4, so a block holds three
+    opposing bids and a code four digits."""
     n_bidders = draw(st.integers(min_value=2, max_value=4))
     ticks = draw(st.integers(min_value=0, max_value=3 if n_bidders < 4 else 2))
     kinds = standard_policies(n_bidders, seed=draw(st.integers(min_value=0, max_value=3)))
@@ -304,29 +302,16 @@ def sweeps(draw):
         st.sampled_from(["grid", "critical"]),
         st.lists(st.integers(min_value=0, max_value=ticks + 3), max_size=3),
     ))
-    single = draw(st.one_of(st.none(), st.tuples(
-        st.integers(min_value=0, max_value=ticks + 2),
-        st.integers(min_value=0, max_value=n_bidders - 1),
-    )))
     return (n_bidders, ticks, policies, draw(st.sampled_from([SECOND, FIRST])), deviations,
-            draw(st.booleans()), single)
+            draw(st.booleans()))
 
 
 class TestClassFoldAgainstOracle:
     @settings(max_examples=60, deadline=None)
     @given(sweeps())
     def test_report_matches_the_row_oracle(self, sweep):
-        n_bidders, ticks, policies, rule, deviations, adversarial, single = sweep
-        if single is None:
-            report = dominance_sweep(n_bidders, ticks, policies, rule, deviations, adversarial)
-            expected = oracle_report(n_bidders, ticks, policies, rule, deviations, adversarial)
-        else:
-            valuation, bidder = single
-            report = check_dominance(
-                valuation, bidder, n_bidders, ticks, policies, rule, deviations, adversarial)
-            expected = oracle_report(n_bidders, ticks, policies, rule, deviations, adversarial,
-                                     valuation, bidder)
-        passed, failed, counts, counterexample = expected
+        report = dominance_sweep(*sweep)
+        passed, failed, counts, counterexample = oracle_report(*sweep)
         assert (report.pass_count, report.fail_count) == (passed, failed)
         assert report.coverage.counts == counts
         assert report.counterexample == counterexample
@@ -513,17 +498,6 @@ BUDGETED_RUNS = [
         20,
     ),
     (
-        "check-dominance",
-        lambda b: check_dominance(1, 2, 3, 2, standard_policies(3), budget=b),
-        grid_rows(3, 2, 1, 1, 3),
-    ),
-    (
-        "check-dominance-critical",
-        lambda b: check_dominance(
-            0, 0, 2, 3, standard_policies(2), deviations="critical", budget=b),
-        (3 * 4 - 1) * 5,
-    ),
-    (
         "check-critical",
         lambda b: check_instance(INSTANCE, standard_policies(4), budget=b),
         4 * 3 * 5,
@@ -707,11 +681,10 @@ class TestPreflightBudget:
 
     @pytest.mark.parametrize("run", [
         lambda: dominance_sweep(2, 2, deviations=[-1]),
-        lambda: check_dominance(1, 0, 2, 2, standard_policies(2), deviations=[2, -1]),
         lambda: check_instance(AuctionInstance((3, 6), (3, 5)), standard_policies(2),
                                deviations=range(-1, 3)),
         lambda: check_truthfulness((3, 6), (5,), 0, standard_policies(2), SECOND, [-1]),
-    ], ids=["dominance_sweep", "check_dominance", "check_instance", "check_truthfulness"])
+    ], ids=["dominance_sweep", "check_instance", "check_truthfulness"])
     def test_negative_deviation_is_refused_before_any_work(self, counters, run):
         with pytest.raises(InvalidInstanceError) as info:
             run()
