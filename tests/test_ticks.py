@@ -90,6 +90,8 @@ BOUNDARIES = {
         INSTANCE, standard_policies(2), deviations=ends_at(t)), [], RANGE_ENDS),
     "check_truthfulness-range": ("deviation", lambda t: check_truthfulness(
         (3, 6), (5,), 0, standard_policies(2), SECOND, ends_at(t)), [], RANGE_ENDS),
+    "check_truthfulness-valuation": ("valuations[0]", lambda t: check_truthfulness(
+        (t, 6), (5,), 1, standard_policies(2), SECOND), [], ALL),
     "dominance_sweep-tick_bound": ("tick_bound", lambda t: dominance_sweep(2, t), [], ALL),
     "find_counterexample-tick_bound": ("tick_bound", lambda t: find_counterexample(SECOND, 2, t),
                                        [], ALL),

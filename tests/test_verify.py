@@ -331,6 +331,14 @@ class TestEfficiency:
             for policy in policies:
                 assert efficiency_check(values, policy)
 
+    def test_a_policy_picking_a_lower_bidder_is_refused(self):
+        class Lowest(FirstIndex):
+            def select(self, bids):
+                return bids.index(min(bids))
+
+        with pytest.raises(ValueError, match="^tie-break first-index picked 0, not a highest"):
+            efficiency_check((3, 6), Lowest())
+
 
 class TestSweepAggregationOrderIndependence:
     def test_rows_agree_with_dominance_sweep_counts(self):
@@ -490,6 +498,12 @@ BUDGETED_RUNS = [
         "sweep-explicit",
         lambda b: dominance_sweep(2, 3, deviations=[3, 0], budget=b),
         grid_rows(2, 3, 4, 2, 2),
+    ),
+    (
+        # the opposing bid M = 0..3 has a critical set of 2, 3, 3 and 3 bids
+        "sweep-critical-two-bidders",
+        lambda b: dominance_sweep(2, 3, standard_policies(2), deviations="critical", budget=b),
+        4 * 2 * (2 + 3 * 3) * 5,
     ),
     (
         # tick bound 0: the one opposing vector is all zeros, so M = 0 everywhere
