@@ -16,7 +16,7 @@ _EXPORTS = {
     name: module for module, names in {
         "core": "DEFAULT_BUDGET AuctionInstance BudgetExceededError ExplicitChoice FirstIndex "
                 "InvalidInstanceError LastIndex Outcome PaymentRule Seeded TieBreakPolicy "
-                "bidder_utility outcome standard_policies validate",
+                "bidder_utility outcome standard_policies",
         "verify": "CaseCoverage CaseTag Counterexample DeviationCheckResult VerificationReport "
                   "assert_case check_truthfulness coverage_guard "
                   "critical_deviations dominance_sweep efficiency_check find_counterexample",

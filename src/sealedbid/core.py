@@ -164,7 +164,9 @@ def record_from_dict(doc: Mapping, what: str, classes: Sequence[type], defaults:
 
 
 class AuctionInstance(Record):
-    """A valuation profile paired with a bid profile of the same length."""
+    """A valuation profile paired with a bid profile of the same length, valid by
+    construction: any other raises ``InvalidInstanceError`` listing every violated
+    rule, not just the first, so an unsatisfiable input cannot pass for a clean one."""
 
     valuations: ValuationProfile
     bids: BidProfile
@@ -172,44 +174,31 @@ class AuctionInstance(Record):
     def __init__(self, valuations: Sequence[Money], bids: Sequence[Money]):
         super().__init__(tuple(valuations), tuple(bids))
 
+    def __post_init__(self):
+        violations = []
+        n_vals, n_bids = len(self.valuations), len(self.bids)
+        if n_vals != n_bids:
+            violations.append(f"length mismatch ({n_vals} valuations vs {n_bids} bids)")
+        if min(n_vals, n_bids) < 2:
+            violations.append(f"N >= 2 required (got {min(n_vals, n_bids)})")
+        for name in self._fields:
+            violations += _tick_violations(name, getattr(self, name))
+        if violations:
+            raise InvalidInstanceError(violations)
+
     @property
     def n_bidders(self) -> int:
         return len(self.bids)
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "AuctionInstance":
-        """Refused with every violation: ``validate``'s list once both fields are
-        arrays, else each field's own.  Built once; each tick is walked once."""
+        """Refused with every violation: the instance's, or each field's if one is not an array."""
         fields = {key: doc.get(key) for key in ("valuations", "bids")}
         if all(isinstance(entries, (list, tuple)) for entries in fields.values()):
-            instance = cls(**fields)
-            if issues := validate(instance):
-                raise InvalidInstanceError(issues)
-            return instance
+            return cls(**fields)
         raise InvalidInstanceError([fault for key, entries in fields.items() for fault in (
             _tick_violations(key, entries) if isinstance(entries, (list, tuple))
             else [f"missing or non-array field {key!r}"])])
-
-
-def validate(instance: AuctionInstance) -> list[str]:
-    """Check an instance against every well-formedness rule.
-
-    Returns the full list of violated rules (empty when valid) rather
-    than stopping at the first, so a silently unsatisfiable input cannot
-    masquerade as a clean one.
-    """
-    violations = []
-    n_vals = len(instance.valuations)
-    n_bids = len(instance.bids)
-    if n_vals != n_bids:
-        violations.append(
-            f"length mismatch ({n_vals} valuations vs {n_bids} bids)"
-        )
-    if min(n_vals, n_bids) < 2:
-        violations.append(f"N >= 2 required (got {min(n_vals, n_bids)})")
-    for name, profile in (("valuations", instance.valuations), ("bids", instance.bids)):
-        violations += _tick_violations(name, profile)
-    return violations
 
 
 def tick_violation(label: str, tick) -> "str | None":
@@ -232,6 +221,15 @@ def _tick_violations(name: str, ticks: Sequence) -> list[str]:
             if (fault := tick_violation(f"{name}[{pos}]", tick))]
 
 
+def bidder_violation(bidder, n_bidders: int) -> "str | None":
+    """The bidder-index rule, asked by every boundary that takes a bidder index: the
+    fault of ``bidder``, an ``int`` (not a ``bool``) in 0..n_bidders-1, or None."""
+    if fault := integer_violation("bidder index", bidder):
+        return fault
+    if not 0 <= bidder < n_bidders:
+        return f"bidder index {bidder} out of range for N={n_bidders}"
+
+
 def _require_profile(bids: Sequence[Money]) -> BidProfile:
     if len(bids) < 2:
         raise ValueError(f"N >= 2 required (got {len(bids)})")
@@ -248,8 +246,8 @@ def argmax_set(bids: Sequence[Money]) -> tuple[BidderId, ...]:
 def max_excluding(bids: Sequence[Money], bidder: BidderId) -> Money:
     """Highest bid placed by anyone other than ``bidder``."""
     bids = _require_profile(bids)
-    if not 0 <= bidder < len(bids):
-        raise ValueError(f"bidder index {bidder} out of range for N={len(bids)}")
+    if fault := bidder_violation(bidder, len(bids)):
+        raise ValueError(fault)
     return max(bids[:bidder] + bids[bidder + 1:])
 
 
@@ -447,8 +445,8 @@ def outcome(bids: Sequence[Money], policy: TieBreakPolicy, rule: PaymentRule) ->
 
 def bidder_utility(valuations: Sequence[Money], result: Outcome, bidder: BidderId) -> SignedMoney:
     """Utility of one bidder: zero for losers, value minus price for the winner."""
-    if not 0 <= bidder < len(valuations):
-        raise ValueError(f"bidder index {bidder} out of range for N={len(valuations)}")
+    if fault := bidder_violation(bidder, len(valuations)):
+        raise ValueError(fault)
     if bidder != result.winner:
         return 0
     return valuations[bidder] - result.price

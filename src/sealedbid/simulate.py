@@ -12,7 +12,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from fractions import Fraction
 from functools import cache
-from typing import IO, Mapping, NamedTuple, Sequence
+from typing import IO, Mapping, Sequence
 
 from .core import (
     BidderId,
@@ -200,16 +200,6 @@ def sample_valuations(config: ExperimentConfig, round_index: int) -> ValuationPr
     return tuple(values)
 
 
-class RoundRecord(NamedTuple):
-    """One simulated auction round."""
-
-    index: int
-    valuations: ValuationProfile
-    bids: BidProfile
-    winner: BidderId
-    price: Money
-
-
 class SimReport(Record):
     """Exact-rational summary statistics of one experiment."""
 
@@ -268,27 +258,27 @@ def _player(config: ExperimentConfig):
 
 
 def _simulate(configs: Sequence[ExperimentConfig], budget: int, sink=None) -> list[SimReport]:
-    """The one round loop: sample each round once, play it under every
-    config (all share the first one's sampling parameters), fold exact
-    integer sums per config, and hand ``sink`` the round's records, one per
-    config.  The sums are divided once, at the end."""
+    """The one round loop: sample each round once, play it under every config
+    (all share the first one's sampling parameters), fold exact integer sums per
+    config, and call ``sink(index, valuations, plays)`` with each config's ``play``
+    result, ``(bids, winner, price)``.  The sums are divided once, at the end."""
     sampling = configs[0]
     sampling.check_budget(budget)
     totals = [[0, 0, 0] for _ in configs]  # revenue, winner utility, efficient rounds
-    plays = [(_player(config), total) for config, total in zip(configs, totals)]
+    players = [(_player(config), total) for config, total in zip(configs, totals)]
     for index in range(sampling.n_rounds):
         valuations = sample_valuations(sampling, index)
         top = max(valuations)
-        records = None if sink is None else []
-        for play, total in plays:
-            bids, winner, price = play(valuations)
+        plays = None if sink is None else []
+        for play, total in players:
+            played = _, winner, price = play(valuations)
             total[0] += price
             total[1] += valuations[winner] - price
             total[2] += valuations[winner] == top
-            if records is not None:
-                records.append(RoundRecord(index, valuations, bids, winner, price))
-        if records is not None:
-            sink(records)
+            if plays is not None:
+                plays.append(played)
+        if plays is not None:
+            sink(index, valuations, plays)
     rounds = sampling.n_rounds
     return [SimReport(config, rounds, *(Fraction(value, rounds) for value in total))
             for config, total in zip(configs, totals)]
@@ -345,9 +335,9 @@ def compare_rules(
             )
     diff_min = diff_max = None
 
-    def track(records: list[RoundRecord]):
+    def track(index, valuations, plays):
         nonlocal diff_min, diff_max
-        diff = records[0].price - records[1].price
+        diff = plays[0][2] - plays[1][2]
         diff_min = diff if diff_min is None else min(diff_min, diff)
         diff_max = diff if diff_max is None else max(diff_max, diff)
 
@@ -384,8 +374,7 @@ def write_rounds_csv(
     stream.write("round,valuations,bids,winner,price\n")
     row_text = _per_profile(config, _row_text)
 
-    def write(records: list[RoundRecord]):
-        index, valuations, bids, winner, price = records[0]
-        stream.write(f"{index},{row_text(valuations, bids, winner, price)}\n")
+    def write(index, valuations, plays):
+        stream.write(f"{index},{row_text(valuations, *plays[0])}\n")
 
     return _simulate([config], budget, write)[0]

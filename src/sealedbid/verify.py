@@ -40,12 +40,12 @@ from .core import (
     SignedMoney,
     TieBreakPolicy,
     ValuationProfile,
+    bidder_violation,
     check_budget,
     max_excluding,
     outcome,
     standard_policies,
     tick_violation,
-    validate,
 )
 
 DeviationSpec = Union[str, Iterable[Money]]
@@ -143,8 +143,8 @@ class VerificationReport(Record):
 def deviation_profile(bids: Sequence[Money], bidder: BidderId, new_bid: Money) -> BidProfile:
     """The profile equal to ``bids`` except that ``bidder`` bids ``new_bid``."""
     bids = tuple(bids)
-    if not 0 <= bidder < len(bids):
-        raise ValueError(f"bidder index {bidder} out of range for N={len(bids)}")
+    if fault := bidder_violation(bidder, len(bids)):
+        raise ValueError(fault)
     return bids[:bidder] + (new_bid,) + bids[bidder + 1:]
 
 
@@ -346,17 +346,16 @@ def _grid_scope(n, grid, deviations, policies, rule, adversarial):
 
 
 def _instance_scope(instance, bidders, policies, rule, deviations, adversarial, budget):
-    """Validate the instance, resolve the deviations and refuse a run over
-    ``budget`` rows, all before any work; then one block per cell, in
-    (deviation bid, bidder) order.  Bidder b's truthful profile is the
-    instance's bids with b's bid set to its valuation, keyed by itself; its
+    """Resolve the deviations and refuse a run over ``budget`` rows, both before
+    any work; then one block per cell, in (deviation bid, bidder) order.  Bidder
+    b, a valid index, has its opposing bids and truthful profile (the instance's
+    bids with b's bid set to its valuation, keyed by itself) built once; its
     deviation bids are the rule's at its top opposing bid."""
-    violations = validate(instance)
-    if violations:
-        raise InvalidInstanceError(violations)
     deviations = _deviation_set(deviations, budget)
     valuations, bids = instance.valuations, instance.bids
-    per_bidder = [deviations(max_excluding(bids, b)) for b in bidders]
+    opposing = {b: bids[:b] + bids[b + 1:] for b in bidders}
+    truths = {b: _inserted(others, valuations[b], b) for b, others in opposing.items()}
+    per_bidder = [deviations(max(opposing[b])) for b in bidders]
     rows = sum(_size(new_bids) for new_bids in per_bidder)
     check_budget(rows * pairing_count(policies, adversarial), budget, "evaluated tuples")
 
@@ -366,10 +365,8 @@ def _instance_scope(instance, bidders, policies, rule, deviations, adversarial, 
 
         streams = [zip(new_bids, repeat(b)) for b, new_bids in zip(bidders, per_bidder)]
         for new_bid, b in merge(*streams):
-            profile = deviation_profile(bids, b, valuations[b])
-            yield (valuations[b],), (new_bid,), [
-                (b, (profile,), (deviation_profile(profile, b, new_bid),))
-            ]
+            deviated = _inserted(opposing[b], new_bid, b)
+            yield (valuations[b],), (new_bid,), [(b, (truths[b],), (deviated,))]
 
     return _scope(policies, rule, adversarial, blocks, valuations=valuations)
 
@@ -527,8 +524,8 @@ def check_truthfulness(
     """
     valuations = tuple(valuations)
     others = tuple(others)
-    if not 0 <= bidder < len(valuations):
-        raise ValueError(f"bidder index {bidder} out of range for N={len(valuations)}")
+    if fault := bidder_violation(bidder, len(valuations)):
+        raise ValueError(fault)
     if len(others) != len(valuations) - 1:
         raise ValueError(
             f"expected {len(valuations) - 1} opposing bids, got {len(others)}"
@@ -603,6 +600,7 @@ def find_counterexample(
 
 
 def efficiency_check(valuations: Sequence[Money], policy: TieBreakPolicy) -> bool:
-    """With truthful bids, does the good go to a maximum-valuation bidder?"""
+    """With truthful bids, does the good go to a maximum-valuation bidder?  True
+    or raises, as ``outcome`` refuses a policy that picks a bidder without a top bid."""
     winner = outcome(valuations, policy, PaymentRule.SECOND_PRICE).winner
     return valuations[winner] == max(valuations)

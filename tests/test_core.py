@@ -23,7 +23,6 @@ from sealedbid.core import (
     outcome,
     policy_from_dict,
     standard_policies,
-    validate,
 )
 from sealedbid.seeding import hash_text
 from sealedbid.simulate import (
@@ -34,7 +33,14 @@ from sealedbid.simulate import (
     SimReport,
     Truthful,
 )
-from sealedbid.verify import CaseCoverage, CaseTag, Counterexample, VerificationReport
+from sealedbid.verify import (
+    CaseCoverage,
+    CaseTag,
+    Counterexample,
+    VerificationReport,
+    check_truthfulness,
+    deviation_profile,
+)
 
 SECOND = PaymentRule.SECOND_PRICE
 profiles = st.lists(st.integers(min_value=0, max_value=50), min_size=2, max_size=6).map(tuple)
@@ -51,35 +57,38 @@ def all_policies(n_bidders, seed=0):
     return standard_policies(n_bidders, seed)
 
 
+def violations(valuations, bids) -> list:
+    """The violations an ``AuctionInstance`` raises at construction."""
+    with pytest.raises(InvalidInstanceError) as info:
+        AuctionInstance(valuations, bids)
+    return info.value.violations
+
+
 class TestValidate:
     def test_valid_instance(self):
-        assert validate(AuctionInstance((3, 6, 4), (3, 5, 4))) == []
+        assert AuctionInstance((3, 6, 4), (3, 5, 4)).n_bidders == 3
 
     def test_single_bidder(self):
-        violations = validate(AuctionInstance((3,), (3,)))
-        assert violations == ["N >= 2 required (got 1)"]
+        assert violations((3,), (3,)) == ["N >= 2 required (got 1)"]
 
     def test_length_mismatch(self):
-        violations = validate(AuctionInstance((3, 6), (3, 5, 4)))
-        assert any("length mismatch" in v for v in violations)
+        assert violations((3, 6), (3, 5, 4)) == ["length mismatch (2 valuations vs 3 bids)"]
 
     def test_negative_tick(self):
-        violations = validate(AuctionInstance((3, 6), (-1, 2)))
-        assert any("negative tick" in v for v in violations)
+        assert violations((3, 6), (-1, 2)) == ["negative tick (bids[0] = -1)"]
 
     def test_tick_whose_successor_has_no_decimal_text(self):
         # the critical deviation above a bid of 4300 nines has 4301 digits
         top = int("9" * 4300)
-        assert validate(AuctionInstance((top - 1, 0), (top - 1, 3))) == []
-        violations = validate(AuctionInstance((top, 0), (top, 3)))
-        assert violations == [
+        assert AuctionInstance((top - 1, 0), (top - 1, 3)).bids == (top - 1, 3)
+        assert violations((top, 0), (top, 3)) == [
             "tick too large (valuations[0] + 1 has more than 4300 digits)",
             "tick too large (bids[0] + 1 has more than 4300 digits)",
         ]
 
     def test_non_integer_ticks_are_reported_like_from_dict(self):
         # a float, a bool (an int subclass) and a string; none may reach the tick checks
-        assert validate(AuctionInstance((1.5, 2), (True, "3"))) == [
+        assert violations((1.5, 2), (True, "3")) == [
             "non-integer tick (valuations[0] = 1.5)",
             "non-integer tick (bids[0] = True)",
             "non-integer tick (bids[1] = '3')",
@@ -87,12 +96,12 @@ class TestValidate:
 
     def test_all_violations_reported(self):
         # the gatekeeper must list every broken rule, not stop at the first
-        violations = validate(AuctionInstance((-1,), (2, -3)))
-        text = "\n".join(violations)
-        assert "length mismatch" in text
-        assert "N >= 2" in text
-        assert "negative tick" in text
-        assert len(violations) >= 3
+        assert violations((-1,), (2, -3)) == [
+            "length mismatch (1 valuations vs 2 bids)",
+            "N >= 2 required (got 1)",
+            "negative tick (valuations[0] = -1)",
+            "negative tick (bids[1] = -3)",
+        ]
 
 
 class TestMaxima:
@@ -118,6 +127,24 @@ class TestMaxima:
     def test_max_excluding_rejects_single_bidder(self):
         with pytest.raises(ValueError):
             max_excluding((5,), 0)
+
+
+@pytest.mark.parametrize("bidder, fault", [
+    (True, "bidder index must be an integer (got True)"),
+    (1.0, "bidder index must be an integer (got 1.0)"),
+    (-1, "bidder index -1 out of range for N=2"),
+    (2, "bidder index 2 out of range for N=2"),
+], ids=["bool", "float", "negative", "N"])
+@pytest.mark.parametrize("entry", [
+    lambda b: deviation_profile((3, 5), b, 4),
+    lambda b: max_excluding((3, 5), b),
+    lambda b: bidder_utility((3, 6), outcome((3, 5), FirstIndex(), SECOND), b),
+    lambda b: check_truthfulness((3, 6), (5,), b, [FirstIndex()]),
+], ids=["deviation_profile", "max_excluding", "bidder_utility", "check_truthfulness"])
+def test_every_entry_refuses_a_bidder_that_is_not_an_index(entry, bidder, fault):
+    with pytest.raises(ValueError) as info:
+        entry(bidder)
+    assert str(info.value) == fault
 
 
 class TestSelectWinner:

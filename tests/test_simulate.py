@@ -234,20 +234,27 @@ class TestRunExperiment:
             run_experiment(config(n_rounds=1000), budget=100)
 
     def test_records_are_built_only_for_a_sink(self, monkeypatch):
-        built = []
-        real = simulate.RoundRecord
+        # A sink is handed each round's plays as ``play`` returned them, not a
+        # record built per round: with the profile table on, one per distinct profile.
+        sinks, rounds = [], []
+        real = simulate._simulate
 
-        def counting(*args):
-            built.append(None)
-            return real(*args)
+        def spying(configs, budget, sink=None):
+            sinks.append(sink)
+            if sink is None:
+                return real(configs, budget)
+            return real(configs, budget, lambda *args: rounds.append(args) or sink(*args))
 
-        monkeypatch.setattr(simulate, "RoundRecord", counting)
+        monkeypatch.setattr(simulate, "_simulate", spying)
         report = run_experiment(config())
-        assert built == []
+        assert sinks == [None]
         assert (report.mean_revenue, report.mean_winner_utility,
                 report.efficiency_rate) == (Fraction(203, 50), Fraction(14, 5), 1)
         assert write_rounds_csv(config(), io.StringIO()) == report
-        assert len(built) == config().n_rounds
+        assert [index for index, _, _ in rounds] == list(range(config().n_rounds))
+        plays = {id(play): play for _, _, [play] in rounds}
+        assert len(plays) == len({valuations for _, valuations, _ in rounds})
+        assert all(len(play) == 3 for play in plays.values())
 
     def test_report_document_uses_rational_strings(self):
         doc = run_experiment(config()).to_dict()

@@ -16,7 +16,6 @@ from sealedbid.core import (
     outcome,
     standard_policies,
     tick_violation,
-    validate,
 )
 from sealedbid.simulate import ExperimentConfig, Overbid, Strategy, Truthful, run_experiment
 from sealedbid.verify import (
@@ -39,10 +38,10 @@ NON_TICKS = {
 }
 
 
-def faults(call) -> list:
-    """The faults that ``call()`` returns, as ``validate`` does, or raises in a ValueError."""
+def faults(call) -> "list | None":
+    """The faults that ``call()`` raises in a ValueError: its violations, else its message."""
     try:
-        return call()
+        call()
     except ValueError as exc:
         return getattr(exc, "violations", [str(exc)])
 
@@ -74,7 +73,7 @@ ALL, RANGE_ENDS = tuple(NON_TICKS), ("negative", "too-large")
 # follow the tick's (a document with one array field lacks the other), and the
 # kinds of non-tick it can be fed.
 BOUNDARIES = {
-    "validate": ("valuations[0]", lambda t: validate(AuctionInstance((t, 1), (1, 1))), [], ALL),
+    "AuctionInstance": ("valuations[0]", lambda t: AuctionInstance((t, 1), (1, 1)), [], ALL),
     "from_dict-one-field": ("valuations[1]",
                             lambda t: AuctionInstance.from_dict({"valuations": [0, t]}),
                             ["missing or non-array field 'bids'"], ALL),
@@ -160,6 +159,18 @@ def test_loading_an_instance_walks_each_tick_once(tmp_path, monkeypatch):
     path.write_text(json.dumps({"valuations": [3, 6], "bids": [3, 5]}), encoding="utf-8")
     assert load_instance(str(path)) == INSTANCE
     assert walked == ["valuations[0]", "valuations[1]", "bids[0]", "bids[1]"]
+
+
+@pytest.mark.parametrize("command", ["check", "validate"])
+def test_a_command_validates_its_instance_once(tmp_path, monkeypatch, capsys, command):
+    calls = []
+    real = core.tick_violation
+    monkeypatch.setattr(core, "tick_violation", lambda *args: calls.append(args) or real(*args))
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"valuations": [3, 6, 4], "bids": [3, 5, 4]}), encoding="utf-8")
+    assert dispatch([command, str(path)]) != EXIT_INVALID
+    assert capsys.readouterr().err == ""
+    assert len(calls) == 2 * 3  # one call per tick of the N = 3 instance
 
 
 def test_a_too_large_deviation_is_invalid_before_it_is_over_budget(outcome_calls):
