@@ -2,7 +2,8 @@
 
 Each case renders one report and compares it byte for byte with
 ``tests/golden/<case>.json``; a ``simulate --csv`` case also compares the
-per-round CSV with ``tests/golden/<case>.csv``.  The JSON files were
+per-round CSV with ``tests/golden/<case>.csv``, and a table case pins the
+default format, the aligned table, in ``tests/golden/<case>.txt``.  The JSON files were
 produced by the code before the outcome table went in, the CSV case by
 the code before the single simulation pass; a refactor or optimisation
 must reproduce them exactly.  After an intended change of output,
@@ -44,6 +45,13 @@ CSV_SIM_CONFIG = {
     "policy": {"kind": "seeded", "seed": 13}, "seed": 29,
 }
 CSV_CASES = {"simulate-csv-first-price-shade3-4-seeded"}
+# One run of each report shape the CLI prints, in its default format.
+TABLE_CASES = {
+    "dominance-first-price-n2-t4": ["dominance", "--n", "2", "--ticks", "4", "--rule", "first-price"],
+    "falsify-first-price-n2-t4": ["falsify", "--n-max", "2", "--ticks", "4"],
+    "check-first-price-four-critical": ["check", "{four}", "--rule", "first-price"],
+    "simulate-first-price-seeded": ["simulate", "{sim}"],
+}
 
 
 def _cli_cases():
@@ -69,14 +77,15 @@ def _cli_cases():
 CLI_CASES = _cli_cases()
 
 
-def _run_cli(argv, workdir: Path) -> str:
-    """Stdout of one CLI case; a ``{csv}`` argument is ``workdir/rounds.csv``."""
+def _run_cli(argv, workdir: Path, table: bool = False) -> str:
+    """Stdout of one CLI case, as JSON unless ``table``; a ``{csv}`` argument is
+    ``workdir/rounds.csv``."""
     paths = {"csv": str(workdir / "rounds.csv")}
     for name, doc in dict(INSTANCES, sim=SIM_CONFIG, csvsim=CSV_SIM_CONFIG).items():
         path = workdir / f"{name}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         paths[name] = str(path)
-    argv = [arg.format(**paths) for arg in argv] + ["--format", "json"]
+    argv = [arg.format(**paths) for arg in argv] + ([] if table else ["--format", "json"])
     out = io.StringIO()
     with redirect_stdout(out):
         code = dispatch(argv)
@@ -119,6 +128,12 @@ def test_report_bytes_match_golden(case, tmp_path):
     assert render(case, tmp_path) == expected
 
 
+@pytest.mark.parametrize("case", sorted(TABLE_CASES))
+def test_table_bytes_match_golden(case, tmp_path):
+    expected = (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
+    assert _run_cli(TABLE_CASES[case], tmp_path, table=True) == expected
+
+
 @pytest.mark.parametrize("case", sorted(CSV_CASES))
 def test_csv_bytes_match_golden(case, tmp_path):
     render(case, tmp_path)
@@ -129,6 +144,7 @@ def test_every_golden_file_has_a_case():
     pinned = {path.stem for path in GOLDEN.glob("*.json")}
     assert pinned == set(CLI_CASES) | set(API_CASES)
     assert {path.stem for path in GOLDEN.glob("*.csv")} == CSV_CASES
+    assert {path.stem for path in GOLDEN.glob("*.txt")} == set(TABLE_CASES)
 
 
 if __name__ == "__main__":
@@ -139,5 +155,8 @@ if __name__ == "__main__":
             (GOLDEN / f"{name}.json").write_text(text, encoding="utf-8")
             if name in CSV_CASES:
                 (GOLDEN / f"{name}.csv").write_bytes((Path(scratch) / "rounds.csv").read_bytes())
-    written = len(CLI_CASES) + len(API_CASES) + len(CSV_CASES)
+        for name, argv in sorted(TABLE_CASES.items()):
+            text = _run_cli(argv, Path(scratch), table=True)
+            (GOLDEN / f"{name}.txt").write_text(text, encoding="utf-8")
+    written = len(CLI_CASES) + len(API_CASES) + len(CSV_CASES) + len(TABLE_CASES)
     sys.stdout.write(f"wrote {written} golden files to {GOLDEN}\n")
