@@ -126,7 +126,7 @@ def cmd_check(args) -> tuple[int, dict]:
 
     report = check_instance(instance, policies, args.rule, deviations, args.adversarial,
                             args.budget)
-    return _verdict_exit(report), report.to_doc()
+    return _verdict_exit(report), report.to_dict()
 
 
 def cmd_classify(args) -> tuple[int, dict]:
@@ -164,7 +164,7 @@ def cmd_dominance(args) -> tuple[int, dict]:
         args.n, args.ticks, policies, args.rule,
         adversarial=args.adversarial, budget=args.budget,
     )
-    return _verdict_exit(report), report.to_doc()
+    return _verdict_exit(report), report.to_dict()
 
 
 def cmd_falsify(args) -> tuple[int, dict]:

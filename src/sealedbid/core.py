@@ -112,7 +112,8 @@ class Record:
 
     def to_dict(self) -> dict:
         """The record's document: its class's ``kind``, if any, then every field by
-        name: a tuple as a list, an enum as its value, a policy or strategy as its document."""
+        name: a tuple as a list, an enum as its value, a value with a ``to_dict`` as its
+        document, a non-``int`` rational as "p/q" (duck-typed: the sweep imports no fractions)."""
         doc = {"kind": self.kind} if hasattr(self, "kind") else {}
         for name in self._fields:
             value = getattr(self, name)
@@ -122,6 +123,8 @@ class Record:
                 value = value.value
             elif hasattr(value, "to_dict"):
                 value = value.to_dict()
+            elif hasattr(value, "denominator") and not isinstance(value, int):
+                value = f"{value.numerator}/{value.denominator}"
             doc[name] = value
         return doc
 
@@ -182,7 +185,7 @@ class AuctionInstance(Record):
         if min(n_vals, n_bids) < 2:
             violations.append(f"N >= 2 required (got {min(n_vals, n_bids)})")
         for name in self._fields:
-            violations += _tick_violations(name, getattr(self, name))
+            violations += tick_violations(name, getattr(self, name))
         if violations:
             raise InvalidInstanceError(violations)
 
@@ -197,7 +200,7 @@ class AuctionInstance(Record):
         if all(isinstance(entries, (list, tuple)) for entries in fields.values()):
             return cls(**fields)
         raise InvalidInstanceError([fault for key, entries in fields.items() for fault in (
-            _tick_violations(key, entries) if isinstance(entries, (list, tuple))
+            tick_violations(key, entries) if isinstance(entries, (list, tuple))
             else [f"missing or non-array field {key!r}"])])
 
 
@@ -216,7 +219,8 @@ def tick_violation(label: str, tick) -> "str | None":
         return f"tick too large ({label} + 1 has more than {digits} digits)"
 
 
-def _tick_violations(name: str, ticks: Sequence) -> list[str]:
+def tick_violations(name: str, ticks: Sequence) -> list[str]:
+    """The tick rule over a sequence: each entry's fault, named ``name[position]``."""
     return [fault for pos, tick in enumerate(ticks)
             if (fault := tick_violation(f"{name}[{pos}]", tick))]
 

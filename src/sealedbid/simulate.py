@@ -77,10 +77,7 @@ class Shade(Record, Strategy):
         if self.numerator <= 0 or self.denominator <= 0:
             raise ValueError("shade factor needs positive numerator and denominator")
         if self.numerator >= self.denominator:
-            raise ValueError(
-                f"shade factor must be below one "
-                f"(got {self.numerator}/{self.denominator})"
-            )
+            raise ValueError(f"shade factor must be below one (got {self.describe()})")
 
     def bid(self, value: Money) -> Money:
         return value * self.numerator // self.denominator
@@ -210,19 +207,8 @@ class SimReport(Record):
     efficiency_rate: Fraction
 
     def to_dict(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "mean_revenue": fraction_text(self.mean_revenue),
-            "mean_winner_utility": fraction_text(self.mean_winner_utility),
-            "efficiency_rate": fraction_text(self.efficiency_rate),
-            "config": self.config.to_dict(),
-            "seed": self.config.seed,
-        }
-
-
-def fraction_text(value: Fraction) -> str:
-    """Canonical "p/q" rendering, lowest terms, denominator always shown."""
-    return f"{value.numerator}/{value.denominator}"
+        """The record's document, with the config's seed repeated at the top."""
+        return {**super().to_dict(), "seed": self.config.seed}
 
 
 # A config whose valuation profile space, span ** n_bidders, holds at most
@@ -306,15 +292,10 @@ class PairedReport(Record):
     revenue_diff_max: SignedMoney
 
     def to_dict(self) -> dict:
-        return {
-            "a": self.report_a.to_dict(),
-            "b": self.report_b.to_dict(),
-            "mean_revenue_diff": fraction_text(self.mean_revenue_diff),
-            "mean_winner_utility_diff": fraction_text(self.mean_winner_utility_diff),
-            "efficiency_rate_diff": fraction_text(self.efficiency_rate_diff),
-            "revenue_diff_min": self.revenue_diff_min,
-            "revenue_diff_max": self.revenue_diff_max,
-        }
+        """The record's document, with the two reports keyed ``a`` and ``b``."""
+        doc = super().to_dict()
+        doc["a"], doc["b"] = doc.pop("report_a"), doc.pop("report_b")
+        return doc
 
 
 def compare_rules(

@@ -6,8 +6,9 @@ truthful bid against deviation bids over every opposing-bid vector
 within a tick bound, under every supplied tie-break policy and under an
 adversarial pairing that gives the tie-break maximal power to punish
 truthfulness.  Every comparison is classified into one of four cases by
-the bidder's win/lose status before and after the deviation, and each
-case carries its own exact assertion.
+the bidder's win/lose status before and after the deviation.  Each case's
+exact contract, ``assert_case``, is checked by acceptance criterion 2 over
+N <= 3 and T <= 4; no CLI verdict checks it.
 
 Two guards keep the sweep honest.  Case coverage counts witnesses per
 case and flags a sweep as vacuous when any case never occurred, so a
@@ -46,6 +47,7 @@ from .core import (
     outcome,
     standard_policies,
     tick_violation,
+    tick_violations,
 )
 
 DeviationSpec = Union[str, Iterable[Money]]
@@ -128,7 +130,8 @@ class VerificationReport(Record):
     def passed(self) -> bool:
         return self.fail_count == 0
 
-    def to_doc(self) -> dict:
+    def to_dict(self) -> dict:
+        """The verdict document: derived from the counts, not the fields by name."""
         doc = {
             "verdict": "pass" if self.passed else "fail",
             "evaluated_count": self.evaluated,
@@ -522,14 +525,16 @@ def check_truthfulness(
     enabled) closing each deviation's block.  A run of more than
     ``budget`` rows is refused before any work.
     """
-    valuations = tuple(valuations)
-    others = tuple(others)
+    valuations, others = tuple(valuations), tuple(others)
     if fault := bidder_violation(bidder, len(valuations)):
         raise ValueError(fault)
     if len(others) != len(valuations) - 1:
         raise ValueError(
             f"expected {len(valuations) - 1} opposing bids, got {len(others)}"
         )
+    # Each tick is named by the caller's argument, not by the profile built from them.
+    if violations := tick_violations("valuations", valuations) + tick_violations("others", others):
+        raise InvalidInstanceError(violations)
     instance = AuctionInstance(valuations, _inserted(others, valuations[bidder], bidder))
     scope = _instance_scope(instance, (bidder,), policies, rule, deviations, adversarial, budget)
     return [row for _, _, rows in _row_stream([scope]) for row in rows]

@@ -176,5 +176,16 @@ def test_the_tick_rule_is_worded_in_one_function():
     assert functions_where(words_a_tick_fault) == {"core.tick_violation"}
 
 
+def renders_a_rational(node) -> bool:
+    """An f-string that reads both a ``.numerator`` and a ``.denominator``."""
+    read = {part.attr for part in ast.walk(node) if isinstance(part, ast.Attribute)}
+    return isinstance(node, ast.JoinedStr) and {"numerator", "denominator"} <= read
+
+
+def test_the_rational_rule_is_written_in_one_function():
+    # Besides the "p/q" rule of every document, only the shade strategy's label.
+    assert functions_where(renders_a_rational) == {"core.Record.to_dict", "simulate.Shade.describe"}
+
+
 def test_only_the_tick_and_integer_field_rules_test_for_an_int():
     assert functions_where(compares_type_with_int) == {"core.tick_violation", "core.integer_violation"}

@@ -47,7 +47,8 @@ CSV_SIM_CONFIG = {
 CSV_CASES = {"simulate-csv-first-price-shade3-4-seeded"}
 # One run of each report shape the CLI prints, in its default format.
 TABLE_CASES = {
-    "dominance-first-price-n2-t4": ["dominance", "--n", "2", "--ticks", "4", "--rule", "first-price"],
+    "dominance-first-price-n2-t4":
+        ["dominance", "--n", "2", "--ticks", "4", "--rule", "first-price"],
     "falsify-first-price-n2-t4": ["falsify", "--n-max", "2", "--ticks", "4"],
     "check-first-price-four-critical": ["check", "{four}", "--rule", "first-price"],
     "simulate-first-price-seeded": ["simulate", "{sim}"],
@@ -104,10 +105,10 @@ def _sim_config(**overrides) -> ExperimentConfig:
 
 API_CASES = {
     "sweep-second-price-n3-t3-critical":
-        lambda: dominance_sweep(3, 3, deviations="critical").to_doc(),
+        lambda: dominance_sweep(3, 3, deviations="critical").to_dict(),
     "sweep-first-price-n3-t3-critical":
         lambda: dominance_sweep(
-            3, 3, rule=PaymentRule.FIRST_PRICE, deviations="critical").to_doc(),
+            3, 3, rule=PaymentRule.FIRST_PRICE, deviations="critical").to_dict(),
     "compare-rules-first-vs-second-shaded":
         lambda: compare_rules(
             _sim_config(rule=PaymentRule.FIRST_PRICE, strategy=Shade(1, 2)),

@@ -173,6 +173,20 @@ def test_a_command_validates_its_instance_once(tmp_path, monkeypatch, capsys, co
     assert len(calls) == 2 * 3  # one call per tick of the N = 3 instance
 
 
+@pytest.mark.parametrize("valuations, others, bidder, violations", [
+    ((3, 6, 2), (4, -1), 0, ["negative tick (others[1] = -1)"]),
+    ((3, -1), (4,), 1, ["negative tick (valuations[1] = -1)"]),
+    ((3, 6), (True,), 0, ["non-integer tick (others[0] = True)"]),
+], ids=["opposing-bid", "own-valuation", "bool-opposing-bid"])
+def test_check_truthfulness_names_a_fault_by_its_argument(outcome_calls, valuations, others,
+                                                          bidder, violations):
+    """Not by the profile built from the arguments, where the bidder's
+    valuation shifts the opposing bids and appears a second time."""
+    assert faults(lambda: check_truthfulness(
+        valuations, others, bidder, standard_policies(len(valuations)), SECOND)) == violations
+    assert outcome_calls == []
+
+
 def test_a_too_large_deviation_is_invalid_before_it_is_over_budget(outcome_calls):
     with pytest.raises(InvalidInstanceError) as info:
         check_instance(INSTANCE, standard_policies(2), deviations=range(0, 10**5000), budget=10)

@@ -248,7 +248,7 @@ class TestDominance:
             dominance_sweep(3, 4, budget=100)
 
     def test_report_document_shape(self):
-        doc = dominance_sweep(2, 2).to_doc()
+        doc = dominance_sweep(2, 2).to_dict()
         assert doc["verdict"] == "pass"
         assert doc["vacuous"] is False
         assert set(doc["case_counts"]) == {t.value for t in CaseTag}
