@@ -2,12 +2,13 @@
 
 Each case renders one report and compares it byte for byte with
 ``tests/golden/<case>.json``; a ``simulate --csv`` case also compares the
-per-round CSV with ``tests/golden/<case>.csv``, and a table case pins the
-default format, the aligned table, in ``tests/golden/<case>.txt``.  The JSON files were
-produced by the code before the outcome table went in, the CSV case by
-the code before the single simulation pass; a refactor or optimisation
-must reproduce them exactly.  After an intended change of output,
-rewrite them with::
+per-round CSV with ``tests/golden/<case>.csv``, and a table case compares
+the default format, the aligned table, with ``tests/golden/<case>.txt``.
+The JSON files were produced by the code before the outcome table went
+in, the CSV case by the code before the single simulation pass, the table
+cases by the code before every report rendered through ``Record.to_dict``;
+a refactor or optimisation must reproduce them exactly.  After an
+intended change of output, rewrite them with::
 
     PYTHONPATH=src python tests/test_golden.py
 """

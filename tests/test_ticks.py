@@ -91,6 +91,13 @@ BOUNDARIES = {
         (3, 6), (5,), 0, standard_policies(2), SECOND, ends_at(t)), [], RANGE_ENDS),
     "check_truthfulness-valuation": ("valuations[0]", lambda t: check_truthfulness(
         (t, 6), (5,), 1, standard_policies(2), SECOND), [], ALL),
+    # A check_truthfulness fault is named by the caller's argument, not by its place
+    # in the profile built from the arguments, where the bidder's own valuation
+    # shifts the opposing bids and would be named a second time.
+    "check_truthfulness-own-valuation": ("valuations[1]", lambda t: check_truthfulness(
+        (3, t), (4,), 1, standard_policies(2), SECOND), [], ALL),
+    "check_truthfulness-others": ("others[1]", lambda t: check_truthfulness(
+        (3, 6, 2), (4, t), 0, standard_policies(3), SECOND), [], ALL),
     "dominance_sweep-tick_bound": ("tick_bound", lambda t: dominance_sweep(2, t), [], ALL),
     "find_counterexample-tick_bound": ("tick_bound", lambda t: find_counterexample(SECOND, 2, t),
                                        [], ALL),
@@ -171,20 +178,6 @@ def test_a_command_validates_its_instance_once(tmp_path, monkeypatch, capsys, co
     assert dispatch([command, str(path)]) != EXIT_INVALID
     assert capsys.readouterr().err == ""
     assert len(calls) == 2 * 3  # one call per tick of the N = 3 instance
-
-
-@pytest.mark.parametrize("valuations, others, bidder, violations", [
-    ((3, 6, 2), (4, -1), 0, ["negative tick (others[1] = -1)"]),
-    ((3, -1), (4,), 1, ["negative tick (valuations[1] = -1)"]),
-    ((3, 6), (True,), 0, ["non-integer tick (others[0] = True)"]),
-], ids=["opposing-bid", "own-valuation", "bool-opposing-bid"])
-def test_check_truthfulness_names_a_fault_by_its_argument(outcome_calls, valuations, others,
-                                                          bidder, violations):
-    """Not by the profile built from the arguments, where the bidder's
-    valuation shifts the opposing bids and appears a second time."""
-    assert faults(lambda: check_truthfulness(
-        valuations, others, bidder, standard_policies(len(valuations)), SECOND)) == violations
-    assert outcome_calls == []
 
 
 def test_a_too_large_deviation_is_invalid_before_it_is_over_budget(outcome_calls):
