@@ -189,6 +189,16 @@ def naive_rounds(config):
     return rounds
 
 
+def tiles(ranges, n_rounds, longest) -> bool:
+    """Whether ``ranges``, ``(start, stop)`` pairs in call order, cover rounds
+    ``0..n_rounds-1`` in order, each round once, each range nonempty and at
+    most ``longest`` rounds long."""
+    starts = [start for start, _ in ranges]
+    stops = [stop for _, stop in ranges]
+    return (starts == [0, *stops[:-1]] and stops[-1:] == [n_rounds]
+            and all(0 < stop - start <= longest for start, stop in ranges))
+
+
 def naive_means(rounds):
     """``(mean revenue, mean winner utility, efficiency rate)`` of ``naive_rounds``."""
     count = len(rounds)

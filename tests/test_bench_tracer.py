@@ -13,6 +13,7 @@ import io
 import json
 from pathlib import Path
 
+from conftest import tiles
 from sealedbid import cli, core, simulate, verify
 from sealedbid.seeding import mix64
 
@@ -55,7 +56,12 @@ def traced_run(argv):
     return expected, traced, probe, before
 
 
-def test_traced_simulate_counts_each_round_once_and_restores(tmp_path):
+def test_traced_simulate_counts_each_round_once_and_restores(tmp_path, monkeypatch):
+    sampled = []
+    real = simulate.sample_valuations
+    monkeypatch.setattr(simulate, "sample_valuations",
+                        lambda config, start, stop: sampled.append((start, stop))
+                        or real(config, start, stop))
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(CONFIG), encoding="utf-8")
     argv = ["simulate", str(config_path), "--csv", str(tmp_path / "rounds.csv"),
@@ -65,9 +71,12 @@ def test_traced_simulate_counts_each_round_once_and_restores(tmp_path):
 
     assert traced == expected
     rounds = CONFIG["n_rounds"]
-    # Each round is sampled once; mix64 runs once per config, for the chain
-    # head every round's draws finish inline.
-    assert metrics["simulate.rounds_evaluated"][0] == rounds
+    # Each round is sampled once, in blocks the tracer counts as calls; mix64
+    # runs once per config, for the chain head that every block starts from.
+    half = len(sampled) // 2
+    assert sampled[:half] == sampled[half:]  # the untraced run, then the traced one
+    assert tiles(sampled[half:], rounds, simulate.SAMPLE_BLOCK)
+    assert metrics["simulate.rounds_evaluated"][0] == half == -(-rounds // simulate.SAMPLE_BLOCK)
     assert metrics["seeding.mix64.calls"][0] == 1
     # The 8^3 profiles are tabled: outcome runs once per distinct (truthful)
     # bid profile, and every call the tracer sees is a distinct one.

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tiles
 from sealedbid import simulate, verify
 from sealedbid.cli import (
     EXIT_BUDGET,
@@ -326,13 +327,14 @@ class TestSimulate:
         sampled = []
         real = simulate.sample_valuations
         monkeypatch.setattr(simulate, "sample_valuations",
-                            lambda *args: sampled.append(None) or real(*args))
+                            lambda config, start, stop: sampled.append((start, stop))
+                            or real(config, start, stop))
         code = dispatch(["simulate", config_path, "--csv", str(tmp_path / "rounds.csv")])
         assert code == EXIT_PASS
         # One pass samples every round once; the 10^3-profile space is tabled,
         # so outcome runs once per distinct (truthful) bid profile: 47 of 50.
         profiles = {tuple(mix64(7, r, b) % 10 for b in range(3)) for r in range(50)}
-        assert len(sampled) == 50
+        assert tiles(sampled, 50, simulate.SAMPLE_BLOCK)
         assert len(rounds_played) == len(profiles) == 47
 
     def test_bad_csv_path_fails_before_any_round(self, config_path, tmp_path, rounds_played,
@@ -355,6 +357,18 @@ class TestSimulate:
         assert dispatch(["simulate", path, "--csv", str(csv_path)]) == EXIT_INVALID
         assert capsys.readouterr() == ("", "error: tick too large "
                                        "(strategy.bid(value_high) + 1 has more than 4300 digits)\n")
+        assert not csv_path.exists()
+        assert rounds_played == []
+
+    def test_a_span_above_2_to_the_64_is_refused_before_any_round(self, tmp_path,
+                                                                rounds_played, capsys):
+        path = write_doc(tmp_path, "wide.json", {
+            "n_bidders": 3, "n_rounds": 5, "value_low": 5, "value_high": 2**64 + 11,
+        })
+        csv_path = tmp_path / "rounds.csv"
+        assert dispatch(["simulate", path, "--csv", str(csv_path)]) == EXIT_INVALID
+        assert capsys.readouterr() == ("", "error: value span value_high - value_low + 1 "
+                                       f"exceeds 2**64 (value_low 5, value_high {2**64 + 11})\n")
         assert not csv_path.exists()
         assert rounds_played == []
 

@@ -4,12 +4,13 @@ import io
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import naive_means, naive_rounds
+from conftest import naive_means, naive_rounds, tiles
 from sealedbid import simulate
 from sealedbid.core import (
     BudgetExceededError,
@@ -22,6 +23,7 @@ from sealedbid.core import (
 from sealedbid.seeding import MASK64, mix64
 from sealedbid.simulate import (
     PROFILE_TABLE_LIMIT,
+    SAMPLE_BLOCK,
     ExperimentConfig,
     Overbid,
     Shade,
@@ -110,24 +112,24 @@ class TestStrategies:
 class TestSampling:
     def test_same_round_same_profile(self):
         cfg = config()
-        assert sample_valuations(cfg, 3) == sample_valuations(cfg, 3)
+        assert sample_valuations(cfg, 3, 5) == sample_valuations(cfg, 0, 5)[3:]
 
     def test_degenerate_bounds(self):
         cfg = config(value_low=5, value_high=5)
-        assert sample_valuations(cfg, 0) == (5, 5, 5)
+        assert sample_valuations(cfg, 0, 2) == [(5, 5, 5), (5, 5, 5)]
 
     def test_values_within_bounds(self):
         cfg = config(value_low=2, value_high=6)
-        for round_index in range(50):
-            for value in sample_valuations(cfg, round_index):
+        for valuations in sample_valuations(cfg, 0, 50):
+            for value in valuations:
                 assert 2 <= value <= 6
 
     def test_uniformity_within_five_percent(self):
         # fixed-seed frequency check against the expected 1/5 per tick
         cfg = config(n_bidders=2, n_rounds=10**4, value_low=0, value_high=4, seed=0)
         counts = Counter()
-        for round_index in range(cfg.n_rounds):
-            counts.update(sample_valuations(cfg, round_index))
+        for valuations in sample_valuations(cfg, 0, cfg.n_rounds):
+            counts.update(valuations)
         draws = cfg.n_rounds * cfg.n_bidders
         for tick in range(5):
             frequency = counts[tick] / draws
@@ -135,24 +137,30 @@ class TestSampling:
 
     def test_rounds_differ(self):
         cfg = config()
-        profiles = {sample_valuations(cfg, r) for r in range(20)}
+        profiles = set(sample_valuations(cfg, 0, 20))
         assert len(profiles) > 1
 
     @given(
         seed=st.integers(min_value=0, max_value=MASK64),
-        round_index=st.integers(min_value=0, max_value=MASK64),
+        start=st.integers(min_value=0, max_value=2**64 - (2 * SAMPLE_BLOCK + 1)),
+        length=st.integers(min_value=0, max_value=2 * SAMPLE_BLOCK + 1),
         n_bidders=st.integers(min_value=2, max_value=6),
         value_low=st.integers(min_value=0, max_value=2**70),
-        span=st.integers(min_value=1, max_value=2**70),
+        span=st.integers(min_value=1, max_value=2**64),
     )
-    @example(seed=MASK64, round_index=0, n_bidders=2, value_low=0, span=1)
-    @example(seed=MASK64, round_index=MASK64, n_bidders=3, value_low=5, span=2**64 + 7)
-    def test_draws_are_mix64_bit_for_bit(self, seed, round_index, n_bidders, value_low, span):
+    @example(seed=MASK64, start=0, length=1, n_bidders=2, value_low=0, span=1)
+    @example(seed=MASK64, start=MASK64, length=1, n_bidders=3, value_low=5, span=2**64)
+    @example(seed=0, start=SAMPLE_BLOCK, length=SAMPLE_BLOCK, n_bidders=4, value_low=2**70,
+             span=10**6 + 1)
+    @example(seed=7, start=2**64 - (2 * SAMPLE_BLOCK + 1), length=2 * SAMPLE_BLOCK + 1,
+             n_bidders=2, value_low=0, span=2**64 - 1)
+    def test_draws_are_mix64_bit_for_bit(self, seed, start, length, n_bidders, value_low, span):
         cfg = config(n_bidders=n_bidders, value_low=value_low,
                      value_high=value_low + span - 1, seed=seed)
-        assert sample_valuations(cfg, round_index) == tuple(
-            value_low + mix64(seed, round_index, bidder) % span for bidder in range(n_bidders)
-        )
+        assert sample_valuations(cfg, start, start + length) == [
+            tuple(value_low + mix64(seed, r, bidder) % span for bidder in range(n_bidders))
+            for r in range(start, start + length)
+        ]
 
 
 class TestExperimentConfig:
@@ -167,6 +175,14 @@ class TestExperimentConfig:
             config(value_low=-1)
         with pytest.raises(ValueError):
             config(seed=-1)
+
+    @pytest.mark.parametrize("value_low", [0, 5, 2**70])
+    def test_refuses_a_span_above_2_to_the_64(self, value_low):
+        # A draw is a 64-bit word mod span: a wider span has ticks no round draws.
+        config(value_low=value_low, value_high=value_low + 2**64 - 1)
+        with pytest.raises(ValueError, match=r"^value span value_high - value_low \+ 1 exceeds "
+                                             r"2\*\*64 \(value_low \d+, value_high \d+\)$"):
+            config(value_low=value_low, value_high=value_low + 2**64 + 6)
 
     def test_document_round_trip(self):
         cfg = config(strategy=Shade(1, 2), policy=Seeded(5), rule=FIRST)
@@ -219,9 +235,7 @@ class TestRunExperiment:
     def test_mean_revenue_equals_recomputed_second_highest(self):
         cfg = config(n_rounds=400, seed=123)
         report = run_experiment(cfg)
-        total = sum(
-            sorted(sample_valuations(cfg, r))[-2] for r in range(cfg.n_rounds)
-        )
+        total = sum(sorted(values)[-2] for values, _, _, _ in naive_rounds(cfg))
         assert report.mean_revenue == Fraction(total, cfg.n_rounds)
 
     @given(st.integers(min_value=0, max_value=2**64 - 1))
@@ -287,23 +301,13 @@ class TestCompareRules:
         cfg_second = config(n_rounds=500, seed=3, n_bidders=2)
         paired = compare_rules(cfg_first, cfg_second)
         assert paired.revenue_diff_min >= 0
-        total_gap = sum(
-            max(vals) - sorted(vals)[-2]
-            for vals in (sample_valuations(cfg_first, r) for r in range(500))
-        )
+        total_gap = sum(max(values) - sorted(values)[-2]
+                        for values, _, _, _ in naive_rounds(cfg_first))
         assert paired.mean_revenue_diff == Fraction(total_gap, 500)
 
-    def test_samples_each_round_once(self, monkeypatch):
-        calls = []
-        real = simulate.sample_valuations
-
-        def counting(*args):
-            calls.append(None)
-            return real(*args)
-
-        monkeypatch.setattr(simulate, "sample_valuations", counting)
-        compare_rules(config(n_rounds=40), config(n_rounds=40, rule=FIRST))
-        assert len(calls) == 40
+    def test_samples_each_round_once(self, counted):
+        compare_rules(config(n_rounds=600), config(n_rounds=600, rule=FIRST))
+        assert tiles(counted.sampled, 600, SAMPLE_BLOCK)
 
     def test_rejects_mismatched_sampling_parameters(self):
         with pytest.raises(ValueError, match="mismatched sampling"):
@@ -340,17 +344,22 @@ def distinct_profiles(cfg):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts of the real ``outcome`` and ``sample_valuations`` calls the simulation makes."""
-    counts = Counter()
-    for name in ("outcome", "sample_valuations"):
-        real = getattr(simulate, name)
+    """The real ``outcome`` calls the simulation makes, counted, and the
+    ``(start, stop)`` range of each ``sample_valuations`` call, in call order."""
+    calls = SimpleNamespace(outcome=0, sampled=[])
+    real_outcome, real_sample = simulate.outcome, simulate.sample_valuations
 
-        def counting(*args, real=real, name=name):
-            counts[name] += 1
-            return real(*args)
+    def outcome(*args):
+        calls.outcome += 1
+        return real_outcome(*args)
 
-        monkeypatch.setattr(simulate, name, counting)
-    return counts
+    def sample_valuations(config, start, stop):
+        calls.sampled.append((start, stop))
+        return real_sample(config, start, stop)
+
+    monkeypatch.setattr(simulate, "outcome", outcome)
+    monkeypatch.setattr(simulate, "sample_valuations", sample_valuations)
+    return calls
 
 
 def explicit_choices(n_bidders):
@@ -363,7 +372,8 @@ def explicit_choices(n_bidders):
 
 @st.composite
 def repeating_configs(draw):
-    """Two configs over one profile space, with up to 300 rounds: a small
+    """Two configs over one profile space, with up to ``2 * SAMPLE_BLOCK + 1``
+    rounds (so up to three sampled blocks, the last one partial): a small
     one (N <= 3, span <= 4), whose rounds repeat profiles, or one just over
     ``PROFILE_TABLE_LIMIT`` (N = 2, span 65-80), which keeps no table.
     Each config draws its own rule, strategy and tie-break policy."""
@@ -373,7 +383,7 @@ def repeating_configs(draw):
     ))
     low = draw(st.integers(0, 6))
     sampling = dict(
-        n_bidders=n_bidders, n_rounds=draw(st.integers(1, 300)), value_low=low,
+        n_bidders=n_bidders, n_rounds=draw(st.integers(1, 2 * SAMPLE_BLOCK + 1)), value_low=low,
         value_high=low + span - 1, seed=draw(st.integers(0, MASK64)),
     )
     strategies = st.one_of(
@@ -408,6 +418,11 @@ class TestProfileTable:
     report and row is the per-round one."""
 
     @given(repeating_configs())
+    @example([config(n_rounds=SAMPLE_BLOCK, value_high=3),
+              config(n_rounds=SAMPLE_BLOCK, value_high=3, rule=FIRST, policy=Seeded(4))])
+    @example([config(n_bidders=2, n_rounds=SAMPLE_BLOCK + 1, value_high=64),
+              config(n_bidders=2, n_rounds=SAMPLE_BLOCK + 1, value_high=64,
+                     strategy=Shade(1, 2), policy=LastIndex())])
     def test_matches_a_naive_per_round_recomputation(self, configs):
         cfg_a, cfg_b = configs
         rounds_a, rounds_b = naive_rounds(cfg_a), naive_rounds(cfg_b)
@@ -443,7 +458,8 @@ class TestProfileTable:
         distinct = len(distinct_profiles(cfg))
         assert distinct < cfg.n_rounds  # the rounds repeat a profile
         write_rounds_csv(cfg, io.StringIO())
-        assert counted == {"sample_valuations": cfg.n_rounds, "outcome": distinct}
+        assert tiles(counted.sampled, cfg.n_rounds, SAMPLE_BLOCK)
+        assert counted.outcome == distinct
 
     @pytest.mark.parametrize("n_bidders, span", OVER_LIMIT, ids=str)
     def test_a_config_over_the_limit_keeps_no_table(self, counted, n_bidders, span):
@@ -451,11 +467,13 @@ class TestProfileTable:
         cfg = config(n_bidders=n_bidders, n_rounds=300, value_high=span - 1)
         assert len(distinct_profiles(cfg)) < cfg.n_rounds  # a table would play fewer
         write_rounds_csv(cfg, io.StringIO())
-        assert counted == {"sample_valuations": cfg.n_rounds, "outcome": cfg.n_rounds}
+        assert tiles(counted.sampled, cfg.n_rounds, SAMPLE_BLOCK)
+        assert counted.outcome == cfg.n_rounds
 
     def test_each_config_of_a_comparison_keeps_its_own_table(self, counted):
         cfg = config(n_rounds=300)
         distinct = len(distinct_profiles(cfg))
         assert distinct < cfg.n_rounds
         compare_rules(cfg, config(n_rounds=300, rule=FIRST, strategy=Shade(1, 2)))
-        assert counted == {"sample_valuations": cfg.n_rounds, "outcome": 2 * distinct}
+        assert tiles(counted.sampled, cfg.n_rounds, SAMPLE_BLOCK)
+        assert counted.outcome == 2 * distinct
