@@ -19,7 +19,7 @@ _EXPORTS = {
                 "bidder_utility outcome standard_policies",
         "verify": "CaseCoverage CaseTag Counterexample DeviationCheckResult VerificationReport "
                   "assert_case check_truthfulness coverage_guard "
-                  "critical_deviations dominance_sweep efficiency_check find_counterexample",
+                  "critical_deviations dominance_sweep find_counterexample",
         "simulate": "ExperimentConfig Overbid PairedReport Shade SimReport Strategy Truthful "
                     "compare_rules run_experiment write_rounds_csv",
     }.items() for name in names.split()

@@ -266,12 +266,12 @@ class _Scope(NamedTuple):
     ``blocks()`` yields, per opposing-bid vector in key order, ``(values,
     deviation bids, blocks)`` with one block per bidder: ``(bidder,
     truthful keys, deviated keys)``, a truthful key per value and a
-    deviated key per deviation bid.  A block's cells pair each truthful key
-    with each deviated key, since the profile deviated to bid d is the
-    truthful profile for value d; ``decode`` turns a key into its bid
-    profile.  ``table`` is the outcome table: a key maps to its entry, the
-    per-policy ``(winner, price)`` tuple, evaluated through ``outcome`` on
-    first use, so each (profile, policy) pair is evaluated once per run.
+    deviated key per deviation bid, each key a bid profile.  A block's
+    cells pair each truthful key with each deviated key, since the profile
+    deviated to bid d is the truthful profile for value d.  ``table`` is
+    the outcome table: a profile maps to its entry, the per-policy
+    ``(winner, price)`` tuple, evaluated through ``outcome`` on first use,
+    so each (profile, policy) pair is evaluated once per run.
     It is keyed by profile alone, never by policy (``ExplicitChoice`` is
     unhashable), which is sound because every ``select`` is a pure
     function of the bids.  ``views`` maps (entry, bidder) to that bidder's
@@ -286,16 +286,14 @@ class _Scope(NamedTuple):
     views: _Interned
     templates: _Interned
     blocks: Callable[[], Iterator[tuple]]
-    decode: Callable
     valuations: "ValuationProfile | None"
 
 
-def _scope(policies, rule, adversarial, blocks, decode=tuple, valuations=None) -> _Scope:
+def _scope(policies, rule, adversarial, blocks, valuations=None) -> _Scope:
     if not policies:
         raise ValueError("at least one tie-break policy is required")
 
-    def entry(key) -> tuple:
-        bids = decode(key)
+    def entry(bids) -> tuple:
         # tuple() of a list, not of a generator: CPython resizes a generator's
         # tuple, and each one freed as a duplicate then strands on a free list.
         return tuple([outcome(bids, policy, rule)[:2] for policy in policies])
@@ -310,42 +308,28 @@ def _scope(policies, rule, adversarial, blocks, decode=tuple, valuations=None) -
     templates = _Interned(lambda key: tuple([rows.setdefault(row, row) for row in _template(
         labels, paired, key[0], views.values[key[1]], views.values[key[2]]
     )]))
-    return _Scope(table, views, templates, blocks, decode, valuations)
+    return _Scope(table, views, templates, blocks, valuations)
 
 
 def _grid_scope(n, grid, deviations, policies, rule, adversarial):
-    """The blocks of one bidder count over integer-coded profiles: digit j
-    of a code is bid j, so bidder b's profile at bid x is ``base + x *
-    radix**b``, with base its code at bid 0, and no tuple is built per
-    profile.  Every bidder takes every valuation in ``grid``, 0..T.  The
-    radix exceeds every bid a profile can hold: T + 1 and every deviation
-    bid, none of them negative; a rule's bids peak at the largest M, T.
-    Every bidder faces the same opposing bids, so the same deviation bids,
-    and over the full grid its deviated keys are its truthful keys."""
-    radix = max([grid[-1] + 1, *deviations(grid[-1])[-1:]]) + 1
-    weights = [radix ** j for j in range(n)]
+    """The blocks of one bidder count: per opposing-bid vector, bidder b's
+    profile at bid x is ``_inserted(others, x, b)``.  Every bidder takes
+    every valuation in ``grid``, 0..T, and faces the same opposing bids, so
+    the same deviation bids, and over the full grid its deviated keys are
+    its truthful keys."""
     shared = deviations(0) == grid
-
-    def decode(code: int) -> BidProfile:
-        bids = []
-        for _ in weights:
-            code, digit = divmod(code, radix)
-            bids.append(digit)
-        return tuple(bids)
 
     def blocks():
         for others in product(grid, repeat=n - 1):
             new_bids = deviations(max(others))
             group = []
             for b in range(n):
-                base = sum(bid * w for bid, w in zip(_inserted(others, 0, b), weights))
-                weight = weights[b]
-                truths = tuple([base + value * weight for value in grid])
-                devs = truths if shared else tuple([base + bid * weight for bid in new_bids])
+                truths = tuple([_inserted(others, value, b) for value in grid])
+                devs = truths if shared else tuple([_inserted(others, bid, b) for bid in new_bids])
                 group.append((b, truths, devs))
             yield grid, new_bids, group
 
-    return _scope(policies, rule, adversarial, blocks, decode)
+    return _scope(policies, rule, adversarial, blocks)
 
 
 def _instance_scope(instance, bidders, policies, rule, deviations, adversarial, budget):
@@ -437,9 +421,8 @@ def _first_failure(scopes) -> "Counterexample | None":
     for scope, truth, rows in _row_stream(scopes):
         for row in rows:
             if not row.passed:
-                bids = scope.decode(truth)
                 return Counterexample(
-                    scope.valuations or bids, bids, row.bidder, row.deviation_bid, row.pairing,
+                    scope.valuations or truth, truth, row.bidder, row.deviation_bid, row.pairing,
                     row.truthful_utility, row.deviation_utility,
                 )
     return None
@@ -603,9 +586,3 @@ def find_counterexample(
         _grid_scopes(2, n_max, tick_bound, policies, rule, "grid", adversarial, budget)
     )
 
-
-def efficiency_check(valuations: Sequence[Money], policy: TieBreakPolicy) -> bool:
-    """With truthful bids, does the good go to a maximum-valuation bidder?  True
-    or raises, as ``outcome`` refuses a policy that picks a bidder without a top bid."""
-    winner = outcome(valuations, policy, PaymentRule.SECOND_PRICE).winner
-    return valuations[winner] == max(valuations)

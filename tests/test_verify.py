@@ -31,7 +31,6 @@ from sealedbid.verify import (
     critical_deviations,
     deviation_profile,
     dominance_sweep,
-    efficiency_check,
     find_counterexample,
 )
 
@@ -293,14 +292,15 @@ class TestFindCounterexample:
 def sweeps(draw):
     """A small sweep: (N, T), rule, a policy list with repeats, adversarial
     on or off, and deviations.  N reaches 4, so a block holds three
-    opposing bids and a code four digits."""
+    opposing bids; an explicit deviation list may hold 10**4000, a tick
+    far above T."""
     n_bidders = draw(st.integers(min_value=2, max_value=4))
     ticks = draw(st.integers(min_value=0, max_value=3 if n_bidders < 4 else 2))
     kinds = standard_policies(n_bidders, seed=draw(st.integers(min_value=0, max_value=3)))
     policies = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4))
     deviations = draw(st.one_of(
         st.sampled_from(["grid", "critical"]),
-        st.lists(st.integers(min_value=0, max_value=ticks + 3), max_size=3),
+        st.lists(st.integers(min_value=0, max_value=ticks + 3) | st.just(10**4000), max_size=3),
     ))
     return (n_bidders, ticks, policies, draw(st.sampled_from([SECOND, FIRST])), deviations,
             draw(st.booleans()))
@@ -317,19 +317,48 @@ class TestClassFoldAgainstOracle:
         assert report.counterexample == counterexample
 
 
+@st.composite
+def searches(draw):
+    """A small search: rule, N up to 3, T up to 3, a policy list (None for
+    each N's standard list, or one with repeats drawn from the N-max
+    standard kinds) and adversarial on or off."""
+    n_max = draw(st.integers(min_value=2, max_value=3))
+    kinds = standard_policies(n_max, seed=draw(st.integers(min_value=0, max_value=3)))
+    policies = draw(st.none() | st.lists(st.sampled_from(kinds), min_size=1, max_size=4))
+    return (draw(st.sampled_from([SECOND, FIRST])), n_max,
+            draw(st.integers(min_value=0, max_value=3)), policies, draw(st.booleans()))
+
+
+class TestSearchAgainstOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(searches())
+    def test_search_is_the_first_oracle_counterexample(self, search):
+        rule, n_max, ticks, policies, adversarial = search
+        expected = None
+        for n in range(2, n_max + 1):
+            policy_list = policies if policies is not None else standard_policies(n)
+            expected = oracle_report(n, ticks, policy_list, rule, "grid", adversarial)[3]
+            if expected is not None:
+                break
+        assert find_counterexample(rule, n_max, ticks, policies, adversarial) == expected
+
+
 class TestEfficiency:
+    """With truthful second-price bids the good goes to a highest valuation."""
+
     def test_unique_maximum(self):
-        assert efficiency_check((3, 6, 4), FirstIndex())
+        values = (3, 6, 4)
+        assert values[outcome(values, FirstIndex(), SECOND).winner] == max(values)
 
     def test_tie_any_policy(self):
         for policy in standard_policies(2):
-            assert efficiency_check((5, 5), policy)
+            assert (5, 5)[outcome((5, 5), policy, SECOND).winner] == 5
 
     def test_exhaustive_small_grid(self):
         policies = standard_policies(3)
         for values in product(range(5), repeat=3):
             for policy in policies:
-                assert efficiency_check(values, policy)
+                assert values[outcome(values, policy, SECOND).winner] == max(values)
 
     def test_a_policy_picking_a_lower_bidder_is_refused(self):
         class Lowest(FirstIndex):
@@ -337,7 +366,7 @@ class TestEfficiency:
                 return bids.index(min(bids))
 
         with pytest.raises(ValueError, match="^tie-break first-index picked 0, not a highest"):
-            efficiency_check((3, 6), Lowest())
+            outcome((3, 6), Lowest(), SECOND)
 
 
 class TestSweepAggregationOrderIndependence:
@@ -378,7 +407,7 @@ class TestOutcomeTable:
         assert len(calls) == 4 ** 3 * 4
         assert len(set(calls)) == len(calls)
 
-    def test_each_profile_is_decoded_once(self, monkeypatch):
+    def test_each_profile_reaches_outcome_as_one_tuple(self, monkeypatch):
         profiles = []
         real = verify.outcome
 
