@@ -444,7 +444,7 @@ def outcome(bids: Sequence[Money], policy: TieBreakPolicy, rule: PaymentRule) ->
     if not (0 <= winner < len(bids) and bids[winner] == ordered[-1]):
         raise ValueError(f"tie-break {policy.describe()} picked {winner}, not a highest bidder")
     price = ordered[-2] if rule is PaymentRule.SECOND_PRICE else bids[winner]
-    return Outcome._make((winner, price, rule))  # skips the generated keyword __new__
+    return tuple.__new__(Outcome, (winner, price, rule))  # no keyword __new__, no _make frame
 
 
 def bidder_utility(valuations: Sequence[Money], result: Outcome, bidder: BidderId) -> SignedMoney:

@@ -13,6 +13,8 @@ import struct
 from abc import ABC, abstractmethod
 from fractions import Fraction
 from functools import cache
+from itertools import repeat
+from operator import eq, getitem, sub
 from typing import IO, Mapping, Sequence
 
 from .core import (
@@ -187,6 +189,14 @@ SAMPLE_BLOCK = 256
 _LANE_ONE = (1).to_bytes(16, "little")  # one 128-bit lane holding the word 1
 
 
+def _lanes(words) -> int:
+    """One integer holding ``words`` as 128-bit lanes, the first the lowest."""
+    return int.from_bytes(b"".join(word.to_bytes(16, "little") for word in words), "little")
+
+
+LANE_INDEX = _lanes(range(SAMPLE_BLOCK))  # lane r holds r
+
+
 def sample_valuations(config: ExperimentConfig, start: int, stop: int) -> list[ValuationProfile]:
     """Valuations for rounds ``start..stop-1``: in round r bidder b draws
     ``value_low + mix64(seed, r, b) % span``.
@@ -204,6 +214,9 @@ def sample_valuations(config: ExperimentConfig, start: int, stop: int) -> list[V
       before the multiply;
     - a 64 x 64-bit product fits in its own lane.
 
+    The round lanes are ``start * ones + LANE_INDEX``, cut to the block; a
+    range longer than ``SAMPLE_BLOCK`` builds its own index.
+
     Not exactly uniform on [value_low, value_high]: each tick's chance is
     1 / span up to a relative error of span / 2^64 (``ExperimentConfig``
     refuses a span above 2^64)."""
@@ -217,12 +230,12 @@ def sample_valuations(config: ExperimentConfig, start: int, stop: int) -> list[V
         x = ((x ^ (x >> 27)) & mask) * MIX_B & mask
         return x ^ ((x >> 31) & mask)
 
-    rounds = b"".join(r.to_bytes(16, "little") for r in range(start, stop))
-    prefix = step(int.from_bytes(rounds, "little") ^ config._chain_head * ones)
+    index = LANE_INDEX & mask if count <= SAMPLE_BLOCK else _lanes(range(count))
+    prefix = step((start * ones + index) ^ config._chain_head * ones)
     low, span = config.value_low, config.value_high - config.value_low + 1
-    words = f"<{2 * count}Q"  # each lane's low word, then its high one
+    words = "<" + "Q8x" * count  # each lane's low word; its high one is skipped
     columns = [[low + word % span for word in struct.unpack(
-                    words, step(prefix ^ bidder * ones).to_bytes(16 * count, "little"))[::2]]
+                    words, step(prefix ^ bidder * ones).to_bytes(16 * count, "little"))]
                for bidder in range(config.n_bidders)]
     return list(zip(*columns))
 
@@ -248,38 +261,50 @@ class SimReport(Record):
 PROFILE_TABLE_LIMIT = 4096
 
 
-def _per_profile(config: ExperimentConfig, fn):
-    """``fn``, a pure function of a round's profile under ``config`` (and of
-    what ``config`` makes of it), memoized on its arguments when ``config``'s
-    profile space is at most ``PROFILE_TABLE_LIMIT``; above it, ``fn`` itself."""
+def _tabled(config: ExperimentConfig) -> bool:
+    """Whether ``config``'s profile space holds at most ``PROFILE_TABLE_LIMIT``
+    profiles, so that a run memoizes what it makes of each one (a table
+    freed with the run)."""
     span = config.value_high - config.value_low + 1
     # A span of 2 or more passes the limit within its bit length of bidders.
-    if span ** min(config.n_bidders, PROFILE_TABLE_LIMIT.bit_length()) <= PROFILE_TABLE_LIMIT:
-        return cache(fn)  # freed with the run; bounded by the limit
-    return fn
+    return span ** min(config.n_bidders, PROFILE_TABLE_LIMIT.bit_length()) <= PROFILE_TABLE_LIMIT
 
 
 def _player(config: ExperimentConfig):
-    """``config``'s ``play(valuations) -> (bids, winner, price)``, once per
-    distinct profile of a small profile space.  ``outcome`` is looked up at
-    each real play, so a wrapper sees every one."""
+    """``config``'s ``play(block) -> (bids, winners, prices)``: three columns,
+    one entry per valuation profile of ``block``.  ``outcome`` is looked up
+    at each play of a block, and called once per round, or once per distinct
+    profile of a tabled config, so a wrapper sees every real evaluation."""
     strategy, policy, rule = config.strategy, config.policy, config.rule
 
-    def play(valuations: ValuationProfile) -> tuple[BidProfile, BidderId, Money]:
-        bids = apply_strategy(valuations, strategy)
-        winner, price, _ = outcome(bids, policy, rule)
-        return bids, winner, price
+    if _tabled(config):
+        @cache
+        def play_once(valuations: ValuationProfile) -> tuple[BidProfile, BidderId, Money]:
+            bids = apply_strategy(valuations, strategy)
+            winner, price, _ = outcome(bids, policy, rule)
+            return bids, winner, price
 
-    return _per_profile(config, play)
+        def play(block: Sequence[ValuationProfile]):
+            return tuple(zip(*map(play_once, block)))
+    else:
+        def play(block: Sequence[ValuationProfile]):
+            bids = block if type(strategy) is Truthful else [
+                apply_strategy(valuations, strategy) for valuations in block]
+            winners, prices, _ = zip(*map(outcome, bids, repeat(policy), repeat(rule)))
+            return bids, winners, prices
+
+    return play
 
 
 def _simulate(configs: Sequence[ExperimentConfig], budget: int, sink=None) -> list[SimReport]:
-    """The one round loop: sample each round once, ``SAMPLE_BLOCK`` rounds per
-    ``sample_valuations`` call (looked up per block, so a wrapper sees every
-    call), play it under every config (all share the first one's sampling
-    parameters), fold exact integer sums per config, and call
-    ``sink(index, valuations, plays)`` with each config's ``play`` result,
-    ``(bids, winner, price)``.  The sums are divided once, at the end."""
+    """The one round loop, a sampled block at a time: sample ``SAMPLE_BLOCK``
+    rounds per ``sample_valuations`` call (looked up per block, so a wrapper
+    sees every call), play the block under every config (all share the first
+    one's sampling parameters), fold each config's columns into exact integer
+    sums, and call ``sink(start, block, plays)`` once per block, where round
+    ``start + i`` has valuations ``block[i]`` and ``plays`` holds each
+    config's ``(bids, winners, prices)`` columns.  The sums are divided once,
+    at the end."""
     sampling = configs[0]
     sampling.check_budget(budget)
     rounds = sampling.n_rounds
@@ -287,18 +312,18 @@ def _simulate(configs: Sequence[ExperimentConfig], budget: int, sink=None) -> li
     players = [(_player(config), total) for config, total in zip(configs, totals)]
     for start in range(0, rounds, SAMPLE_BLOCK):
         block = sample_valuations(sampling, start, min(start + SAMPLE_BLOCK, rounds))
-        for index, valuations in enumerate(block, start):
-            top = max(valuations)
-            plays = None if sink is None else []
-            for play, total in players:
-                played = _, winner, price = play(valuations)
-                total[0] += price
-                total[1] += valuations[winner] - price
-                total[2] += valuations[winner] == top
-                if plays is not None:
-                    plays.append(played)
-            if plays is not None:
-                sink(index, valuations, plays)
+        tops = list(map(max, block))
+        plays = []
+        for play, total in players:
+            played = _, winners, prices = play(block)
+            values = list(map(getitem, block, winners))
+            revenue = sum(prices)
+            total[0] += revenue
+            total[1] += sum(values) - revenue
+            total[2] += sum(map(eq, values, tops))
+            plays.append(played)
+        if sink is not None:
+            sink(start, block, plays)
     return [SimReport(config, rounds, *(Fraction(value, rounds) for value in total))
             for config, total in zip(configs, totals)]
 
@@ -347,13 +372,12 @@ def compare_rules(
                 f"mismatched sampling parameters: {field} differs "
                 f"({getattr(config_a, field)} vs {getattr(config_b, field)})"
             )
-    diff_min = diff_max = None
+    lows, highs = [], []  # each block's least and greatest revenue difference
 
-    def track(index, valuations, plays):
-        nonlocal diff_min, diff_max
-        diff = plays[0][2] - plays[1][2]
-        diff_min = diff if diff_min is None else min(diff_min, diff)
-        diff_max = diff if diff_max is None else max(diff_max, diff)
+    def track(start, block, plays):
+        diffs = list(map(sub, plays[0][2], plays[1][2]))
+        lows.append(min(diffs))
+        highs.append(max(diffs))
 
     report_a, report_b = _simulate([config_a, config_b], budget, track)
     return PairedReport(
@@ -362,8 +386,8 @@ def compare_rules(
         mean_revenue_diff=report_a.mean_revenue - report_b.mean_revenue,
         mean_winner_utility_diff=report_a.mean_winner_utility - report_b.mean_winner_utility,
         efficiency_rate_diff=report_a.efficiency_rate - report_b.efficiency_rate,
-        revenue_diff_min=diff_min,
-        revenue_diff_max=diff_max,
+        revenue_diff_min=min(lows),
+        revenue_diff_max=max(highs),
     )
 
 
@@ -380,15 +404,17 @@ def write_rounds_csv(
     rows as CSV, and return the report of the same rounds.
 
     Profile columns hold space-joined ticks so each round stays one row; no
-    field ever needs CSV quoting, so rows are written as plain text, the
-    text after the round index once per distinct profile of a small space.
+    field ever needs CSV quoting, so rows are written as plain text, one
+    joined string per sampled block, the text after the round index built
+    once per distinct profile of a small space.
     Nothing is written when the budget refuses the run.
     """
     config.check_budget(budget)
     stream.write("round,valuations,bids,winner,price\n")
-    row_text = _per_profile(config, _row_text)
+    row_text = cache(_row_text) if _tabled(config) else _row_text
 
-    def write(index, valuations, plays):
-        stream.write(f"{index},{row_text(valuations, *plays[0])}\n")
+    def write(start, block, plays):
+        texts = map(row_text, block, *plays[0])
+        stream.write("".join(map("{},{}\n".format, range(start, start + len(block)), texts)))
 
     return _simulate([config], budget, write)[0]

@@ -10,7 +10,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import product
 
-from conftest import bruteforce_minimal_counterexample, naive_rounds, sweep_rows
+from conftest import bruteforce_minimal_counterexample, naive_rounds
 from sealedbid.cli import EXIT_FAIL, dispatch
 from sealedbid.core import FirstIndex, PaymentRule, outcome, standard_policies
 from sealedbid.simulate import (

@@ -86,6 +86,23 @@ def test_traced_simulate_counts_each_round_once_and_restores(tmp_path, monkeypat
     assert_restored(before)
 
 
+def test_traced_simulate_over_the_table_limit_sees_every_round_and_restores(tmp_path):
+    # 65^2 profiles keep no table: the block play calls the traced outcome
+    # once per round, over two sampled blocks.
+    config = {**CONFIG, "n_bidders": 2, "value_high": 64, "n_rounds": 300}
+    assert 65 ** 2 > simulate.PROFILE_TABLE_LIMIT and 300 > simulate.SAMPLE_BLOCK
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    argv = ["simulate", str(config_path), "--csv", str(tmp_path / "rounds.csv"),
+            "--format=json"]
+    expected, traced, probe, before = traced_run(argv)
+    metrics = probe.metrics(csv_bytes=0)
+
+    assert traced == expected
+    assert metrics["core.outcome.calls"][0] == config["n_rounds"]
+    assert_restored(before)
+
+
 def test_traced_dominance_sees_every_outcome_and_restores():
     expected, traced, probe, before = traced_run(["dominance", "--n", "2", "--ticks", "2"])
     metrics = probe.metrics(csv_bytes=0)

@@ -248,16 +248,17 @@ class TestRunExperiment:
             run_experiment(config(n_rounds=1000), budget=100)
 
     def test_records_are_built_only_for_a_sink(self, monkeypatch):
-        # A sink is handed each round's plays as ``play`` returned them, not a
-        # record built per round: with the profile table on, one per distinct profile.
-        sinks, rounds = [], []
+        # A sink is called once per sampled block with each config's play
+        # columns, (bids, winners, prices), not a record built per round: with
+        # the profile table on, the bids column holds one tuple per distinct profile.
+        sinks, blocks = [], []
         real = simulate._simulate
 
         def spying(configs, budget, sink=None):
             sinks.append(sink)
             if sink is None:
                 return real(configs, budget)
-            return real(configs, budget, lambda *args: rounds.append(args) or sink(*args))
+            return real(configs, budget, lambda *args: blocks.append(args) or sink(*args))
 
         monkeypatch.setattr(simulate, "_simulate", spying)
         report = run_experiment(config())
@@ -265,10 +266,17 @@ class TestRunExperiment:
         assert (report.mean_revenue, report.mean_winner_utility,
                 report.efficiency_rate) == (Fraction(203, 50), Fraction(14, 5), 1)
         assert write_rounds_csv(config(), io.StringIO()) == report
-        assert [index for index, _, _ in rounds] == list(range(config().n_rounds))
-        plays = {id(play): play for _, _, [play] in rounds}
-        assert len(plays) == len({valuations for _, valuations, _ in rounds})
-        assert all(len(play) == 3 for play in plays.values())
+        for cfg in (config(), config(n_rounds=2 * SAMPLE_BLOCK + 1)):
+            blocks.clear()
+            write_rounds_csv(cfg, io.StringIO())
+            ranges = [(start, start + len(block)) for start, block, _ in blocks]
+            assert tiles(ranges, cfg.n_rounds, SAMPLE_BLOCK)
+            assert len(ranges) == -(-cfg.n_rounds // SAMPLE_BLOCK)
+            assert all(len(play) == 3 and all(len(column) == len(block) for column in play)
+                       for _, block, [play] in blocks)
+            bids = {id(profile): profile for _, _, [(column, _, _)] in blocks
+                    for profile in column}
+            assert len(bids) == len({values for _, block, _ in blocks for values in block})
 
     def test_report_document_uses_rational_strings(self):
         doc = run_experiment(config()).to_dict()
@@ -423,6 +431,16 @@ class TestProfileTable:
     @example([config(n_bidders=2, n_rounds=SAMPLE_BLOCK + 1, value_high=64),
               config(n_bidders=2, n_rounds=SAMPLE_BLOCK + 1, value_high=64,
                      strategy=Shade(1, 2), policy=LastIndex())])
+    # Three blocks, the last partial.  Untabled: the first-price minus
+    # second-price revenue is least only in the second block and greatest
+    # only in the last round, so the difference range is folded across blocks.
+    @example([config(n_bidders=2, n_rounds=2 * SAMPLE_BLOCK + 1, value_high=64, seed=22622,
+                     rule=FIRST),
+              config(n_bidders=2, n_rounds=2 * SAMPLE_BLOCK + 1, value_high=64, seed=22622)])
+    @example([config(n_rounds=2 * SAMPLE_BLOCK + 1, value_high=3, rule=FIRST,
+                     strategy=Overbid(2), policy=Seeded(4)),
+              config(n_rounds=2 * SAMPLE_BLOCK + 1, value_high=3, strategy=Shade(1, 2),
+                     policy=LastIndex())])
     def test_matches_a_naive_per_round_recomputation(self, configs):
         cfg_a, cfg_b = configs
         rounds_a, rounds_b = naive_rounds(cfg_a), naive_rounds(cfg_b)
