@@ -247,14 +247,6 @@ def argmax_set(bids: Sequence[Money]) -> tuple[BidderId, ...]:
     return tuple([i for i, b in enumerate(bids) if b == top])
 
 
-def max_excluding(bids: Sequence[Money], bidder: BidderId) -> Money:
-    """Highest bid placed by anyone other than ``bidder``."""
-    bids = _require_profile(bids)
-    if fault := bidder_violation(bidder, len(bids)):
-        raise ValueError(fault)
-    return max(bids[:bidder] + bids[bidder + 1:])
-
-
 def canonical_bid_text(bids: Sequence[Money]) -> str:
     """Canonical serialization of a bid profile: comma-joined decimal ticks."""
     return ",".join(map(str, bids))
@@ -304,9 +296,9 @@ class LastIndex(Record, TieBreakPolicy):
 class Seeded(Record, TieBreakPolicy):
     """Pseudo-random choice among tied highest bids.
 
-    Deterministic: the pick is a 64-bit mix of the seed and the canonical
-    serialization of the bid profile, so repeat calls and other machines
-    agree on the winner.
+    Deterministic: the pick is the member of ``argmax_set(bids)`` at a 64-bit
+    mix of the seed and the canonical serialization of the bid profile, modulo
+    the set's size, so repeat calls and other machines agree on the winner.
     """
 
     kind = "seeded"
@@ -317,10 +309,9 @@ class Seeded(Record, TieBreakPolicy):
             raise ValueError(f"seed {self.seed} outside unsigned 64-bit range")
 
     def select(self, bids: BidProfile) -> BidderId:
-        top = max(bids)
-        if bids.count(top) == 1:
-            return bids.index(top)  # any hash modulo 1 is 0: the pick needs no hash
-        ties = [i for i, b in enumerate(bids) if b == top]  # bids already validated
+        ties = argmax_set(bids)
+        if len(ties) == 1:
+            return ties[0]  # any hash modulo 1 is 0: the pick needs no hash
         return ties[hash_text(self.seed, canonical_bid_text(bids)) % len(ties)]
 
     def describe(self) -> str:

@@ -17,16 +17,23 @@ MIX_A = 0xBF58476D1CE4E5B9
 MIX_B = 0x94D049BB133111EB
 
 
-def splitmix64(x: int) -> int:
+def splitmix64(x: int, mask: int = MASK64, golden: int = GOLDEN) -> int:
     """One splitmix64 step: add the golden-ratio increment, then finalize.
 
-    ``splitmix64(0)`` is 0xE220A8397B1DCDAF, the well-known first output of
-    the reference generator seeded with zero.
+    ``splitmix64(0)`` is 0xE220A8397B1DCDAF, the first output of the reference
+    generator seeded with zero; the first mask drops any bits of ``x`` above 64.
+
+    Given ``mask`` and ``golden`` repeated in every 128-bit lane of ``x``, each
+    lane holding a word below 2^64, one call steps every lane as a call on its
+    word would (on one word the extra masks do nothing): a lane's sum stays
+    below 2^128, so no carry crosses lanes; the bits a right shift pulls in
+    from the lane above are masked off before each multiply; and a 64 x 64-bit
+    product fits in its own lane.
     """
-    x = (x + GOLDEN) & MASK64
-    x = ((x ^ (x >> 30)) * MIX_A) & MASK64
-    x = ((x ^ (x >> 27)) * MIX_B) & MASK64
-    return x ^ (x >> 31)
+    x = (x + golden) & mask
+    x = ((x ^ (x >> 30)) & mask) * MIX_A & mask
+    x = ((x ^ (x >> 27)) & mask) * MIX_B & mask
+    return x ^ ((x >> 31) & mask)
 
 
 def mix64(seed: int, *words: int) -> int:
@@ -38,11 +45,8 @@ def mix64(seed: int, *words: int) -> int:
     chain step: ``mix64(s, *w, b) == splitmix64(mix64(s, *w) ^ b)``.
     """
     h = splitmix64(seed & MASK64)
-    for w in words:  # splitmix64(h ^ (w & MASK64)) inlined; its first mask drops w's high bits
-        x = ((h ^ w) + GOLDEN) & MASK64
-        x = ((x ^ (x >> 30)) * MIX_A) & MASK64
-        x = ((x ^ (x >> 27)) * MIX_B) & MASK64
-        h = x ^ (x >> 31)
+    for w in words:
+        h = splitmix64(h ^ w)
     return h
 
 

@@ -34,7 +34,7 @@ from .core import (
     record_from_dict,
     tick_violation,
 )
-from .seeding import GOLDEN, MASK64, MIX_A, MIX_B, mix64
+from .seeding import GOLDEN, MASK64, mix64, splitmix64
 
 
 class Strategy(ABC):
@@ -113,8 +113,6 @@ def strategy_from_dict(doc: Mapping) -> Strategy:
 
 def apply_strategy(valuations: Sequence[Money], strategy: Strategy) -> BidProfile:
     """Element-wise application of a strategy to a valuation profile."""
-    if type(strategy) is Truthful:  # the bids are the values: skip N calls
-        return tuple(valuations)
     return tuple(map(strategy.bid, valuations))
 
 
@@ -202,17 +200,12 @@ def sample_valuations(config: ExperimentConfig, start: int, stop: int) -> list[V
     ``value_low + mix64(seed, r, b) % span``.
 
     The rounds are sampled together, one 128-bit lane of a single integer
-    each, so each splitmix64 step runs once over the whole block.  One step
-    on ``head ^ r``, where the chain head ``mix64(seed)`` is computed once
-    per config, gives every round's prefix ``mix64(seed, r)``; one on
-    ``prefix ^ b`` gives bidder b's draws.  Every lane computes exactly what
-    the step computes on its own word:
-
-    - every lane stays below 2^128 (a round index is below 2^64), so no
-      carry crosses into the next lane;
-    - the bits a right shift pulls in from the lane above are masked off
-      before the multiply;
-    - a 64 x 64-bit product fits in its own lane.
+    each, so each ``splitmix64`` call, given the lane-repeated mask and
+    increment, steps the whole block at once.  One step on ``head ^ r``,
+    where the chain head ``mix64(seed)`` is computed once per config, gives
+    every round's prefix ``mix64(seed, r)``; one on ``prefix ^ b`` gives
+    bidder b's draws.  A round index is below 2^64, so each lane holds a
+    word, as the lane-wise step requires.
 
     The round lanes are ``start * ones + LANE_INDEX``, cut to the block; a
     range longer than ``SAMPLE_BLOCK`` builds its own index.
@@ -223,20 +216,13 @@ def sample_valuations(config: ExperimentConfig, start: int, stop: int) -> list[V
     count = stop - start
     ones = int.from_bytes(_LANE_ONE * count, "little")
     mask, golden = ones * MASK64, ones * GOLDEN
-
-    def step(x: int) -> int:
-        x = (x + golden) & mask
-        x = ((x ^ (x >> 30)) & mask) * MIX_A & mask
-        x = ((x ^ (x >> 27)) & mask) * MIX_B & mask
-        return x ^ ((x >> 31) & mask)
-
     index = LANE_INDEX & mask if count <= SAMPLE_BLOCK else _lanes(range(count))
-    prefix = step((start * ones + index) ^ config._chain_head * ones)
+    prefix = splitmix64((start * ones + index) ^ config._chain_head * ones, mask, golden)
     low, span = config.value_low, config.value_high - config.value_low + 1
     words = "<" + "Q8x" * count  # each lane's low word; its high one is skipped
-    columns = [[low + word % span for word in struct.unpack(
-                    words, step(prefix ^ bidder * ones).to_bytes(16 * count, "little"))]
-               for bidder in range(config.n_bidders)]
+    draws = (splitmix64(prefix ^ bidder * ones, mask, golden).to_bytes(16 * count, "little")
+             for bidder in range(config.n_bidders))
+    columns = [[low + word % span for word in struct.unpack(words, draw)] for draw in draws]
     return list(zip(*columns))
 
 

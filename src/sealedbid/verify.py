@@ -43,7 +43,6 @@ from .core import (
     ValuationProfile,
     bidder_violation,
     check_budget,
-    max_excluding,
     outcome,
     standard_policies,
     tick_violation,
@@ -181,19 +180,16 @@ def assert_case(case: CaseTag, result: DeviationCheckResult) -> "str | None":
     return None
 
 
-def critical_deviations(bids: Sequence[Money], bidder: BidderId) -> tuple[Money, ...]:
-    """A finite deviation set sufficient to decide truthfulness.
-
-    Let M be the highest opposing bid.  Any deviation below M loses
-    outright, any deviation above M wins outright, and a deviation of
-    exactly M ties; under the second-price rule the utility of a winning
-    deviation is value - M regardless of the bid.  So one representative
-    per class decides the verdict: {0 (when M > 0), M, M + 1}.
-    """
-    return _critical(max_excluding(bids, bidder))
-
-
 def _critical(top: Money) -> tuple[Money, ...]:
+    """A finite deviation set sufficient to decide truthfulness, given the
+    highest opposing bid M, ``top``.
+
+    Any deviation below M loses outright, any deviation above M wins
+    outright, and a deviation of exactly M ties; under the second-price rule
+    the utility of a winning deviation is value - M regardless of the bid.
+    So one representative per class decides the verdict: {0 (when M > 0),
+    M, M + 1}.
+    """
     return (0, top, top + 1) if top else (0, 1)
 
 

@@ -18,11 +18,11 @@ import sealedbid
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def test_exports_resolve_sorted_and_at_most_40():
+def test_exports_resolve_sorted_and_at_most_34():
     names = sealedbid.__all__
     assert [name for name in names if not hasattr(sealedbid, name)] == []
     assert names == sorted(names)
-    assert len(names) <= 40
+    assert len(names) <= 34
 
 
 def test_readme_library_example_runs():
@@ -174,6 +174,16 @@ def compares_type_with_int(node) -> bool:
 
 def test_the_tick_rule_is_worded_in_one_function():
     assert functions_where(words_a_tick_fault) == {"core.tick_violation"}
+
+
+def reads_a_mixing_constant(node) -> bool:
+    """A read of the splitmix64 finalizer's multiplier ``MIX_A`` or ``MIX_B``."""
+    return (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            and node.id in ("MIX_A", "MIX_B"))
+
+
+def test_the_splitmix64_step_is_written_in_one_function():
+    assert functions_where(reads_a_mixing_constant) == {"seeding.splitmix64"}
 
 
 def renders_a_rational(node) -> bool:

@@ -19,7 +19,6 @@ from sealedbid.core import (
     TieBreakPolicy,
     argmax_set,
     bidder_utility,
-    max_excluding,
     outcome,
     policy_from_dict,
     standard_policies,
@@ -119,15 +118,6 @@ class TestMaxima:
         assert argmax_set((2, 7, 7)) == (1, 2)
         assert argmax_set((0, 0)) == (0, 1)
 
-    def test_max_excluding(self):
-        assert max_excluding((3, 5, 4), 1) == 4
-        assert max_excluding((3, 5, 4), 0) == 5
-        assert max_excluding((7, 7), 0) == 7
-
-    def test_max_excluding_rejects_single_bidder(self):
-        with pytest.raises(ValueError):
-            max_excluding((5,), 0)
-
 
 @pytest.mark.parametrize("bidder, fault", [
     (True, "bidder index must be an integer (got True)"),
@@ -137,10 +127,9 @@ class TestMaxima:
 ], ids=["bool", "float", "negative", "N"])
 @pytest.mark.parametrize("entry", [
     lambda b: deviation_profile((3, 5), b, 4),
-    lambda b: max_excluding((3, 5), b),
     lambda b: bidder_utility((3, 6), outcome((3, 5), FirstIndex(), SECOND), b),
     lambda b: check_truthfulness((3, 6), (5,), b, [FirstIndex()]),
-], ids=["deviation_profile", "max_excluding", "bidder_utility", "check_truthfulness"])
+], ids=["deviation_profile", "bidder_utility", "check_truthfulness"])
 def test_every_entry_refuses_a_bidder_that_is_not_an_index(entry, bidder, fault):
     with pytest.raises(ValueError) as info:
         entry(bidder)
@@ -241,7 +230,7 @@ class TestOutcome:
     def test_second_price_invariants(self, bids):
         for policy in all_policies(len(bids)):
             o = outcome(bids, policy, PaymentRule.SECOND_PRICE)
-            assert o.price == max_excluding(bids, o.winner)
+            assert o.price == max(b for i, b in enumerate(bids) if i != o.winner)
             assert o.price <= bids[o.winner]
 
     @given(profiles)
@@ -254,7 +243,8 @@ class TestOutcome:
         bids = [3, 5, 5, 4]  # a list profile, with a tie
         for policy in all_policies(len(bids)):
             winner = policy.select(tuple(bids))  # the policy's own pick
-            price = max_excluding(bids, winner) if rule is PaymentRule.SECOND_PRICE else 5
+            price = (max(b for i, b in enumerate(bids) if i != winner)
+                     if rule is PaymentRule.SECOND_PRICE else 5)
             o = outcome(bids, policy, rule)
             assert type(o) is Outcome
             assert o == Outcome(winner=winner, price=price, rule=rule)
@@ -274,7 +264,6 @@ class TestOutcome:
         ties = tuple(i for i, b in enumerate(bids) if b == top)
         others = [max(b for i, b in enumerate(bids) if i != k) for k in range(len(bids))]
         assert argmax_set(bids) == ties
-        assert [max_excluding(bids, k) for k in range(len(bids))] == others
         text = ",".join(str(b) for b in bids)
         explicit = ExplicitChoice.covering(len(bids))
         picks = [

@@ -3,7 +3,7 @@
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from sealedbid.seeding import MASK64, hash_text, mix64, splitmix64
+from sealedbid.seeding import GOLDEN, MASK64, hash_text, mix64, splitmix64
 
 u64 = st.integers(min_value=0, max_value=MASK64)
 # Words past 64 bits exercise the mask applied to each absorbed word.
@@ -30,6 +30,17 @@ def test_splitmix64_reference_vectors():
 @given(u64)
 def test_splitmix64_stays_in_64_bits(x):
     assert 0 <= splitmix64(x) <= MASK64
+
+
+@given(st.lists(u64, min_size=1, max_size=300))
+@example([MASK64] * 3)
+def test_one_lane_wise_step_is_the_step_of_every_word(words):
+    # Word i sits in bits 128*i .. 128*i + 63; the lane mask and increment repeat it.
+    lanes = sum(word << 128 * i for i, word in enumerate(words))
+    ones = sum(1 << 128 * i for i in range(len(words)))
+    stepped = splitmix64(lanes, ones * MASK64, ones * GOLDEN)
+    assert [stepped >> 128 * i & (1 << 128) - 1 for i in range(len(words))] == [
+        splitmix64(word) for word in words]
 
 
 def test_mix64_frozen_values():

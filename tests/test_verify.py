@@ -28,7 +28,6 @@ from sealedbid.verify import (
     check_instance,
     check_truthfulness,
     coverage_guard,
-    critical_deviations,
     deviation_profile,
     dominance_sweep,
     find_counterexample,
@@ -83,15 +82,22 @@ class TestAssertCase:
         assert assert_case(CaseTag.WIN_LOSE, result_row(CaseTag.WIN_LOSE, 2, 1)) is not None
 
 
+def critical_bids(valuations, others):
+    """The deviation bids a critical check of bidder 0 tries."""
+    rows = check_truthfulness(valuations, others, 0, [FirstIndex()], deviations="critical",
+                              adversarial=False)
+    return tuple(row.deviation_bid for row in rows)
+
+
 class TestCriticalDeviations:
     def test_positive_top(self):
-        assert critical_deviations((9, 5, 4), 0) == (0, 5, 6)
+        assert critical_bids((9, 5, 4), (5, 4)) == (0, 5, 6)
 
     def test_zero_top(self):
-        assert critical_deviations((9, 0), 0) == (0, 1)
+        assert critical_bids((9, 0), (0,)) == (0, 1)
 
     def test_no_duplicate_when_top_is_zero(self):
-        members = critical_deviations((3, 0, 0), 0)
+        members = critical_bids((3, 0, 0), (0, 0))
         assert members == (0, 1)
         assert len(set(members)) == len(members)
 
@@ -573,6 +579,16 @@ BUDGETED_RUNS = [
         "falsify-exhausting",
         lambda b: find_counterexample(SECOND, 3, 2, budget=b),
         grid_rows(2, 2, 3, 2, 3) + grid_rows(3, 2, 3, 3, 3),
+    ),
+    (
+        # Under the built-in rules the adversarial pairing never decides a search's
+        # verdict: a truthful first-price bidder's utility is 0 under every policy,
+        # so its row fails only in a cell where a policy's row already failed, and
+        # under second price no row fails.  Only the row count tells the setting,
+        # so only this exact count catches a search that ignores adversarial=False.
+        "falsify-no-adversarial",
+        lambda b: find_counterexample(SECOND, 3, 2, adversarial=False, budget=b),
+        grid_rows(2, 2, 3, 2, 3, pairings=4) + grid_rows(3, 2, 3, 3, 3, pairings=4),
     ),
 ]
 
