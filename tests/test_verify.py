@@ -82,10 +82,10 @@ class TestAssertCase:
         assert assert_case(CaseTag.WIN_LOSE, result_row(CaseTag.WIN_LOSE, 2, 1)) is not None
 
 
-def critical_bids(valuations, others):
-    """The deviation bids a critical check of bidder 0 tries."""
-    rows = check_truthfulness(valuations, others, 0, [FirstIndex()], deviations="critical",
-                              adversarial=False)
+def critical_bids(valuations, others, bidder=0):
+    """The deviation bids a critical check of ``bidder`` tries."""
+    rows = check_truthfulness(valuations, others, bidder, [FirstIndex()],
+                              deviations="critical", adversarial=False)
     return tuple(row.deviation_bid for row in rows)
 
 
@@ -100,6 +100,16 @@ class TestCriticalDeviations:
         members = critical_bids((3, 0, 0), (0, 0))
         assert members == (0, 1)
         assert len(set(members)) == len(members)
+
+    def test_top_excludes_a_middle_bidder_own_bid(self):
+        assert critical_bids((4, 9, 6), (4, 6), bidder=1) == (0, 6, 7)
+
+    def test_tied_opposing_bids_give_their_common_top(self):
+        assert critical_bids((3, 7, 7), (7, 7)) == (0, 7, 8)
+
+    def test_single_bidder_is_refused(self):
+        with pytest.raises(ValueError, match="N >= 2"):
+            critical_bids((5,), ())
 
     def test_equivalent_to_grid_ticks_up_to_nine(self):
         # verdict parity on every two-bidder instance, both payment rules
