@@ -41,8 +41,8 @@ from .reporting import canonical_json, render_table
 # `dominance_sweep`, `find_counterexample`, `check_truthfulness`,
 # `run_experiment` and `write_rounds_csv` here under those names.
 _DEFERRED = {
-    "verify": ("check_instance", "check_truthfulness", "deviation_profile", "dominance_sweep",
-               "find_counterexample"),
+    "verify": ("CaseTag", "check_instance", "check_truthfulness", "deviation_profile",
+               "dominance_sweep", "find_counterexample"),
     "simulate": ("ExperimentConfig", "run_experiment", "write_rounds_csv"),
 }
 
@@ -146,8 +146,7 @@ def cmd_classify(args) -> tuple[int, dict]:
         "bidder": args.bidder,
         "original_bid": bids[args.bidder],
         "deviation_bid": args.deviation,
-        # the four-case tag (CaseTag's value): the bidder's status before, then after
-        "case": "-".join("win" if o.winner == args.bidder else "lose" for o in (original, after)),
+        "case": CaseTag.of(original.winner == args.bidder, after.winner == args.bidder).value,
         "winner_original": original.winner,
         "winner_deviation": after.winner,
         "utility_original": bidder_utility(instance.valuations, original, args.bidder),

@@ -80,7 +80,7 @@ class Record:
             raise TypeError(f"{type(self).__qualname__}() takes exactly the fields {self._fields}")
         # Fields are set and read by name, never through __dict__: once that dict
         # exists, CPython stops specializing field reads, which the simulation
-        # makes on its config every round.
+        # makes on its config once per sampled block.
         for name in self._fields:
             object.__setattr__(self, name, values[name])
         for name in self._ints:
@@ -182,8 +182,8 @@ class AuctionInstance(Record):
         n_vals, n_bids = len(self.valuations), len(self.bids)
         if n_vals != n_bids:
             violations.append(f"length mismatch ({n_vals} valuations vs {n_bids} bids)")
-        if min(n_vals, n_bids) < 2:
-            violations.append(f"N >= 2 required (got {min(n_vals, n_bids)})")
+        if fault := bidder_count_violation(min(n_vals, n_bids)):
+            violations.append(fault)
         for name in self._fields:
             violations += tick_violations(name, getattr(self, name))
         if violations:
@@ -234,9 +234,27 @@ def bidder_violation(bidder, n_bidders: int) -> "str | None":
         return f"bidder index {bidder} out of range for N={n_bidders}"
 
 
+def bidder_count_violation(n_bidders: int) -> "str | None":
+    """The bidder-count rule, asked by every boundary that takes N or a profile."""
+    if n_bidders < 2:
+        return f"N >= 2 required (got {n_bidders})"
+
+
+def seed_violation(seed: int) -> "str | None":
+    """The seed rule, asked by every record that holds a seed."""
+    if not 0 <= seed < (1 << 64):
+        return f"seed {seed} outside unsigned 64-bit range"
+
+
+def rule_violation(rule) -> "str | None":
+    """The payment-rule rule: a rule's name would be priced as first-price."""
+    if type(rule) is not PaymentRule:
+        return f"payment rule must be a PaymentRule member (got {rule!r})"
+
+
 def _require_profile(bids: Sequence[Money]) -> BidProfile:
-    if len(bids) < 2:
-        raise ValueError(f"N >= 2 required (got {len(bids)})")
+    if len(bids) < 2:  # tested inline: outcome's success path makes no extra call
+        raise ValueError(bidder_count_violation(len(bids)))
     return tuple(bids)
 
 
@@ -305,8 +323,8 @@ class Seeded(Record, TieBreakPolicy):
     seed: int
 
     def __post_init__(self):
-        if not 0 <= self.seed < (1 << 64):
-            raise ValueError(f"seed {self.seed} outside unsigned 64-bit range")
+        if fault := seed_violation(self.seed):
+            raise ValueError(fault)
 
     def select(self, bids: BidProfile) -> BidderId:
         ties = argmax_set(bids)
@@ -355,7 +373,8 @@ class ExplicitChoice(Record, TieBreakPolicy):
         Intended for exhaustive sweeps; the table has 2^N - 1 entries.
         """
         if not 2 <= n_bidders <= 16:
-            raise ValueError(f"covering table supports 2 <= N <= 16 (got {n_bidders})")
+            raise ValueError(bidder_count_violation(n_bidders)
+                             or f"covering table supports 2 <= N <= 16 (got {n_bidders})")
         table = {}
         for size in range(1, n_bidders + 1):
             for subset in combinations(range(n_bidders), size):
@@ -368,18 +387,12 @@ class ExplicitChoice(Record, TieBreakPolicy):
             return self.choice[ties]
         except KeyError:
             raise ValueError(
-                f"explicit tie-break has no choice for argmax set {list(ties)}"
-            ) from None
+                f"explicit tie-break has no choice for argmax set {list(ties)}") from None
 
     def to_dict(self) -> dict:
         """A JSON object cannot have tuple keys: each argmax set is comma-joined."""
-        return {
-            "kind": self.kind,
-            "choice": {
-                ",".join(str(i) for i in ties): pick
-                for ties, pick in sorted(self.choice.items())
-            },
-        }
+        choice = {",".join(map(str, ties)): pick for ties, pick in sorted(self.choice.items())}
+        return {"kind": self.kind, "choice": choice}
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ExplicitChoice":
@@ -427,8 +440,8 @@ def outcome(bids: Sequence[Money], policy: TieBreakPolicy, rule: PaymentRule) ->
     second price is the second-highest bid: the highest other bid only when
     the winner holds a top bid, so a policy picking anyone else raises
     ``ValueError``."""
-    if type(rule) is not PaymentRule:  # a rule's name would be priced as first-price
-        raise ValueError(f"payment rule must be a PaymentRule member (got {rule!r})")
+    if type(rule) is not PaymentRule:  # tested inline, as in _require_profile
+        raise ValueError(rule_violation(rule))
     bids = _require_profile(bids)
     winner = policy.select(bids)
     ordered = sorted(bids)  # the top bid, for the check, and the second price

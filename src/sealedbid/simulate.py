@@ -27,11 +27,14 @@ from .core import (
     SignedMoney,
     TieBreakPolicy,
     ValuationProfile,
+    bidder_count_violation,
     check_budget,
     outcome,
     policy_from_dict,
     read_fields,
     record_from_dict,
+    rule_violation,
+    seed_violation,
     tick_violation,
 )
 from .seeding import GOLDEN, MASK64, mix64, splitmix64
@@ -132,19 +135,15 @@ class ExperimentConfig(Record, label="config"):
     seed: int
 
     def __post_init__(self):
-        if type(self.rule) is not PaymentRule:  # as outcome would, but before any round
-            raise ValueError(f"payment rule must be a PaymentRule member (got {self.rule!r})")
-        if self.n_bidders < 2:
-            raise ValueError(f"N >= 2 required (got {self.n_bidders})")
+        if fault := rule_violation(self.rule) or bidder_count_violation(self.n_bidders):
+            raise ValueError(fault)  # as outcome would, but before any round
         if self.n_rounds < 1:
             raise ValueError(f"round count must be positive (got {self.n_rounds})")
         for bound in ("value_low", "value_high"):
             if fault := tick_violation(bound, getattr(self, bound)):
                 raise ValueError(fault)
         if self.value_low > self.value_high:
-            raise ValueError(
-                f"value_low {self.value_low} exceeds value_high {self.value_high}"
-            )
+            raise ValueError(f"value_low {self.value_low} exceeds value_high {self.value_high}")
         # A draw is a 64-bit word reduced mod span: a wider span has ticks no round can draw.
         if self.value_high - self.value_low >= 1 << 64:
             raise ValueError(f"value span value_high - value_low + 1 exceeds 2**64 "
@@ -160,11 +159,8 @@ class ExperimentConfig(Record, label="config"):
         if fault := tick_violation("2 * n_rounds * max(value_high, strategy.bid(value_high))",
                                    bound):
             raise ValueError(fault)
-        if not 0 <= self.seed < (1 << 64):
-            raise ValueError(f"seed {self.seed} outside unsigned 64-bit range")
-        # The head of every round's chain, mix64(seed), taken once per config.  Not a
-        # field, so equality, hashing, repr and the document do not see it.
-        object.__setattr__(self, "_chain_head", mix64(self.seed))
+        if fault := seed_violation(self.seed):
+            raise ValueError(fault)
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ExperimentConfig":
@@ -196,13 +192,13 @@ LANE_INDEX = _lanes(range(SAMPLE_BLOCK))  # lane r holds r
 
 
 def sample_valuations(config: ExperimentConfig, start: int, stop: int) -> list[ValuationProfile]:
-    """Valuations for rounds ``start..stop-1``: in round r bidder b draws
-    ``value_low + mix64(seed, r, b) % span``.
+    """Valuations for rounds ``start..stop-1``, where ``0 <= start <= stop <= 2**64``:
+    in round r bidder b draws ``value_low + mix64(seed, r, b) % span``.
 
     The rounds are sampled together, one 128-bit lane of a single integer
     each, so each ``splitmix64`` call, given the lane-repeated mask and
     increment, steps the whole block at once.  One step on ``head ^ r``,
-    where the chain head ``mix64(seed)`` is computed once per config, gives
+    where the chain head ``mix64(seed)`` is computed once per call, gives
     every round's prefix ``mix64(seed, r)``; one on ``prefix ^ b`` gives
     bidder b's draws.  A round index is below 2^64, so each lane holds a
     word, as the lane-wise step requires.
@@ -213,11 +209,13 @@ def sample_valuations(config: ExperimentConfig, start: int, stop: int) -> list[V
     Not exactly uniform on [value_low, value_high]: each tick's chance is
     1 / span up to a relative error of span / 2^64 (``ExperimentConfig``
     refuses a span above 2^64)."""
+    if not 0 <= start <= stop <= 1 << 64:
+        raise ValueError(f"round range {start}..{stop} outside 0 <= start <= stop <= 2**64")
     count = stop - start
     ones = int.from_bytes(_LANE_ONE * count, "little")
     mask, golden = ones * MASK64, ones * GOLDEN
     index = LANE_INDEX & mask if count <= SAMPLE_BLOCK else _lanes(range(count))
-    prefix = splitmix64((start * ones + index) ^ config._chain_head * ones, mask, golden)
+    prefix = splitmix64((start * ones + index) ^ mix64(config.seed) * ones, mask, golden)
     low, span = config.value_low, config.value_high - config.value_low + 1
     words = "<" + "Q8x" * count  # each lane's low word; its high one is skipped
     draws = (splitmix64(prefix ^ bidder * ones, mask, golden).to_bytes(16 * count, "little")
@@ -354,10 +352,8 @@ def compare_rules(
     """
     for field in ("n_bidders", "n_rounds", "value_low", "value_high", "seed"):
         if getattr(config_a, field) != getattr(config_b, field):
-            raise ValueError(
-                f"mismatched sampling parameters: {field} differs "
-                f"({getattr(config_a, field)} vs {getattr(config_b, field)})"
-            )
+            raise ValueError(f"mismatched sampling parameters: {field} differs "
+                             f"({getattr(config_a, field)} vs {getattr(config_b, field)})")
     lows, highs = [], []  # each block's least and greatest revenue difference
 
     def track(start, block, plays):
@@ -383,9 +379,8 @@ def _row_text(valuations: ValuationProfile, bids: BidProfile, winner: BidderId,
     return f"{' '.join(map(str, valuations))},{' '.join(map(str, bids))},{winner},{price}"
 
 
-def write_rounds_csv(
-    config: ExperimentConfig, stream: IO[str], budget: int = DEFAULT_BUDGET
-) -> SimReport:
+def write_rounds_csv(config: ExperimentConfig, stream: IO[str],
+                     budget: int = DEFAULT_BUDGET) -> SimReport:
     """Run the experiment, dumping per-round (values, bids, winner, price)
     rows as CSV, and return the report of the same rounds.
 

@@ -41,6 +41,7 @@ from .core import (
     SignedMoney,
     TieBreakPolicy,
     ValuationProfile,
+    bidder_count_violation,
     bidder_violation,
     check_budget,
     outcome,
@@ -64,13 +65,10 @@ class CaseTag(Enum):
     def won_deviation(self) -> bool:
         return self in (CaseTag.WIN_WIN, CaseTag.LOSE_WIN)
 
-
-_CASES = {
-    (True, True): CaseTag.WIN_WIN,
-    (True, False): CaseTag.WIN_LOSE,
-    (False, True): CaseTag.LOSE_WIN,
-    (False, False): CaseTag.LOSE_LOSE,
-}
+    @classmethod
+    def of(cls, won_before: bool, won_after: bool) -> "CaseTag":
+        """The case of a bidder that won (or lost) under the original, then the deviated, bids."""
+        return cls("-".join("win" if won else "lose" for won in (won_before, won_after)))
 
 
 class DeviationCheckResult(NamedTuple):
@@ -161,10 +159,8 @@ def assert_case(case: CaseTag, result: DeviationCheckResult) -> "str | None":
     u_dev = result.deviation_utility
     if case in (CaseTag.WIN_WIN, CaseTag.LOSE_LOSE):
         if u_truth != u_dev:
-            return (
-                f"{case.value}: utilities must be equal "
-                f"(truthful {u_truth} vs deviation {u_dev})"
-            )
+            return (f"{case.value}: utilities must be equal "
+                    f"(truthful {u_truth} vs deviation {u_dev})")
         return None
     if case is CaseTag.WIN_LOSE:
         if u_dev != 0:
@@ -375,7 +371,7 @@ def _template(labels, paired, value, truthful_view, deviated_view) -> list[tuple
         _, u_dev, _, won_dev, dev_label = max(rows, key=itemgetter(1))
         label = f"adversarial({truth_label}|{dev_label})"
         rows.append((u_truth, u_dev, won_truth, won_dev, label))
-    return [(u_truth, u_dev, _CASES[won_truth, won_dev], u_truth >= u_dev, label)
+    return [(u_truth, u_dev, CaseTag.of(won_truth, won_dev), u_truth >= u_dev, label)
             for u_truth, u_dev, won_truth, won_dev, label in rows]
 
 
@@ -430,14 +426,13 @@ def _grid_scopes(n_min, n_max, tick_bound, policies, rule, deviations, adversari
     over every opposing-bid vector in {0..tick_bound}^(N-1), every valuation
     and every bidder, built lazily so that a finished N's tables are freed
     before the next fills."""
-    if n_max < 2:
-        raise ValueError(f"N >= 2 required (got {n_max})")
+    if fault := bidder_count_violation(n_max):
+        raise ValueError(fault)
     if fault := tick_violation("tick_bound", tick_bound):
         raise InvalidInstanceError([fault])
     grid = range(tick_bound + 1)
     deviations = _deviation_set(grid if deviations == "grid" else deviations, budget)
-    scopes = []
-    rows = 0
+    scopes, rows = [], 0
     for n in range(n_min, n_max + 1):
         policy_set = policies if policies is not None else standard_policies(n)
         scopes.append((n, policy_set))
@@ -508,9 +503,7 @@ def check_truthfulness(
     if fault := bidder_violation(bidder, len(valuations)):
         raise ValueError(fault)
     if len(others) != len(valuations) - 1:
-        raise ValueError(
-            f"expected {len(valuations) - 1} opposing bids, got {len(others)}"
-        )
+        raise ValueError(f"expected {len(valuations) - 1} opposing bids, got {len(others)}")
     # Each tick is named by the caller's argument, not by the profile built from them.
     if violations := tick_violations("valuations", valuations) + tick_violations("others", others):
         raise InvalidInstanceError(violations)

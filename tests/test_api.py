@@ -160,10 +160,18 @@ def functions_where(found) -> set:
     return names
 
 
-def words_a_tick_fault(node) -> bool:
-    """A string literal, or an f-string's literal part, that begins like a tick fault."""
-    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
-            and node.value.startswith(TICK_FAULTS))
+# Per rule: a test of a string literal, or of an f-string's literal part, that
+# words the rule, and the one function that states the rule.
+RULE_WORDINGS = {
+    "tick": (lambda text: text.startswith(TICK_FAULTS), "core.tick_violation"),
+    "bidder-count": (lambda text: text.startswith("N >= 2 required"),
+                     "core.bidder_count_violation"),
+    "seed-range": (lambda text: text.endswith(" outside unsigned 64-bit range"),
+                   "core.seed_violation"),
+    "payment-rule": (lambda text: text.startswith("payment rule must be a PaymentRule member"),
+                     "core.rule_violation"),
+    "case": (lambda text: text in ("win", "lose"), "verify.CaseTag.of"),
+}
 
 
 def compares_type_with_int(node) -> bool:
@@ -172,8 +180,11 @@ def compares_type_with_int(node) -> bool:
         re.fullmatch(r"type\(.+\) is not int", ast.unparse(node)))
 
 
-def test_the_tick_rule_is_worded_in_one_function():
-    assert functions_where(words_a_tick_fault) == {"core.tick_violation"}
+@pytest.mark.parametrize("rule", RULE_WORDINGS)
+def test_each_rule_is_worded_in_one_function(rule):
+    words, owner = RULE_WORDINGS[rule]
+    assert functions_where(lambda node: isinstance(node, ast.Constant)
+                           and isinstance(node.value, str) and words(node.value)) == {owner}
 
 
 def reads_a_mixing_constant(node) -> bool:

@@ -72,7 +72,7 @@ def test_traced_simulate_counts_each_round_once_and_restores(tmp_path, monkeypat
     assert traced == expected
     rounds = CONFIG["n_rounds"]
     # Each round is sampled once, in blocks the tracer counts as calls; mix64
-    # runs once per config, for the chain head that every block starts from.
+    # runs once per block, for the chain head it starts from: 200 rounds are one.
     half = len(sampled) // 2
     assert sampled[:half] == sampled[half:]  # the untraced run, then the traced one
     assert tiles(sampled[half:], rounds, simulate.SAMPLE_BLOCK)
@@ -100,6 +100,7 @@ def test_traced_simulate_over_the_table_limit_sees_every_round_and_restores(tmp_
 
     assert traced == expected
     assert metrics["core.outcome.calls"][0] == config["n_rounds"]
+    assert metrics["seeding.mix64.calls"][0] == 2  # one chain head per sampled block
     assert_restored(before)
 
 

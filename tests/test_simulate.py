@@ -140,6 +140,19 @@ class TestSampling:
         profiles = set(sample_valuations(cfg, 0, 20))
         assert len(profiles) > 1
 
+    # A negative round is not mix64's, a reversed range has no length, and from
+    # round 2^64 on the rounds would repeat round 0 onward.
+    @pytest.mark.parametrize("start, stop", [
+        (-3, -1), (-1, 2), (5, 3), (2**64, 2**64 + 1), (2**64 - 1, 2**64 + 1),
+    ])
+    def test_refuses_a_round_range_outside_0_to_2_to_the_64(self, start, stop):
+        with pytest.raises(ValueError, match=rf"^round range {start}\.\.{stop} outside "
+                                             r"0 <= start <= stop <= 2\*\*64$"):
+            sample_valuations(config(), start, stop)
+
+    def test_an_empty_range_ends_at_2_to_the_64(self):
+        assert sample_valuations(config(), 2**64, 2**64) == []
+
     @given(
         seed=st.integers(min_value=0, max_value=MASK64),
         start=st.integers(min_value=0, max_value=2**64 - (2 * SAMPLE_BLOCK + 1)),
@@ -408,14 +421,12 @@ def repeating_configs(draw):
             for _ in range(2)]
 
 
-def test_state_cached_on_a_config_is_not_part_of_it():
-    """Two configs equal in every field compare, hash, print and serialize
-    alike, whatever per-run state (the chain head) is cached on them."""
+def test_a_config_holds_only_its_fields():
+    """A config caches no per-run state (sampling takes the chain head per
+    block), so two configs equal in every field compare, hash, print and
+    serialize alike."""
     a, b = config(), config()
-    cached = vars(b).keys() - set(ExperimentConfig._fields)
-    assert cached
-    for name in cached:
-        object.__setattr__(b, name, object())
+    assert vars(b).keys() == set(ExperimentConfig._fields)
     assert a == b and hash(a) == hash(b)
     assert repr(a) == repr(b) and a.to_dict() == b.to_dict()
 

@@ -1,5 +1,6 @@
-"""One tick rule at every boundary that admits a tick, and one payment rule
-type for every evaluation."""
+"""One tick rule at every boundary that admits a tick, one payment rule type
+for every evaluation, and one bidder-count rule and one seed range wherever a
+bidder count or a seed is taken."""
 
 import json
 import sys
@@ -10,9 +11,12 @@ from sealedbid import cli, core, simulate, verify
 from sealedbid.cli import EXIT_INVALID, dispatch, load_instance
 from sealedbid.core import (
     AuctionInstance,
+    ExplicitChoice,
     FirstIndex,
     InvalidInstanceError,
     PaymentRule,
+    Seeded,
+    argmax_set,
     outcome,
     standard_policies,
     tick_violation,
@@ -199,3 +203,57 @@ def test_a_rule_by_name_is_refused(run):
     assert faults(lambda: run("second-price")) == [
         "payment rule must be a PaymentRule member (got 'second-price')"
     ]
+
+
+# Per boundary that takes a bidder count: a call with N bidders, or with an
+# N-bidder profile.
+BIDDER_COUNTS = {
+    "outcome": lambda n: outcome((5,) * n, FirstIndex(), SECOND),
+    "argmax_set": lambda n: argmax_set((5,) * n),
+    "AuctionInstance": lambda n: AuctionInstance((5,) * n, (5,) * n),
+    "ExperimentConfig": lambda n: ExperimentConfig(n, 10, 0, 9, SECOND, Truthful(),
+                                                   FirstIndex(), 1),
+    "covering": ExplicitChoice.covering,
+    "standard_policies": standard_policies,
+    "dominance_sweep": lambda n: dominance_sweep(n, 2),
+    "dominance_sweep-first-index": lambda n: dominance_sweep(n, 2, [FirstIndex()]),
+    "find_counterexample": lambda n: find_counterexample(SECOND, n, 2),
+    "find_counterexample-first-index": lambda n: find_counterexample(SECOND, n, 2,
+                                                                     [FirstIndex()]),
+}
+
+
+@pytest.mark.parametrize("boundary", BIDDER_COUNTS)
+@pytest.mark.parametrize("n", [0, 1])
+def test_every_boundary_refuses_fewer_than_two_bidders_before_any_outcome(
+        outcome_calls, boundary, n):
+    assert faults(lambda: BIDDER_COUNTS[boundary](n)) == [f"N >= 2 required (got {n})"]
+    assert outcome_calls == []
+
+
+@pytest.mark.parametrize("command, flag", [("dominance", "--n"), ("falsify", "--n-max")],
+                         ids=["dominance", "falsify"])
+@pytest.mark.parametrize("n", [0, 1])
+def test_a_sweep_below_two_bidders_is_refused_alike_with_or_without_explicit(
+        capsys, outcome_calls, command, flag, n):
+    """The explicit policy's covering table words the refusal as the sweep does."""
+    captured = []
+    for policies in ("first-index,last-index,seeded,explicit", "first-index,last-index,seeded"):
+        assert dispatch([command, flag, str(n), "--policies", policies]) == EXIT_INVALID
+        captured.append(capsys.readouterr())
+    assert captured[0] == captured[1] == ("", f"error: N >= 2 required (got {n})\n")
+    assert outcome_calls == []
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_a_seed_outside_64_bits_is_refused_in_the_same_words(tmp_path, capsys, seed):
+    fault = f"seed {seed} outside unsigned 64-bit range"
+    assert faults(lambda: Seeded(seed)) == [fault]
+    assert faults(lambda: ExperimentConfig(2, 10, 0, 9, SECOND, Truthful(), FirstIndex(),
+                                           seed)) == [fault]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n_bidders": 2, "n_rounds": 5, "value_low": 0, "value_high": 3}),
+                    encoding="utf-8")
+    for argv in (["simulate", str(path)], ["dominance", "--policies", "seeded"]):
+        assert dispatch([*argv, "--seed", str(seed)]) == EXIT_INVALID
+        assert capsys.readouterr() == ("", f"error: {fault}\n")
