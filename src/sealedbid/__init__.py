@@ -17,9 +17,8 @@ _EXPORTS = {
         "core": "DEFAULT_BUDGET AuctionInstance BudgetExceededError ExplicitChoice FirstIndex "
                 "InvalidInstanceError LastIndex Outcome PaymentRule Seeded TieBreakPolicy "
                 "bidder_utility outcome standard_policies",
-        "verify": "CaseCoverage CaseTag Counterexample DeviationCheckResult VerificationReport "
-                  "assert_case check_truthfulness coverage_guard dominance_sweep "
-                  "find_counterexample",
+        "verify": "CaseTag Counterexample DeviationCheckResult VerificationReport assert_case "
+                  "check_truthfulness dominance_sweep find_counterexample",
         "simulate": "ExperimentConfig Overbid PairedReport Shade SimReport Strategy Truthful "
                     "compare_rules run_experiment write_rounds_csv",
     }.items() for name in names.split()

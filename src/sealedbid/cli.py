@@ -98,7 +98,7 @@ def _parse_policies(text: str, seed: int, n_bidders: int) -> list[TieBreakPolicy
 def _verdict_exit(report) -> int:
     # A vacuous sweep never earns a passing exit code, even if no
     # comparison failed: untested cases are unverified cases.
-    if report.passed and not report.coverage.vacuous:
+    if report.passed and not report.vacuous:
         return EXIT_PASS
     return EXIT_FAIL
 
@@ -205,26 +205,27 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "table"), default="table",
         help="report format on stdout (default: %(default)s)",
     )
-    common.add_argument(
-        "--seed", type=int, default=None,
-        help="seed for the seeded tie-break policy; for simulate, overrides "
-             "the config seed (default: 0)",
+    # A subcommand takes only the flags its handler reads.  A parent's actions are
+    # shared (one child's default would move all), so simulate declares its own --seed
+    # (default: the config's) and falsify its own --rule (default first-price).
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument(
+        "--seed", type=int, default=0,
+        help="seed for the seeded tie-break policy (default: %(default)s)",
     )
-    common.add_argument(
+    budgeted = argparse.ArgumentParser(add_help=False)
+    budgeted.add_argument(
         "--budget", type=int, default=DEFAULT_BUDGET,
         help="cap on the rows a run would enumerate (sampled values for simulate; "
              "for falsify, the whole search up to --n-max), checked before any "
              "work; exceeding it exits 3 with empty stdout (default: %(default)s)",
     )
-
-    # check, classify and dominance share --rule; falsify declares its own (default
-    # first-price), since a parent's actions are shared: one child's default moves all.
     ruled = argparse.ArgumentParser(add_help=False)
     ruled.add_argument(
         "--rule", type=PaymentRule, choices=list(PaymentRule), default="second-price",
         help="payment rule (default: %(default)s)",
     )
-    sweep = argparse.ArgumentParser(add_help=False, parents=[common])
+    sweep = argparse.ArgumentParser(add_help=False, parents=[common, seeded, budgeted])
     sweep.add_argument(
         "--policies", default="first-index,last-index,seeded,explicit",
         help="comma-joined tie-break policies (default: %(default)s)",
@@ -266,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser(
-        "classify", parents=[common, ruled],
+        "classify", parents=[common, seeded, ruled],
         help="classify one deviation into its win/lose case",
     )
     p.add_argument("instance", help="instance document path")
@@ -305,10 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_falsify)
 
     p = sub.add_parser(
-        "simulate", parents=[common],
+        "simulate", parents=[common, budgeted],
         help="run a seeded Monte Carlo experiment from a config document",
     )
     p.add_argument("config", help="experiment config document path")
+    p.add_argument(
+        "--seed", type=int, default=None,
+        help="seed that overrides the config document's (default: the config's seed)",
+    )
     p.add_argument(
         "--csv", default=None, metavar="PATH",
         help="also write per-round values, bids, winner, price as CSV",
@@ -326,9 +331,6 @@ def dispatch(argv: Sequence[str]) -> int:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INVALID
-
-    if args.seed is None and args.command != "simulate":
-        args.seed = 0
 
     try:
         code, doc = args.handler(args)

@@ -46,11 +46,20 @@ class BudgetExceededError(RuntimeError):
     """An enumeration or simulation would exceed its state budget."""
 
 
+def budget_violation(budget) -> "str | None":
+    """The budget rule, asked by every entry that takes a budget before it reads
+    it: the fault of ``budget``, an ``int`` (not a ``bool``) of at least 0, or None."""
+    if fault := integer_violation("budget", budget):
+        return fault
+    if budget < 0:
+        return f"budget must be nonnegative (got {budget})"
+
+
 def check_budget(count: int, budget: int, unit: str):
     """Refuse a run before its work starts: ``count`` is the exact number of
     units (rows, sampled values) the run would evaluate."""
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative (got {budget})")
+    if fault := budget_violation(budget):
+        raise ValueError(fault)
     if count > budget:
         # str() refuses ints past 4300 digits; show a vast count by its size.
         shown = count if count.bit_length() < 4096 else f"2^{count.bit_length() - 1}+"
@@ -234,8 +243,11 @@ def bidder_violation(bidder, n_bidders: int) -> "str | None":
         return f"bidder index {bidder} out of range for N={n_bidders}"
 
 
-def bidder_count_violation(n_bidders: int) -> "str | None":
-    """The bidder-count rule, asked by every boundary that takes N or a profile."""
+def bidder_count_violation(n_bidders) -> "str | None":
+    """The bidder-count rule, asked by every boundary that takes N or a profile:
+    the fault of ``n_bidders``, an ``int`` (not a ``bool``) of at least 2, or None."""
+    if fault := integer_violation("N", n_bidders):
+        return fault
     if n_bidders < 2:
         return f"N >= 2 required (got {n_bidders})"
 
@@ -372,9 +384,10 @@ class ExplicitChoice(Record, TieBreakPolicy):
         first-index and last-index rules once three or more bids tie.
         Intended for exhaustive sweeps; the table has 2^N - 1 entries.
         """
-        if not 2 <= n_bidders <= 16:
-            raise ValueError(bidder_count_violation(n_bidders)
-                             or f"covering table supports 2 <= N <= 16 (got {n_bidders})")
+        if fault := bidder_count_violation(n_bidders):
+            raise ValueError(fault)
+        if n_bidders > 16:
+            raise ValueError(f"covering table supports 2 <= N <= 16 (got {n_bidders})")
         table = {}
         for size in range(1, n_bidders + 1):
             for subset in combinations(range(n_bidders), size):
@@ -432,7 +445,6 @@ class Outcome(NamedTuple):
 
     winner: BidderId
     price: Money
-    rule: PaymentRule
 
 
 def outcome(bids: Sequence[Money], policy: TieBreakPolicy, rule: PaymentRule) -> Outcome:
@@ -448,7 +460,7 @@ def outcome(bids: Sequence[Money], policy: TieBreakPolicy, rule: PaymentRule) ->
     if not (0 <= winner < len(bids) and bids[winner] == ordered[-1]):
         raise ValueError(f"tie-break {policy.describe()} picked {winner}, not a highest bidder")
     price = ordered[-2] if rule is PaymentRule.SECOND_PRICE else bids[winner]
-    return tuple.__new__(Outcome, (winner, price, rule))  # no keyword __new__, no _make frame
+    return tuple.__new__(Outcome, (winner, price))  # no keyword __new__, no _make frame
 
 
 def bidder_utility(valuations: Sequence[Money], result: Outcome, bidder: BidderId) -> SignedMoney:

@@ -265,7 +265,7 @@ def _player(config: ExperimentConfig):
         @cache
         def play_once(valuations: ValuationProfile) -> tuple[BidProfile, BidderId, Money]:
             bids = apply_strategy(valuations, strategy)
-            winner, price, _ = outcome(bids, policy, rule)
+            winner, price = outcome(bids, policy, rule)
             return bids, winner, price
 
         def play(block: Sequence[ValuationProfile]):
@@ -274,7 +274,7 @@ def _player(config: ExperimentConfig):
         def play(block: Sequence[ValuationProfile]):
             bids = block if type(strategy) is Truthful else [
                 apply_strategy(valuations, strategy) for valuations in block]
-            winners, prices, _ = zip(*map(outcome, bids, repeat(policy), repeat(rule)))
+            winners, prices = zip(*map(outcome, bids, repeat(policy), repeat(rule)))
             return bids, winners, prices
 
     return play

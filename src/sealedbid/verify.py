@@ -43,6 +43,7 @@ from .core import (
     ValuationProfile,
     bidder_count_violation,
     bidder_violation,
+    budget_violation,
     check_budget,
     outcome,
     standard_policies,
@@ -60,10 +61,6 @@ class CaseTag(Enum):
     LOSE_LOSE = "lose-lose"
     LOSE_WIN = "lose-win"
     WIN_LOSE = "win-lose"
-
-    @property
-    def won_deviation(self) -> bool:
-        return self in (CaseTag.WIN_WIN, CaseTag.LOSE_WIN)
 
     @classmethod
     def of(cls, won_before: bool, won_after: bool) -> "CaseTag":
@@ -98,25 +95,12 @@ class Counterexample(Record):
     deviation_utility: SignedMoney
 
 
-class CaseCoverage(Record):
-    """Witness counts per case; vacuous when any case never occurred."""
-
-    counts: dict
-
-    @property
-    def vacuous(self) -> bool:
-        return any(self.counts[tag] == 0 for tag in CaseTag)
-
-    def to_dict(self) -> dict:
-        return {tag.value: self.counts[tag] for tag in CaseTag}
-
-
 class VerificationReport(Record):
-    """Aggregate verdict of a sweep, with coverage and the minimal failure."""
+    """Aggregate verdict of a sweep: counts, witnesses per ``CaseTag``, minimal failure."""
 
     pass_count: int
     fail_count: int
-    coverage: CaseCoverage
+    case_counts: dict
     counterexample: "Counterexample | None"
 
     @property
@@ -127,13 +111,18 @@ class VerificationReport(Record):
     def passed(self) -> bool:
         return self.fail_count == 0
 
+    @property
+    def vacuous(self) -> bool:
+        """Whether some case never occurred: callers treat a vacuous sweep as a failure."""
+        return any(self.case_counts[tag] == 0 for tag in CaseTag)
+
     def to_dict(self) -> dict:
         """The verdict document: derived from the counts, not the fields by name."""
         doc = {
             "verdict": "pass" if self.passed else "fail",
             "evaluated_count": self.evaluated,
-            "case_counts": self.coverage.to_dict(),
-            "vacuous": self.coverage.vacuous,
+            "case_counts": {tag.value: self.case_counts[tag] for tag in CaseTag},
+            "vacuous": self.vacuous,
         }
         if self.counterexample is not None:
             doc["counterexample"] = self.counterexample.to_dict()
@@ -201,7 +190,10 @@ def _deviation_set(deviations: DeviationSpec, budget: int):
     lazy and ascending (a huge grid costs nothing before the budget refuses
     it); other iterables are sorted, read at most ``budget + 1`` deep: each
     bid is at least one row, so that many is over the budget.  A deviation
-    bid that is not a tick is invalid input, as it is everywhere else."""
+    bid that is not a tick is invalid input, as it is everywhere else.  The
+    budget rule is asked first, as every caller reads the budget after this."""
+    if fault := budget_violation(budget):
+        raise ValueError(fault)
     if deviations == "critical":
         return _critical
     if isinstance(deviations, str):
@@ -210,9 +202,8 @@ def _deviation_set(deviations: DeviationSpec, budget: int):
         deviations = deviations if deviations.step > 0 else deviations[::-1]
         bids = (*deviations[:1], *deviations[-1:])  # a range holds ints: its ends decide
     else:
-        # islice stops at most sys.maxsize deep, past any list; check_budget refuses a
-        # negative budget.
-        depth = min(max(budget, 0), sys.maxsize - 1) + 1
+        # islice stops at most sys.maxsize deep, past any list.
+        depth = min(budget, sys.maxsize - 1) + 1
         bids = deviations = tuple(islice(deviations, depth))
     if violations := [fault for bid in bids if (fault := tick_violation("deviation", bid))]:
         raise InvalidInstanceError(violations)
@@ -261,8 +252,8 @@ class _Scope(NamedTuple):
     deviated key per deviation bid, each key a bid profile.  A block's
     cells pair each truthful key with each deviated key, since the profile
     deviated to bid d is the truthful profile for value d.  ``table`` is
-    the outcome table: a profile maps to its entry, the per-policy
-    ``(winner, price)`` tuple, evaluated through ``outcome`` on first use,
+    the outcome table: a profile maps to its entry, a tuple of one
+    ``Outcome`` per policy, evaluated through ``outcome`` on first use,
     so each (profile, policy) pair is evaluated once per run.
     It is keyed by profile alone, never by policy (``ExplicitChoice`` is
     unhashable), which is sound because every ``select`` is a pure
@@ -288,7 +279,7 @@ def _scope(policies, rule, adversarial, blocks, valuations=None) -> _Scope:
     def entry(bids) -> tuple:
         # tuple() of a list, not of a generator: CPython resizes a generator's
         # tuple, and each one freed as a duplicate then strands on a free list.
-        return tuple([outcome(bids, policy, rule)[:2] for policy in policies])
+        return tuple([outcome(bids, policy, rule) for policy in policies])
 
     table = _Interned(entry)
     views = _Interned(lambda pair: tuple([
@@ -476,7 +467,7 @@ def _fold(scope: _Scope) -> VerificationReport:
             else:
                 fail_count += count
     first = _first_failure([scope]) if fail_count else None
-    return VerificationReport(pass_count, fail_count, CaseCoverage(counts), first)
+    return VerificationReport(pass_count, fail_count, counts, first)
 
 
 def check_truthfulness(
@@ -528,11 +519,6 @@ def check_instance(
     return _fold(_instance_scope(
         instance, range(instance.n_bidders), policies, rule, deviations, adversarial, budget
     ))
-
-
-def coverage_guard(results: Iterable[DeviationCheckResult]) -> CaseCoverage:
-    """Count witnesses per case; callers treat a vacuous sweep as a failure."""
-    return CaseCoverage(dict.fromkeys(CaseTag, 0) | Counter(result.case for result in results))
 
 
 def dominance_sweep(

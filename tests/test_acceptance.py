@@ -12,7 +12,7 @@ from itertools import product
 
 from conftest import bruteforce_minimal_counterexample, naive_rounds
 from sealedbid.cli import EXIT_FAIL, dispatch
-from sealedbid.core import FirstIndex, PaymentRule, outcome, standard_policies
+from sealedbid.core import AuctionInstance, FirstIndex, PaymentRule, outcome, standard_policies
 from sealedbid.simulate import (
     ExperimentConfig,
     Shade,
@@ -21,10 +21,12 @@ from sealedbid.simulate import (
     run_experiment,
 )
 from sealedbid.verify import (
+    CaseTag,
     Counterexample,
     assert_case,
+    check_instance,
     check_truthfulness,
-    coverage_guard,
+    dominance_sweep,
     find_counterexample,
 )
 
@@ -61,17 +63,19 @@ def test_criterion_2_four_case_assertions(vickrey_rows):
     ), violations[:3]
 
 
-def test_criterion_3_non_vacuity_and_vacuous_flip(vickrey_rows, tmp_path):
-    coverage = coverage_guard(vickrey_rows)
-    full_ok = not coverage.vacuous and all(
-        count > 0 for count in coverage.counts.values()
+def test_criterion_3_non_vacuity_and_vacuous_flip(tmp_path):
+    # the standard second-price sweep, N in {2,3}, ticks 0..4, as its reports count it
+    reports = [dominance_sweep(n_bidders, 4) for n_bidders in (2, 3)]
+    counts = {tag: sum(report.case_counts[tag] for report in reports) for tag in CaseTag}
+    full_ok = not any(report.vacuous for report in reports) and all(
+        count > 0 for count in counts.values()
     )
 
-    # restrict to deviations that won: the losing cases must vanish
-    winning_only = coverage_guard(
-        row for row in vickrey_rows if row.case.won_deviation
-    )
-    flipped = winning_only.vacuous
+    # restrict to deviations above every opposing bid: the losing cases must vanish
+    instance = AuctionInstance((1, 0), (1, 0))
+    winning_only = check_instance(instance, standard_policies(2), deviations=range(2, 5))
+    lost = winning_only.case_counts[CaseTag.LOSE_LOSE] + winning_only.case_counts[CaseTag.WIN_LOSE]
+    flipped = winning_only.vacuous and lost == 0
 
     # and end to end: a winning-only grid must exit 1
     path = tmp_path / "flip.json"
@@ -87,7 +91,7 @@ def test_criterion_3_non_vacuity_and_vacuous_flip(vickrey_rows, tmp_path):
     ok = full_ok and flipped and exit_ok
     assert verdict_line(
         3, ok,
-        f"case counts {[coverage.counts[tag] for tag in sorted(coverage.counts, key=lambda t: t.value)]} "
+        f"case counts {[counts[tag] for tag in sorted(CaseTag, key=lambda t: t.value)]} "
         f"all positive; winning-only restriction vacuous={flipped}, exit={code}",
     )
 

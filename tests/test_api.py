@@ -18,11 +18,15 @@ import sealedbid
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def test_exports_resolve_sorted_and_at_most_34():
+def test_exports_resolve_sorted_and_at_most_32():
     names = sealedbid.__all__
     assert [name for name in names if not hasattr(sealedbid, name)] == []
     assert names == sorted(names)
-    assert len(names) <= 34
+    assert len(names) <= 32
+
+
+def test_an_outcome_holds_only_what_callers_read():
+    assert sealedbid.Outcome._fields == ("winner", "price")
 
 
 def test_readme_library_example_runs():
@@ -170,6 +174,7 @@ RULE_WORDINGS = {
                    "core.seed_violation"),
     "payment-rule": (lambda text: text.startswith("payment rule must be a PaymentRule member"),
                      "core.rule_violation"),
+    "budget": (lambda text: text.startswith("budget must be nonnegative"), "core.budget_violation"),
     "case": (lambda text: text in ("win", "lose"), "verify.CaseTag.of"),
 }
 

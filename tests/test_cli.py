@@ -129,6 +129,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert "usage" in captured.err.lower()
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "{instance}", "--budget", "-7"],
+        ["classify", "{instance}", "--bidder", "0", "--deviation", "7", "--budget", "-3"],
+        ["validate", "{instance}", "--seed", "5"],
+    ], ids=["validate-budget", "classify-budget", "validate-seed"])
+    def test_a_flag_the_subcommand_never_reads_is_refused(self, instance_path, capsys, argv):
+        code = dispatch([arg.format(instance=instance_path) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == EXIT_INVALID
+        assert captured.out == ""
+        assert "usage" in captured.err.lower()
+
     def test_unknown_subcommand(self):
         assert dispatch(["conquer"]) == EXIT_INVALID
 
@@ -509,18 +521,19 @@ class TestReportFormat:
 # Fuzzed argv and documents: dispatch answers every input with an exit code
 # and at most one canonical report, and never raises.
 
-COMMON_FLAGS = ["--seed", "--format"]
+COMMON_FLAGS = ["--format"]
 COMMAND_FLAGS = {
     "validate": [],
-    "check": ["--policies", "--rule", "--deviations", "--grid-min", "--grid-max",
+    "check": ["--seed", "--policies", "--rule", "--deviations", "--grid-min", "--grid-max",
               "--no-adversarial"],
-    "classify": ["--bidder", "--deviation", "--policy", "--rule"],
-    "dominance": ["--n", "--ticks", "--policies", "--rule", "--no-adversarial"],
-    "falsify": ["--n-max", "--ticks", "--policies", "--rule", "--no-adversarial"],
-    "simulate": ["--csv"],
+    "classify": ["--seed", "--bidder", "--deviation", "--policy", "--rule"],
+    "dominance": ["--seed", "--n", "--ticks", "--policies", "--rule", "--no-adversarial"],
+    "falsify": ["--seed", "--n-max", "--ticks", "--policies", "--rule", "--no-adversarial"],
+    "simulate": ["--seed", "--csv"],
     "conquer": [],
 }
 FILE_COMMANDS = {"validate", "check", "classify", "simulate"}
+BUDGETED_COMMANDS = {"check", "dominance", "falsify", "simulate"}
 
 small_ints = st.integers(min_value=-2, max_value=6).map(str)
 flag_values = {
@@ -624,7 +637,8 @@ def test_dispatch_answers_every_input(fuzz_dir, data):
     json_format = data.draw(st.booleans(), label="json")
     if json_format:
         argv.append("--format=json")
-    argv += ["--budget", data.draw(st.integers(min_value=-1, max_value=2000).map(str))]
+    if command in BUDGETED_COMMANDS:
+        argv += ["--budget", data.draw(st.integers(min_value=-1, max_value=2000).map(str))]
 
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):

@@ -33,7 +33,6 @@ from sealedbid.simulate import (
     Truthful,
 )
 from sealedbid.verify import (
-    CaseCoverage,
     CaseTag,
     Counterexample,
     VerificationReport,
@@ -247,8 +246,8 @@ class TestOutcome:
                      if rule is PaymentRule.SECOND_PRICE else 5)
             o = outcome(bids, policy, rule)
             assert type(o) is Outcome
-            assert o == Outcome(winner=winner, price=price, rule=rule)
-            assert o._asdict() == {"winner": winner, "price": price, "rule": rule}
+            assert o == Outcome(winner=winner, price=price)
+            assert o._asdict() == {"winner": winner, "price": price}
 
     @pytest.mark.parametrize("rule", list(PaymentRule))
     def test_one_bidder_profile_is_refused(self, rule):
@@ -276,7 +275,7 @@ class TestOutcome:
             assert outcome(list(bids), policy, SECOND).winner == winner
             for rule, price in ((PaymentRule.SECOND_PRICE, others[winner]),
                                 (PaymentRule.FIRST_PRICE, bids[winner])):
-                assert outcome(list(bids), policy, rule) == (winner, price, rule)
+                assert outcome(list(bids), policy, rule) == (winner, price)
 
 
 class RoguePolicy(TieBreakPolicy):
@@ -302,34 +301,33 @@ class TestTieBreakContract:
 
     @pytest.mark.parametrize("rule", list(PaymentRule))
     def test_outcome_accepts_any_tied_top_bidder(self, rule):
-        assert outcome((3, 5, 5), RoguePolicy(1), rule) == (1, 5, rule)
-        assert outcome((3, 5, 5), RoguePolicy(2), rule) == (2, 5, rule)
+        assert outcome((3, 5, 5), RoguePolicy(1), rule) == (1, 5)
+        assert outcome((3, 5, 5), RoguePolicy(2), rule) == (2, 5)
 
     def test_outcome_is_an_immutable_record(self):
-        o = Outcome(winner=1, price=4, rule=PaymentRule.SECOND_PRICE)
-        assert (o.winner, o.price, o.rule) == (1, 4, PaymentRule.SECOND_PRICE)
+        o = Outcome(winner=1, price=4)
+        assert (o.winner, o.price) == (1, 4)
         with pytest.raises(AttributeError):
             o.price = 0
-        assert o == Outcome(1, 4, PaymentRule.SECOND_PRICE)
+        assert o == Outcome(1, 4)
 
 
 class TestUtility:
     def test_winner_gains_margin(self):
-        o = Outcome(winner=1, price=4, rule=PaymentRule.SECOND_PRICE)
+        o = Outcome(winner=1, price=4)
         assert bidder_utility((3, 6, 4), o, 1) == 2
 
     def test_loser_gets_zero(self):
-        o = Outcome(winner=1, price=4, rule=PaymentRule.SECOND_PRICE)
+        o = Outcome(winner=1, price=4)
         assert bidder_utility((3, 6, 4), o, 0) == 0
 
     def test_winner_can_lose_money(self):
-        o = Outcome(winner=1, price=4, rule=PaymentRule.SECOND_PRICE)
+        o = Outcome(winner=1, price=4)
         assert bidder_utility((3, 1, 4), o, 1) == -3
 
     def test_profile_utility_examples(self):
         v = (3, 6, 4)
-        for o, utility in ((Outcome(1, 4, PaymentRule.SECOND_PRICE), 2),
-                           (Outcome(0, 3, PaymentRule.SECOND_PRICE), 0)):
+        for o, utility in ((Outcome(1, 4), 2), (Outcome(0, 3), 0)):
             assert bidder_utility(v, o, o.winner) == utility
 
     @given(profiles)
@@ -452,12 +450,10 @@ RECORDS = [
                           policy="first-index", truthful_utility=0, deviation_utility=1), True,
      "Counterexample(valuations=(1, 2), bids=(1, 2), bidder=0, deviation_bid=3, "
      "policy='first-index', truthful_utility=0, deviation_utility=1)"),
-    (CaseCoverage, dict(counts={CaseTag.WIN_WIN: 1}), False,
-     "CaseCoverage(counts={<CaseTag.WIN_WIN: 'win-win'>: 1})"),
-    (VerificationReport, dict(pass_count=2, fail_count=0, coverage=CaseCoverage({}),
+    (VerificationReport, dict(pass_count=2, fail_count=0, case_counts={CaseTag.WIN_WIN: 1},
                               counterexample=None), False,
-     "VerificationReport(pass_count=2, fail_count=0, coverage=CaseCoverage(counts={}), "
-     "counterexample=None)"),
+     "VerificationReport(pass_count=2, fail_count=0, "
+     "case_counts={<CaseTag.WIN_WIN: 'win-win'>: 1}, counterexample=None)"),
     (Truthful, {}, True, "Truthful()"),
     (Shade, dict(numerator=3, denominator=4), True, "Shade(numerator=3, denominator=4)"),
     (Overbid, dict(delta=2), True, "Overbid(delta=2)"),

@@ -1,7 +1,8 @@
 """One tick rule at every boundary that admits a tick, one payment rule type
-for every evaluation, and one bidder-count rule and one seed range wherever a
-bidder count or a seed is taken."""
+for every evaluation, and one bidder-count rule, one budget rule and one seed
+range wherever a bidder count, a budget or a seed is taken."""
 
+import io
 import json
 import sys
 
@@ -21,7 +22,15 @@ from sealedbid.core import (
     standard_policies,
     tick_violation,
 )
-from sealedbid.simulate import ExperimentConfig, Overbid, Strategy, Truthful, run_experiment
+from sealedbid.simulate import (
+    ExperimentConfig,
+    Overbid,
+    Strategy,
+    Truthful,
+    compare_rules,
+    run_experiment,
+    write_rounds_csv,
+)
 from sealedbid.verify import (
     check_instance,
     check_truthfulness,
@@ -228,6 +237,51 @@ BIDDER_COUNTS = {
 def test_every_boundary_refuses_fewer_than_two_bidders_before_any_outcome(
         outcome_calls, boundary, n):
     assert faults(lambda: BIDDER_COUNTS[boundary](n)) == [f"N >= 2 required (got {n})"]
+    assert outcome_calls == []
+
+
+# The boundaries above that take N itself, not a profile of N bids (a config's
+# n_bidders is refused as a config field, by the integer-field rule).
+@pytest.mark.parametrize("boundary", ["covering", "standard_policies", "dominance_sweep",
+                                      "dominance_sweep-first-index", "find_counterexample",
+                                      "find_counterexample-first-index"])
+@pytest.mark.parametrize("n", [2.0, 2.5, True, None], ids=repr)
+def test_every_boundary_refuses_a_non_integer_bidder_count_before_any_outcome(
+        outcome_calls, boundary, n):
+    assert faults(lambda: BIDDER_COUNTS[boundary](n)) == [f"N must be an integer (got {n!r})"]
+    assert outcome_calls == []
+
+
+# Per entry that takes a budget: a call with budget b.  A list of deviations is
+# read up to the budget, so the budget is checked before it is read.
+BUDGETS = {
+    "dominance_sweep": lambda b: dominance_sweep(2, 2, budget=b),
+    "dominance_sweep-list": lambda b: dominance_sweep(2, 2, deviations=[0, 1], budget=b),
+    "find_counterexample": lambda b: find_counterexample(SECOND, 2, 2, budget=b),
+    "check_instance": lambda b: check_instance(INSTANCE, standard_policies(2), budget=b),
+    "check_instance-list": lambda b: check_instance(
+        INSTANCE, standard_policies(2), deviations=[0, 1], budget=b),
+    "check_truthfulness": lambda b: check_truthfulness(
+        (3, 6), (5,), 0, standard_policies(2), SECOND, budget=b),
+    "run_experiment": lambda b: run_experiment(config(), budget=b),
+    "compare_rules": lambda b: compare_rules(config(), config(), budget=b),
+    "write_rounds_csv": lambda b: write_rounds_csv(config(), io.StringIO(), budget=b),
+    "config.check_budget": lambda b: config().check_budget(b),
+}
+# Each kind of non-budget, and the fault it is refused with.
+NON_BUDGETS = {
+    "float": (2.5, "budget must be an integer (got 2.5)"),
+    "none": (None, "budget must be an integer (got None)"),
+    "bool": (True, "budget must be an integer (got True)"),
+    "negative": (-1, "budget must be nonnegative (got -1)"),
+}
+
+
+@pytest.mark.parametrize("boundary", BUDGETS)
+@pytest.mark.parametrize("kind", NON_BUDGETS)
+def test_every_entry_refuses_a_non_budget_before_any_outcome(outcome_calls, boundary, kind):
+    budget, fault = NON_BUDGETS[kind]
+    assert faults(lambda: BUDGETS[boundary](budget)) == [fault]
     assert outcome_calls == []
 
 

@@ -1,5 +1,6 @@
 """Truthfulness verification: cases, coverage, sweeps, counterexamples."""
 
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -20,14 +21,13 @@ from sealedbid.core import (
     standard_policies,
 )
 from sealedbid.verify import (
-    CaseCoverage,
     CaseTag,
     Counterexample,
     DeviationCheckResult,
+    VerificationReport,
     assert_case,
     check_instance,
     check_truthfulness,
-    coverage_guard,
     deviation_profile,
     dominance_sweep,
     find_counterexample,
@@ -219,37 +219,37 @@ class TestCheckTruthfulnessAgainstOracle:
 class TestCoverage:
     def test_all_cases_witnessed(self):
         report = dominance_sweep(2, 4, standard_policies(2))
-        assert not report.coverage.vacuous
-        assert all(count > 0 for count in report.coverage.counts.values())
+        assert not report.vacuous
+        assert all(count > 0 for count in report.case_counts.values())
 
     def test_empty_results_are_vacuous(self):
-        assert coverage_guard([]).vacuous
+        assert VerificationReport(0, 0, dict.fromkeys(CaseTag, 0), None).vacuous
 
     def test_winning_only_deviations_are_vacuous(self):
         rows = check_truthfulness(
             (3, 1), (1,), 0, standard_policies(2), SECOND, [2, 3, 4]
         )
-        coverage = coverage_guard(rows)
-        assert coverage.counts[CaseTag.LOSE_LOSE] == 0
-        assert coverage.vacuous
+        counts = Counter(row.case for row in rows)
+        assert counts[CaseTag.LOSE_LOSE] == 0
+        assert VerificationReport(len(rows), 0, dict.fromkeys(CaseTag, 0) | counts, None).vacuous
 
     def test_tick_bound_zero_passes_but_is_vacuous(self):
         report = dominance_sweep(2, 0, standard_policies(2))
         assert report.passed
-        assert report.coverage.vacuous
+        assert report.vacuous
 
     def test_vacuous_iff_some_count_zero(self):
-        full = CaseCoverage({tag: 1 for tag in CaseTag})
+        full = VerificationReport(4, 0, {tag: 1 for tag in CaseTag}, None)
         assert not full.vacuous
         for missing in CaseTag:
             counts = {tag: (0 if tag is missing else 1) for tag in CaseTag}
-            assert CaseCoverage(counts).vacuous
+            assert VerificationReport(3, 0, counts, None).vacuous
 
 
 class TestDominance:
     def test_second_price_two_bidders_passes(self):
         report = dominance_sweep(2, 4, standard_policies(2))
-        assert report.passed and not report.coverage.vacuous
+        assert report.passed and not report.vacuous
 
     def test_first_price_fails_with_counterexample(self):
         report = dominance_sweep(2, 4, rule=FIRST)
@@ -329,7 +329,7 @@ class TestClassFoldAgainstOracle:
         report = dominance_sweep(*sweep)
         passed, failed, counts, counterexample = oracle_report(*sweep)
         assert (report.pass_count, report.fail_count) == (passed, failed)
-        assert report.coverage.counts == counts
+        assert report.case_counts == counts
         assert report.counterexample == counterexample
 
 
@@ -390,8 +390,7 @@ class TestSweepAggregationOrderIndependence:
         rows = sweep_rows((2,), 3)
         report = dominance_sweep(2, 3)
         assert len(rows) == report.evaluated
-        tally = coverage_guard(rows)
-        assert tally.counts == report.coverage.counts
+        assert Counter(row.case for row in rows) == report.case_counts
 
     @pytest.mark.parametrize("rule", [SECOND, FIRST])
     @pytest.mark.parametrize("n_bidders", [2, 3])
@@ -400,7 +399,7 @@ class TestSweepAggregationOrderIndependence:
         report = dominance_sweep(n_bidders, 3, rule=rule)
         assert report.pass_count == sum(1 for row in rows if row.passed)
         assert report.fail_count == sum(1 for row in rows if not row.passed)
-        assert report.coverage.counts == coverage_guard(rows).counts
+        assert report.case_counts == Counter(row.case for row in rows)
 
 
 class TestOutcomeTable:
