@@ -30,6 +30,7 @@ from .core import (
     bidder_utility,
     outcome,
     policy_from_dict,
+    seed_violation,
     tick_violation,
 )
 from .reporting import canonical_json, render_table
@@ -88,7 +89,10 @@ def load_instance(path: str) -> AuctionInstance:
 
 def _parse_policies(text: str, seed: int, n_bidders: int) -> list[TieBreakPolicy]:
     # A name is a policy's kind; "explicit" is the table covering every argmax set,
-    # and only "seeded" takes the seed: another kind refuses the key.
+    # and only "seeded" takes the seed: another kind refuses the key.  The seed is
+    # checked whatever the policies, so a run's --seed is valid or refused alike.
+    if fault := seed_violation(seed):
+        raise ValueError(fault)
     names = [name.strip() for name in text.split(",")]
     return [ExplicitChoice.covering(n_bidders) if name == "explicit"
             else policy_from_dict({"kind": name, "seed": seed}) if name == "seeded"

@@ -13,7 +13,6 @@ import struct
 from abc import ABC, abstractmethod
 from fractions import Fraction
 from functools import cache
-from itertools import repeat
 from operator import eq, getitem, sub
 from typing import IO, Mapping, Sequence
 
@@ -30,6 +29,7 @@ from .core import (
     bidder_count_violation,
     check_budget,
     outcome,
+    outcomes,
     policy_from_dict,
     read_fields,
     record_from_dict,
@@ -256,9 +256,10 @@ def _tabled(config: ExperimentConfig) -> bool:
 
 def _player(config: ExperimentConfig):
     """``config``'s ``play(block) -> (bids, winners, prices)``: three columns,
-    one entry per valuation profile of ``block``.  ``outcome`` is looked up
-    at each play of a block, and called once per round, or once per distinct
-    profile of a tabled config, so a wrapper sees every real evaluation."""
+    one entry per valuation profile of ``block``.  A tabled config calls
+    ``outcome`` once per distinct profile; any other calls ``outcomes`` once
+    per block, on the block's bids column.  Each is looked up at each play of
+    a block, so a wrapper sees every real evaluation."""
     strategy, policy, rule = config.strategy, config.policy, config.rule
 
     if _tabled(config):
@@ -274,8 +275,7 @@ def _player(config: ExperimentConfig):
         def play(block: Sequence[ValuationProfile]):
             bids = block if type(strategy) is Truthful else [
                 apply_strategy(valuations, strategy) for valuations in block]
-            winners, prices = zip(*map(outcome, bids, repeat(policy), repeat(rule)))
-            return bids, winners, prices
+            return (bids, *outcomes(bids, policy, rule))
 
     return play
 

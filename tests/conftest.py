@@ -4,9 +4,10 @@ The brute-force oracle here is intentionally naive: materialize every
 tuple, filter the failures, sort.  It evaluates auctions with
 ``core.outcome`` alone and shares no code with the enumerator, outcome
 table or fold in ``verify``, which must agree with it exactly.  The
-simulation oracle, ``naive_rounds``, recomputes every round from
-``seeding`` and plain Python, without ``core.outcome``, strategies'
-``bid`` or policies' ``select``.
+auction oracle, ``naive_outcome``, and the simulation oracle built on
+it, ``naive_rounds``, recompute each auction and round from ``seeding``
+and plain Python, without ``core.outcome``, strategies' ``bid`` or
+policies' ``select``.
 """
 
 from __future__ import annotations
@@ -158,13 +159,29 @@ def bruteforce_minimal_counterexample(rule, n_max, tick_bound):
     return failures[0][1]
 
 
+def naive_outcome(bids, policy, rule):
+    """``(winner, price)`` of one auction, recomputed in plain Python: the
+    tie-break policy is read by kind, the rule by its value."""
+    ties = [b for b, bid in enumerate(bids) if bid == max(bids)]
+    if policy.kind == "first-index":
+        winner = ties[0]
+    elif policy.kind == "last-index":
+        winner = ties[-1]
+    elif policy.kind == "seeded":
+        winner = ties[hash_text(policy.seed, ",".join(map(str, bids))) % len(ties)]
+    else:
+        winner = policy.choice[tuple(ties)]
+    price = sorted(bids)[-2] if rule.value == "second-price" else bids[winner]
+    return winner, price
+
+
 def naive_rounds(config):
     """Every round of a simulation config as ``(valuations, bids, winner,
     price)``, recomputed one round at a time from the config's fields:
     bidder b's value is ``value_low + mix64(seed, round, b) % span``; the
-    strategy and the tie-break policy are read by kind."""
+    strategy is read by kind, and the auction is ``naive_outcome``'s."""
     span = config.value_high - config.value_low + 1
-    strategy, policy = config.strategy, config.policy
+    strategy = config.strategy
     rounds = []
     for index in range(config.n_rounds):
         values = tuple(config.value_low + mix64(config.seed, index, b) % span
@@ -175,17 +192,7 @@ def naive_rounds(config):
             bids = tuple(v * strategy.numerator // strategy.denominator for v in values)
         else:
             bids = tuple(v + strategy.delta for v in values)
-        ties = [b for b, bid in enumerate(bids) if bid == max(bids)]
-        if policy.kind == "first-index":
-            winner = ties[0]
-        elif policy.kind == "last-index":
-            winner = ties[-1]
-        elif policy.kind == "seeded":
-            winner = ties[hash_text(policy.seed, ",".join(map(str, bids))) % len(ties)]
-        else:
-            winner = policy.choice[tuple(ties)]
-        price = sorted(bids)[-2] if config.rule.value == "second-price" else bids[winner]
-        rounds.append((values, bids, winner, price))
+        rounds.append((values, bids, *naive_outcome(bids, config.policy, config.rule)))
     return rounds
 
 

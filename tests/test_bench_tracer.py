@@ -87,8 +87,9 @@ def test_traced_simulate_counts_each_round_once_and_restores(tmp_path, monkeypat
 
 
 def test_traced_simulate_over_the_table_limit_sees_every_round_and_restores(tmp_path):
-    # 65^2 profiles keep no table: the block play calls the traced outcome
-    # once per round, over two sampled blocks.
+    # 65^2 profiles keep no table: the block play evaluates each of two sampled
+    # blocks with one untraced outcomes call, which calls the traced select once
+    # per round and the traced outcome never.
     config = {**CONFIG, "n_bidders": 2, "value_high": 64, "n_rounds": 300}
     assert 65 ** 2 > simulate.PROFILE_TABLE_LIMIT and 300 > simulate.SAMPLE_BLOCK
     config_path = tmp_path / "config.json"
@@ -99,7 +100,8 @@ def test_traced_simulate_over_the_table_limit_sees_every_round_and_restores(tmp_
     metrics = probe.metrics(csv_bytes=0)
 
     assert traced == expected
-    assert metrics["core.outcome.calls"][0] == config["n_rounds"]
+    assert metrics["core.select.seeded.calls"][0] == config["n_rounds"]
+    assert metrics["core.outcome.calls"][0] == 0
     assert metrics["seeding.mix64.calls"][0] == 2  # one chain head per sampled block
     assert_restored(before)
 

@@ -209,6 +209,19 @@ class TestExitCodes:
         for argv in (["check", instance_path], ["dominance"]):
             assert dispatch([*argv, "--policies", "first-index", "--seed", "9"]) == EXIT_PASS
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("argv", [
+        ["check", "{instance}", "--policies", "first-index"],
+        ["classify", "{instance}", "--bidder", "0", "--deviation", "2", "--policy", "last-index"],
+        ["dominance", "--n", "2", "--ticks", "1", "--policies", "first-index"],
+        ["falsify", "--n-max", "2", "--ticks", "1", "--policies", "explicit"],
+    ], ids=lambda argv: argv[0])
+    def test_an_out_of_range_seed_is_refused_beside_unseeded_policies(
+            self, instance_path, argv, seed, capsys):
+        argv = [instance_path if arg == "{instance}" else arg for arg in argv]
+        assert dispatch([*argv, f"--seed={seed}"]) == EXIT_INVALID
+        assert capsys.readouterr() == ("", f"error: seed {seed} outside unsigned 64-bit range\n")
+
 
 class TestBudgetRefusedBeforeWork:
     @pytest.fixture
@@ -324,14 +337,20 @@ class TestSimulate:
 
     @pytest.fixture
     def rounds_played(self, monkeypatch):
+        """One entry per profile that ``outcome`` or ``outcomes`` evaluates."""
         calls = []
-        real = simulate.outcome
+        real, real_block = simulate.outcome, simulate.outcomes
 
         def counting(*args):
             calls.append(None)
             return real(*args)
 
+        def counting_block(profiles, *args):
+            calls.extend([None] * len(profiles))
+            return real_block(profiles, *args)
+
         monkeypatch.setattr(simulate, "outcome", counting)
+        monkeypatch.setattr(simulate, "outcomes", counting_block)
         return calls
 
     def test_csv_run_plays_each_round_once(self, config_path, tmp_path, rounds_played,
@@ -637,6 +656,7 @@ def test_dispatch_answers_every_input(fuzz_dir, data):
     json_format = data.draw(st.booleans(), label="json")
     if json_format:
         argv.append("--format=json")
+        json_format = "--" not in argv  # after a junk "--" it is a positional
     if command in BUDGETED_COMMANDS:
         argv += ["--budget", data.draw(st.integers(min_value=-1, max_value=2000).map(str))]
 

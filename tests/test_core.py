@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import naive_outcome
 from sealedbid import core
 from sealedbid.core import (
     AuctionInstance,
@@ -20,6 +21,7 @@ from sealedbid.core import (
     argmax_set,
     bidder_utility,
     outcome,
+    outcomes,
     policy_from_dict,
     standard_policies,
 )
@@ -310,6 +312,53 @@ class TestTieBreakContract:
         with pytest.raises(AttributeError):
             o.price = 0
         assert o == Outcome(1, 4)
+
+
+class RecordingPolicy(RoguePolicy):
+    """A ``RoguePolicy`` that records every profile it is asked to select on."""
+
+    def __init__(self, pick):
+        super().__init__(pick)
+        self.seen = []
+
+    def select(self, bids):
+        self.seen.append(bids)
+        return self.pick
+
+
+class TestOutcomes:
+    @given(st.data())
+    def test_a_block_is_the_naive_evaluation_profile_by_profile(self, data):
+        # Ticks 0..3 make ties common, so every policy's tie-break acts.
+        n_bidders = data.draw(st.integers(min_value=2, max_value=5))
+        profile = st.tuples(*[st.integers(min_value=0, max_value=3)] * n_bidders)
+        block = data.draw(st.lists(profile, max_size=40))
+        seed = data.draw(st.integers(min_value=0, max_value=2**64 - 1))
+        policy = data.draw(st.sampled_from(all_policies(n_bidders, seed)))
+        rule = data.draw(st.sampled_from(list(PaymentRule)))
+        winners, prices = outcomes(block, policy, rule)
+        assert (type(winners), type(prices)) == (list, list)
+        assert list(zip(winners, prices)) == [naive_outcome(bids, policy, rule)
+                                              for bids in block]
+
+    @pytest.mark.parametrize("rule", ["second-price", None, 0])
+    def test_a_rule_that_is_no_member_is_refused_before_any_select(self, rule):
+        policy = RecordingPolicy(0)
+        with pytest.raises(ValueError, match="^payment rule must be a PaymentRule member"):
+            outcomes([(5, 1), (1, 5)], policy, rule)
+        assert policy.seen == []
+
+    @pytest.mark.parametrize("rule", list(PaymentRule))
+    @pytest.mark.parametrize("block, fault, seen", [
+        ([(5, 1), (1, 5), (7,)], r"tie-break rogue picked 0, not a highest bidder",
+         [(5, 1), (1, 5)]),
+        ([(5, 1), (7,), (1, 5)], r"N >= 2 required \(got 1\)", [(5, 1)]),
+    ])
+    def test_a_block_is_refused_at_its_first_bad_profile(self, rule, block, fault, seen):
+        policy = RecordingPolicy(0)
+        with pytest.raises(ValueError, match=f"^{fault}$"):
+            outcomes(block, policy, rule)
+        assert policy.seen == seen
 
 
 class TestUtility:

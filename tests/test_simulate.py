@@ -365,20 +365,27 @@ def distinct_profiles(cfg):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """The real ``outcome`` calls the simulation makes, counted, and the
-    ``(start, stop)`` range of each ``sample_valuations`` call, in call order."""
+    """The profiles the simulation evaluates, by ``outcome`` or ``outcomes``,
+    counted, and the ``(start, stop)`` range of each ``sample_valuations``
+    call, in call order."""
     calls = SimpleNamespace(outcome=0, sampled=[])
-    real_outcome, real_sample = simulate.outcome, simulate.sample_valuations
+    real_outcome, real_outcomes = simulate.outcome, simulate.outcomes
+    real_sample = simulate.sample_valuations
 
     def outcome(*args):
         calls.outcome += 1
         return real_outcome(*args)
+
+    def outcomes(profiles, *args):
+        calls.outcome += len(profiles)
+        return real_outcomes(profiles, *args)
 
     def sample_valuations(config, start, stop):
         calls.sampled.append((start, stop))
         return real_sample(config, start, stop)
 
     monkeypatch.setattr(simulate, "outcome", outcome)
+    monkeypatch.setattr(simulate, "outcomes", outcomes)
     monkeypatch.setattr(simulate, "sample_valuations", sample_valuations)
     return calls
 

@@ -19,6 +19,7 @@ from sealedbid.core import (
     Seeded,
     argmax_set,
     outcome,
+    outcomes,
     standard_policies,
     tick_violation,
 )
@@ -125,15 +126,22 @@ BOUNDARIES = {
 
 @pytest.fixture
 def outcome_calls(monkeypatch) -> list:
-    """Records every ``outcome`` call that the verifier, the simulation or the CLI makes."""
+    """Records every ``outcome`` call that the verifier, the simulation or the CLI
+    makes, and each profile of every ``outcomes`` block the simulation plays, as
+    the arguments ``outcome`` would take for it."""
     calls = []
 
     def counted(*args):
         calls.append(args)
         return outcome(*args)
 
+    def counted_block(profiles, policy, rule):
+        calls.extend((bids, policy, rule) for bids in profiles)
+        return outcomes(profiles, policy, rule)
+
     for module in (verify, simulate, cli):
         monkeypatch.setattr(module, "outcome", counted)
+    monkeypatch.setattr(simulate, "outcomes", counted_block)
     return calls
 
 
