@@ -17,7 +17,7 @@ _EXPORTS = {
         "core": "DEFAULT_BUDGET AuctionInstance BudgetExceededError ExplicitChoice FirstIndex "
                 "InvalidInstanceError LastIndex Outcome PaymentRule Seeded TieBreakPolicy "
                 "bidder_utility outcome standard_policies",
-        "verify": "CaseTag Counterexample DeviationCheckResult VerificationReport assert_case "
+        "verify": "CaseTag Counterexample DeviationCheckResult VerificationReport "
                   "check_truthfulness dominance_sweep find_counterexample",
         "simulate": "ExperimentConfig Overbid PairedReport Shade SimReport Strategy Truthful "
                     "compare_rules run_experiment write_rounds_csv",

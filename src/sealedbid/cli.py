@@ -232,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = argparse.ArgumentParser(add_help=False, parents=[common, seeded, budgeted])
     sweep.add_argument(
         "--policies", default="first-index,last-index,seeded,explicit",
-        help="comma-joined tie-break policies (default: %(default)s)",
+        help="comma-joined tie-break policies; explicit covers N <= 16 bidders "
+             "(default: %(default)s)",
     )
     sweep.add_argument(
         "--no-adversarial", dest="adversarial", action="store_false",

@@ -264,15 +264,10 @@ def rule_violation(rule) -> "str | None":
         return f"payment rule must be a PaymentRule member (got {rule!r})"
 
 
-def _require_profile(bids: Sequence[Money]) -> BidProfile:
-    if len(bids) < 2:  # tested inline: a valid profile makes no extra call
-        raise ValueError(bidder_count_violation(len(bids)))
-    return tuple(bids)
-
-
 def argmax_set(bids: Sequence[Money]) -> tuple[BidderId, ...]:
     """Indices attaining the highest bid, in increasing order."""
-    bids = _require_profile(bids)
+    if len(bids) < 2:  # tested inline: a valid profile makes no extra call
+        raise ValueError(bidder_count_violation(len(bids)))
     top = max(bids)
     return tuple([i for i, b in enumerate(bids) if b == top])
 
@@ -456,7 +451,7 @@ def outcomes(profiles: Sequence[BidProfile], policy: TieBreakPolicy,
     ``ValueError`` at its first bad profile.  The second price is the
     second-highest bid: the highest other bid only when the winner holds a
     top bid."""
-    if type(rule) is not PaymentRule:  # tested inline, as in _require_profile
+    if type(rule) is not PaymentRule:  # tested inline, as argmax_set tests its bidder count
         raise ValueError(rule_violation(rule))
     select, first_price = policy.select, rule is PaymentRule.FIRST_PRICE
     winners, prices = [], []

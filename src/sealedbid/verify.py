@@ -7,8 +7,9 @@ within a tick bound, under every supplied tie-break policy and under an
 adversarial pairing that gives the tie-break maximal power to punish
 truthfulness.  Every comparison is classified into one of four cases by
 the bidder's win/lose status before and after the deviation.  Each case's
-exact contract, ``assert_case``, is checked by acceptance criterion 2 over
-N <= 3 and T <= 4; no CLI verdict checks it.
+exact second-price contract is judged outside the package, by acceptance
+criterion 2's oracle in ``tests/conftest.py``, over N <= 3 and T <= 4; no
+CLI verdict checks it.
 
 Two guards keep the sweep honest.  Case coverage counts witnesses per
 case and flags a sweep as vacuous when any case never occurred, so a
@@ -137,34 +138,6 @@ def deviation_profile(bids: Sequence[Money], bidder: BidderId, new_bid: Money) -
     return bids[:bidder] + (new_bid,) + bids[bidder + 1:]
 
 
-def assert_case(case: CaseTag, result: DeviationCheckResult) -> "str | None":
-    """Check the exact per-case inequality for a truthful comparison.
-
-    Assumes the original bid was truthful and the payment rule was
-    second-price.  Returns None when the case's contract holds, otherwise
-    a description of the violated clause.
-    """
-    u_truth = result.truthful_utility
-    u_dev = result.deviation_utility
-    if case in (CaseTag.WIN_WIN, CaseTag.LOSE_LOSE):
-        if u_truth != u_dev:
-            return (f"{case.value}: utilities must be equal "
-                    f"(truthful {u_truth} vs deviation {u_dev})")
-        return None
-    if case is CaseTag.WIN_LOSE:
-        if u_dev != 0:
-            return f"win-lose: deviation utility must be zero (got {u_dev})"
-        if u_truth < 0:
-            return f"win-lose: truthful utility must be nonnegative (got {u_truth})"
-        return None
-    # LOSE_WIN: bidder only wins by outbidding a price at or above its value.
-    if u_truth != 0:
-        return f"lose-win: truthful utility must be zero (got {u_truth})"
-    if u_dev > 0:
-        return f"lose-win: deviation utility must be nonpositive (got {u_dev})"
-    return None
-
-
 def _critical(top: Money) -> tuple[Money, ...]:
     """A finite deviation set sufficient to decide truthfulness, given the
     highest opposing bid M, ``top``.
@@ -286,7 +259,7 @@ def _scope(policies, rule, adversarial, blocks, valuations=None) -> _Scope:
         price if winner == pair[1] else None for winner, price in table.values[pair[0]]
     ]))
     labels = [policy.describe() for policy in policies]
-    paired = adversarial and len(policies) > 1
+    paired = pairing_count(policies, adversarial) > len(policies)
     rows = {}  # equal rows of different templates share one tuple
     templates = _Interned(lambda key: tuple([rows.setdefault(row, row) for row in _template(
         labels, paired, key[0], views.values[key[1]], views.values[key[2]]

@@ -1,4 +1,4 @@
-"""Shared fixtures and reference oracles.
+"""Naive reference oracles, and one instrumentation fixture.
 
 The brute-force oracle here is intentionally naive: materialize every
 tuple, filter the failures, sort.  It evaluates auctions with
@@ -7,18 +7,23 @@ table or fold in ``verify``, which must agree with it exactly.  The
 auction oracle, ``naive_outcome``, and the simulation oracle built on
 it, ``naive_rounds``, recompute each auction and round from ``seeding``
 and plain Python, without ``core.outcome``, strategies' ``bid`` or
-policies' ``select``.
+policies' ``select``.  ``assert_case`` judges a row by its case's exact
+second-price contract.  The ``evaluations`` fixture records what a run
+evaluates and samples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
-from sealedbid.core import PaymentRule, outcome, standard_policies
+from sealedbid import cli, simulate, verify
+from sealedbid.core import PaymentRule, outcome, outcomes, standard_policies
 from sealedbid.seeding import hash_text, mix64
+from sealedbid.simulate import sample_valuations
 from sealedbid.verify import CaseTag, Counterexample, DeviationCheckResult
 
 CASES = {
@@ -27,6 +32,34 @@ CASES = {
     (False, True): CaseTag.LOSE_WIN,
     (False, False): CaseTag.LOSE_LOSE,
 }
+
+
+def assert_case(case: CaseTag, result: DeviationCheckResult) -> "str | None":
+    """Check the exact per-case inequality for a truthful comparison.
+
+    Assumes the original bid was truthful and the payment rule was
+    second-price.  Returns None when the case's contract holds, otherwise
+    a description of the violated clause.
+    """
+    u_truth = result.truthful_utility
+    u_dev = result.deviation_utility
+    if case in (CaseTag.WIN_WIN, CaseTag.LOSE_LOSE):
+        if u_truth != u_dev:
+            return (f"{case.value}: utilities must be equal "
+                    f"(truthful {u_truth} vs deviation {u_dev})")
+        return None
+    if case is CaseTag.WIN_LOSE:
+        if u_dev != 0:
+            return f"win-lose: deviation utility must be zero (got {u_dev})"
+        if u_truth < 0:
+            return f"win-lose: truthful utility must be nonnegative (got {u_truth})"
+        return None
+    # LOSE_WIN: bidder only wins by outbidding a price at or above its value.
+    if u_truth != 0:
+        return f"lose-win: truthful utility must be zero (got {u_truth})"
+    if u_dev > 0:
+        return f"lose-win: deviation utility must be nonpositive (got {u_dev})"
+    return None
 
 
 def oracle_cell(bids, dev, bidder, policies, rule, adversarial=True):
@@ -214,3 +247,31 @@ def naive_means(rounds):
         Fraction(sum(values[winner] - price for values, _, winner, price in rounds), count),
         Fraction(sum(values[winner] == max(values) for values, _, winner, _ in rounds), count),
     )
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """What a run evaluates, in call order: ``profiles``, one ``(bids, policy,
+    rule)`` per profile that ``outcome`` (as bound in ``verify``, ``simulate``
+    and ``cli``) or a ``simulate.outcomes`` block receives, each ``bids`` the
+    object passed; and ``sampled``, the ``(start, stop)`` range of each
+    ``simulate.sample_valuations`` call."""
+    seen = SimpleNamespace(profiles=[], sampled=[])
+
+    def counted(bids, policy, rule):
+        seen.profiles.append((bids, policy, rule))
+        return outcome(bids, policy, rule)
+
+    def counted_block(profiles, policy, rule):
+        seen.profiles.extend((bids, policy, rule) for bids in profiles)
+        return outcomes(profiles, policy, rule)
+
+    def sampling(config, start, stop):
+        seen.sampled.append((start, stop))
+        return sample_valuations(config, start, stop)
+
+    for module in (verify, simulate, cli):
+        monkeypatch.setattr(module, "outcome", counted)
+    monkeypatch.setattr(simulate, "outcomes", counted_block)
+    monkeypatch.setattr(simulate, "sample_valuations", sampling)
+    return seen

@@ -10,7 +10,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import product
 
-from conftest import bruteforce_minimal_counterexample, naive_rounds
+from conftest import assert_case, bruteforce_minimal_counterexample, naive_rounds
 from sealedbid.cli import EXIT_FAIL, dispatch
 from sealedbid.core import AuctionInstance, FirstIndex, PaymentRule, outcome, standard_policies
 from sealedbid.simulate import (
@@ -23,7 +23,6 @@ from sealedbid.simulate import (
 from sealedbid.verify import (
     CaseTag,
     Counterexample,
-    assert_case,
     check_instance,
     check_truthfulness,
     dominance_sweep,

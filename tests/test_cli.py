@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tiles
-from sealedbid import simulate, verify
+from sealedbid import simulate
 from sealedbid.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -224,19 +224,7 @@ class TestExitCodes:
 
 
 class TestBudgetRefusedBeforeWork:
-    @pytest.fixture
-    def outcome_calls(self, monkeypatch):
-        calls = []
-        real = verify.outcome
-
-        def counting(*args):
-            calls.append(None)
-            return real(*args)
-
-        monkeypatch.setattr(verify, "outcome", counting)
-        return calls
-
-    def test_check_honours_budget_on_a_vast_grid(self, instance_path, outcome_calls, capsys):
+    def test_check_honours_budget_on_a_vast_grid(self, instance_path, evaluations, capsys):
         start = time.perf_counter()
         code = dispatch([
             "check", instance_path, "--deviations=grid",
@@ -245,13 +233,13 @@ class TestBudgetRefusedBeforeWork:
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_BUDGET
         assert capsys.readouterr().out == ""
-        assert outcome_calls == []
+        assert evaluations.profiles == []
 
-    def test_dominance_refused_without_an_outcome_call(self, outcome_calls, capsys):
+    def test_dominance_refused_without_an_outcome_call(self, evaluations, capsys):
         code = dispatch(["dominance", "--n", "4", "--ticks", "12", "--budget", "300000"])
         assert code == EXIT_BUDGET
         assert capsys.readouterr().out == ""
-        assert outcome_calls == []
+        assert evaluations.profiles == []
 
 
 class TestCheck:
@@ -281,6 +269,16 @@ class TestCheck:
         report = json.loads(capsys.readouterr().out)
         assert code == EXIT_PASS
         assert report["vacuous"] is False
+
+    def test_seventeen_bidders_outgrow_the_default_explicit_policy(self, tmp_path, evaluations,
+                                                                   capsys):
+        # The covering table has 2^N - 1 entries and stops at N = 16.
+        path = write_doc(tmp_path, "seventeen.json", {"valuations": [1] * 17, "bids": [1] * 17})
+        assert dispatch(["check", path]) == EXIT_INVALID
+        assert capsys.readouterr() == ("", "error: covering table supports 2 <= N <= 16 "
+                                       "(got 17)\n")
+        assert evaluations.profiles == []
+        assert dispatch(["check", path, "--policies", "first-index,last-index,seeded"]) == EXIT_PASS
 
     def test_empty_grid_rejected(self, instance_path, capsys):
         code = dispatch([
@@ -335,40 +333,16 @@ class TestSimulate:
         assert lines[0] == "round,valuations,bids,winner,price"
         assert len(lines) == 51
 
-    @pytest.fixture
-    def rounds_played(self, monkeypatch):
-        """One entry per profile that ``outcome`` or ``outcomes`` evaluates."""
-        calls = []
-        real, real_block = simulate.outcome, simulate.outcomes
-
-        def counting(*args):
-            calls.append(None)
-            return real(*args)
-
-        def counting_block(profiles, *args):
-            calls.extend([None] * len(profiles))
-            return real_block(profiles, *args)
-
-        monkeypatch.setattr(simulate, "outcome", counting)
-        monkeypatch.setattr(simulate, "outcomes", counting_block)
-        return calls
-
-    def test_csv_run_plays_each_round_once(self, config_path, tmp_path, rounds_played,
-                                           monkeypatch, capsys):
-        sampled = []
-        real = simulate.sample_valuations
-        monkeypatch.setattr(simulate, "sample_valuations",
-                            lambda config, start, stop: sampled.append((start, stop))
-                            or real(config, start, stop))
+    def test_csv_run_plays_each_round_once(self, config_path, tmp_path, evaluations, capsys):
         code = dispatch(["simulate", config_path, "--csv", str(tmp_path / "rounds.csv")])
         assert code == EXIT_PASS
         # One pass samples every round once; the 10^3-profile space is tabled,
         # so outcome runs once per distinct (truthful) bid profile: 47 of 50.
         profiles = {tuple(mix64(7, r, b) % 10 for b in range(3)) for r in range(50)}
-        assert tiles(sampled, 50, simulate.SAMPLE_BLOCK)
-        assert len(rounds_played) == len(profiles) == 47
+        assert tiles(evaluations.sampled, 50, simulate.SAMPLE_BLOCK)
+        assert len(evaluations.profiles) == len(profiles) == 47
 
-    def test_bad_csv_path_fails_before_any_round(self, config_path, tmp_path, rounds_played,
+    def test_bad_csv_path_fails_before_any_round(self, config_path, tmp_path, evaluations,
                                                  capsys):
         csv_path = tmp_path / "no" / "such" / "x.csv"
         code = dispatch(["simulate", config_path, "--csv", str(csv_path)])
@@ -376,9 +350,9 @@ class TestSimulate:
         assert code == EXIT_INVALID
         assert captured.out == ""
         assert "x.csv" in captured.err
-        assert rounds_played == []
+        assert evaluations.profiles == []
 
-    def test_a_bid_past_the_digit_cap_is_refused_before_any_round(self, tmp_path, rounds_played,
+    def test_a_bid_past_the_digit_cap_is_refused_before_any_round(self, tmp_path, evaluations,
                                                                   capsys):
         path = write_doc(tmp_path, "overbid.json", {
             "n_bidders": 2, "n_rounds": 3, "value_low": 0, "value_high": 1,
@@ -389,10 +363,10 @@ class TestSimulate:
         assert capsys.readouterr() == ("", "error: tick too large "
                                        "(strategy.bid(value_high) + 1 has more than 4300 digits)\n")
         assert not csv_path.exists()
-        assert rounds_played == []
+        assert evaluations.profiles == []
 
     def test_a_span_above_2_to_the_64_is_refused_before_any_round(self, tmp_path,
-                                                                rounds_played, capsys):
+                                                                evaluations, capsys):
         path = write_doc(tmp_path, "wide.json", {
             "n_bidders": 3, "n_rounds": 5, "value_low": 5, "value_high": 2**64 + 11,
         })
@@ -401,10 +375,10 @@ class TestSimulate:
         assert capsys.readouterr() == ("", "error: value span value_high - value_low + 1 "
                                        f"exceeds 2**64 (value_low 5, value_high {2**64 + 11})\n")
         assert not csv_path.exists()
-        assert rounds_played == []
+        assert evaluations.profiles == []
 
     def test_a_report_past_the_digit_cap_is_refused_before_any_round(self, tmp_path,
-                                                                     rounds_played, capsys):
+                                                                     evaluations, capsys):
         # Every bid + 1 prints in 4300 digits, but the mean revenue's numerator, a sum
         # of seven such prices, would not: refused at construction, not after the rounds.
         path = write_doc(tmp_path, "overbid.json", {
@@ -416,7 +390,7 @@ class TestSimulate:
         assert capsys.readouterr() == ("", "error: tick too large (2 * n_rounds * max(value_high, "
                                        "strategy.bid(value_high)) + 1 has more than 4300 digits)\n")
         assert not csv_path.exists()
-        assert rounds_played == []
+        assert evaluations.profiles == []
 
     def test_a_one_round_config_at_the_largest_admitted_bid_renders(self, tmp_path, capsys):
         largest = 5 * 10**4299 - 1  # 2 * 1 * largest + 1 prints in 4300 digits
@@ -431,7 +405,7 @@ class TestSimulate:
         assert dispatch(["simulate", write_doc(tmp_path, "past.json", doc)]) == EXIT_INVALID
 
     def test_budget_refusal_leaves_the_csv_file_alone(self, config_path, tmp_path,
-                                                     rounds_played, capsys):
+                                                     evaluations, capsys):
         kept = tmp_path / "kept.csv"
         kept.write_text("earlier rows\n", encoding="utf-8")
         missing = tmp_path / "missing.csv"
@@ -441,7 +415,7 @@ class TestSimulate:
         assert capsys.readouterr().out == ""
         assert kept.read_text(encoding="utf-8") == "earlier rows\n"
         assert not missing.exists()
-        assert rounds_played == []
+        assert evaluations.profiles == []
 
     def test_seed_flag_overrides_config(self, config_path, capsys):
         dispatch(["simulate", config_path, "--seed", "99", "--format=json"])

@@ -208,6 +208,11 @@ class TestSelectWinner:
             winner = outcome(bids, policy, SECOND).winner
             assert winner in argmax_set(bids)
 
+    def test_covering_table_stops_at_sixteen_bidders(self):
+        with pytest.raises(ValueError) as info:
+            ExplicitChoice.covering(17)
+        assert str(info.value) == "covering table supports 2 <= N <= 16 (got 17)"
+
     @given(profiles)
     def test_winner_always_in_argmax_set(self, bids):
         for policy in all_policies(len(bids)):

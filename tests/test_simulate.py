@@ -4,7 +4,6 @@ import io
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given
@@ -326,9 +325,9 @@ class TestCompareRules:
                         for values, _, _, _ in naive_rounds(cfg_first))
         assert paired.mean_revenue_diff == Fraction(total_gap, 500)
 
-    def test_samples_each_round_once(self, counted):
+    def test_samples_each_round_once(self, evaluations):
         compare_rules(config(n_rounds=600), config(n_rounds=600, rule=FIRST))
-        assert tiles(counted.sampled, 600, SAMPLE_BLOCK)
+        assert tiles(evaluations.sampled, 600, SAMPLE_BLOCK)
 
     def test_rejects_mismatched_sampling_parameters(self):
         with pytest.raises(ValueError, match="mismatched sampling"):
@@ -361,33 +360,6 @@ def distinct_profiles(cfg):
     span = cfg.value_high - cfg.value_low + 1
     return {tuple(cfg.value_low + mix64(cfg.seed, r, b) % span for b in range(cfg.n_bidders))
             for r in range(cfg.n_rounds)}
-
-
-@pytest.fixture
-def counted(monkeypatch):
-    """The profiles the simulation evaluates, by ``outcome`` or ``outcomes``,
-    counted, and the ``(start, stop)`` range of each ``sample_valuations``
-    call, in call order."""
-    calls = SimpleNamespace(outcome=0, sampled=[])
-    real_outcome, real_outcomes = simulate.outcome, simulate.outcomes
-    real_sample = simulate.sample_valuations
-
-    def outcome(*args):
-        calls.outcome += 1
-        return real_outcome(*args)
-
-    def outcomes(profiles, *args):
-        calls.outcome += len(profiles)
-        return real_outcomes(profiles, *args)
-
-    def sample_valuations(config, start, stop):
-        calls.sampled.append((start, stop))
-        return real_sample(config, start, stop)
-
-    monkeypatch.setattr(simulate, "outcome", outcome)
-    monkeypatch.setattr(simulate, "outcomes", outcomes)
-    monkeypatch.setattr(simulate, "sample_valuations", sample_valuations)
-    return calls
 
 
 def explicit_choices(n_bidders):
@@ -488,28 +460,28 @@ class TestProfileTable:
 
     @pytest.mark.parametrize("n_bidders, span", AT_LIMIT, ids=str)
     def test_a_config_at_the_limit_plays_each_distinct_profile_once(
-            self, counted, n_bidders, span):
+            self, evaluations, n_bidders, span):
         assert span ** n_bidders == PROFILE_TABLE_LIMIT
         cfg = config(n_bidders=n_bidders, n_rounds=300, value_high=span - 1)
         distinct = len(distinct_profiles(cfg))
         assert distinct < cfg.n_rounds  # the rounds repeat a profile
         write_rounds_csv(cfg, io.StringIO())
-        assert tiles(counted.sampled, cfg.n_rounds, SAMPLE_BLOCK)
-        assert counted.outcome == distinct
+        assert tiles(evaluations.sampled, cfg.n_rounds, SAMPLE_BLOCK)
+        assert len(evaluations.profiles) == distinct
 
     @pytest.mark.parametrize("n_bidders, span", OVER_LIMIT, ids=str)
-    def test_a_config_over_the_limit_keeps_no_table(self, counted, n_bidders, span):
+    def test_a_config_over_the_limit_keeps_no_table(self, evaluations, n_bidders, span):
         assert span ** n_bidders > PROFILE_TABLE_LIMIT
         cfg = config(n_bidders=n_bidders, n_rounds=300, value_high=span - 1)
         assert len(distinct_profiles(cfg)) < cfg.n_rounds  # a table would play fewer
         write_rounds_csv(cfg, io.StringIO())
-        assert tiles(counted.sampled, cfg.n_rounds, SAMPLE_BLOCK)
-        assert counted.outcome == cfg.n_rounds
+        assert tiles(evaluations.sampled, cfg.n_rounds, SAMPLE_BLOCK)
+        assert len(evaluations.profiles) == cfg.n_rounds
 
-    def test_each_config_of_a_comparison_keeps_its_own_table(self, counted):
+    def test_each_config_of_a_comparison_keeps_its_own_table(self, evaluations):
         cfg = config(n_rounds=300)
         distinct = len(distinct_profiles(cfg))
         assert distinct < cfg.n_rounds
         compare_rules(cfg, config(n_rounds=300, rule=FIRST, strategy=Shade(1, 2)))
-        assert tiles(counted.sampled, cfg.n_rounds, SAMPLE_BLOCK)
-        assert counted.outcome == 2 * distinct
+        assert tiles(evaluations.sampled, cfg.n_rounds, SAMPLE_BLOCK)
+        assert len(evaluations.profiles) == 2 * distinct

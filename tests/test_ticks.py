@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from sealedbid import cli, core, simulate, verify
+from sealedbid import core
 from sealedbid.cli import EXIT_INVALID, dispatch, load_instance
 from sealedbid.core import (
     AuctionInstance,
@@ -19,7 +19,6 @@ from sealedbid.core import (
     Seeded,
     argmax_set,
     outcome,
-    outcomes,
     standard_policies,
     tick_violation,
 )
@@ -124,39 +123,18 @@ BOUNDARIES = {
 }
 
 
-@pytest.fixture
-def outcome_calls(monkeypatch) -> list:
-    """Records every ``outcome`` call that the verifier, the simulation or the CLI
-    makes, and each profile of every ``outcomes`` block the simulation plays, as
-    the arguments ``outcome`` would take for it."""
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return outcome(*args)
-
-    def counted_block(profiles, policy, rule):
-        calls.extend((bids, policy, rule) for bids in profiles)
-        return outcomes(profiles, policy, rule)
-
-    for module in (verify, simulate, cli):
-        monkeypatch.setattr(module, "outcome", counted)
-    monkeypatch.setattr(simulate, "outcomes", counted_block)
-    return calls
-
-
 @pytest.mark.parametrize("boundary, kind", [
     (boundary, kind) for boundary, (*_, kinds) in BOUNDARIES.items() for kind in kinds
 ])
-def test_every_boundary_refuses_a_non_tick_before_any_outcome(outcome_calls, boundary, kind):
+def test_every_boundary_refuses_a_non_tick_before_any_outcome(evaluations, boundary, kind):
     label, run, after, _ = BOUNDARIES[boundary]
     tick, fault = NON_TICKS[kind]
     assert faults(lambda: run(tick)) == [fault.format(label), *after]
-    assert outcome_calls == []
+    assert evaluations.profiles == []
 
 
 @pytest.mark.parametrize("kind", ALL)
-def test_classify_refuses_a_non_tick_deviation(tmp_path, capsys, outcome_calls, kind):
+def test_classify_refuses_a_non_tick_deviation(tmp_path, capsys, evaluations, kind):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps({"valuations": [3, 6], "bids": [3, 5]}), encoding="utf-8")
     tick, fault = NON_TICKS[kind]
@@ -165,7 +143,7 @@ def test_classify_refuses_a_non_tick_deviation(tmp_path, capsys, outcome_calls, 
     assert (code, captured.out) == (EXIT_INVALID, "")
     if kind in RANGE_ENDS:  # argparse's int() refuses the others first
         assert captured.err == f"error: {fault.format('deviation')}\n"
-    assert outcome_calls == []
+    assert evaluations.profiles == []
 
 
 def test_the_digit_cap_is_read_on_each_call():
@@ -201,11 +179,11 @@ def test_a_command_validates_its_instance_once(tmp_path, monkeypatch, capsys, co
     assert len(calls) == 2 * 3  # one call per tick of the N = 3 instance
 
 
-def test_a_too_large_deviation_is_invalid_before_it_is_over_budget(outcome_calls):
+def test_a_too_large_deviation_is_invalid_before_it_is_over_budget(evaluations):
     with pytest.raises(InvalidInstanceError) as info:
         check_instance(INSTANCE, standard_policies(2), deviations=range(0, 10**5000), budget=10)
     assert info.value.violations == ["tick too large (deviation + 1 has more than 4300 digits)"]
-    assert outcome_calls == []
+    assert evaluations.profiles == []
 
 
 @pytest.mark.parametrize("run", [
@@ -243,9 +221,9 @@ BIDDER_COUNTS = {
 @pytest.mark.parametrize("boundary", BIDDER_COUNTS)
 @pytest.mark.parametrize("n", [0, 1])
 def test_every_boundary_refuses_fewer_than_two_bidders_before_any_outcome(
-        outcome_calls, boundary, n):
+        evaluations, boundary, n):
     assert faults(lambda: BIDDER_COUNTS[boundary](n)) == [f"N >= 2 required (got {n})"]
-    assert outcome_calls == []
+    assert evaluations.profiles == []
 
 
 # The boundaries above that take N itself, not a profile of N bids (a config's
@@ -255,9 +233,9 @@ def test_every_boundary_refuses_fewer_than_two_bidders_before_any_outcome(
                                       "find_counterexample-first-index"])
 @pytest.mark.parametrize("n", [2.0, 2.5, True, None], ids=repr)
 def test_every_boundary_refuses_a_non_integer_bidder_count_before_any_outcome(
-        outcome_calls, boundary, n):
+        evaluations, boundary, n):
     assert faults(lambda: BIDDER_COUNTS[boundary](n)) == [f"N must be an integer (got {n!r})"]
-    assert outcome_calls == []
+    assert evaluations.profiles == []
 
 
 # Per entry that takes a budget: a call with budget b.  A list of deviations is
@@ -287,24 +265,24 @@ NON_BUDGETS = {
 
 @pytest.mark.parametrize("boundary", BUDGETS)
 @pytest.mark.parametrize("kind", NON_BUDGETS)
-def test_every_entry_refuses_a_non_budget_before_any_outcome(outcome_calls, boundary, kind):
+def test_every_entry_refuses_a_non_budget_before_any_outcome(evaluations, boundary, kind):
     budget, fault = NON_BUDGETS[kind]
     assert faults(lambda: BUDGETS[boundary](budget)) == [fault]
-    assert outcome_calls == []
+    assert evaluations.profiles == []
 
 
 @pytest.mark.parametrize("command, flag", [("dominance", "--n"), ("falsify", "--n-max")],
                          ids=["dominance", "falsify"])
 @pytest.mark.parametrize("n", [0, 1])
 def test_a_sweep_below_two_bidders_is_refused_alike_with_or_without_explicit(
-        capsys, outcome_calls, command, flag, n):
+        capsys, evaluations, command, flag, n):
     """The explicit policy's covering table words the refusal as the sweep does."""
     captured = []
     for policies in ("first-index,last-index,seeded,explicit", "first-index,last-index,seeded"):
         assert dispatch([command, flag, str(n), "--policies", policies]) == EXIT_INVALID
         captured.append(capsys.readouterr())
     assert captured[0] == captured[1] == ("", f"error: N >= 2 required (got {n})\n")
-    assert outcome_calls == []
+    assert evaluations.profiles == []
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    CASES, bruteforce_minimal_counterexample, oracle_cell, oracle_report, sweep_rows,
+    CASES, assert_case, bruteforce_minimal_counterexample, oracle_cell, oracle_report, sweep_rows,
 )
 from sealedbid import verify
 from sealedbid.core import (
@@ -25,7 +25,6 @@ from sealedbid.verify import (
     Counterexample,
     DeviationCheckResult,
     VerificationReport,
-    assert_case,
     check_instance,
     check_truthfulness,
     deviation_profile,
@@ -405,37 +404,24 @@ class TestSweepAggregationOrderIndependence:
 class TestOutcomeTable:
     """Each (profile, policy) pair is evaluated once per run."""
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        seen = []
-        real = verify.outcome
+    @staticmethod
+    def pairs(evaluations):
+        """Each evaluation as ``(bids, policy identity)``, in call order."""
+        return [(tuple(bids), id(policy)) for bids, policy, _ in evaluations.profiles]
 
-        def outcome(bids, policy, rule):
-            seen.append((tuple(bids), id(policy)))
-            return real(bids, policy, rule)
-
-        monkeypatch.setattr(verify, "outcome", outcome)
-        return seen
-
-    def test_sweep_evaluates_every_profile_once_per_policy(self, calls):
+    def test_sweep_evaluates_every_profile_once_per_policy(self, evaluations):
         dominance_sweep(3, 3)
+        calls = self.pairs(evaluations)
         assert len(calls) == 4 ** 3 * 4
         assert len(set(calls)) == len(calls)
 
-    def test_each_profile_reaches_outcome_as_one_tuple(self, monkeypatch):
-        profiles = []
-        real = verify.outcome
+    def test_each_profile_reaches_outcome_as_one_tuple(self, evaluations):
+        dominance_sweep(3, 3)  # the fixture keeps each profile alive, so the ids stay distinct
+        assert len({id(bids) for bids, _, _ in evaluations.profiles}) == 4 ** 3
 
-        def outcome(bids, policy, rule):
-            profiles.append(bids)  # kept alive, so the ids stay distinct
-            return real(bids, policy, rule)
-
-        monkeypatch.setattr(verify, "outcome", outcome)
-        dominance_sweep(3, 3)
-        assert len({id(bids) for bids in profiles}) == 4 ** 3
-
-    def test_exhausting_search_evaluates_each_n_once(self, calls):
+    def test_exhausting_search_evaluates_each_n_once(self, evaluations):
         assert find_counterexample(SECOND, 3, 2) is None
+        calls = self.pairs(evaluations)
         assert len(calls) == (3 ** 2 + 3 ** 3) * 4
         assert len(set(calls)) == len(calls)
 
@@ -451,9 +437,9 @@ class TestOutcomeTable:
         monkeypatch.setattr(verify, "DeviationCheckResult", row)
         return records
 
-    def test_passing_sweep_builds_no_row_record(self, calls, built):
+    def test_passing_sweep_builds_no_row_record(self, evaluations, built):
         report = dominance_sweep(4, 3)
-        assert len(calls) == 4 ** 4 * 4
+        assert len(evaluations.profiles) == 4 ** 4 * 4
         assert report.passed and report.evaluated == grid_rows(4, 3, 4, 4, 4)
         assert built == []
 
@@ -493,10 +479,11 @@ class TestOutcomeTable:
         assert len(built) == search_classes(SECOND, 3, 2) < cells == 297
 
     @pytest.mark.parametrize("deviations", ["critical", range(9)], ids=["critical", "grid"])
-    def test_check_never_repeats_an_evaluation(self, calls, deviations):
+    def test_check_never_repeats_an_evaluation(self, evaluations, deviations):
         for instance in (INSTANCE, AuctionInstance((4, 4, 1), (4, 4, 0))):
-            del calls[:]
+            del evaluations.profiles[:]
             check_instance(instance, standard_policies(instance.n_bidders), FIRST, deviations)
+            calls = self.pairs(evaluations)
             assert calls and len(set(calls)) == len(calls)
 
 
@@ -614,14 +601,10 @@ class TestPreflightBudget:
     is refused before the first outcome is computed."""
 
     @pytest.fixture
-    def counters(self, monkeypatch):
-        counts = {"outcome": 0, "rows": 0, "templates": 0}
-        real_outcome, real_row = verify.outcome, verify.DeviationCheckResult
-        real_template = verify._template
-
-        def outcome(*args):
-            counts["outcome"] += 1
-            return real_outcome(*args)
+    def counters(self, monkeypatch, evaluations):
+        """A function giving the profiles evaluated, rows built and templates computed."""
+        counts = {"rows": 0, "templates": 0}
+        real_row, real_template = verify.DeviationCheckResult, verify._template
 
         def row(*args, **fields):
             counts["rows"] += 1
@@ -631,10 +614,9 @@ class TestPreflightBudget:
             counts["templates"] += 1
             return real_template(*args)
 
-        monkeypatch.setattr(verify, "outcome", outcome)
         monkeypatch.setattr(verify, "DeviationCheckResult", row)
         monkeypatch.setattr(verify, "_template", template)
-        return counts
+        return lambda: {"outcome": len(evaluations.profiles), **counts}
 
     @pytest.mark.parametrize(
         "name, run, rows", BUDGETED_RUNS, ids=[case[0] for case in BUDGETED_RUNS],
@@ -643,7 +625,7 @@ class TestPreflightBudget:
         report = run(rows)
         if report is None:
             # the search folds row by row: one record per row
-            assert counters["rows"] == rows
+            assert counters()["rows"] == rows
         else:
             # the report counts every row, but the fold computes each class's
             # template once, so fewer templates than cells (5 rows each)
@@ -651,10 +633,10 @@ class TestPreflightBudget:
             # only when the ordered scan looks for the first failure
             assert report.evaluated == rows
             if name in ONE_CLASS_PER_CELL:
-                assert counters["templates"] == rows // 5
+                assert counters()["templates"] == rows // 5
             else:
-                assert counters["templates"] < rows // 5
-            assert (counters["rows"] == 0) == report.passed
+                assert counters()["templates"] < rows // 5
+            assert (counters()["rows"] == 0) == report.passed
 
     @pytest.mark.parametrize(
         "run, rows", [case[1:] for case in BUDGETED_RUNS],
@@ -663,7 +645,7 @@ class TestPreflightBudget:
     def test_one_row_short_is_refused_before_any_work(self, counters, run, rows):
         with pytest.raises(BudgetExceededError):
             run(rows - 1)
-        assert counters == {"outcome": 0, "rows": 0, "templates": 0}
+        assert counters() == {"outcome": 0, "rows": 0, "templates": 0}
 
     @pytest.mark.parametrize("stop", [10**8, 10**30])
     def test_stepped_range_is_refused_without_building_it(self, counters, stop):
@@ -672,7 +654,7 @@ class TestPreflightBudget:
                            deviations=range(0, stop, 2), budget=10)
         with pytest.raises(BudgetExceededError):
             dominance_sweep(2, 2, deviations=range(stop, -1, -2), budget=10)
-        assert counters == {"outcome": 0, "rows": 0, "templates": 0}
+        assert counters() == {"outcome": 0, "rows": 0, "templates": 0}
 
     def test_check_truthfulness_is_budgeted_like_its_siblings(self, counters):
         # one bidder, deviations 0..2, two policies plus the adversarial pairing
@@ -682,7 +664,7 @@ class TestPreflightBudget:
             run(8)
         with pytest.raises(BudgetExceededError):  # a tick range: it ran unbounded before
             check_truthfulness((3, 6), (5,), 0, [FirstIndex()], SECOND, range(0, 10**9))
-        assert counters == {"outcome": 0, "rows": 0, "templates": 0}
+        assert counters() == {"outcome": 0, "rows": 0, "templates": 0}
         assert len(run(9)) == 9
 
     @pytest.mark.parametrize("run", [
@@ -732,7 +714,7 @@ class TestPreflightBudget:
         with pytest.raises(BudgetExceededError):
             run(bids(), 10)
         assert count[0] <= 11
-        assert counters == {"outcome": 0, "rows": 0, "templates": 0}
+        assert counters() == {"outcome": 0, "rows": 0, "templates": 0}
         with pytest.raises(ValueError, match="budget must be nonnegative"):
             run(bids(), -1)
 
@@ -757,7 +739,7 @@ class TestPreflightBudget:
         with pytest.raises(InvalidInstanceError) as info:
             run()
         assert info.value.violations == ["negative tick (deviation = -1)"]
-        assert counters == {"outcome": 0, "rows": 0, "templates": 0}
+        assert counters() == {"outcome": 0, "rows": 0, "templates": 0}
 
 
 class TestMinimalOrder:
