@@ -383,11 +383,8 @@ class ExplicitChoice(Record, TieBreakPolicy):
             raise ValueError(fault)
         if n_bidders > 16:
             raise ValueError(f"covering table supports 2 <= N <= 16 (got {n_bidders})")
-        table = {}
-        for size in range(1, n_bidders + 1):
-            for subset in combinations(range(n_bidders), size):
-                table[subset] = subset[len(subset) // 2]
-        return cls(table)
+        return cls({ties: ties[len(ties) // 2] for size in range(1, n_bidders + 1)
+                    for ties in combinations(range(n_bidders), size)})
 
     def select(self, bids: BidProfile) -> BidderId:
         ties = argmax_set(bids)

@@ -387,15 +387,14 @@ def write_rounds_csv(config: ExperimentConfig, stream: IO[str],
     Profile columns hold space-joined ticks so each round stays one row; no
     field ever needs CSV quoting, so rows are written as plain text, one
     joined string per sampled block, the text after the round index built
-    once per distinct profile of a small space.
-    Nothing is written when the budget refuses the run.
+    once per distinct profile of a small space.  The header goes out with
+    the first block, so nothing is written when the budget refuses the run.
     """
-    config.check_budget(budget)
-    stream.write("round,valuations,bids,winner,price\n")
     row_text = cache(_row_text) if _tabled(config) else _row_text
 
     def write(start, block, plays):
         texts = map(row_text, block, *plays[0])
-        stream.write("".join(map("{},{}\n".format, range(start, start + len(block)), texts)))
+        rows = "".join(map("{},{}\n".format, range(start, start + len(block)), texts))
+        stream.write(rows if start else "round,valuations,bids,winner,price\n" + rows)
 
     return _simulate([config], budget, write)[0]

@@ -219,33 +219,30 @@ class _Interned(dict):
 class _Scope(NamedTuple):
     """One policy list's share of a run.
 
-    ``blocks()`` yields, per opposing-bid vector in key order, ``(values,
-    deviation bids, blocks)`` with one block per bidder: ``(bidder,
-    truthful keys, deviated keys)``, a truthful key per value and a
-    deviated key per deviation bid, each key a bid profile.  A block's
-    cells pair each truthful key with each deviated key, since the profile
-    deviated to bid d is the truthful profile for value d.  ``table`` is
-    the outcome table: a profile maps to its entry, a tuple of one
-    ``Outcome`` per policy, evaluated through ``outcome`` on first use,
-    so each (profile, policy) pair is evaluated once per run.
-    It is keyed by profile alone, never by policy (``ExplicitChoice`` is
-    unhashable), which is sound because every ``select`` is a pure
-    function of the bids.  ``views`` maps (entry, bidder) to that bidder's
-    view of the entry: per policy, the price it pays if it wins, else
-    None.  ``templates`` maps a cell's class to its rows' template (see
-    ``_template``), memoized for the ordered scan; the fold tallies
-    templates without keeping them.  ``valuations`` None means every bidder
+    ``view_rows()`` yields, per opposing-bid vector in key order, ``(values,
+    deviation bids, rows)``, a row per bidder: ``(bidder, truthful keys,
+    truthful view row, deviated view row)``, a view per value and per
+    deviation bid (see ``_scope``); a cell pairs a truthful view with a
+    deviated one.  ``templates`` maps a cell's class, (value, truthful view,
+    deviated view), to its template's id in ``templates.values`` (see
+    ``_template``).  The fold and the ordered scan share it, so each class's
+    template is computed once.  ``valuations`` None means every bidder
     values what it bids.
     """
 
-    table: _Interned
-    views: _Interned
+    view_rows: Callable[[], Iterator[tuple]]
     templates: _Interned
-    blocks: Callable[[], Iterator[tuple]]
     valuations: "ValuationProfile | None"
 
 
 def _scope(policies, rule, adversarial, blocks, valuations=None) -> _Scope:
+    """The scope of ``blocks()``: per opposing-bid vector in key order,
+    ``(values, deviation bids, blocks)``, a block per bidder ``(bidder,
+    truthful keys, deviated keys)``, a bid profile per value and per
+    deviation bid.  The outcome table maps a profile to one ``Outcome`` per
+    policy, each evaluated once per run.  It is keyed by profile alone
+    (``ExplicitChoice`` is unhashable), sound as every ``select`` is a pure
+    function of the bids.  A view is a bidder's price per policy if it wins, else None."""
     if not policies:
         raise ValueError("at least one tie-break policy is required")
 
@@ -264,7 +261,19 @@ def _scope(policies, rule, adversarial, blocks, valuations=None) -> _Scope:
     templates = _Interned(lambda key: tuple([rows.setdefault(row, row) for row in _template(
         labels, paired, key[0], views.values[key[1]], views.values[key[2]]
     )]))
-    return _Scope(table, views, templates, blocks, valuations)
+
+    def view_rows():
+        for values, new_bids, group in blocks():
+            read = []
+            for bidder, truths, devs in group:
+                truth_views = tuple([views[table[key], bidder] for key in truths])
+                dev_views = truth_views if devs is truths else tuple([
+                    views[table[key], bidder] for key in devs
+                ])
+                read.append((bidder, truths, truth_views, dev_views))
+            yield values, new_bids, read
+
+    return _Scope(view_rows, templates, valuations)
 
 
 def _grid_scope(n, grid, deviations, policies, rule, adversarial):
@@ -288,14 +297,14 @@ def _grid_scope(n, grid, deviations, policies, rule, adversarial):
     return _scope(policies, rule, adversarial, blocks)
 
 
-def _instance_scope(instance, bidders, policies, rule, deviations, adversarial, budget):
+def _instance_scope(valuations, bids, bidders, policies, rule, deviations, adversarial, budget):
     """Resolve the deviations and refuse a run over ``budget`` rows, both before
-    any work; then one block per cell, in (deviation bid, bidder) order.  Bidder
-    b, a valid index, has its opposing bids and truthful profile (the instance's
-    bids with b's bid set to its valuation, keyed by itself) built once; its
-    deviation bids are the rule's at its top opposing bid."""
+    any work; then one block per cell, in (deviation bid, bidder) order.  The
+    two profiles are valid, as the caller checked them.  Bidder b, a valid
+    index, has its opposing bids and truthful profile (``bids`` with b's bid
+    set to its valuation, keyed by itself) built once; its deviation bids are
+    the rule's at its top opposing bid."""
     deviations = _deviation_set(deviations, budget)
-    valuations, bids = instance.valuations, instance.bids
     opposing = {b: bids[:b] + bids[b + 1:] for b in bidders}
     truths = {b: _inserted(others, valuations[b], b) for b, others in opposing.items()}
     per_bidder = [deviations(max(opposing[b])) for b in bidders]
@@ -339,22 +348,6 @@ def _template(labels, paired, value, truthful_view, deviated_view) -> list[tuple
             for u_truth, u_dev, won_truth, won_dev, label in rows]
 
 
-def _view_rows(scope: _Scope):
-    """``scope.blocks()`` with each block read by its bidder: per
-    opposing-bid vector ``(values, deviation bids, rows)``, a row per block
-    ``(bidder, truthful keys, truthful view row, deviated view row)``."""
-    table, views = scope.table, scope.views
-    for values, new_bids, blocks in scope.blocks():
-        rows = []
-        for bidder, truths, devs in blocks:
-            truth_views = tuple([views[table[key], bidder] for key in truths])
-            dev_views = truth_views if devs is truths else tuple([
-                views[table[key], bidder] for key in devs
-            ])
-            rows.append((bidder, truths, truth_views, dev_views))
-        yield values, new_bids, rows
-
-
 def _row_stream(scopes):
     """``(scope, truthful key, rows)`` per cell, in key order (value,
     deviation bid, bidder within each opposing-bid vector).  A cell's rows
@@ -362,7 +355,7 @@ def _row_stream(scopes):
     (value, truthful view, deviated view), on which alone they depend."""
     for scope in scopes:
         templates, built = scope.templates, scope.templates.values
-        for values, new_bids, rows in _view_rows(scope):
+        for values, new_bids, rows in scope.view_rows():
             for i, value in enumerate(values):
                 for j, new_bid in enumerate(new_bids):
                     for bidder, truths, truth_views, dev_views in rows:
@@ -415,25 +408,25 @@ def _grid_scopes(n_min, n_max, tick_bound, policies, rule, deviations, adversari
 
 def _fold(scope: _Scope) -> VerificationReport:
     """Count one scope's blocks by (values, truthful view row, deviated
-    view row) and expand each distinct triple once into its cells' classes,
-    weighted by its count; then tally each class's template, weighted by
-    the class's count, so the counts equal a row-by-row fold's, without
-    building a row record.  Each template is computed once, so it is not
-    kept in the scope's memo.  When a row failed, the counterexample comes
-    from the ordered scan that ``find_counterexample`` runs."""
-    compute = scope.templates.compute
+    view row) and expand each distinct triple once into its cells'
+    classes, tallying each class's template id by the triple's count;
+    then expand each distinct template once, weighted by its tally, so
+    the counts equal a row-by-row fold's, without building a row record.
+    When a row failed, the counterexample comes from the ordered scan that
+    ``find_counterexample`` runs, which reads the templates built here."""
+    templates = scope.templates
     blocks = Counter(
         (values, truth_views, dev_views)
-        for values, _, rows in _view_rows(scope) for _, _, truth_views, dev_views in rows
+        for values, _, rows in scope.view_rows() for _, _, truth_views, dev_views in rows
     )
-    classes = Counter()
+    tally = Counter()
     for (values, truth_views, dev_views), count in blocks.items():
         for (value, truth_view), dev_view in product(zip(values, truth_views), dev_views):
-            classes[value, truth_view, dev_view] += count
+            tally[templates[value, truth_view, dev_view]] += count
     counts = {tag: 0 for tag in CaseTag}
     pass_count = fail_count = 0
-    for key, count in classes.items():
-        for _, _, case, passed, _ in compute(key):
+    for ident, count in tally.items():
+        for _, _, case, passed, _ in templates.values[ident]:
             counts[case] += count
             if passed:
                 pass_count += count
@@ -464,6 +457,8 @@ def check_truthfulness(
     ``budget`` rows is refused before any work.
     """
     valuations, others = tuple(valuations), tuple(others)
+    if fault := bidder_count_violation(len(valuations)):
+        raise InvalidInstanceError([fault])
     if fault := bidder_violation(bidder, len(valuations)):
         raise ValueError(fault)
     if len(others) != len(valuations) - 1:
@@ -471,8 +466,8 @@ def check_truthfulness(
     # Each tick is named by the caller's argument, not by the profile built from them.
     if violations := tick_violations("valuations", valuations) + tick_violations("others", others):
         raise InvalidInstanceError(violations)
-    instance = AuctionInstance(valuations, _inserted(others, valuations[bidder], bidder))
-    scope = _instance_scope(instance, (bidder,), policies, rule, deviations, adversarial, budget)
+    scope = _instance_scope(valuations, _inserted(others, valuations[bidder], bidder), (bidder,),
+                            policies, rule, deviations, adversarial, budget)
     return [row for _, _, rows in _row_stream([scope]) for row in rows]
 
 
@@ -489,9 +484,8 @@ def check_instance(
     ``deviations`` is "critical" (each bidder's own critical set) or an
     iterable shared by all bidders.  Cells run in (deviation bid, bidder,
     pairing) order, so the counterexample is minimal under that key."""
-    return _fold(_instance_scope(
-        instance, range(instance.n_bidders), policies, rule, deviations, adversarial, budget
-    ))
+    return _fold(_instance_scope(instance.valuations, instance.bids, range(instance.n_bidders),
+                                 policies, rule, deviations, adversarial, budget))
 
 
 def dominance_sweep(

@@ -259,6 +259,23 @@ class TestRunExperiment:
         with pytest.raises(BudgetExceededError):
             run_experiment(config(n_rounds=1000), budget=100)
 
+    @pytest.mark.parametrize("run", [
+        run_experiment,
+        lambda cfg: write_rounds_csv(cfg, io.StringIO()),
+        lambda cfg: compare_rules(cfg, cfg),
+    ], ids=["run_experiment", "write_rounds_csv", "compare_rules"])
+    def test_a_run_asks_the_budget_once(self, monkeypatch, run):
+        asked = []
+        real = simulate.check_budget
+
+        def counted(*args):
+            asked.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(simulate, "check_budget", counted)
+        run(config())
+        assert asked == [(300, 10**7, "sampled values")]
+
     def test_records_are_built_only_for_a_sink(self, monkeypatch):
         # A sink is called once per sampled block with each config's play
         # columns, (bids, winners, prices), not a record built per round: with

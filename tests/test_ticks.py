@@ -215,6 +215,8 @@ BIDDER_COUNTS = {
     "find_counterexample": lambda n: find_counterexample(SECOND, n, 2),
     "find_counterexample-first-index": lambda n: find_counterexample(SECOND, n, 2,
                                                                      [FirstIndex()]),
+    "check_truthfulness": lambda n: check_truthfulness((5,) * n, (5,) * max(n - 1, 0), 0,
+                                                       [FirstIndex()]),
 }
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     CASES, assert_case, bruteforce_minimal_counterexample, oracle_cell, oracle_report, sweep_rows,
 )
-from sealedbid import verify
+from sealedbid import core, verify
 from sealedbid.core import (
     AuctionInstance,
     BudgetExceededError,
@@ -156,6 +156,20 @@ class TestCheckTruthfulness:
             check_truthfulness((3, -1), (-1,), 0, [FirstIndex()], SECOND, [0])
         with pytest.raises(InvalidInstanceError, match=r"non-integer tick \(valuations\[0\]"):
             check_truthfulness([1.5, 2], [1], 0, [FirstIndex()])
+
+    def test_each_argument_tick_is_checked_once(self, monkeypatch):
+        asked = []
+        real = core.tick_violation
+
+        def counted(label, tick):
+            asked.append(label)
+            return real(label, tick)
+
+        for module in (core, verify):
+            monkeypatch.setattr(module, "tick_violation", counted)
+        check_truthfulness((3, 6, 2), (4, 2), 0, [FirstIndex()])
+        assert asked == ["valuations[0]", "valuations[1]", "valuations[2]", "others[0]",
+                         "others[1]"]
 
     @given(
         st.integers(min_value=0, max_value=9),
@@ -424,6 +438,20 @@ class TestOutcomeTable:
         calls = self.pairs(evaluations)
         assert len(calls) == (3 ** 2 + 3 ** 3) * 4
         assert len(set(calls)) == len(calls)
+
+    def test_fold_and_scan_compute_each_class_template_once(self, monkeypatch):
+        # The sweep fails, so the ordered scan runs after the fold; it reads
+        # the fold's templates.  A class is (value, truthful view, deviated view).
+        classes = []
+        real = verify._template
+
+        def template(labels, paired, *key):
+            classes.append(key)
+            return real(labels, paired, *key)
+
+        monkeypatch.setattr(verify, "_template", template)
+        assert not dominance_sweep(3, 2, rule=FIRST).passed
+        assert len(classes) == len(set(classes)) == 77
 
     @pytest.fixture
     def built(self, monkeypatch):
