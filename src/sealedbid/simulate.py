@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import struct
 from abc import ABC, abstractmethod
+from collections import Counter
 from fractions import Fraction
-from functools import cache
-from operator import eq, getitem, sub
+from operator import eq, getitem, mul, sub
 from typing import IO, Mapping, Sequence
 
 from .core import (
@@ -239,77 +239,100 @@ class SimReport(Record):
 
 
 # A config whose valuation profile space, span ** n_bidders, holds at most
-# this many profiles computes what it makes of each distinct profile once
-# and looks up its repeats in a table; above it no table is kept, so memory
-# stays bounded whatever the value range or the round count.
+# this many profiles plays and folds each distinct profile once, weighted by
+# its count of rounds; above it no table is kept, so memory stays bounded
+# whatever the value range or the round count.
 PROFILE_TABLE_LIMIT = 4096
 
 
 def _tabled(config: ExperimentConfig) -> bool:
     """Whether ``config``'s profile space holds at most ``PROFILE_TABLE_LIMIT``
-    profiles, so that a run memoizes what it makes of each one (a table
-    freed with the run)."""
+    profiles, so that a run counts its distinct profiles and plays each once
+    (a table freed with the run)."""
     span = config.value_high - config.value_low + 1
     # A span of 2 or more passes the limit within its bit length of bidders.
     return span ** min(config.n_bidders, PROFILE_TABLE_LIMIT.bit_length()) <= PROFILE_TABLE_LIMIT
 
 
 def _player(config: ExperimentConfig):
-    """``config``'s ``play(block) -> (bids, winners, prices)``: three columns,
-    one entry per valuation profile of ``block``.  A tabled config calls
-    ``outcome`` once per distinct profile; any other calls ``outcomes`` once
-    per block, on the block's bids column.  Each is looked up at each play of
-    a block, so a wrapper sees every real evaluation."""
+    """``config``'s ``play(profiles) -> (bids, winners, prices)``: three
+    columns, one entry per valuation profile.  A tabled config is handed
+    each profile once per run and calls ``outcome`` on it; any other is
+    handed each block whole and calls ``outcomes`` once on its bids column.
+    Each is looked up at each play, so a wrapper sees every real evaluation."""
     strategy, policy, rule = config.strategy, config.policy, config.rule
+    tabled = _tabled(config)
 
-    if _tabled(config):
-        @cache
-        def play_once(valuations: ValuationProfile) -> tuple[BidProfile, BidderId, Money]:
-            bids = apply_strategy(valuations, strategy)
-            winner, price = outcome(bids, policy, rule)
-            return bids, winner, price
-
-        def play(block: Sequence[ValuationProfile]):
-            return tuple(zip(*map(play_once, block)))
-    else:
-        def play(block: Sequence[ValuationProfile]):
-            bids = block if type(strategy) is Truthful else [
-                apply_strategy(valuations, strategy) for valuations in block]
+    def play(profiles: Sequence[ValuationProfile]):
+        bids = profiles if type(strategy) is Truthful else [
+            apply_strategy(valuations, strategy) for valuations in profiles]
+        if not tabled:
             return (bids, *outcomes(bids, policy, rule))
+        played = [outcome(profile, policy, rule) for profile in bids]
+        return bids, [winner for winner, _ in played], [price for _, price in played]
 
     return play
 
 
-def _simulate(configs: Sequence[ExperimentConfig], budget: int, sink=None) -> list[SimReport]:
-    """The one round loop, a sampled block at a time: sample ``SAMPLE_BLOCK``
-    rounds per ``sample_valuations`` call (looked up per block, so a wrapper
-    sees every call), play the block under every config (all share the first
-    one's sampling parameters), fold each config's columns into exact integer
-    sums, and call ``sink(start, block, plays)`` once per block, where round
-    ``start + i`` has valuations ``block[i]`` and ``plays`` holds each
-    config's ``(bids, winners, prices)`` columns.  The sums are divided once,
-    at the end."""
+def _fold(totals, profiles, plays, weights=None):
+    """Add to each config's ``totals`` (revenue, winner utility, efficient
+    rounds) ``weights[i]`` rounds, or one, of each ``profiles[i]``, played as
+    each config's ``(winners, prices)`` in ``plays``.  For two configs,
+    returns the least and greatest price difference, first minus second."""
+    tops = list(map(max, profiles))
+    for total, (winners, prices) in zip(totals, plays):
+        values = list(map(getitem, profiles, winners))
+        columns = prices, values, map(eq, values, tops)
+        if weights is not None:
+            columns = [map(mul, weights, column) for column in columns]
+        revenue, value, efficient = map(sum, columns)
+        total[0] += revenue
+        total[1] += value - revenue
+        total[2] += efficient
+    if len(plays) == 2:
+        diffs = list(map(sub, plays[0][1], plays[1][1]))
+        return min(diffs), max(diffs)
+
+
+def _simulate(configs: Sequence[ExperimentConfig], budget: int, sink=None):
+    """The one round loop, a sampled block at a time (``sample_valuations``
+    is looked up per block, so a wrapper sees every call), played under
+    every config (all share the first one's sampling parameters).  Untabled,
+    each block is played and folded whole.  Tabled, a run-wide count of the
+    profiles picks each block's new ones, played first seen first (so a
+    fault is raised at the round that would raise it untabled), and each
+    distinct profile is folded once at the end, weighted by its count.
+    ``sink(start, block, profiles, plays)`` runs once per block: round
+    ``start + i`` has valuations ``block[i]``; ``plays`` holds each config's
+    ``(bids, winners, prices)`` over ``profiles``, the block untabled or its
+    new profiles tabled.  Returns the reports and the ranges ``_fold`` gave."""
     sampling = configs[0]
     sampling.check_budget(budget)
     rounds = sampling.n_rounds
     totals = [[0, 0, 0] for _ in configs]  # revenue, winner utility, efficient rounds
-    players = [(_player(config), total) for config, total in zip(configs, totals)]
+    players = list(map(_player, configs))
+    counts = Counter() if _tabled(sampling) else None  # each distinct profile's rounds
+    columns = [([], []) for _ in configs]  # tabled: winners and prices per distinct profile
+    spans = []
     for start in range(0, rounds, SAMPLE_BLOCK):
-        block = sample_valuations(sampling, start, min(start + SAMPLE_BLOCK, rounds))
-        tops = list(map(max, block))
-        plays = []
-        for play, total in players:
-            played = _, winners, prices = play(block)
-            values = list(map(getitem, block, winners))
-            revenue = sum(prices)
-            total[0] += revenue
-            total[1] += sum(values) - revenue
-            total[2] += sum(map(eq, values, tops))
-            plays.append(played)
+        block = profiles = sample_valuations(sampling, start, min(start + SAMPLE_BLOCK, rounds))
+        if counts is not None:
+            seen = len(counts)
+            counts.update(block)
+            profiles = list(counts)[seen:]
+        plays = [play(profiles) for play in players]
+        if counts is None:
+            spans.append(_fold(totals, block, [play[1:] for play in plays]))
+        else:
+            for (winners, prices), (_, new_winners, new_prices) in zip(columns, plays):
+                winners += new_winners
+                prices += new_prices
         if sink is not None:
-            sink(start, block, plays)
+            sink(start, block, profiles, plays)
+    if counts is not None:
+        spans.append(_fold(totals, list(counts), columns, list(counts.values())))
     return [SimReport(config, rounds, *(Fraction(value, rounds) for value in total))
-            for config, total in zip(configs, totals)]
+            for config, total in zip(configs, totals)], spans
 
 
 def run_experiment(config: ExperimentConfig, budget: int = DEFAULT_BUDGET) -> SimReport:
@@ -318,7 +341,7 @@ def run_experiment(config: ExperimentConfig, budget: int = DEFAULT_BUDGET) -> Si
     Integer sums divided once at the end; two runs with equal configs
     produce bit-identical reports.
     """
-    return _simulate([config], budget)[0]
+    return _simulate([config], budget)[0][0]
 
 
 class PairedReport(Record):
@@ -345,31 +368,24 @@ def compare_rules(
     config_b: ExperimentConfig,
     budget: int = DEFAULT_BUDGET,
 ) -> PairedReport:
-    """Run two configs on the same sampled valuation stream.
-
-    The configs must agree on every sampling parameter (bidders, rounds,
-    value bounds, seed) and may differ in rule, strategy, or tie-break.
+    """Run two configs on the same sampled valuation stream: they must agree
+    on every sampling parameter (bidders, rounds, value bounds, seed) and may
+    differ in rule, strategy, or tie-break.  The revenue difference range is
+    taken per block, or once over the distinct profiles of a tabled run.
     """
     for field in ("n_bidders", "n_rounds", "value_low", "value_high", "seed"):
         if getattr(config_a, field) != getattr(config_b, field):
             raise ValueError(f"mismatched sampling parameters: {field} differs "
                              f"({getattr(config_a, field)} vs {getattr(config_b, field)})")
-    lows, highs = [], []  # each block's least and greatest revenue difference
-
-    def track(start, block, plays):
-        diffs = list(map(sub, plays[0][2], plays[1][2]))
-        lows.append(min(diffs))
-        highs.append(max(diffs))
-
-    report_a, report_b = _simulate([config_a, config_b], budget, track)
+    (report_a, report_b), spans = _simulate([config_a, config_b], budget)
     return PairedReport(
         report_a=report_a,
         report_b=report_b,
         mean_revenue_diff=report_a.mean_revenue - report_b.mean_revenue,
         mean_winner_utility_diff=report_a.mean_winner_utility - report_b.mean_winner_utility,
         efficiency_rate_diff=report_a.efficiency_rate - report_b.efficiency_rate,
-        revenue_diff_min=min(lows),
-        revenue_diff_max=max(highs),
+        revenue_diff_min=min(low for low, _ in spans),
+        revenue_diff_max=max(high for _, high in spans),
     )
 
 
@@ -386,15 +402,19 @@ def write_rounds_csv(config: ExperimentConfig, stream: IO[str],
 
     Profile columns hold space-joined ticks so each round stays one row; no
     field ever needs CSV quoting, so rows are written as plain text, one
-    joined string per sampled block, the text after the round index built
-    once per distinct profile of a small space.  The header goes out with
-    the first block, so nothing is written when the budget refuses the run.
+    joined string per sampled block.  A tabled run builds the text after the
+    round index once per distinct profile and looks each round's up by its
+    valuation profile.  The header goes out with the first block, so nothing
+    is written when the budget refuses the run.
     """
-    row_text = cache(_row_text) if _tabled(config) else _row_text
+    tabled, texts = _tabled(config), {}  # tabled: each distinct profile's text
 
-    def write(start, block, plays):
-        texts = map(row_text, block, *plays[0])
-        rows = "".join(map("{},{}\n".format, range(start, start + len(block)), texts))
+    def write(start, block, profiles, plays):
+        rows = map(_row_text, profiles, *plays[0])
+        if tabled:
+            texts.update(zip(profiles, rows))
+            rows = map(texts.__getitem__, block)
+        rows = "".join(map("{},{}\n".format, range(start, start + len(block)), rows))
         stream.write(rows if start else "round,valuations,bids,winner,price\n" + rows)
 
-    return _simulate([config], budget, write)[0]
+    return _simulate([config], budget, write)[0][0]

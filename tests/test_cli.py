@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import time
 
@@ -416,6 +417,26 @@ class TestSimulate:
         assert kept.read_text(encoding="utf-8") == "earlier rows\n"
         assert not missing.exists()
         assert evaluations.profiles == []
+
+    @pytest.mark.parametrize("value_high, seed", [(7, 9), (8, 79)], ids=["tabled", "untabled"])
+    def test_a_faulting_round_exits_2_after_the_earlier_blocks(self, tmp_path, capsys,
+                                                               value_high, seed):
+        # The policy lacks the four-way tie, first drawn in the second block
+        # (round 419 tabled, 324 untabled): the first block's rows stay written.
+        choice = {",".join(map(str, ties)): ties[0] for size in range(1, 4)
+                  for ties in itertools.combinations(range(4), size)}
+        path = write_doc(tmp_path, "faulting.json", {
+            "n_bidders": 4, "n_rounds": 3 * simulate.SAMPLE_BLOCK, "value_low": 0,
+            "value_high": value_high, "seed": seed,
+            "policy": {"kind": "explicit", "choice": choice},
+        })
+        csv_path = tmp_path / "rounds.csv"
+        assert dispatch(["simulate", path, "--csv", str(csv_path)]) == EXIT_INVALID == 2
+        assert capsys.readouterr() == (
+            "", "error: explicit tie-break has no choice for argmax set [0, 1, 2, 3]\n")
+        lines = csv_path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1 + simulate.SAMPLE_BLOCK
+        assert lines[-1].startswith(f"{simulate.SAMPLE_BLOCK - 1},")
 
     def test_seed_flag_overrides_config(self, config_path, capsys):
         dispatch(["simulate", config_path, "--seed", "99", "--format=json"])

@@ -278,10 +278,11 @@ class TestRunExperiment:
 
     def test_records_are_built_only_for_a_sink(self, monkeypatch):
         # A sink is called once per sampled block with each config's play
-        # columns, (bids, winners, prices), not a record built per round: with
-        # the profile table on, the bids column holds one tuple per distinct profile.
-        sinks, blocks = [], []
-        real = simulate._simulate
+        # columns, (bids, winners, prices), not a record built per round.  With
+        # the profile table on, the columns cover only the block's profiles that
+        # no earlier block drew: one bids tuple, and one row text, per distinct profile.
+        sinks, blocks, texts = [], [], []
+        real, real_text = simulate._simulate, simulate._row_text
 
         def spying(configs, budget, sink=None):
             sinks.append(sink)
@@ -290,6 +291,8 @@ class TestRunExperiment:
             return real(configs, budget, lambda *args: blocks.append(args) or sink(*args))
 
         monkeypatch.setattr(simulate, "_simulate", spying)
+        monkeypatch.setattr(simulate, "_row_text",
+                            lambda *row: texts.append(row) or real_text(*row))
         report = run_experiment(config())
         assert sinks == [None]
         assert (report.mean_revenue, report.mean_winner_utility,
@@ -297,15 +300,19 @@ class TestRunExperiment:
         assert write_rounds_csv(config(), io.StringIO()) == report
         for cfg in (config(), config(n_rounds=2 * SAMPLE_BLOCK + 1)):
             blocks.clear()
+            texts.clear()
             write_rounds_csv(cfg, io.StringIO())
-            ranges = [(start, start + len(block)) for start, block, _ in blocks]
+            ranges = [(start, start + len(block)) for start, block, _, _ in blocks]
             assert tiles(ranges, cfg.n_rounds, SAMPLE_BLOCK)
             assert len(ranges) == -(-cfg.n_rounds // SAMPLE_BLOCK)
-            assert all(len(play) == 3 and all(len(column) == len(block) for column in play)
-                       for _, block, [play] in blocks)
-            bids = {id(profile): profile for _, _, [(column, _, _)] in blocks
+            assert all(len(play) == 3 and all(len(column) == len(profiles) for column in play)
+                       for _, _, profiles, [play] in blocks)
+            played = [profile for _, _, profiles, _ in blocks for profile in profiles]
+            distinct = {values for _, block, _, _ in blocks for values in block}
+            assert len(played) == len(set(played)) == len(distinct) == len(texts)
+            bids = {id(profile): profile for _, _, _, [(column, _, _)] in blocks
                     for profile in column}
-            assert len(bids) == len({values for _, block, _ in blocks for values in block})
+            assert len(bids) == len(distinct)
 
     def test_report_document_uses_rational_strings(self):
         doc = run_experiment(config()).to_dict()
@@ -370,6 +377,77 @@ class TestCsv:
         write_rounds_csv(config(n_rounds=4, strategy=Shade(1, 2)), buf)
         lines = buf.getvalue().splitlines()
         assert lines[1].split(",")[2] == "3 4 1"
+
+
+def csv_text(rounds):
+    """``write_rounds_csv``'s text for ``naive_rounds``."""
+    return "round,valuations,bids,winner,price\n" + "".join(
+        f"{index},{' '.join(map(str, values))},{' '.join(map(str, bids))},{winner},{price}\n"
+        for index, (values, bids, winner, price) in enumerate(rounds))
+
+
+def explicit_without(n_bidders, missing):
+    """An ``ExplicitChoice`` picking the first of every argmax set but ``missing``."""
+    return ExplicitChoice({ties: ties[0] for size in range(1, n_bidders + 1)
+                           for ties in combinations(range(n_bidders), size) if ties != missing})
+
+
+def first_uncovered(cfg):
+    """The first round of a truthful ``cfg`` whose argmax set its explicit
+    policy lacks, and the message ``outcome`` raises there, from ``mix64``."""
+    span = cfg.value_high - cfg.value_low + 1
+    for index in range(cfg.n_rounds):
+        bids = [cfg.value_low + mix64(cfg.seed, index, b) % span for b in range(cfg.n_bidders)]
+        ties = [b for b, bid in enumerate(bids) if bid == max(bids)]
+        if tuple(ties) not in cfg.policy.choice:
+            return index, f"explicit tie-break has no choice for argmax set {ties}"
+    return None
+
+
+class TestFaults:
+    """A round that faults stops the run at its block, with the message that
+    round's ``outcome`` gives, and leaves the CSV rows of the earlier blocks.
+    N = 4 over 3 blocks; values 0..7 keep a table (4,096 profiles) and 0..8
+    (6,561) do not.  The seeds put each first fault past the first block."""
+
+    FAULTING = {"tabled": dict(value_high=7, seed=9), "untabled": dict(value_high=8, seed=79)}
+
+    def faulting(self, sampling, missing=(0, 1, 2, 3), **overrides):
+        return config(**{"n_bidders": 4, "n_rounds": 3 * SAMPLE_BLOCK, **self.FAULTING[sampling],
+                         "policy": explicit_without(4, missing), **overrides})
+
+    @pytest.mark.parametrize("sampling", FAULTING)
+    def test_a_run_raises_the_first_faulting_rounds_message(self, sampling):
+        cfg = self.faulting(sampling)
+        index, message = first_uncovered(cfg)
+        assert index >= SAMPLE_BLOCK
+        with pytest.raises(ValueError) as raised:
+            run_experiment(cfg)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("sampling", FAULTING)
+    def test_the_csv_keeps_the_rows_before_the_faulting_block(self, sampling):
+        cfg = self.faulting(sampling)
+        index, message = first_uncovered(cfg)
+        written = index // SAMPLE_BLOCK * SAMPLE_BLOCK
+        buf = io.StringIO()
+        with pytest.raises(ValueError) as raised:
+            write_rounds_csv(cfg, buf)
+        assert str(raised.value) == message
+        prefix = self.faulting(sampling, n_rounds=written)
+        assert written and buf.getvalue() == csv_text(naive_rounds(prefix))
+
+    @pytest.mark.parametrize("sampling", FAULTING)
+    def test_the_first_config_faults_first_within_a_block(self, sampling):
+        # b lacks a three-way tie, which comes earlier in the same block than
+        # a's four-way one: a's block is played first.
+        cfg_a = self.faulting(sampling)
+        cfg_b = self.faulting(sampling, missing=(0, 1, 2), rule=FIRST)
+        (index_a, message), (index_b, _) = first_uncovered(cfg_a), first_uncovered(cfg_b)
+        assert index_b < index_a and index_b // SAMPLE_BLOCK == index_a // SAMPLE_BLOCK
+        with pytest.raises(ValueError) as raised:
+            compare_rules(cfg_a, cfg_b)
+        assert str(raised.value) == message
 
 
 def distinct_profiles(cfg):
@@ -448,6 +526,12 @@ class TestProfileTable:
                      strategy=Overbid(2), policy=Seeded(4)),
               config(n_rounds=2 * SAMPLE_BLOCK + 1, value_high=3, strategy=Shade(1, 2),
                      policy=LastIndex())])
+    # Four profiles over three blocks: each stands for over a hundred rounds,
+    # and the revenue difference range is taken over repeated profiles.
+    @example([config(n_bidders=2, n_rounds=2 * SAMPLE_BLOCK + 1, value_high=1, rule=FIRST,
+                     policy=Seeded(4)),
+              config(n_bidders=2, n_rounds=2 * SAMPLE_BLOCK + 1, value_high=1,
+                     strategy=Overbid(1), policy=LastIndex())])
     def test_matches_a_naive_per_round_recomputation(self, configs):
         cfg_a, cfg_b = configs
         rounds_a, rounds_b = naive_rounds(cfg_a), naive_rounds(cfg_b)
@@ -463,10 +547,7 @@ class TestProfileTable:
 
         buf = io.StringIO()
         assert write_rounds_csv(cfg_a, buf) == report
-        assert buf.getvalue() == "round,valuations,bids,winner,price\n" + "".join(
-            f"{index},{' '.join(map(str, values))},{' '.join(map(str, bids))},{winner},{price}\n"
-            for index, (values, bids, winner, price) in enumerate(rounds_a)
-        )
+        assert buf.getvalue() == csv_text(rounds_a)
 
     def test_the_limit_is_4096_profiles(self):
         assert PROFILE_TABLE_LIMIT == 4096
