@@ -121,12 +121,15 @@ def cmd_check(args) -> tuple[int, dict]:
     policies = _parse_policies(args.policies, args.seed, instance.n_bidders)
     deviations = args.deviations
     if deviations == "grid":
+        grid_min = args.grid_min or 0
         grid_max = args.grid_max
         if grid_max is None:
             grid_max = max(instance.valuations + instance.bids) + 1
-        if args.grid_min > grid_max:  # a negative bid is refused by check_instance
-            raise ValueError(f"grid range [{args.grid_min}, {grid_max}] is empty")
-        deviations = range(args.grid_min, grid_max + 1)
+        if grid_min > grid_max:  # a negative bid is refused by check_instance
+            raise ValueError(f"grid range [{grid_min}, {grid_max}] is empty")
+        deviations = range(grid_min, grid_max + 1)
+    elif args.grid_min is not None or args.grid_max is not None:
+        raise ValueError("--grid-min and --grid-max need --deviations grid")
 
     report = check_instance(instance, policies, args.rule, deviations, args.adversarial,
                             args.budget)
@@ -259,15 +262,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="deviation bids to try (default: %(default)s)",
     )
     p.add_argument(
-        "--grid-min", type=int, default=0,
-        help="lower bid for --deviations=grid; raising it above the opposing "
-             "bids restricts the run to winning deviations, which starves "
-             "the losing cases and trips the vacuity guard (default: 0)",
+        "--grid-min", type=int, default=None,
+        help="lower bid for --deviations=grid, refused without it; raising it "
+             "above the opposing bids restricts the run to winning deviations, "
+             "which starves the losing cases and trips the vacuity guard "
+             "(default: 0)",
     )
     p.add_argument(
         "--grid-max", type=int, default=None,
-        help="upper bid for --deviations=grid (default: highest tick in the "
-             "instance plus one)",
+        help="upper bid for --deviations=grid, refused without it (default: "
+             "highest tick in the instance plus one)",
     )
     p.set_defaults(handler=cmd_check)
 

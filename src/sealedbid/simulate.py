@@ -55,12 +55,9 @@ class Strategy(ABC):
     def bid(self, value: Money) -> Money:
         """Bid placed by a bidder whose value is ``value``."""
 
-    def describe(self) -> str:
-        """Stable label for reports: the strategy's ``kind`` unless it says more."""
-        return self.kind
-
     def to_dict(self) -> dict:
-        return {"kind": self.describe()}
+        """The document of a strategy that is not a ``Record``: its kind alone."""
+        return {"kind": self.kind}
 
 
 class Truthful(Record, Strategy):
@@ -83,13 +80,11 @@ class Shade(Record, Strategy):
         if self.numerator <= 0 or self.denominator <= 0:
             raise ValueError("shade factor needs positive numerator and denominator")
         if self.numerator >= self.denominator:
-            raise ValueError(f"shade factor must be below one (got {self.describe()})")
+            raise ValueError(f"shade factor must be below one "
+                             f"(got shade({self.numerator}/{self.denominator}))")
 
     def bid(self, value: Money) -> Money:
         return value * self.numerator // self.denominator
-
-    def describe(self) -> str:
-        return f"shade({self.numerator}/{self.denominator})"
 
 
 class Overbid(Record, Strategy):
@@ -104,9 +99,6 @@ class Overbid(Record, Strategy):
 
     def bid(self, value: Money) -> Money:
         return value + self.delta
-
-    def describe(self) -> str:
-        return f"overbid({self.delta})"
 
 
 def strategy_from_dict(doc: Mapping) -> Strategy:
@@ -254,24 +246,19 @@ def _tabled(config: ExperimentConfig) -> bool:
     return span ** min(config.n_bidders, PROFILE_TABLE_LIMIT.bit_length()) <= PROFILE_TABLE_LIMIT
 
 
-def _player(config: ExperimentConfig):
-    """``config``'s ``play(profiles) -> (bids, winners, prices)``: three
-    columns, one entry per valuation profile.  A tabled config is handed
-    each profile once per run and calls ``outcome`` on it; any other is
-    handed each block whole and calls ``outcomes`` once on its bids column.
+def _play(config: ExperimentConfig, profiles: Sequence[ValuationProfile], tabled: bool):
+    """``(bids, winners, prices)`` of ``profiles`` under ``config``: three
+    columns, one entry per valuation profile.  Tabled, ``profiles`` are a
+    block's profiles new to the run and each is played by ``outcome``;
+    untabled, they are the block and ``outcomes`` plays its bids column once.
     Each is looked up at each play, so a wrapper sees every real evaluation."""
     strategy, policy, rule = config.strategy, config.policy, config.rule
-    tabled = _tabled(config)
-
-    def play(profiles: Sequence[ValuationProfile]):
-        bids = profiles if type(strategy) is Truthful else [
-            apply_strategy(valuations, strategy) for valuations in profiles]
-        if not tabled:
-            return (bids, *outcomes(bids, policy, rule))
-        played = [outcome(profile, policy, rule) for profile in bids]
-        return bids, [winner for winner, _ in played], [price for _, price in played]
-
-    return play
+    bids = profiles if type(strategy) is Truthful else [
+        apply_strategy(valuations, strategy) for valuations in profiles]
+    if not tabled:
+        return (bids, *outcomes(bids, policy, rule))
+    played = [outcome(profile, policy, rule) for profile in bids]
+    return bids, [winner for winner, _ in played], [price for _, price in played]
 
 
 def _fold(totals, profiles, plays, weights=None):
@@ -297,39 +284,41 @@ def _fold(totals, profiles, plays, weights=None):
 def _simulate(configs: Sequence[ExperimentConfig], budget: int, sink=None):
     """The one round loop, a sampled block at a time (``sample_valuations``
     is looked up per block, so a wrapper sees every call), played under
-    every config (all share the first one's sampling parameters).  Untabled,
-    each block is played and folded whole.  Tabled, a run-wide count of the
-    profiles picks each block's new ones, played first seen first (so a
-    fault is raised at the round that would raise it untabled), and each
-    distinct profile is folded once at the end, weighted by its count.
+    every config (all share the first one's sampling parameters, so
+    ``_tabled`` is asked once, of the first).  Untabled, each block is
+    played and folded whole.  Tabled, a run-wide count of the profiles
+    picks each block's new ones, played first seen first (so a fault is
+    raised at the round that would raise it untabled), and each distinct
+    profile is folded once at the end, weighted by its count.
     ``sink(start, block, profiles, plays)`` runs once per block: round
     ``start + i`` has valuations ``block[i]``; ``plays`` holds each config's
-    ``(bids, winners, prices)`` over ``profiles``, the block untabled or its
-    new profiles tabled.  Returns the reports and the ranges ``_fold`` gave."""
+    ``(bids, winners, prices)`` over ``profiles``.  Untabled, ``profiles``
+    is ``block`` itself; tabled, it is a new list of the block's profiles
+    new to the run.  Returns the reports and the ranges ``_fold`` gave."""
     sampling = configs[0]
     sampling.check_budget(budget)
     rounds = sampling.n_rounds
     totals = [[0, 0, 0] for _ in configs]  # revenue, winner utility, efficient rounds
-    players = list(map(_player, configs))
-    counts = Counter() if _tabled(sampling) else None  # each distinct profile's rounds
+    tabled = _tabled(sampling)
+    counts = Counter()  # tabled: each distinct profile's rounds
     columns = [([], []) for _ in configs]  # tabled: winners and prices per distinct profile
     spans = []
     for start in range(0, rounds, SAMPLE_BLOCK):
         block = profiles = sample_valuations(sampling, start, min(start + SAMPLE_BLOCK, rounds))
-        if counts is not None:
+        if tabled:
             seen = len(counts)
             counts.update(block)
             profiles = list(counts)[seen:]
-        plays = [play(profiles) for play in players]
-        if counts is None:
-            spans.append(_fold(totals, block, [play[1:] for play in plays]))
-        else:
+        plays = [_play(config, profiles, tabled) for config in configs]
+        if tabled:
             for (winners, prices), (_, new_winners, new_prices) in zip(columns, plays):
                 winners += new_winners
                 prices += new_prices
+        else:
+            spans.append(_fold(totals, block, [play[1:] for play in plays]))
         if sink is not None:
             sink(start, block, profiles, plays)
-    if counts is not None:
+    if tabled:
         spans.append(_fold(totals, list(counts), columns, list(counts.values())))
     return [SimReport(config, rounds, *(Fraction(value, rounds) for value in total))
             for config, total in zip(configs, totals)], spans
@@ -402,16 +391,17 @@ def write_rounds_csv(config: ExperimentConfig, stream: IO[str],
 
     Profile columns hold space-joined ticks so each round stays one row; no
     field ever needs CSV quoting, so rows are written as plain text, one
-    joined string per sampled block.  A tabled run builds the text after the
-    round index once per distinct profile and looks each round's up by its
+    joined string per sampled block.  A tabled run, told apart by a sink
+    handed a list other than the block, builds the text after the round
+    index once per distinct profile and looks each round's up by its
     valuation profile.  The header goes out with the first block, so nothing
     is written when the budget refuses the run.
     """
-    tabled, texts = _tabled(config), {}  # tabled: each distinct profile's text
+    texts = {}  # tabled: each distinct profile's text
 
     def write(start, block, profiles, plays):
         rows = map(_row_text, profiles, *plays[0])
-        if tabled:
+        if profiles is not block:
             texts.update(zip(profiles, rows))
             rows = map(texts.__getitem__, block)
         rows = "".join(map("{},{}\n".format, range(start, start + len(block)), rows))

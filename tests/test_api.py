@@ -228,8 +228,9 @@ def renders_a_rational(node) -> bool:
 
 
 def test_the_rational_rule_is_written_in_one_function():
-    # Besides the "p/q" rule of every document, only the shade strategy's label.
-    assert functions_where(renders_a_rational) == {"core.Record.to_dict", "simulate.Shade.describe"}
+    # Besides the "p/q" rule of every document, only the shade strategy's refusal.
+    assert functions_where(renders_a_rational) == {"core.Record.to_dict",
+                                                   "simulate.Shade.__post_init__"}
 
 
 def test_only_the_tick_and_integer_field_rules_test_for_an_int():

@@ -288,6 +288,13 @@ class TestCheck:
         ])
         assert code == EXIT_INVALID
 
+    @pytest.mark.parametrize("flag", ["--grid-min", "--grid-max"])
+    def test_a_grid_flag_without_grid_deviations_is_refused(self, instance_path, flag, capsys):
+        # The critical deviations read neither bound, so a bound given is refused.
+        assert dispatch(["check", instance_path, flag, "-5"]) == EXIT_INVALID
+        assert capsys.readouterr() == ("", "error: --grid-min and --grid-max need "
+                                       "--deviations grid\n")
+
 
 class TestClassify:
     # instance: valuations (3, 6, 4), bids (3, 5, 4); bidder 1 wins at 5
@@ -320,6 +327,12 @@ class TestClassify:
         assert code == EXIT_INVALID
         assert captured.out == ""
         assert "negative tick" in captured.err
+
+    def test_two_policies_are_refused(self, instance_path, capsys):
+        code = dispatch(["classify", instance_path, "--bidder", "1", "--deviation", "2",
+                         "--policy", "first-index,last-index"])
+        assert code == EXIT_INVALID
+        assert capsys.readouterr() == ("", "error: exactly one policy expected here\n")
 
 
 class TestSimulate:
@@ -496,6 +509,15 @@ class TestReportFormat:
         dispatch(["dominance", "--n", "2", "--ticks", "3", "--format=json"])
         text = capsys.readouterr().out
         assert canonical_json(json.loads(text)) == text
+
+    @pytest.mark.parametrize("doc, fault", [
+        ({"a": 1.5}, "float at $.a breaks canonical output; use ticks or p/q"),
+        ({1: 2}, "non-string key 1 at $"),
+    ], ids=["float", "int-key"])
+    def test_a_document_without_one_canonical_form_is_refused(self, doc, fault):
+        with pytest.raises(TypeError) as info:
+            canonical_json(doc)
+        assert str(info.value) == fault
 
     def test_same_argv_same_bytes(self, capsys):
         argv = ["dominance", "--n", "2", "--ticks", "3", "--format=json"]

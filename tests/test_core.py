@@ -467,6 +467,11 @@ class TestSerialization:
         with pytest.raises(ValueError):
             policy_from_dict(doc)
 
+    def test_an_explicit_choice_must_be_an_integer(self):
+        with pytest.raises(ValueError) as info:
+            policy_from_dict({"kind": "explicit", "choice": {"0": "x"}})
+        assert str(info.value) == "explicit choice for '0' must be an integer"
+
     def test_counterexample_document_lists_its_profiles(self):
         found = Counterexample((1, 2), (1, 0), 1, 3, "first-index", 0, 1)
         assert found.to_dict() == {

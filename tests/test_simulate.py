@@ -19,6 +19,7 @@ from sealedbid.core import (
     PaymentRule,
     Seeded,
 )
+from sealedbid.reporting import canonical_json
 from sealedbid.seeding import MASK64, mix64
 from sealedbid.simulate import (
     PROFILE_TABLE_LIMIT,
@@ -26,6 +27,7 @@ from sealedbid.simulate import (
     ExperimentConfig,
     Overbid,
     Shade,
+    Strategy,
     Truthful,
     apply_strategy,
     compare_rules,
@@ -65,6 +67,9 @@ class TestStrategies:
             Shade(3, 2)
         with pytest.raises(ValueError):
             Shade(0, 2)
+        with pytest.raises(ValueError) as info:
+            Shade(3, 2)
+        assert str(info.value) == "shade factor must be below one (got shade(3/2))"
 
     def test_overbid_rejects_negative_delta(self):
         with pytest.raises(ValueError):
@@ -98,6 +103,17 @@ class TestStrategies:
         assert strategy.to_dict() == doc
         clone = strategy_from_dict(doc)
         assert clone == strategy and hash(clone) == hash(strategy)
+
+    def test_a_strategy_that_is_not_a_record_writes_its_kind(self):
+        class Halve(Strategy):
+            kind = "halve"
+
+            def bid(self, value):
+                return value // 2
+
+        report = run_experiment(config(strategy=Halve()))
+        assert report.to_dict()["config"]["strategy"] == {"kind": "halve"}
+        assert '"strategy":{"kind":"halve"}' in canonical_json(report.to_dict())
 
     @pytest.mark.parametrize("doc", [
         {"kind": "bluff"}, {"kind": "overbid"}, {"kind": "overbid", "delta": True},
@@ -275,6 +291,20 @@ class TestRunExperiment:
         monkeypatch.setattr(simulate, "check_budget", counted)
         run(config())
         assert asked == [(300, 10**7, "sampled values")]
+
+    @pytest.mark.parametrize("value_high", [9, 10**6], ids=["tabled", "untabled"])
+    @pytest.mark.parametrize("run", [
+        run_experiment,
+        lambda cfg: write_rounds_csv(cfg, io.StringIO()),
+        lambda cfg: compare_rules(cfg, cfg),
+    ], ids=["run_experiment", "write_rounds_csv", "compare_rules"])
+    def test_a_run_asks_the_profile_table_rule_once(self, monkeypatch, run, value_high):
+        asked = []
+        real = simulate._tabled
+        monkeypatch.setattr(simulate, "_tabled", lambda cfg: asked.append(cfg) or real(cfg))
+        cfg = config(value_high=value_high)
+        run(cfg)
+        assert asked == [cfg]
 
     def test_records_are_built_only_for_a_sink(self, monkeypatch):
         # A sink is called once per sampled block with each config's play

@@ -126,6 +126,11 @@ class TestCriticalDeviations:
 
 
 class TestCheckTruthfulness:
+    def test_opposing_bids_must_match_the_other_bidders(self):
+        with pytest.raises(ValueError) as info:
+            check_truthfulness((3, 6), (1, 2), 0, [FirstIndex()])
+        assert str(info.value) == "expected 1 opposing bids, got 2"
+
     def test_winning_truthful_beats_losing_deviation(self):
         results = check_truthfulness((5, 3, 1), (3, 1), 0, [FirstIndex()], SECOND, [0])
         row = results[0]
@@ -274,6 +279,15 @@ class TestDominance:
     def test_budget_guard_trips(self):
         with pytest.raises(BudgetExceededError):
             dominance_sweep(3, 4, budget=100)
+
+    @pytest.mark.parametrize("kwargs, fault", [
+        ({"deviations": "bogus"}, "unknown deviation mode 'bogus'"),
+        ({"policies": []}, "at least one tie-break policy is required"),
+    ], ids=["deviation-mode", "no-policy"])
+    def test_a_bad_argument_is_refused(self, kwargs, fault):
+        with pytest.raises(ValueError) as info:
+            dominance_sweep(2, 2, **kwargs)
+        assert str(info.value) == fault
 
     def test_report_document_shape(self):
         doc = dominance_sweep(2, 2).to_dict()
