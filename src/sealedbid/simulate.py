@@ -153,6 +153,11 @@ class ExperimentConfig(Record, label="config"):
             raise ValueError(fault)
         if fault := seed_violation(self.seed):
             raise ValueError(fault)
+        for name in ("strategy", "policy"):  # a report writes both: refuse one it cannot
+            try:
+                getattr(self, name).to_dict()
+            except AttributeError as error:  # a strategy or policy class with no kind
+                raise ValueError(f"{name} cannot be written to a report: {error}") from error
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ExperimentConfig":

@@ -222,7 +222,8 @@ class _Scope(NamedTuple):
     ``view_rows()`` yields, per opposing-bid vector in key order, ``(values,
     deviation bids, rows)``, a row per bidder: ``(bidder, truthful keys,
     truthful view row, deviated view row)``, a view per value and per
-    deviation bid (see ``_scope``); a cell pairs a truthful view with a
+    deviation bid (see ``_tables``), each source reading a bidder's truthful
+    views before its deviated ones; a cell pairs a truthful view with a
     deviated one.  ``templates`` maps a cell's class, (value, truthful view,
     deviated view), to its template's id in ``templates.values`` (see
     ``_template``).  The fold and the ordered scan share it, so each class's
@@ -235,14 +236,13 @@ class _Scope(NamedTuple):
     valuations: "ValuationProfile | None"
 
 
-def _scope(policies, rule, adversarial, blocks, valuations=None) -> _Scope:
-    """The scope of ``blocks()``: per opposing-bid vector in key order,
-    ``(values, deviation bids, blocks)``, a block per bidder ``(bidder,
-    truthful keys, deviated keys)``, a bid profile per value and per
-    deviation bid.  The outcome table maps a profile to one ``Outcome`` per
-    policy, each evaluated once per run.  It is keyed by profile alone
-    (``ExplicitChoice`` is unhashable), sound as every ``select`` is a pure
-    function of the bids.  A view is a bidder's price per policy if it wins, else None."""
+def _tables(policies, rule, adversarial):
+    """One scope's tables, as ``(view, templates)``: ``view(profiles, bidder)``
+    is the tuple of ``bidder``'s view ids of ``profiles``, in order.  The
+    outcome table maps a profile to one ``Outcome`` per policy, each
+    evaluated once per run.  It is keyed by profile alone (``ExplicitChoice``
+    is unhashable), sound as every ``select`` is a pure function of the bids.
+    A view is a bidder's price per policy if it wins, else None."""
     if not policies:
         raise ValueError("at least one tie-break policy is required")
 
@@ -262,65 +262,37 @@ def _scope(policies, rule, adversarial, blocks, valuations=None) -> _Scope:
         labels, paired, key[0], views.values[key[1]], views.values[key[2]]
     )]))
 
-    def view_rows():
-        for values, new_bids, group in blocks():
-            read = []
-            for bidder, truths, devs in group:
-                truth_views = tuple([views[table[key], bidder] for key in truths])
-                dev_views = truth_views if devs is truths else tuple([
-                    views[table[key], bidder] for key in devs
-                ])
-                read.append((bidder, truths, truth_views, dev_views))
-            yield values, new_bids, read
+    def view(profiles, bidder) -> tuple:
+        return tuple([views[table[key], bidder] for key in profiles])
 
-    return _Scope(view_rows, templates, valuations)
-
-
-def _grid_scope(n, grid, deviations, policies, rule, adversarial):
-    """The blocks of one bidder count: per opposing-bid vector, bidder b's
-    profile at bid x is ``_inserted(others, x, b)``.  Every bidder takes
-    every valuation in ``grid``, 0..T, and faces the same opposing bids, so
-    the same deviation bids, and over the full grid its deviated keys are
-    its truthful keys."""
-    shared = deviations(0) == grid
-
-    def blocks():
-        for others in product(grid, repeat=n - 1):
-            new_bids = deviations(max(others))
-            group = []
-            for b in range(n):
-                truths = tuple([_inserted(others, value, b) for value in grid])
-                devs = truths if shared else tuple([_inserted(others, bid, b) for bid in new_bids])
-                group.append((b, truths, devs))
-            yield grid, new_bids, group
-
-    return _scope(policies, rule, adversarial, blocks)
+    return view, templates
 
 
 def _instance_scope(valuations, bids, bidders, policies, rule, deviations, adversarial, budget):
     """Resolve the deviations and refuse a run over ``budget`` rows, both before
-    any work; then one block per cell, in (deviation bid, bidder) order.  The
+    any work; then one row per cell, in (deviation bid, bidder) order.  The
     two profiles are valid, as the caller checked them.  Bidder b, a valid
     index, has its opposing bids and truthful profile (``bids`` with b's bid
     set to its valuation, keyed by itself) built once; its deviation bids are
-    the rule's at its top opposing bid."""
+    the rule's at its top opposing bid.  A cell reads its truthful view first."""
     deviations = _deviation_set(deviations, budget)
     opposing = {b: bids[:b] + bids[b + 1:] for b in bidders}
-    truths = {b: _inserted(others, valuations[b], b) for b, others in opposing.items()}
+    truths = {b: (_inserted(others, valuations[b], b),) for b, others in opposing.items()}
     per_bidder = [deviations(max(opposing[b])) for b in bidders]
     rows = sum(_size(new_bids) for new_bids in per_bidder)
     check_budget(rows * pairing_count(policies, adversarial), budget, "evaluated tuples")
+    view, templates = _tables(policies, rule, adversarial)
 
-    def blocks():
+    def view_rows():
         # Each bidder's bids ascend, so the merge is in (deviation bid, bidder) order, lazily.
         from heapq import merge  # here: the grid commands never need it
 
         streams = [zip(new_bids, repeat(b)) for b, new_bids in zip(bidders, per_bidder)]
         for new_bid, b in merge(*streams):
-            deviated = _inserted(opposing[b], new_bid, b)
-            yield (valuations[b],), (new_bid,), [(b, (truths[b],), (deviated,))]
+            yield (valuations[b],), (new_bid,), [(b, truths[b], view(truths[b], b),
+                                                  view([_inserted(opposing[b], new_bid, b)], b))]
 
-    return _scope(policies, rule, adversarial, blocks, valuations=valuations)
+    return _Scope(view_rows, templates, valuations)
 
 
 def _template(labels, paired, value, truthful_view, deviated_view) -> list[tuple]:
@@ -379,10 +351,11 @@ def _first_failure(scopes) -> "Counterexample | None":
 
 def _grid_scopes(n_min, n_max, tick_bound, policies, rule, deviations, adversarial,
                  budget) -> Iterator[_Scope]:
-    """Check bounds and budget, then return one scope per N = n_min..n_max
-    over every opposing-bid vector in {0..tick_bound}^(N-1), every valuation
-    and every bidder, built lazily so that a finished N's tables are freed
-    before the next fills."""
+    """Check bounds and budget, then return one scope per N = n_min..n_max,
+    built lazily so that a finished N's tables are freed before the next
+    fills.  Per opposing-bid vector in {0..tick_bound}^(N-1), bidders in
+    order, bidder b reads its views of ``_inserted(others, x, b)`` at every
+    valuation x, then at every deviation bid x: over the full grid, the same."""
     if fault := bidder_count_violation(n_max):
         raise ValueError(fault)
     if fault := tick_violation("tick_bound", tick_bound):
@@ -402,8 +375,25 @@ def _grid_scopes(n_min, n_max, tick_bound, policies, rule, deviations, adversari
         if rows > budget:
             break
     check_budget(rows, budget, "evaluated tuples")
-    return (_grid_scope(n, grid, deviations, policy_set, rule, adversarial)
-            for n, policy_set in scopes)
+    shared = deviations(0) == grid
+
+    def scope(n, policy_set) -> _Scope:
+        view, templates = _tables(policy_set, rule, adversarial)
+
+        def view_rows():
+            for others in product(grid, repeat=n - 1):
+                new_bids, read = deviations(max(others)), []
+                for b in range(n):
+                    truths = tuple([_inserted(others, value, b) for value in grid])
+                    truth_views = view(truths, b)
+                    dev_views = truth_views if shared else view(
+                        [_inserted(others, bid, b) for bid in new_bids], b)
+                    read.append((b, truths, truth_views, dev_views))
+                yield grid, new_bids, read
+
+        return _Scope(view_rows, templates, None)
+
+    return (scope(n, policy_set) for n, policy_set in scopes)
 
 
 def _fold(scope: _Scope) -> VerificationReport:

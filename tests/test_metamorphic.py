@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sealedbid.core import FirstIndex, PaymentRule, Seeded
+from sealedbid.core import FirstIndex, LastIndex, PaymentRule, Seeded
 from sealedbid.simulate import ExperimentConfig, Shade, Truthful, compare_rules, run_experiment
+from sealedbid.verify import dominance_sweep
 
 # A span of 8 keeps every profile space within the profile table (8^4 = 4,096);
 # a span of 10^6 + 1 puts every one above it.
@@ -55,3 +56,40 @@ def test_shifting_every_value_shifts_truthful_second_price_revenue_alike(
     assert shifted.mean_revenue == base.mean_revenue + 1000
     assert shifted.mean_winner_utility == base.mean_winner_utility
     assert shifted.efficiency_rate == base.efficiency_rate
+
+
+def counts(report):
+    return report.pass_count, report.fail_count, report.case_counts
+
+
+@pytest.mark.parametrize("rule", PaymentRule)
+@pytest.mark.parametrize("n, ticks", [(2, 4), (3, 3), (4, 2)])
+def test_first_index_and_last_index_sweep_alike(n, ticks, rule):
+    # Reversing the bidder indices maps one policy onto the other, and the
+    # grid is closed under reversal, so every count is the same.
+    assert counts(dominance_sweep(n, ticks, [FirstIndex()], rule)) == (
+        counts(dominance_sweep(n, ticks, [LastIndex()], rule)))
+
+
+@pytest.mark.parametrize("adversarial", [True, False])
+@pytest.mark.parametrize("rule", PaymentRule)
+@pytest.mark.parametrize("n, ticks", [(2, 3), (3, 2), (3, 3), (4, 2)])
+def test_a_policy_list_sweeps_alike_in_either_order(n, ticks, rule, adversarial):
+    # The adversarial pairing takes a minimum and a maximum over the list, so
+    # only its label, not its utilities, depends on the order.
+    def sweep(policies):
+        return counts(dominance_sweep(n, ticks, policies, rule, adversarial=adversarial))
+
+    assert sweep([FirstIndex(), LastIndex()]) == sweep([LastIndex(), FirstIndex()])
+
+
+def test_first_price_fail_counts_are_a_polynomial_in_the_tick_bound():
+    # A sweep's rows fill a box of side T + 1 in N + 1 coordinates (opposing
+    # bids, value, deviation bid), and its counts grow as a polynomial of
+    # degree at most N + 1 in T: at N = 2 their 4th differences vanish.
+    fails = [dominance_sweep(2, ticks, [FirstIndex(), LastIndex()], PaymentRule.FIRST_PRICE)
+             .fail_count for ticks in range(7)]
+    assert fails == [0, 4, 18, 48, 100, 180, 294]
+    for _ in range(4):
+        fails = [b - a for a, b in zip(fails, fails[1:])]
+    assert fails == [0, 0, 0]

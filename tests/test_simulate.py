@@ -18,6 +18,7 @@ from sealedbid.core import (
     LastIndex,
     PaymentRule,
     Seeded,
+    TieBreakPolicy,
 )
 from sealedbid.reporting import canonical_json
 from sealedbid.seeding import MASK64, mix64
@@ -222,6 +223,20 @@ class TestExperimentConfig:
         assert cfg.to_dict() == doc
         clone = ExperimentConfig.from_dict(doc)
         assert clone == cfg and hash(clone) == hash(cfg) and repr(clone) == repr(cfg)
+
+    def test_refuses_a_strategy_or_policy_that_a_report_cannot_write(self):
+        class Halve(Strategy):  # no kind, so no document
+            def bid(self, value):
+                return value // 2
+
+        class Lowest(TieBreakPolicy):  # no kind and no describe, so no label
+            def select(self, bids):
+                return bids.index(max(bids))
+
+        with pytest.raises(ValueError, match=r"^strategy cannot be written to a report: .*'kind'"):
+            config(strategy=Halve())
+        with pytest.raises(ValueError, match=r"^policy cannot be written to a report: .*'kind'"):
+            config(policy=Lowest())
 
     def test_from_dict_defaults(self):
         cfg = ExperimentConfig.from_dict(

@@ -819,3 +819,24 @@ class TestMinimalOrder:
         dev, bidder, row = min(failures, key=lambda f: (f[0], f[1]))
         ce = report.counterexample
         assert (ce.deviation_bid, ce.bidder, ce.policy) == (dev, bidder, row.pairing)
+
+    # Each bidder's argmax sets of one, and no choice among ties, so the first
+    # profile a run evaluates with a tie names its argmax set in the refusal.
+    SINGLES = core.ExplicitChoice({(0,): 0, (1,): 1, (2,): 2})
+
+    @pytest.mark.parametrize("run", [
+        lambda p: check_instance(AuctionInstance((5, 5, 5), (5, 5, 5)), [p]),
+        lambda p: check_truthfulness((5, 5, 5), (5, 5), 0, [p]),
+        lambda p: dominance_sweep(3, 1, [p]),
+    ], ids=["check_instance", "check_truthfulness", "dominance_sweep"])
+    def test_a_cells_truthful_profile_is_evaluated_before_its_deviation(self, run):
+        # The deviation to 0 ties at [1, 2]: the truthful (5, 5, 5) ties at [0, 1, 2] first.
+        with pytest.raises(ValueError, match=r"argmax set \[0, 1, 2\]$"):
+            run(self.SINGLES)
+
+    @pytest.mark.parametrize("choice, first", [({}, "0, 1, 2"), ({(0, 1, 2): 0}, "0")])
+    def test_the_grid_reads_bidders_in_order_each_truthful_views_first(self, choice, first):
+        # At T = 0 bidder b's truthful profile is (0, 0, 0) and its deviation to 1 ties
+        # at [b]; a deviated view read first would name [0], a later bidder's its own.
+        with pytest.raises(ValueError, match=rf"argmax set \[{first}\]$"):
+            dominance_sweep(3, 0, [core.ExplicitChoice(choice)], deviations=[1])
