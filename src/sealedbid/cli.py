@@ -75,7 +75,7 @@ def _read_json(path: str) -> dict:
             doc = json.load(stream)
     except OSError as exc:
         raise InvalidInstanceError([f"cannot read {path}: {exc}"]) from None
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+    except (ValueError, RecursionError) as exc:  # undecodable text, or nested too deeply
         raise InvalidInstanceError([f"parse failure in {path}: {exc}"]) from None
     if not isinstance(doc, dict):
         raise InvalidInstanceError([f"top-level JSON object required in {path}"])

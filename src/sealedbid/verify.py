@@ -217,7 +217,7 @@ class _Interned(dict):
 
 
 class _Scope(NamedTuple):
-    """One policy list's share of a run.
+    """A run's one view-row source, template memo and valuations.
 
     ``view_rows()`` yields, per opposing-bid vector in key order, ``(values,
     deviation bids, rows)``, a row per bidder: ``(bidder, truthful keys,
@@ -320,26 +320,25 @@ def _template(labels, paired, value, truthful_view, deviated_view) -> list[tuple
             for u_truth, u_dev, won_truth, won_dev, label in rows]
 
 
-def _row_stream(scopes):
-    """``(scope, truthful key, rows)`` per cell, in key order (value,
-    deviation bid, bidder within each opposing-bid vector).  A cell's rows
-    are its class's template with bidder and bids filled in; the class is
-    (value, truthful view, deviated view), on which alone they depend."""
-    for scope in scopes:
-        templates, built = scope.templates, scope.templates.values
-        for values, new_bids, rows in scope.view_rows():
-            for i, value in enumerate(values):
-                for j, new_bid in enumerate(new_bids):
-                    for bidder, truths, truth_views, dev_views in rows:
-                        template = built[templates[value, truth_views[i], dev_views[j]]]
-                        yield scope, truths[i], [DeviationCheckResult(
-                            bidder, value, new_bid, u_truth, u_dev, case, passed, label
-                        ) for u_truth, u_dev, case, passed, label in template]
+def _row_stream(scope):
+    """``(truthful key, rows)`` per cell, in key order (value, deviation
+    bid, bidder within each opposing-bid vector).  A cell's rows are its
+    class's template with bidder and bids filled in; the class is (value,
+    truthful view, deviated view), on which alone they depend."""
+    templates, built = scope.templates, scope.templates.values
+    for values, new_bids, rows in scope.view_rows():
+        for i, value in enumerate(values):
+            for j, new_bid in enumerate(new_bids):
+                for bidder, truths, truth_views, dev_views in rows:
+                    template = built[templates[value, truth_views[i], dev_views[j]]]
+                    yield truths[i], [DeviationCheckResult(
+                        bidder, value, new_bid, u_truth, u_dev, case, passed, label
+                    ) for u_truth, u_dev, case, passed, label in template]
 
 
-def _first_failure(scopes) -> "Counterexample | None":
-    """The first failing row in key order, which is the minimal counterexample."""
-    for scope, truth, rows in _row_stream(scopes):
+def _first_failure(scope) -> "Counterexample | None":
+    """The scope's first failing row in key order, which is the minimal counterexample."""
+    for truth, rows in _row_stream(scope):
         for row in rows:
             if not row.passed:
                 return Counterexample(
@@ -349,38 +348,39 @@ def _first_failure(scopes) -> "Counterexample | None":
     return None
 
 
-def _grid_scopes(n_min, n_max, tick_bound, policies, rule, deviations, adversarial,
-                 budget) -> Iterator[_Scope]:
-    """Check bounds and budget, then return one scope per N = n_min..n_max,
-    built lazily so that a finished N's tables are freed before the next
-    fills.  Per opposing-bid vector in {0..tick_bound}^(N-1), bidders in
-    order, bidder b reads its views of ``_inserted(others, x, b)`` at every
-    valuation x, then at every deviation bid x: over the full grid, the same."""
+def _grid_scope(n_min, n_max, tick_bound, policies, rule, deviations, adversarial,
+                budget) -> _Scope:
+    """Check bounds and budget, then return the one scope of N = n_min..n_max.
+    No policies means ``standard_policies(n_max)``: its covering table picks
+    the same member of every argmax set for each smaller N.  One set of
+    tables serves every N, as profiles of different N differ in length and a
+    class does not depend on N.  Per N, then per opposing-bid vector in
+    {0..tick_bound}^(N-1), bidders in order, bidder b reads its views of
+    ``_inserted(others, x, b)`` at every valuation x, then at every
+    deviation bid x: over the full grid, the same."""
     if fault := bidder_count_violation(n_max):
         raise ValueError(fault)
     if fault := tick_violation("tick_bound", tick_bound):
         raise InvalidInstanceError([fault])
     grid = range(tick_bound + 1)
     deviations = _deviation_set(grid if deviations == "grid" else deviations, budget)
-    scopes, rows = [], 0
+    policies = standard_policies(n_max) if policies is None else policies
+    pairings, rows = pairing_count(policies, adversarial), 0
     for n in range(n_min, n_max + 1):
-        policy_set = policies if policies is not None else standard_policies(n)
-        scopes.append((n, policy_set))
         # Past the budget's bit length a power of 2 or more exceeds the budget
         # anyway; capping there keeps the refusal exact and the int small.
         opposing = (tick_bound + 1) ** min(n - 1, budget.bit_length() + 1)
         # Only the all-zero opposing vector has M = 0; a rule's size is equal for all M > 0.
         per_value = _size(deviations(0)) + (opposing - 1) * _size(deviations(1))
-        rows += _size(grid) * n * per_value * pairing_count(policy_set, adversarial)
+        rows += _size(grid) * n * per_value * pairings
         if rows > budget:
             break
     check_budget(rows, budget, "evaluated tuples")
     shared = deviations(0) == grid
+    view, templates = _tables(policies, rule, adversarial)
 
-    def scope(n, policy_set) -> _Scope:
-        view, templates = _tables(policy_set, rule, adversarial)
-
-        def view_rows():
+    def view_rows():
+        for n in range(n_min, n_max + 1):
             for others in product(grid, repeat=n - 1):
                 new_bids, read = deviations(max(others)), []
                 for b in range(n):
@@ -391,9 +391,7 @@ def _grid_scopes(n_min, n_max, tick_bound, policies, rule, deviations, adversari
                     read.append((b, truths, truth_views, dev_views))
                 yield grid, new_bids, read
 
-        return _Scope(view_rows, templates, None)
-
-    return (scope(n, policy_set) for n, policy_set in scopes)
+    return _Scope(view_rows, templates, None)
 
 
 def _fold(scope: _Scope) -> VerificationReport:
@@ -422,7 +420,7 @@ def _fold(scope: _Scope) -> VerificationReport:
                 pass_count += count
             else:
                 fail_count += count
-    first = _first_failure([scope]) if fail_count else None
+    first = _first_failure(scope) if fail_count else None
     return VerificationReport(pass_count, fail_count, counts, first)
 
 
@@ -458,7 +456,7 @@ def check_truthfulness(
         raise InvalidInstanceError(violations)
     scope = _instance_scope(valuations, _inserted(others, valuations[bidder], bidder), (bidder,),
                             policies, rule, deviations, adversarial, budget)
-    return [row for _, _, rows in _row_stream([scope]) for row in rows]
+    return [row for _, rows in _row_stream(scope) for row in rows]
 
 
 def check_instance(
@@ -492,10 +490,9 @@ def dominance_sweep(
     reported counterexample is the minimum under that key.  A run of more
     than ``budget`` rows is refused before any work.
     """
-    [scope] = _grid_scopes(
+    return _fold(_grid_scope(
         n_bidders, n_bidders, tick_bound, policies, rule, deviations, adversarial, budget
-    )
-    return _fold(scope)
+    ))
 
 
 def find_counterexample(
@@ -512,9 +509,10 @@ def find_counterexample(
     the order (N, opposing bids, bidder valuation, deviation bid, bidder
     index, pairing), so it is the lexicographic minimum under that order.
     Deviations range over 0..tick_bound; ``budget`` caps the whole search
-    space.  Output is a pure function of the arguments.
+    space; no policies means ``standard_policies(n_max)``.  Output is a
+    pure function of the arguments.
     """
     return _first_failure(
-        _grid_scopes(2, n_max, tick_bound, policies, rule, "grid", adversarial, budget)
+        _grid_scope(2, n_max, tick_bound, policies, rule, "grid", adversarial, budget)
     )
 

@@ -4,6 +4,7 @@ import contextlib
 import io
 import itertools
 import json
+import sys
 import time
 
 import pytest
@@ -188,6 +189,27 @@ class TestExitCodes:
             assert json.loads(out)["valid"] is False
         else:
             assert out == ""
+
+    @pytest.mark.parametrize("command", ["validate", "check", "simulate"])
+    @pytest.mark.parametrize("content", [
+        b'{"valuations": [3, 6], "bids": [3, \xff]}',
+        pytest.param(
+            b'{"valuations": [' + b"9" * 4301 + b', 6], "bids": [3, 5]}',
+            marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                     reason="int has no digit cap")),
+    ], ids=["non-utf8", "vast-int"])
+    def test_an_undecodable_document_is_a_parse_failure_of_its_path(
+            self, command, content, tmp_path, capsys):
+        path = tmp_path / "undecodable.json"
+        path.write_bytes(content)
+        code = dispatch([command, str(path), "--format=json"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_INVALID
+        if command == "validate":
+            [violation] = json.loads(out)["violations"]
+            assert violation.startswith(f"parse failure in {path}: ")
+        else:
+            assert out == "" and err.startswith(f"error: parse failure in {path}: ")
 
     def test_unrenderable_report_is_invalid(self, tmp_path, capsys):
         # M + 1 of a 4300-digit bid has more digits than int -> str allows

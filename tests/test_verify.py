@@ -330,6 +330,60 @@ class TestFindCounterexample:
         with pytest.raises(BudgetExceededError):
             find_counterexample(FIRST, 3, 4, budget=50)
 
+    def test_a_search_builds_one_table_set_and_one_covering(self, monkeypatch):
+        calls = Counter()
+        real_tables, real_covering = verify._tables, core.ExplicitChoice.covering
+
+        def tables(*args):
+            calls["tables"] += 1
+            return real_tables(*args)
+
+        def covering(cls, n_bidders):
+            calls["covering"] += 1
+            return real_covering(n_bidders)
+
+        monkeypatch.setattr(verify, "_tables", tables)
+        monkeypatch.setattr(core.ExplicitChoice, "covering", classmethod(covering))
+        assert find_counterexample(SECOND, 4, 1) is None
+        assert calls == {"tables": 1, "covering": 1}
+
+    def test_more_than_sixteen_bidders_outgrow_the_default_covering(self):
+        # the covering table is built before the budget, as the CLI's falsify builds it
+        with pytest.raises(ValueError) as info:
+            find_counterexample(FIRST, 17, 1)
+        assert str(info.value) == "covering table supports 2 <= N <= 16 (got 17)"
+
+
+class TestCoveringForMoreBidders:
+    """A covering table for M >= N bidders decides every N-bidder argmax set
+    as the N-bidder table does, so one table serves a search's every N."""
+
+    @pytest.mark.parametrize("adversarial", [True, False], ids=["adversarial", "plain"])
+    @pytest.mark.parametrize("rule", [SECOND, FIRST], ids=lambda rule: rule.value)
+    @pytest.mark.parametrize("n_bidders, tick_bound", [
+        (n, t) for n in (2, 3, 4) for t in range(4 if n < 4 else 3)
+    ])
+    def test_a_sweep_decides_alike(self, n_bidders, tick_bound, rule, adversarial):
+        expected = dominance_sweep(n_bidders, tick_bound, rule=rule, adversarial=adversarial)
+        for m in range(n_bidders, 7):
+            report = dominance_sweep(n_bidders, tick_bound, standard_policies(m), rule,
+                                     adversarial=adversarial)
+            assert report.to_dict() == expected.to_dict()
+
+    @pytest.mark.parametrize("adversarial", [True, False], ids=["adversarial", "plain"])
+    @pytest.mark.parametrize("rule", [SECOND, FIRST], ids=lambda rule: rule.value)
+    @pytest.mark.parametrize("n_max, tick_bound", [(2, 3), (3, 2), (4, 1)])
+    def test_a_search_finds_the_first_failing_sweep_of_its_own_n(
+            self, n_max, tick_bound, rule, adversarial):
+        # the CLI's falsify passes standard_policies(n_max), the default
+        found = find_counterexample(rule, n_max, tick_bound, standard_policies(n_max),
+                                    adversarial)
+        assert found == find_counterexample(rule, n_max, tick_bound, adversarial=adversarial)
+        per_n = (dominance_sweep(n, tick_bound, standard_policies(n), rule,
+                                 adversarial=adversarial).counterexample
+                 for n in range(2, n_max + 1))
+        assert found == next((ce for ce in per_n if ce is not None), None)
+
 
 @st.composite
 def sweeps(draw):
@@ -537,24 +591,22 @@ def grid_rows(n_bidders, ticks, values, bidders, deviations, pairings=5):
 
 def search_classes(rule, n_max, tick_bound):
     """Distinct (value, truthful view, deviated view) classes of an
-    exhausted search, counted per N from ``outcome`` alone: a bidder's view
-    of a profile is, per standard policy, the price it pays if it wins,
-    else None."""
-    total = 0
-    for n_bidders in range(2, n_max + 1):
-        policies = standard_policies(n_bidders)
+    exhausted search, counted over every N from ``outcome`` alone: a
+    bidder's view of a profile is, per policy of ``standard_policies(n_max)``,
+    the price it pays if it wins, else None."""
+    policies = standard_policies(n_max)
 
-        def view(bids, bidder):
-            results = (outcome(bids, policy, rule) for policy in policies)
-            return tuple(o.price if o.winner == bidder else None for o in results)
+    def view(bids, bidder):
+        results = (outcome(bids, policy, rule) for policy in policies)
+        return tuple(o.price if o.winner == bidder else None for o in results)
 
-        total += len({
-            (bids[b], view(bids, b), view(deviation_profile(bids, b, dev), b))
-            for bids in product(range(tick_bound + 1), repeat=n_bidders)
-            for b in range(n_bidders)
-            for dev in range(tick_bound + 1)
-        })
-    return total
+    return len({
+        (bids[b], view(bids, b), view(deviation_profile(bids, b, dev), b))
+        for n_bidders in range(2, n_max + 1)
+        for bids in product(range(tick_bound + 1), repeat=n_bidders)
+        for b in range(n_bidders)
+        for dev in range(tick_bound + 1)
+    })
 
 
 INSTANCE = AuctionInstance((5, 3, 7, 2), (4, 3, 6, 2))
