@@ -219,16 +219,13 @@ class _Interned(dict):
 class _Scope(NamedTuple):
     """A run's one view-row source, template memo and valuations.
 
-    ``view_rows()`` yields, per opposing-bid vector in key order, ``(values,
-    deviation bids, rows)``, a row per bidder: ``(bidder, truthful keys,
-    truthful view row, deviated view row)``, a view per value and per
-    deviation bid (see ``_tables``), each source reading a bidder's truthful
-    views before its deviated ones; a cell pairs a truthful view with a
-    deviated one.  ``templates`` maps a cell's class, (value, truthful view,
-    deviated view), to its template's id in ``templates.values`` (see
-    ``_template``).  The fold and the ordered scan share it, so each class's
-    template is computed once.  ``valuations`` None means every bidder
-    values what it bids.
+    ``view_rows()`` yields ``(values, deviation bids, rows)`` per group of
+    cells in key order, a row per cell: ``(bidder, truthful keys, truthful
+    view row, deviated view row)`` (see ``_scope``).  ``templates`` maps a
+    comparison's class, (value, truthful view, deviated view), to its
+    template's id in ``templates.values`` (see ``_template``).  The fold and
+    the ordered scan share it, so each class's template is computed once.
+    ``valuations`` None means every bidder values what it bids.
     """
 
     view_rows: Callable[[], Iterator[tuple]]
@@ -236,13 +233,21 @@ class _Scope(NamedTuple):
     valuations: "ValuationProfile | None"
 
 
-def _tables(policies, rule, adversarial):
-    """One scope's tables, as ``(view, templates)``: ``view(profiles, bidder)``
-    is the tuple of ``bidder``'s view ids of ``profiles``, in order.  The
-    outcome table maps a profile to one ``Outcome`` per policy, each
-    evaluated once per run.  It is keyed by profile alone (``ExplicitChoice``
-    is unhashable), sound as every ``select`` is a pure function of the bids.
-    A view is a bidder's price per policy if it wins, else None."""
+def _scope(groups, rows, budget, policies, rule, adversarial, valuations=None,
+           shared=False) -> _Scope:
+    """Refuse a run over ``budget`` (it has ``rows`` rows), then an empty
+    policy list, both before any work; then return the run's one scope.
+    ``groups()`` yields ``(values, deviation bids, cells)`` in key order, a
+    cell being ``(bidder, opposing bids)``.  A cell's bidder reads its views
+    of ``_inserted(others, x, bidder)`` at every value x, then at every
+    deviation bid x, or reuses the first when ``shared`` (the two are equal).
+    ``view(profiles, bidder)`` is the tuple of ``bidder``'s view ids of
+    ``profiles``.  The outcome table maps a profile to one ``Outcome`` per
+    policy, each evaluated once per run.  It is keyed by profile alone
+    (``ExplicitChoice`` is unhashable), sound as every ``select`` is a pure
+    function of the bids.  A view is a bidder's price per policy if it wins,
+    else None."""
+    check_budget(rows, budget, "evaluated tuples")
     if not policies:
         raise ValueError("at least one tie-break policy is required")
 
@@ -257,42 +262,45 @@ def _tables(policies, rule, adversarial):
     ]))
     labels = [policy.describe() for policy in policies]
     paired = pairing_count(policies, adversarial) > len(policies)
-    rows = {}  # equal rows of different templates share one tuple
-    templates = _Interned(lambda key: tuple([rows.setdefault(row, row) for row in _template(
+    shares = {}  # equal rows of different templates share one tuple
+    templates = _Interned(lambda key: tuple([shares.setdefault(row, row) for row in _template(
         labels, paired, key[0], views.values[key[1]], views.values[key[2]]
     )]))
 
     def view(profiles, bidder) -> tuple:
         return tuple([views[table[key], bidder] for key in profiles])
 
-    return view, templates
-
-
-def _instance_scope(valuations, bids, bidders, policies, rule, deviations, adversarial, budget):
-    """Resolve the deviations and refuse a run over ``budget`` rows, both before
-    any work; then one row per cell, in (deviation bid, bidder) order.  The
-    two profiles are valid, as the caller checked them.  Bidder b, a valid
-    index, has its opposing bids and truthful profile (``bids`` with b's bid
-    set to its valuation, keyed by itself) built once; its deviation bids are
-    the rule's at its top opposing bid.  A cell reads its truthful view first."""
-    deviations = _deviation_set(deviations, budget)
-    opposing = {b: bids[:b] + bids[b + 1:] for b in bidders}
-    truths = {b: (_inserted(others, valuations[b], b),) for b, others in opposing.items()}
-    per_bidder = [deviations(max(opposing[b])) for b in bidders]
-    rows = sum(_size(new_bids) for new_bids in per_bidder)
-    check_budget(rows * pairing_count(policies, adversarial), budget, "evaluated tuples")
-    view, templates = _tables(policies, rule, adversarial)
-
     def view_rows():
+        for values, new_bids, cells in groups():
+            read = []
+            for b, others in cells:
+                truths = tuple([_inserted(others, value, b) for value in values])
+                truth_views = view(truths, b)
+                dev_views = truth_views if shared else view(
+                    [_inserted(others, bid, b) for bid in new_bids], b)
+                read.append((b, truths, truth_views, dev_views))
+            yield values, new_bids, read
+
+    return _Scope(view_rows, templates, valuations)
+
+
+def _instance_scope(valuations, opposing, policies, rule, deviations, adversarial, budget):
+    """Resolve the deviations, then return the scope of an instance:
+    ``opposing`` maps each bidder, a valid index, to its opposing bids, and
+    its deviation bids are the rule's at their top.  A group is one cell, in
+    (deviation bid, bidder) order; the caller checked every profile."""
+    deviations = _deviation_set(deviations, budget)
+    per_bidder = {b: deviations(max(others)) for b, others in opposing.items()}
+    rows = pairing_count(policies, adversarial) * sum(map(_size, per_bidder.values()))
+
+    def groups():
         # Each bidder's bids ascend, so the merge is in (deviation bid, bidder) order, lazily.
         from heapq import merge  # here: the grid commands never need it
 
-        streams = [zip(new_bids, repeat(b)) for b, new_bids in zip(bidders, per_bidder)]
-        for new_bid, b in merge(*streams):
-            yield (valuations[b],), (new_bid,), [(b, truths[b], view(truths[b], b),
-                                                  view([_inserted(opposing[b], new_bid, b)], b))]
+        for d, b in merge(*[zip(new_bids, repeat(b)) for b, new_bids in per_bidder.items()]):
+            yield (valuations[b],), (d,), [(b, opposing[b])]
 
-    return _Scope(view_rows, templates, valuations)
+    return _scope(groups, rows, budget, policies, rule, adversarial, valuations)
 
 
 def _template(labels, paired, value, truthful_view, deviated_view) -> list[tuple]:
@@ -350,14 +358,13 @@ def _first_failure(scope) -> "Counterexample | None":
 
 def _grid_scope(n_min, n_max, tick_bound, policies, rule, deviations, adversarial,
                 budget) -> _Scope:
-    """Check bounds and budget, then return the one scope of N = n_min..n_max.
-    No policies means ``standard_policies(n_max)``: its covering table picks
+    """Check bounds, then return the one scope of N = n_min..n_max.  No
+    policies means ``standard_policies(n_max)``: its covering table picks
     the same member of every argmax set for each smaller N.  One set of
     tables serves every N, as profiles of different N differ in length and a
-    class does not depend on N.  Per N, then per opposing-bid vector in
-    {0..tick_bound}^(N-1), bidders in order, bidder b reads its views of
-    ``_inserted(others, x, b)`` at every valuation x, then at every
-    deviation bid x: over the full grid, the same."""
+    class does not depend on N.  A group is, per N, one opposing-bid vector
+    in {0..tick_bound}^(N-1), its cells every bidder in order, its values
+    the whole grid."""
     if fault := bidder_count_violation(n_max):
         raise ValueError(fault)
     if fault := tick_violation("tick_bound", tick_bound):
@@ -375,23 +382,13 @@ def _grid_scope(n_min, n_max, tick_bound, policies, rule, deviations, adversaria
         rows += _size(grid) * n * per_value * pairings
         if rows > budget:
             break
-    check_budget(rows, budget, "evaluated tuples")
-    shared = deviations(0) == grid
-    view, templates = _tables(policies, rule, adversarial)
 
-    def view_rows():
+    def groups():
         for n in range(n_min, n_max + 1):
             for others in product(grid, repeat=n - 1):
-                new_bids, read = deviations(max(others)), []
-                for b in range(n):
-                    truths = tuple([_inserted(others, value, b) for value in grid])
-                    truth_views = view(truths, b)
-                    dev_views = truth_views if shared else view(
-                        [_inserted(others, bid, b) for bid in new_bids], b)
-                    read.append((b, truths, truth_views, dev_views))
-                yield grid, new_bids, read
+                yield grid, deviations(max(others)), [(b, others) for b in range(n)]
 
-    return _Scope(view_rows, templates, None)
+    return _scope(groups, rows, budget, policies, rule, adversarial, shared=deviations(0) == grid)
 
 
 def _fold(scope: _Scope) -> VerificationReport:
@@ -454,8 +451,8 @@ def check_truthfulness(
     # Each tick is named by the caller's argument, not by the profile built from them.
     if violations := tick_violations("valuations", valuations) + tick_violations("others", others):
         raise InvalidInstanceError(violations)
-    scope = _instance_scope(valuations, _inserted(others, valuations[bidder], bidder), (bidder,),
-                            policies, rule, deviations, adversarial, budget)
+    scope = _instance_scope(valuations, {bidder: others}, policies, rule, deviations,
+                            adversarial, budget)
     return [row for _, rows in _row_stream(scope) for row in rows]
 
 
@@ -472,8 +469,10 @@ def check_instance(
     ``deviations`` is "critical" (each bidder's own critical set) or an
     iterable shared by all bidders.  Cells run in (deviation bid, bidder,
     pairing) order, so the counterexample is minimal under that key."""
-    return _fold(_instance_scope(instance.valuations, instance.bids, range(instance.n_bidders),
-                                 policies, rule, deviations, adversarial, budget))
+    bids = instance.bids
+    opposing = {b: bids[:b] + bids[b + 1:] for b in range(instance.n_bidders)}
+    return _fold(_instance_scope(instance.valuations, opposing, policies, rule, deviations,
+                                 adversarial, budget))
 
 
 def dominance_sweep(

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sealedbid.core import FirstIndex, LastIndex, PaymentRule, Seeded
+from sealedbid.core import (
+    AuctionInstance, ExplicitChoice, FirstIndex, LastIndex, PaymentRule, Seeded,
+)
 from sealedbid.simulate import ExperimentConfig, Shade, Truthful, compare_rules, run_experiment
-from sealedbid.verify import dominance_sweep
+from sealedbid.verify import check_instance, dominance_sweep
 
 # A span of 8 keeps every profile space within the profile table (8^4 = 4,096);
 # a span of 10^6 + 1 puts every one above it.
@@ -93,3 +95,61 @@ def test_first_price_fail_counts_are_a_polynomial_in_the_tick_bound():
     for _ in range(4):
         fails = [b - a for a, b in zip(fails, fails[1:])]
     assert fails == [0, 0, 0]
+
+
+@st.composite
+def scalable_instances(draw):
+    # Seeded is left out: it hashes the bid text, so scaling can move its pick
+    # among tied bids.  The other policies read only the argmax set.
+    n = draw(st.integers(min_value=2, max_value=4))
+    ticks = st.lists(st.integers(min_value=0, max_value=4), min_size=n, max_size=n)
+    policies = draw(st.permutations([FirstIndex(), LastIndex(), ExplicitChoice.covering(n)]))
+    return draw(ticks), draw(ticks), policies[:draw(st.integers(min_value=1, max_value=3))]
+
+
+@pytest.mark.parametrize("adversarial", [True, False])
+@settings(max_examples=150, deadline=None)
+@given(instance=scalable_instances(), k=st.integers(min_value=2, max_value=5),
+       grid=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=4))
+def test_scaling_an_instance_by_k_keeps_its_cases_and_second_price_verdicts(
+        instance, k, grid, adversarial):
+    # Scaling every valuation and bid by k keeps every argmax set, so every
+    # win/lose status; the critical set {0, M, M + 1} becomes {0, kM, kM + 1},
+    # which sits the same way against kM.  Under second price each utility
+    # scales by k, so each verdict holds too.  First-price pass and fail counts
+    # are left out: the deviation M + 1 pays M + 1, and kM + 1 is not k(M + 1).
+    valuations, bids, policies = instance
+
+    def report(scale, rule, deviations="critical"):
+        scaled = AuctionInstance([scale * v for v in valuations], [scale * b for b in bids])
+        return check_instance(scaled, policies, rule, deviations, adversarial)
+
+    for rule in PaymentRule:
+        assert report(k, rule).case_counts == report(1, rule).case_counts
+    second = PaymentRule.SECOND_PRICE
+    assert counts(report(k, second)) == counts(report(1, second))
+    assert report(k, second, [k * d for d in grid]).to_dict() == (
+        report(1, second, grid).to_dict())
+
+
+def mirrored(table, n):
+    return ExplicitChoice({tuple(n - 1 - b for b in ties): n - 1 - pick
+                           for ties, pick in table.choice.items()})
+
+
+@pytest.mark.parametrize("adversarial", [True, False])
+@pytest.mark.parametrize("rule", PaymentRule)
+@pytest.mark.parametrize("n, ticks", [(2, 4), (3, 3), (4, 2)])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_an_explicit_table_and_its_mirror_sweep_alike(n, ticks, rule, adversarial, data):
+    # Reversing the bidder indices maps a table onto its mirror, and
+    # FirstIndex onto LastIndex, and the grid is closed under reversal.
+    table = ExplicitChoice({ties: data.draw(st.sampled_from(ties))
+                            for ties in ExplicitChoice.covering(n).choice})
+
+    def sweep(policies):
+        return counts(dominance_sweep(n, ticks, policies, rule, adversarial=adversarial))
+
+    assert sweep([table]) == sweep([mirrored(table, n)])
+    assert sweep([table, FirstIndex()]) == sweep([mirrored(table, n), LastIndex()])

@@ -332,17 +332,17 @@ class TestFindCounterexample:
 
     def test_a_search_builds_one_table_set_and_one_covering(self, monkeypatch):
         calls = Counter()
-        real_tables, real_covering = verify._tables, core.ExplicitChoice.covering
+        real_scope, real_covering = verify._scope, core.ExplicitChoice.covering
 
-        def tables(*args):
+        def scope(*args, **kwargs):
             calls["tables"] += 1
-            return real_tables(*args)
+            return real_scope(*args, **kwargs)
 
         def covering(cls, n_bidders):
             calls["covering"] += 1
             return real_covering(n_bidders)
 
-        monkeypatch.setattr(verify, "_tables", tables)
+        monkeypatch.setattr(verify, "_scope", scope)
         monkeypatch.setattr(core.ExplicitChoice, "covering", classmethod(covering))
         assert find_counterexample(SECOND, 4, 1) is None
         assert calls == {"tables": 1, "covering": 1}
