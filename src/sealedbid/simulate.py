@@ -13,6 +13,7 @@ import struct
 from abc import ABC, abstractmethod
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from operator import eq, getitem, mul, sub
 from typing import IO, Mapping, Sequence
 
@@ -172,12 +173,10 @@ class ExperimentConfig(Record, label="config"):
         check_budget(self.n_rounds * self.n_bidders, budget, "sampled values")
 
 
-# The rounds that one ``sample_valuations`` call in the round loop draws.  Each
-# splitmix64 step then runs on one 4 KiB integer; a longer block saves little
-# time per round and adds to peak memory (about 0.5 MiB at 1,024 rounds).
+# The rounds that one sampler call in the round loop draws.  Each splitmix64
+# step then runs on one 4 KiB integer; a longer block saves little time per
+# round and adds to peak memory (about 0.5 MiB at 1,024 rounds).
 SAMPLE_BLOCK = 256
-
-_LANE_ONE = (1).to_bytes(16, "little")  # one 128-bit lane holding the word 1
 
 
 def _lanes(words) -> int:
@@ -185,7 +184,38 @@ def _lanes(words) -> int:
     return int.from_bytes(b"".join(word.to_bytes(16, "little") for word in words), "little")
 
 
-LANE_INDEX = _lanes(range(SAMPLE_BLOCK))  # lane r holds r
+@lru_cache(maxsize=2)  # a run's full block and its last one
+def _lane_constants(count: int) -> tuple[int, int, int, int]:
+    """``ones``, holding 1 in each of ``count`` 128-bit lanes; the mask and
+    increment repeated in each; and the lanes of ``range(count)``."""
+    ones = int.from_bytes((1).to_bytes(16, "little") * count, "little")
+    return ones, ones * MASK64, ones * GOLDEN, _lanes(range(count))
+
+
+def _offset_lanes(config: ExperimentConfig, start: int, stop: int):
+    """For rounds ``start..stop-1``, an iterator of one integer per bidder,
+    made when it is reached, whose 128-bit lane i holds the bidder's offset
+    ``mix64(seed, start + i, b) % span``."""
+    if not 0 <= start <= stop <= 1 << 64:
+        raise ValueError(f"round range {start}..{stop} outside 0 <= start <= stop <= 2**64")
+    ones, mask, golden, index = _lane_constants(stop - start)
+    prefix = splitmix64((start * ones + index) ^ mix64(config.seed) * ones, mask, golden)
+    words = (splitmix64(prefix ^ bidder * ones, mask, golden)
+             for bidder in range(config.n_bidders))
+    span = config.value_high - config.value_low + 1
+    if span & span - 1 == 0:  # a power of 2, 2^64 among them
+        return (word & ones * (span - 1) for word in words)
+    shift = 63 + span.bit_length()  # 64 + l
+    multiplier, step = -(-(1 << shift) // span), 0  # m, rounded up
+    if multiplier * span - (1 << shift) > 1 << shift - 64:
+        multiplier, step = multiplier - 1, ones  # rounded down, on w + 1
+    low_bits = ones * ((1 << 128 - shift) - 1)
+    return (word - ((word + step) * multiplier >> shift & low_bits) * span for word in words)
+
+
+def _words(lanes: int, count: int) -> tuple[int, ...]:
+    """The low words of the first ``count`` 128-bit lanes of ``lanes``."""
+    return struct.unpack("<" + "Q8x" * count, lanes.to_bytes(16 * count, "little"))
 
 
 def sample_valuations(config: ExperimentConfig, start: int, stop: int) -> list[ValuationProfile]:
@@ -197,28 +227,43 @@ def sample_valuations(config: ExperimentConfig, start: int, stop: int) -> list[V
     increment, steps the whole block at once.  One step on ``head ^ r``,
     where the chain head ``mix64(seed)`` is computed once per call, gives
     every round's prefix ``mix64(seed, r)``; one on ``prefix ^ b`` gives
-    bidder b's draws.  A round index is below 2^64, so each lane holds a
+    bidder b's words w.  A round index is below 2^64, so each lane holds a
     word, as the lane-wise step requires.
 
-    The round lanes are ``start * ones + LANE_INDEX``, cut to the block; a
-    range longer than ``SAMPLE_BLOCK`` builds its own index.
+    One bidder at a time, the words are reduced mod span in their lanes,
+    exactly: a power-of-2 span is a lane mask; otherwise, with ``l =
+    floor(log2 span)`` and ``m = ceil(2^(64+l) / span)``, the quotient is
+    ``q = (w * m) >> (64 + l)`` when ``m * span - 2^(64+l) <= 2^l``, else
+    ``((w + 1) * (m - 1)) >> (64 + l)``, and the offset ``w - q * span``.
+    Each product is below 2^128, so it stays in its lane, and ``q <
+    2^(64-l)``, so one lane mask drops the bits the shift pulls in from the
+    lane above.  ``value_low`` is added in the lanes if ``value_high <
+    2**64``, else per word.
 
     Not exactly uniform on [value_low, value_high]: each tick's chance is
     1 / span up to a relative error of span / 2^64 (``ExperimentConfig``
     refuses a span above 2^64)."""
-    if not 0 <= start <= stop <= 1 << 64:
-        raise ValueError(f"round range {start}..{stop} outside 0 <= start <= stop <= 2**64")
-    count = stop - start
-    ones = int.from_bytes(_LANE_ONE * count, "little")
-    mask, golden = ones * MASK64, ones * GOLDEN
-    index = LANE_INDEX & mask if count <= SAMPLE_BLOCK else _lanes(range(count))
-    prefix = splitmix64((start * ones + index) ^ mix64(config.seed) * ones, mask, golden)
-    low, span = config.value_low, config.value_high - config.value_low + 1
-    words = "<" + "Q8x" * count  # each lane's low word; its high one is skipped
-    draws = (splitmix64(prefix ^ bidder * ones, mask, golden).to_bytes(16 * count, "little")
-             for bidder in range(config.n_bidders))
-    columns = [[low + word % span for word in struct.unpack(words, draw)] for draw in draws]
+    lanes, count, low = _offset_lanes(config, start, stop), stop - start, config.value_low
+    if config.value_high <= MASK64:  # every value fits its lane's low word
+        lows = low * _lane_constants(count)[0]
+        columns = [_words(lane + lows, count) for lane in lanes]
+    else:
+        columns = [[low + word for word in _words(lane, count)] for lane in lanes]
     return list(zip(*columns))
+
+
+def sample_indices(config: ExperimentConfig, start: int, stop: int) -> tuple[int, ...]:
+    """Each round's profile index, for rounds ``start..stop-1``:
+    ``sample_valuations``'s offsets ``value - value_low`` read as base-span
+    digits, bidder 0 the most significant, combined lane-wise by Horner's
+    rule.  An index must fit a lane's low word: a config with more than
+    2^64 profiles is refused."""
+    span, index = config.value_high - config.value_low + 1, 0
+    if span ** min(config.n_bidders, 65) > 1 << 64:  # span >= 2 passes within 65 bidders
+        raise ValueError(f"profile space {span}**{config.n_bidders} exceeds 2**64")
+    for lane in _offset_lanes(config, start, stop):
+        index = index * span + lane
+    return _words(index, stop - start)
 
 
 class SimReport(Record):
@@ -287,33 +332,40 @@ def _fold(totals, profiles, plays, weights=None):
 
 
 def _simulate(configs: Sequence[ExperimentConfig], budget: int, sink=None):
-    """The one round loop, a sampled block at a time (``sample_valuations``
-    is looked up per block, so a wrapper sees every call), played under
-    every config (all share the first one's sampling parameters, so
-    ``_tabled`` is asked once, of the first).  Untabled, each block is
-    played and folded whole.  Tabled, a run-wide count of the profiles
-    picks each block's new ones, played first seen first (so a fault is
-    raised at the round that would raise it untabled), and each distinct
-    profile is folded once at the end, weighted by its count.
-    ``sink(start, block, profiles, plays)`` runs once per block: round
-    ``start + i`` has valuations ``block[i]``; ``plays`` holds each config's
-    ``(bids, winners, prices)`` over ``profiles``.  Untabled, ``profiles``
-    is ``block`` itself; tabled, it is a new list of the block's profiles
-    new to the run.  Returns the reports and the ranges ``_fold`` gave."""
+    """The one round loop, a sampled block at a time (each sampler is looked
+    up per block, so a wrapper sees every call), played under every config
+    (all share the first one's sampling parameters, so ``_tabled`` is asked
+    once, of the first).  Untabled, each block's valuations are played and
+    folded whole.  Tabled, a run-wide count of the rounds' profile indices
+    picks each block's new ones, each decoded once and played first seen
+    first (so a fault is raised at the round that would raise it untabled),
+    and each distinct profile is folded once at the end, weighted by its
+    count.  ``sink(start, block, profiles, plays)`` runs once per block;
+    ``plays`` holds each config's ``(bids, winners, prices)`` over
+    ``profiles``.  Untabled, ``block`` is the rounds' valuations and
+    ``profiles`` is ``block``; tabled, ``block`` is the rounds' indices and
+    ``profiles`` maps each index new to the run to its profile.  Returns
+    the reports and the ranges ``_fold`` gave."""
     sampling = configs[0]
     sampling.check_budget(budget)
-    rounds = sampling.n_rounds
+    rounds, low = sampling.n_rounds, sampling.value_low
     totals = [[0, 0, 0] for _ in configs]  # revenue, winner utility, efficient rounds
     tabled = _tabled(sampling)
-    counts = Counter()  # tabled: each distinct profile's rounds
+    counts = Counter()  # tabled: each distinct profile index's rounds
+    table = []  # tabled: each distinct profile, in the order of counts
     columns = [([], []) for _ in configs]  # tabled: winners and prices per distinct profile
     spans = []
     for start in range(0, rounds, SAMPLE_BLOCK):
-        block = profiles = sample_valuations(sampling, start, min(start + SAMPLE_BLOCK, rounds))
+        stop = min(start + SAMPLE_BLOCK, rounds)
         if tabled:
-            seen = len(counts)
-            counts.update(block)
-            profiles = list(counts)[seen:]
+            seen, span = len(counts), sampling.value_high - low + 1
+            counts.update(block := sample_indices(sampling, start, stop))
+            new = {index: tuple(low + index // span ** place % span
+                                for place in reversed(range(sampling.n_bidders)))
+                   for index in list(counts)[seen:]}
+            table += (profiles := list(new.values()))
+        else:
+            block = profiles = new = sample_valuations(sampling, start, stop)
         plays = [_play(config, profiles, tabled) for config in configs]
         if tabled:
             for (winners, prices), (_, new_winners, new_prices) in zip(columns, plays):
@@ -322,9 +374,9 @@ def _simulate(configs: Sequence[ExperimentConfig], budget: int, sink=None):
         else:
             spans.append(_fold(totals, block, [play[1:] for play in plays]))
         if sink is not None:
-            sink(start, block, profiles, plays)
+            sink(start, block, new, plays)
     if tabled:
-        spans.append(_fold(totals, list(counts), columns, list(counts.values())))
+        spans.append(_fold(totals, table, columns, list(counts.values())))
     return [SimReport(config, rounds, *(Fraction(value, rounds) for value in total))
             for config, total in zip(configs, totals)], spans
 
@@ -397,19 +449,20 @@ def write_rounds_csv(config: ExperimentConfig, stream: IO[str],
     Profile columns hold space-joined ticks so each round stays one row; no
     field ever needs CSV quoting, so rows are written as plain text, one
     joined string per sampled block.  A tabled run, told apart by a sink
-    handed a list other than the block, builds the text after the round
+    handed profiles other than the block, builds the text after the round
     index once per distinct profile and looks each round's up by its
-    valuation profile.  The header goes out with the first block, so nothing
+    profile index.  The header goes out with the first block, so nothing
     is written when the budget refuses the run.
     """
-    texts = {}  # tabled: each distinct profile's text
+    texts = {}  # tabled: each distinct profile's text, by index
 
     def write(start, block, profiles, plays):
-        rows = map(_row_text, profiles, *plays[0])
-        if profiles is not block:
-            texts.update(zip(profiles, rows))
+        if profiles is block:
+            rows = map(_row_text, block, *plays[0])
+        else:
+            texts.update(zip(profiles, map(_row_text, profiles.values(), *plays[0])))
             rows = map(texts.__getitem__, block)
-        rows = "".join(map("{},{}\n".format, range(start, start + len(block)), rows))
+        rows = "".join([f"{index},{row}\n" for index, row in enumerate(rows, start)])
         stream.write(rows if start else "round,valuations,bids,winner,price\n" + rows)
 
     return _simulate([config], budget, write)[0][0]

@@ -23,7 +23,7 @@ import pytest
 from sealedbid import cli, simulate, verify
 from sealedbid.core import PaymentRule, outcome, outcomes, standard_policies
 from sealedbid.seeding import hash_text, mix64
-from sealedbid.simulate import sample_valuations
+from sealedbid.simulate import sample_indices, sample_valuations
 from sealedbid.verify import CaseTag, Counterexample, DeviationCheckResult
 
 CASES = {
@@ -255,7 +255,7 @@ def evaluations(monkeypatch):
     rule)`` per profile that ``outcome`` (as bound in ``verify``, ``simulate``
     and ``cli``) or a ``simulate.outcomes`` block receives, each ``bids`` the
     object passed; and ``sampled``, the ``(start, stop)`` range of each
-    ``simulate.sample_valuations`` call."""
+    ``simulate.sample_valuations`` or ``simulate.sample_indices`` call."""
     seen = SimpleNamespace(profiles=[], sampled=[])
 
     def counted(bids, policy, rule):
@@ -266,12 +266,15 @@ def evaluations(monkeypatch):
         seen.profiles.extend((bids, policy, rule) for bids in profiles)
         return outcomes(profiles, policy, rule)
 
-    def sampling(config, start, stop):
-        seen.sampled.append((start, stop))
-        return sample_valuations(config, start, stop)
+    def recording(sampler):
+        def sampling(config, start, stop):
+            seen.sampled.append((start, stop))
+            return sampler(config, start, stop)
+        return sampling
 
     for module in (verify, simulate, cli):
         monkeypatch.setattr(module, "outcome", counted)
     monkeypatch.setattr(simulate, "outcomes", counted_block)
-    monkeypatch.setattr(simulate, "sample_valuations", sampling)
+    for sampler in (sample_valuations, sample_indices):
+        monkeypatch.setattr(simulate, sampler.__name__, recording(sampler))
     return seen

@@ -58,10 +58,11 @@ def traced_run(argv):
 
 def test_traced_simulate_counts_each_round_once_and_restores(tmp_path, monkeypatch):
     sampled = []
-    real = simulate.sample_valuations
-    monkeypatch.setattr(simulate, "sample_valuations",
-                        lambda config, start, stop: sampled.append((start, stop))
-                        or real(config, start, stop))
+    for name in ("sample_valuations", "sample_indices"):
+        real = getattr(simulate, name)
+        monkeypatch.setattr(simulate, name,
+                            lambda config, start, stop, real=real: sampled.append((start, stop))
+                            or real(config, start, stop))
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(CONFIG), encoding="utf-8")
     argv = ["simulate", str(config_path), "--csv", str(tmp_path / "rounds.csv"),
@@ -71,12 +72,15 @@ def test_traced_simulate_counts_each_round_once_and_restores(tmp_path, monkeypat
 
     assert traced == expected
     rounds = CONFIG["n_rounds"]
-    # Each round is sampled once, in blocks the tracer counts as calls; mix64
-    # runs once per block, for the chain head it starts from: 200 rounds are one.
+    # Each round is sampled once, as a profile index, in blocks; mix64 runs
+    # once per block, for the chain head it starts from: 200 rounds are one.
+    # The tracer counts blocks at sample_valuations only, which a tabled run
+    # does not call, so its round count reads 0 here.
     half = len(sampled) // 2
     assert sampled[:half] == sampled[half:]  # the untraced run, then the traced one
     assert tiles(sampled[half:], rounds, simulate.SAMPLE_BLOCK)
-    assert metrics["simulate.rounds_evaluated"][0] == half == -(-rounds // simulate.SAMPLE_BLOCK)
+    assert half == -(-rounds // simulate.SAMPLE_BLOCK)
+    assert metrics["simulate.rounds_evaluated"][0] == 0
     assert metrics["seeding.mix64.calls"][0] == 1
     # The 8^3 profiles are tabled: outcome runs once per distinct (truthful)
     # bid profile, and every call the tracer sees is a distinct one.

@@ -5,14 +5,19 @@ and a naive recomputation would share.
 
 from __future__ import annotations
 
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sealedbid import simulate
 from sealedbid.core import (
     AuctionInstance, ExplicitChoice, FirstIndex, LastIndex, PaymentRule, Seeded,
 )
-from sealedbid.simulate import ExperimentConfig, Shade, Truthful, compare_rules, run_experiment
+from sealedbid.simulate import (
+    ExperimentConfig, Overbid, Shade, Truthful, compare_rules, run_experiment, write_rounds_csv,
+)
 from sealedbid.verify import check_instance, dominance_sweep
 
 # A span of 8 keeps every profile space within the profile table (8^4 = 4,096);
@@ -58,6 +63,38 @@ def test_shifting_every_value_shifts_truthful_second_price_revenue_alike(
     assert shifted.mean_revenue == base.mean_revenue + 1000
     assert shifted.mean_winner_utility == base.mean_winner_utility
     assert shifted.efficiency_rate == base.efficiency_rate
+
+
+strategies = st.sampled_from([Truthful(), Shade(3, 4), Overbid(2)])
+policies = st.sampled_from([FirstIndex(), LastIndex(), Seeded(3)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(fields=sampling, span=st.integers(1, 8), value_low=st.sampled_from([0, 5, 2**70]),
+       rules=st.tuples(st.sampled_from(PaymentRule), st.sampled_from(PaymentRule)),
+       strategies=st.tuples(strategies, strategies), policies=st.tuples(policies, policies))
+def test_a_tabled_run_reports_and_writes_what_an_untabled_one_does(
+        fields, span, value_low, rules, strategies, policies):
+    # The profile table only changes how rounds are counted (one index per
+    # round, each distinct profile decoded and played once, then folded by
+    # weight), so a limit of 0, which tables nothing, changes no output.  This
+    # fails a _fold that drops its weights and a decoding that reads bidder 0
+    # as the least significant digit of a profile index.
+    a, b = (ExperimentConfig(**fields, value_low=value_low, value_high=value_low + span - 1,
+                             rule=rule, strategy=strategy, policy=policy)
+            for rule, strategy, policy in zip(rules, strategies, policies))
+
+    def outputs():
+        stream = io.StringIO()
+        return run_experiment(a), compare_rules(a, b), write_rounds_csv(a, stream), \
+            stream.getvalue()
+
+    assert simulate._tabled(a)
+    tabled = outputs()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "PROFILE_TABLE_LIMIT", 0)
+        assert not simulate._tabled(a)
+        assert outputs() == tabled
 
 
 def counts(report):

@@ -33,6 +33,7 @@ from sealedbid.simulate import (
     apply_strategy,
     compare_rules,
     run_experiment,
+    sample_indices,
     sample_valuations,
     strategy_from_dict,
     write_rounds_csv,
@@ -190,6 +191,68 @@ class TestSampling:
             tuple(value_low + mix64(seed, r, bidder) % span for bidder in range(n_bidders))
             for r in range(start, start + length)
         ]
+
+    # Every bit length of span, so that about half the spans that are not a
+    # power of 2 need the rounded-down multiplier: with the rounded-up one
+    # alone, some lanes of those come out wrong or negative.
+    @given(
+        seed=st.integers(min_value=0, max_value=MASK64),
+        start=st.integers(min_value=0, max_value=2**64 - (SAMPLE_BLOCK + 1)),
+        length=st.integers(min_value=0, max_value=SAMPLE_BLOCK + 1),
+        span=st.integers(1, 64).flatmap(lambda bits: st.integers(2 ** (bits - 1), 2**bits)),
+        value_low=st.sampled_from([0, 5, 2**70]) | st.integers(min_value=0, max_value=2**70),
+    )
+    @example(seed=1, start=0, length=3, span=1, value_low=0)
+    @example(seed=2, start=9, length=40, span=2, value_low=5)
+    @example(seed=3, start=0, length=SAMPLE_BLOCK, span=7, value_low=2**70)
+    @example(seed=4, start=2**64 - 5, length=5, span=8, value_low=0)
+    @example(seed=5, start=0, length=SAMPLE_BLOCK + 1, span=2**63, value_low=5)
+    @example(seed=6, start=2**64 - 9, length=9, span=2**63 + 1, value_low=2**70)
+    @example(seed=7, start=2**64 - 1, length=1, span=2**64 - 1, value_low=0)
+    @example(seed=8, start=2**64 - SAMPLE_BLOCK, length=SAMPLE_BLOCK, span=2**64, value_low=5)
+    @example(seed=9, start=100, length=SAMPLE_BLOCK, span=10**6 + 1, value_low=2**70)
+    @example(seed=MASK64, start=2**64 - 3, length=3, span=2**64, value_low=2**70)
+    def test_lane_offsets_are_mix64_mod_span(self, seed, start, length, span, value_low):
+        # The lane core's integers, one per bidder, hold in 128-bit lane i
+        # round start + i's offset below span and nothing past the last lane;
+        # sample_valuations adds value_low to each.
+        cfg = config(n_bidders=2, value_low=value_low, value_high=value_low + span - 1,
+                     seed=seed)
+        rounds = range(start, start + length)
+        for bidder, lane in enumerate(simulate._offset_lanes(cfg, start, start + length)):
+            words = [lane >> 128 * i & (1 << 128) - 1 for i in range(length)]
+            assert (words, lane >> 128 * length) == (
+                [mix64(seed, r, bidder) % span for r in rounds], 0)
+        assert sample_valuations(cfg, start, start + length) == [
+            (value_low + mix64(seed, r, 0) % span, value_low + mix64(seed, r, 1) % span)
+            for r in rounds]
+
+    # (n_bidders, span, value_low): one profile, exactly 4,096, and values past 2^64
+    TABLED = [(3, 1, 0), (12, 2, 0), (3, 8, 2**70), (2, 64, 5), (4, 8, 0)]
+
+    @pytest.mark.parametrize("n_bidders, span, value_low", TABLED, ids=str)
+    @pytest.mark.parametrize("start, stop", [(0, 2 * SAMPLE_BLOCK + 1), (2**64 - 40, 2**64)],
+                             ids=["from-0", "to-2-to-the-64"])
+    def test_profile_indices_decode_to_the_valuations(self, n_bidders, span, value_low,
+                                                      start, stop):
+        cfg = config(n_bidders=n_bidders, value_low=value_low,
+                     value_high=value_low + span - 1)
+        assert span**n_bidders <= PROFILE_TABLE_LIMIT
+        indices = sample_indices(cfg, start, stop)
+        assert all(0 <= index < span**n_bidders for index in indices)
+        decoded = [tuple(value_low + index // span**place % span
+                         for place in reversed(range(n_bidders))) for index in indices]
+        assert decoded == sample_valuations(cfg, start, stop)
+
+    # 2^32 squared is the last profile space whose index fits a lane's word.
+    @pytest.mark.parametrize("n_bidders, span", [(2, 2**32 + 1), (65, 2), (3, 2**64)], ids=str)
+    def test_an_index_past_2_to_the_64_is_refused(self, n_bidders, span):
+        widest = config(n_bidders=2, value_high=2**32 - 1)
+        assert [divmod(index, 2**32) for index in sample_indices(widest, 0, 3)] == (
+            sample_valuations(widest, 0, 3))
+        with pytest.raises(ValueError, match=rf"^profile space {span}\*\*{n_bidders} "
+                                             r"exceeds 2\*\*64$"):
+            sample_indices(config(n_bidders=n_bidders, value_high=span - 1), 0, 3)
 
 
 class TestExperimentConfig:
