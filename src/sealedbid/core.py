@@ -282,10 +282,10 @@ class TieBreakPolicy(ABC):
 
     Implementations must return a member of ``argmax_set(bids)``; nothing
     else about the choice is fixed, which is exactly the freedom the
-    verifier has to be robust against.  ``select`` receives a profile that
-    ``outcomes`` has already validated, and must be a
-    pure function of it: reports are reproducible only if it is, and the
-    verifier evaluates each (profile, policy) pair once and reuses the outcome.
+    verifier has to be robust against.  ``select`` receives a tuple that
+    ``outcome`` has already validated, and must be a pure function of it:
+    reports are reproducible only if it is, and the verifier evaluates each
+    (profile, policy) pair once and reuses the outcome.
     """
 
     @abstractmethod
@@ -439,35 +439,23 @@ class Outcome(NamedTuple):
     price: Money
 
 
-def outcomes(profiles: Sequence[BidProfile], policy: TieBreakPolicy,
-             rule: PaymentRule) -> tuple[list[BidderId], list[Money]]:
-    """Evaluate a block of auctions under one tie-break policy and payment
-    rule: the winners and the prices, one entry per bid profile, in order.
-    The rule is checked once; each profile in turn is checked for at least
-    two bidders and its pick for a top bid, so a faulty block raises
-    ``ValueError`` at its first bad profile.  The second price is the
-    second-highest bid: the highest other bid only when the winner holds a
-    top bid."""
+def outcome(bids: Sequence[Money], policy: TieBreakPolicy, rule: PaymentRule) -> Outcome:
+    """Evaluate one auction under a tie-break policy and payment rule.  The
+    rule is checked first, then the profile for at least two bidders, then
+    the policy's pick for a top bid, each fault raised as ``ValueError``.
+    The second price is the second-highest bid: the highest other bid only
+    when the winner holds a top bid."""
     if type(rule) is not PaymentRule:  # tested inline, as argmax_set tests its bidder count
         raise ValueError(rule_violation(rule))
-    select, first_price = policy.select, rule is PaymentRule.FIRST_PRICE
-    winners, prices = [], []
-    for bids in profiles:
-        if len(bids) < 2:
-            raise ValueError(bidder_count_violation(len(bids)))
-        winner = select(bids)
-        ordered = sorted(bids)  # the top bid, for the check, and the second price
-        if not (0 <= winner < len(bids) and bids[winner] == ordered[-1]):
-            raise ValueError(f"tie-break {policy.describe()} picked {winner}, not a highest bidder")
-        winners.append(winner)
-        prices.append(bids[winner] if first_price else ordered[-2])
-    return winners, prices
-
-
-def outcome(bids: Sequence[Money], policy: TieBreakPolicy, rule: PaymentRule) -> Outcome:
-    """Evaluate one auction: ``outcomes`` of the one-profile block ``bids``."""
-    winners, prices = outcomes((tuple(bids),), policy, rule)
-    return tuple.__new__(Outcome, (winners[0], prices[0]))  # no keyword __new__, no _make frame
+    bids = tuple(bids)
+    if len(bids) < 2:
+        raise ValueError(bidder_count_violation(len(bids)))
+    winner = policy.select(bids)
+    ordered = sorted(bids)  # the top bid, for the check, and the second price
+    if not (0 <= winner < len(bids) and bids[winner] == ordered[-1]):
+        raise ValueError(f"tie-break {policy.describe()} picked {winner}, not a highest bidder")
+    price = bids[winner] if rule is PaymentRule.FIRST_PRICE else ordered[-2]
+    return tuple.__new__(Outcome, (winner, price))  # no keyword __new__, no _make frame
 
 
 def bidder_utility(valuations: Sequence[Money], result: Outcome, bidder: BidderId) -> SignedMoney:

@@ -7,23 +7,25 @@ table or fold in ``verify``, which must agree with it exactly.  The
 auction oracle, ``naive_outcome``, and the simulation oracle built on
 it, ``naive_rounds``, recompute each auction and round from ``seeding``
 and plain Python, without ``core.outcome``, strategies' ``bid`` or
-policies' ``select``.  ``assert_case`` judges a row by its case's exact
-second-price contract.  The ``evaluations`` fixture records what a run
-evaluates and samples.
+policies' ``select``.  ``order_statistic_targets`` gives the exact means
+that a simulation's sampled means estimate, from order statistics alone.
+``assert_case`` judges a row by its case's exact second-price contract.
+The ``evaluations`` fixture records what a run evaluates and samples.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import comb
 from types import SimpleNamespace
 
 import pytest
 
 from sealedbid import cli, simulate, verify
-from sealedbid.core import PaymentRule, outcome, outcomes, standard_policies
+from sealedbid.core import PaymentRule, outcome, standard_policies
 from sealedbid.seeding import hash_text, mix64
-from sealedbid.simulate import sample_indices, sample_valuations
 from sealedbid.verify import CaseTag, Counterexample, DeviationCheckResult
 
 CASES = {
@@ -229,6 +231,82 @@ def naive_rounds(config):
     return rounds
 
 
+def polynomial_sum(term, count, degree):
+    """``term(0) + ... + term(count - 1)``, exactly, for a polynomial ``term``
+    of at most ``degree``: the prefix sums are a polynomial of degree + 1 in
+    their length, so Lagrange interpolation through the first degree + 2 of
+    them gives any other."""
+    sums = [Fraction(0)]
+    for q in range(degree + 1):
+        sums.append(sums[-1] + term(q))
+    if count < len(sums):
+        return sums[count]
+    total = Fraction(0)
+    for j, value in enumerate(sums):
+        for k in range(len(sums)):
+            if k != j:
+                value *= Fraction(count - k, j - k)
+        total += value
+    return total
+
+
+def order_statistic_mean(g, span, n_bidders, second, period):
+    """E[g(X)] for X the highest (or, with ``second``, the second-highest) of
+    ``n_bidders`` offsets drawn uniformly from 0..span-1, by Abel summation:
+    g(0) + the sum over i of (g(i) - g(i - 1)) P(X >= i), where P(X < i) is
+    F^N, or F^N + N F^(N-1) (1 - F), at F = i / span.  Along each residue
+    class i = r + period * q, g's increment must be a polynomial in q of
+    degree at most 2, so that each class sums exactly by interpolation."""
+    def tail(i):
+        below = Fraction(i, span)
+        return 1 - below ** n_bidders - (
+            n_bidders * below ** (n_bidders - 1) * (1 - below) if second else 0)
+
+    total = Fraction(g(0))
+    for r in range(1, min(period, span - 1) + 1):
+        total += polynomial_sum(
+            lambda q: (g(r + period * q) - g(r + period * q - 1)) * tail(r + period * q),
+            (span - 1 - r) // period + 1, n_bidders + 2)
+    return total
+
+
+def order_statistic_targets(config):
+    """``(mean revenue, revenue variance, efficiency rate)`` that a config's
+    sampled means estimate, for values uniform on value_low..value_high, from
+    order statistics: a nondecreasing strategy s prices the round at s of the
+    top value under first price and of the second-highest under second price.
+    The strategy is read by kind, as ``naive_rounds`` reads it; a shade of
+    a/b is periodic in b.  A round is efficient when the winner, one of the t
+    bidders at the top bid, holds the top value.  The tie-break sees only
+    bids, and the values behind one bid level are i.i.d. uniform over its
+    p values, so that is the chance that one of t such draws is their
+    maximum: the sum over k of (1/p) (k/p)^(t-1).  A strictly increasing
+    strategy has p = 1 at every level, so its rate is 1."""
+    low, span, n_bidders = config.value_low, config.value_high - config.value_low + 1, \
+        config.n_bidders
+    strategy, second = config.strategy, config.rule.value == "second-price"
+    if strategy.kind == "shade":
+        def bid(value):
+            return value * strategy.numerator // strategy.denominator
+        period = strategy.denominator
+    else:
+        def bid(value):
+            return value + (strategy.delta if strategy.kind == "overbid" else 0)
+        period = 1
+    mean, square = (order_statistic_mean(lambda i, power=power: bid(low + i) ** power, span,
+                                         n_bidders, second, period) for power in (1, 2))
+    if period == 1:
+        return mean, square - mean ** 2, Fraction(1)
+    efficiency, below = Fraction(0), 0
+    for size in Counter(map(bid, range(low, low + span))).values():  # levels in bid order
+        for ties in range(1, n_bidders + 1):
+            top = sum(Fraction(k, size) ** (ties - 1) for k in range(1, size + 1)) / size
+            efficiency += (comb(n_bidders, ties) * Fraction(size, span) ** ties
+                           * Fraction(below, span) ** (n_bidders - ties) * top)
+        below += size
+    return mean, square - mean ** 2, efficiency
+
+
 def tiles(ranges, n_rounds, longest) -> bool:
     """Whether ``ranges``, ``(start, stop)`` pairs in call order, cover rounds
     ``0..n_rounds-1`` in order, each round once, each range nonempty and at
@@ -253,28 +331,29 @@ def naive_means(rounds):
 def evaluations(monkeypatch):
     """What a run evaluates, in call order: ``profiles``, one ``(bids, policy,
     rule)`` per profile that ``outcome`` (as bound in ``verify``, ``simulate``
-    and ``cli``) or a ``simulate.outcomes`` block receives, each ``bids`` the
-    object passed; and ``sampled``, the ``(start, stop)`` range of each
-    ``simulate.sample_valuations`` or ``simulate.sample_indices`` call."""
+    and ``cli``) receives, each ``bids`` the object passed, and one ``(round,
+    policy, rule)`` per round and config of each block that
+    ``simulate._play_lanes`` plays; and ``sampled``, the ``(start, stop)``
+    range of each ``simulate._offset_lanes`` call, which every sampler
+    makes once."""
     seen = SimpleNamespace(profiles=[], sampled=[])
 
     def counted(bids, policy, rule):
         seen.profiles.append((bids, policy, rule))
         return outcome(bids, policy, rule)
 
-    def counted_block(profiles, policy, rule):
-        seen.profiles.extend((bids, policy, rule) for bids in profiles)
-        return outcomes(profiles, policy, rule)
+    def counted_lanes(configs, totals, start, stop, keep):
+        seen.profiles.extend((index, config.policy, config.rule)
+                             for config in configs for index in range(start, stop))
+        return play_lanes(configs, totals, start, stop, keep)
 
-    def recording(sampler):
-        def sampling(config, start, stop):
-            seen.sampled.append((start, stop))
-            return sampler(config, start, stop)
-        return sampling
+    def sampling(config, start, stop):
+        seen.sampled.append((start, stop))
+        return offset_lanes(config, start, stop)
 
     for module in (verify, simulate, cli):
         monkeypatch.setattr(module, "outcome", counted)
-    monkeypatch.setattr(simulate, "outcomes", counted_block)
-    for sampler in (sample_valuations, sample_indices):
-        monkeypatch.setattr(simulate, sampler.__name__, recording(sampler))
+    play_lanes, offset_lanes = simulate._play_lanes, simulate._offset_lanes
+    monkeypatch.setattr(simulate, "_play_lanes", counted_lanes)
+    monkeypatch.setattr(simulate, "_offset_lanes", sampling)
     return seen

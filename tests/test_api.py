@@ -194,7 +194,7 @@ RULE_WORDINGS = {
                      "core.rule_violation"),
     "budget": (lambda text: text.startswith("budget must be nonnegative"), "core.budget_violation"),
     "case": (lambda text: text in ("win", "lose"), "verify.CaseTag.of"),
-    "top-pick": (lambda text: text.endswith(", not a highest bidder"), "core.outcomes"),
+    "top-pick": (lambda text: text.endswith(", not a highest bidder"), "core.outcome"),
 }
 
 

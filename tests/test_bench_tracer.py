@@ -91,9 +91,9 @@ def test_traced_simulate_counts_each_round_once_and_restores(tmp_path, monkeypat
 
 
 def test_traced_simulate_over_the_table_limit_sees_every_round_and_restores(tmp_path):
-    # 65^2 profiles keep no table: the block play evaluates each of two sampled
-    # blocks with one untraced outcomes call, which calls the traced select once
-    # per round and the traced outcome never.
+    # 65^2 profiles keep no table: each of two sampled blocks is played in
+    # lanes, and the seeded policy's select runs, through the traced outcome,
+    # on the tied rounds only: those where the two bidders draw one value.
     config = {**CONFIG, "n_bidders": 2, "value_high": 64, "n_rounds": 300}
     assert 65 ** 2 > simulate.PROFILE_TABLE_LIMIT and 300 > simulate.SAMPLE_BLOCK
     config_path = tmp_path / "config.json"
@@ -104,8 +104,10 @@ def test_traced_simulate_over_the_table_limit_sees_every_round_and_restores(tmp_
     metrics = probe.metrics(csv_bytes=0)
 
     assert traced == expected
-    assert metrics["core.select.seeded.calls"][0] == config["n_rounds"]
-    assert metrics["core.outcome.calls"][0] == 0
+    tied = sum(mix64(5, r, 0) % 65 == mix64(5, r, 1) % 65 for r in range(config["n_rounds"]))
+    assert tied == 10
+    assert metrics["core.select.seeded.calls"][0] == tied
+    assert metrics["core.outcome.calls"][0] == tied
     assert metrics["seeding.mix64.calls"][0] == 2  # one chain head per sampled block
     assert_restored(before)
 

@@ -21,7 +21,6 @@ from sealedbid.core import (
     argmax_set,
     bidder_utility,
     outcome,
-    outcomes,
     policy_from_dict,
     standard_policies,
 )
@@ -331,38 +330,38 @@ class RecordingPolicy(RoguePolicy):
         return self.pick
 
 
-class TestOutcomes:
+class TestOutcomeChecks:
     @given(st.data())
-    def test_a_block_is_the_naive_evaluation_profile_by_profile(self, data):
+    def test_each_profile_is_the_naive_evaluation(self, data):
         # Ticks 0..3 make ties common, so every policy's tie-break acts.
         n_bidders = data.draw(st.integers(min_value=2, max_value=5))
         profile = st.tuples(*[st.integers(min_value=0, max_value=3)] * n_bidders)
-        block = data.draw(st.lists(profile, max_size=40))
+        bids = data.draw(profile)
         seed = data.draw(st.integers(min_value=0, max_value=2**64 - 1))
         policy = data.draw(st.sampled_from(all_policies(n_bidders, seed)))
         rule = data.draw(st.sampled_from(list(PaymentRule)))
-        winners, prices = outcomes(block, policy, rule)
-        assert (type(winners), type(prices)) == (list, list)
-        assert list(zip(winners, prices)) == [naive_outcome(bids, policy, rule)
-                                              for bids in block]
+        result = outcome(list(bids), policy, rule)
+        assert type(result) is Outcome
+        assert result == naive_outcome(bids, policy, rule)
 
     @pytest.mark.parametrize("rule", ["second-price", None, 0])
     def test_a_rule_that_is_no_member_is_refused_before_any_select(self, rule):
         policy = RecordingPolicy(0)
         with pytest.raises(ValueError, match="^payment rule must be a PaymentRule member"):
-            outcomes([(5, 1), (1, 5)], policy, rule)
+            outcome((5, 1), policy, rule)
         assert policy.seen == []
 
     @pytest.mark.parametrize("rule", list(PaymentRule))
-    @pytest.mark.parametrize("block, fault, seen", [
-        ([(5, 1), (1, 5), (7,)], r"tie-break rogue picked 0, not a highest bidder",
-         [(5, 1), (1, 5)]),
-        ([(5, 1), (7,), (1, 5)], r"N >= 2 required \(got 1\)", [(5, 1)]),
+    @pytest.mark.parametrize("bids, fault, seen", [
+        ([1, 5], r"tie-break rogue picked 0, not a highest bidder", [(1, 5)]),
+        ([7], r"N >= 2 required \(got 1\)", []),
     ])
-    def test_a_block_is_refused_at_its_first_bad_profile(self, rule, block, fault, seen):
+    def test_a_profile_is_refused_before_or_after_its_select(self, rule, bids, fault, seen):
+        # The bidder count is checked before the pick, the pick after it;
+        # select is handed a tuple whatever sequence the caller passed.
         policy = RecordingPolicy(0)
         with pytest.raises(ValueError, match=f"^{fault}$"):
-            outcomes(block, policy, rule)
+            outcome(bids, policy, rule)
         assert policy.seen == seen
 
 

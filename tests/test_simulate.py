@@ -6,10 +6,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_means, naive_rounds, tiles
+from conftest import naive_means, naive_rounds, order_statistic_targets, tiles
 from sealedbid import simulate
 from sealedbid.core import (
     BudgetExceededError,
@@ -19,6 +19,7 @@ from sealedbid.core import (
     PaymentRule,
     Seeded,
     TieBreakPolicy,
+    outcome,
 )
 from sealedbid.reporting import canonical_json
 from sealedbid.seeding import MASK64, mix64
@@ -682,7 +683,8 @@ class TestProfileTable:
         assert len(distinct_profiles(cfg)) < cfg.n_rounds  # a table would play fewer
         write_rounds_csv(cfg, io.StringIO())
         assert tiles(evaluations.sampled, cfg.n_rounds, SAMPLE_BLOCK)
-        assert len(evaluations.profiles) == cfg.n_rounds
+        # Every round is played in lanes, once, and no profile by outcome.
+        assert [index for index, _, _ in evaluations.profiles] == list(range(cfg.n_rounds))
 
     def test_each_config_of_a_comparison_keeps_its_own_table(self, evaluations):
         cfg = config(n_rounds=300)
@@ -691,3 +693,183 @@ class TestProfileTable:
         compare_rules(cfg, config(n_rounds=300, rule=FIRST, strategy=Shade(1, 2)))
         assert tiles(evaluations.sampled, cfg.n_rounds, SAMPLE_BLOCK)
         assert len(evaluations.profiles) == 2 * distinct
+
+
+class Parity(TieBreakPolicy):
+    """A policy class the simulation does not know: the tied bidder at the
+    bid total modulo the tie count."""
+
+    kind = "parity"
+
+    def select(self, bids):
+        ties = [b for b, bid in enumerate(bids) if bid == max(bids)]
+        return ties[sum(bids) % len(ties)]
+
+
+class Backwards(FirstIndex):
+    """A subclass of a policy the lanes play, with its own pick: the last tied bidder."""
+
+    kind = "backwards"
+
+    def select(self, bids):
+        return LastIndex.select(self, bids)
+
+
+class Steps(Strategy):
+    """A strategy the simulation does not know: nondecreasing, and equal on
+    pairs of values, so that bids tie where values do not."""
+
+    kind = "steps"
+
+    def bid(self, value):
+        return value // 2 * 3 + 1
+
+
+def per_round(cfg):
+    """Every round of ``cfg`` as ``(valuations, bids, winner, price)``: values
+    from ``mix64``, bids by the strategy's ``bid``, the auction by one
+    ``outcome`` call per round.  A faulting round ends the list, and its
+    index and message follow it; else the fault is None."""
+    span = cfg.value_high - cfg.value_low + 1
+    rounds = []
+    for index in range(cfg.n_rounds):
+        values = tuple(cfg.value_low + mix64(cfg.seed, index, b) % span
+                       for b in range(cfg.n_bidders))
+        bids = tuple(map(cfg.strategy.bid, values))
+        try:
+            rounds.append((values, bids, *outcome(bids, cfg.policy, cfg.rule)))
+        except ValueError as error:
+            return rounds, (index, str(error))
+    return rounds, None
+
+
+@st.composite
+def tied_configs(draw):
+    """Two untabled configs over one valuation stream whose rounds tie often:
+    8 to 10 bidders over 3 or 4 values, from a ``value_low`` that may pass
+    2^64.  Each draws its rule, a built-in or custom strategy, and a policy
+    of each kind, a custom class, or an explicit table lacking one argmax set."""
+    n_bidders = draw(st.integers(8, 10))
+    low = draw(st.sampled_from([0, 5, 2**64 - 2, 2**64 + 3, 2**70]))
+    sampling = dict(
+        n_bidders=n_bidders, n_rounds=draw(st.integers(1, 2 * SAMPLE_BLOCK + 1)), value_low=low,
+        value_high=low + draw(st.integers(2, 3)), seed=draw(st.integers(0, MASK64)),
+    )
+    strategies = st.one_of(
+        st.just(Truthful()), st.just(Steps()),
+        st.integers(2, 5).flatmap(lambda d: st.integers(1, d - 1).map(lambda n: Shade(n, d))),
+        st.sampled_from([0, 3, 2**70]).map(Overbid),
+    )
+    missing = st.one_of(st.integers(0, n_bidders - 1).map(lambda b: (b,)),
+                        st.sampled_from(list(combinations(range(n_bidders), 2))))
+    policies = st.one_of(
+        st.just(FirstIndex()), st.just(LastIndex()), st.integers(0, MASK64).map(Seeded),
+        st.just(ExplicitChoice.covering(n_bidders)), st.just(Parity()), st.just(Backwards()),
+        missing.map(lambda ties: explicit_without(n_bidders, ties)),
+    )
+    return [ExperimentConfig(**sampling, rule=draw(st.sampled_from(PaymentRule)),
+                             strategy=draw(strategies), policy=draw(policies))
+            for _ in range(2)]
+
+
+class TestLanePlay:
+    """An untabled block is played in lanes; every report, difference range,
+    CSV byte and fault is the per-round one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tied_configs())
+    @example([config(n_bidders=8, n_rounds=SAMPLE_BLOCK + 7, value_high=2, seed=s,
+                     rule=rule, policy=policy)
+              for s, rule, policy in ((3, FIRST, Seeded(9)), (3, SECOND, LastIndex()))])
+    def test_matches_per_round_outcomes_and_the_naive_fold(self, configs):
+        cfg_a, cfg_b = configs
+        assert not simulate._tabled(cfg_a)
+        (rounds_a, fault_a), (rounds_b, fault_b) = per_round(cfg_a), per_round(cfg_b)
+        buf = io.StringIO()
+        if fault_a is None:
+            report = run_experiment(cfg_a)
+            assert (report.mean_revenue, report.mean_winner_utility,
+                    report.efficiency_rate) == naive_means(rounds_a)
+            assert write_rounds_csv(cfg_a, buf) == report
+            assert buf.getvalue() == csv_text(rounds_a)
+        else:
+            index, message = fault_a
+            for run in (run_experiment, lambda cfg: write_rounds_csv(cfg, buf)):
+                with pytest.raises(ValueError) as raised:
+                    run(cfg_a)
+                assert str(raised.value) == message
+            written = rounds_a[:index // SAMPLE_BLOCK * SAMPLE_BLOCK]
+            assert buf.getvalue() == (csv_text(written) if written else "")
+
+        # The run stops at the first faulting block, and within it at the first config's fault.
+        faults = [(fault[0] // SAMPLE_BLOCK, order, fault[1])
+                  for order, fault in enumerate((fault_a, fault_b)) if fault is not None]
+        if faults:
+            with pytest.raises(ValueError) as raised:
+                compare_rules(cfg_a, cfg_b)
+            assert str(raised.value) == min(faults)[2]
+            return
+        paired = compare_rules(cfg_a, cfg_b)
+        assert paired.report_a == run_experiment(cfg_a)
+        assert paired.report_b == run_experiment(cfg_b)
+        diffs = [a[3] - b[3] for a, b in zip(rounds_a, rounds_b)]
+        assert (paired.revenue_diff_min, paired.revenue_diff_max) == (min(diffs), max(diffs))
+
+    def test_refuses_a_strategy_that_bids_below_its_bid_at_value_low(self):
+        class Falling(Strategy):
+            kind = "falling"
+
+            def bid(self, value):
+                return 200 - value
+
+        # A decreasing strategy breaks the contract that Strategy states.
+        with pytest.raises(ValueError, match=r"^strategy 'falling' bids outside 200\.\."):
+            run_experiment(config(n_bidders=2, value_high=99, strategy=Falling()))
+
+
+# Configs whose sampled means are checked against their exact targets: the
+# bench simulate config first (exact mean revenue 600,000.1, efficiency 1),
+# then four more untabled ones (a value_low past 2^64, a shade under a seeded
+# tie-break, a tied explicit one, the widest span) and the bench simulate-csv
+# config, the one tabled (exact mean revenue 951/256 = 3.71484375).
+TARGETED = {
+    "bench-simulate": config(n_bidders=4, n_rounds=100_000, value_high=10**6),
+    "overbid-high": config(n_rounds=20_000, value_low=10**20, value_high=10**20 + 9_999,
+                           rule=FIRST, strategy=Overbid(7), policy=LastIndex()),
+    "shade-seeded": config(n_bidders=5, n_rounds=20_000, value_high=999,
+                           strategy=Shade(3, 4), policy=Seeded(1)),
+    "shade-tied": config(n_bidders=8, n_rounds=20_000, value_high=2, rule=FIRST,
+                         strategy=Shade(1, 2), policy=ExplicitChoice.covering(8)),
+    "widest": config(n_bidders=2, n_rounds=20_000, value_high=MASK64),
+    "csv-tabled": config(n_rounds=50_000, value_high=7, rule=FIRST, strategy=Shade(3, 4),
+                         policy=Seeded(0)),
+}
+# Fixed before any run was looked at: under a correct sampler each check
+# fails by chance with probability about 6e-5.
+Z_BOUND = 4
+
+
+class TestExactTargets:
+    """Each sampled mean lies within ``Z_BOUND`` standard errors of the
+    exact mean that order statistics give for its config."""
+
+    def test_the_bench_config_targets_600000_1_and_full_efficiency(self):
+        mean, _, efficiency = order_statistic_targets(TARGETED["bench-simulate"])
+        assert (round(mean, 1), efficiency) == (Fraction(6_000_001, 10), 1)
+
+    @pytest.mark.parametrize("seed", [0, 1009, 7])
+    @pytest.mark.parametrize("name", TARGETED)
+    def test_sampled_means_estimate_their_targets(self, name, seed):
+        cfg = ExperimentConfig(**{**{field: getattr(TARGETED[name], field)
+                                     for field in ExperimentConfig._fields}, "seed": seed})
+        assert simulate._tabled(cfg) == (name == "csv-tabled")
+        mean, variance, efficiency = order_statistic_targets(cfg)
+        report = run_experiment(cfg)
+        z = (report.mean_revenue - mean) / (variance / cfg.n_rounds) ** 0.5
+        assert abs(z) < Z_BOUND, f"{name} seed {seed}: revenue z = {z:.2f}"
+        if efficiency == 1:  # a strictly increasing strategy: every round is efficient
+            assert report.efficiency_rate == 1
+        else:
+            spread = (efficiency * (1 - efficiency) / cfg.n_rounds) ** 0.5
+            z = (report.efficiency_rate - efficiency) / spread
+            assert abs(z) < Z_BOUND, f"{name} seed {seed}: efficiency z = {z:.2f}"
