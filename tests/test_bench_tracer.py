@@ -122,15 +122,21 @@ def test_traced_dominance_sees_every_outcome_and_restores():
     assert_restored(before)
 
 
-def test_traced_search_counts_one_row_record_per_row_and_restores():
-    expected, traced, probe, before = traced_run(
-        ["falsify", "--rule", "second-price", "--n-max", "3", "--ticks", "2"])
+def test_traced_search_builds_no_row_record_and_restores():
+    argv = ["falsify", "--rule", "second-price", "--n-max", "3", "--ticks", "2"]
+    expected, traced, probe, before = traced_run(argv)
     metrics = probe.metrics(csv_bytes=0)
 
     assert traced == expected
-    # The search finds nothing, so it builds one DeviationCheckResult per row:
-    # opposing bids x valuations x bidders x deviations x 5 pairings, per N.
-    assert metrics["verify.rows"][0] == 3 * 3 * 2 * 3 * 5 + 3 ** 2 * 3 * 3 * 3 * 5 == 1_485
+    # The search finds nothing, yet it scans class templates per block and
+    # builds no DeviationCheckResult, so the tracer's row count reads 0.
+    assert metrics["verify.rows"][0] == 0
+    # Its rows, opposing bids x valuations x bidders x deviations x 5
+    # pairings per N, still fix the budget: one fewer is refused.
+    rows = 3 * 3 * 2 * 3 * 5 + 3 ** 2 * 3 * 3 * 3 * 5
+    assert rows == 1_485
+    assert run(cli.dispatch, [*argv, "--budget", str(rows - 1)]) == (3, "")
+    assert run(cli.dispatch, [*argv, "--budget", str(rows)]) == expected
     # every profile of {0..2}^N once per standard policy, for N = 2 and 3
     assert metrics["core.outcome.calls"][0] == (3 ** 2 + 3 ** 3) * 4
     assert_restored(before)

@@ -508,7 +508,7 @@ class TestOutcomeTable:
         assert len(set(calls)) == len(calls)
 
     def test_fold_and_scan_compute_each_class_template_once(self, monkeypatch):
-        # The sweep fails, so the ordered scan runs after the fold; it reads
+        # The sweep fails, so the block scan runs after the fold; it reads
         # the fold's templates.  A class is (value, truthful view, deviated view).
         classes = []
         real = verify._template
@@ -539,25 +539,29 @@ class TestOutcomeTable:
         assert report.passed and report.evaluated == grid_rows(4, 3, 4, 4, 4)
         assert built == []
 
-    def test_failing_sweep_builds_rows_up_to_its_counterexample_only(self, built):
-        report = dominance_sweep(3, 2, rule=FIRST)
-        ce = report.counterexample
-        # cells in key order: opposing bids, value, deviation bid, bidder
-        cells = [
-            (others, value, dev, b)
-            for others in product(range(3), repeat=2)
-            for value in range(3) for dev in range(3) for b in range(3)
-        ]
-        others = ce.bids[:ce.bidder] + ce.bids[ce.bidder + 1:]
-        index = cells.index((others, ce.bids[ce.bidder], ce.deviation_bid, ce.bidder))
-        assert 0 < index < len(cells) - 1
-        assert len(built) == (index + 1) * 5 < report.evaluated
+    # The first failure is found per block from the class templates, so a
+    # search or a failing run builds no row record, whatever it returns.
+    @pytest.mark.parametrize("run, counterexample", [
+        (lambda: find_counterexample(SECOND, 3, 2), None),
+        (lambda: dominance_sweep(3, 2, rule=FIRST).counterexample,
+         Counterexample((1, 0, 0), (1, 0, 0), 0, 0, "first-index", 0, 1)),
+        (lambda: check_instance(INSTANCE, standard_policies(4), FIRST, range(9)).counterexample,
+         Counterexample((5, 3, 7, 2), (4, 3, 7, 2), 2, 4, "last-index", 0, 3)),
+    ], ids=["search-exhausted", "sweep-failing", "check-failing"])
+    def test_a_run_builds_no_row_record(self, built, run, counterexample):
+        assert run() == counterexample
+        assert built == []
+
+    def test_check_truthfulness_builds_the_rows_it_returns(self, built):
+        rows = check_truthfulness((5, 3, 7), (3, 7), 0, standard_policies(3), FIRST, range(9))
+        assert len(rows) == 9 * 5
+        assert [DeviationCheckResult(*args, **fields) for args, fields in built] == rows
 
     def test_sweep_counts_blocks_not_cells(self, monkeypatch):
-        def per_cell(scopes):
-            raise AssertionError("a passing sweep streams no cells")
+        def scan(scope):
+            raise AssertionError("a passing sweep never scans for a first failure")
 
-        monkeypatch.setattr(verify, "_row_stream", per_cell)
+        monkeypatch.setattr(verify, "_first_failure", scan)
         report = dominance_sweep(4, 3)
         assert report.passed and report.evaluated == grid_rows(4, 3, 4, 4, 4)
 
@@ -717,20 +721,18 @@ class TestPreflightBudget:
     )
     def test_exact_budget_completes(self, counters, name, run, rows):
         report = run(rows)
-        if report is None:
-            # the search folds row by row: one record per row
-            assert counters()["rows"] == rows
-        else:
+        # neither the search nor the fold, nor the first-failure scan of a
+        # failing run, builds a row record: they read class templates
+        assert counters()["rows"] == 0
+        if report is not None:
             # the report counts every row, but the fold computes each class's
             # template once, so fewer templates than cells (5 rows each)
-            # unless every cell is a class of its own; it builds row records
-            # only when the ordered scan looks for the first failure
+            # unless every cell is a class of its own
             assert report.evaluated == rows
             if name in ONE_CLASS_PER_CELL:
                 assert counters()["templates"] == rows // 5
             else:
                 assert counters()["templates"] < rows // 5
-            assert (counters()["rows"] == 0) == report.passed
 
     @pytest.mark.parametrize(
         "run, rows", [case[1:] for case in BUDGETED_RUNS],
@@ -871,6 +873,18 @@ class TestMinimalOrder:
         dev, bidder, row = min(failures, key=lambda f: (f[0], f[1]))
         ce = report.counterexample
         assert (ce.deviation_bid, ce.bidder, ce.policy) == (dev, bidder, row.pairing)
+
+    @pytest.mark.parametrize("run", [
+        lambda: dominance_sweep(2, 2, [core.LastIndex()], FIRST).counterexample,
+        lambda: find_counterexample(FIRST, 2, 2, [core.LastIndex()]),
+    ], ids=["dominance_sweep", "find_counterexample"])
+    def test_a_later_bidders_earlier_failure_wins_its_group(self, run):
+        # Against the opposing bid 0 under last-index, bidder 1 gains at value 1
+        # by deviating to 0, a tie it wins for free; bidder 0 first gains only
+        # at value 2, by deviating to 1.  Value comes before bidder in the key.
+        assert any(not row.passed for row in check_truthfulness(
+            (2, 0), (0,), 0, [core.LastIndex()], FIRST, [1]))
+        assert run() == Counterexample((0, 1), (0, 1), 1, 0, "last-index", 0, 1)
 
     # Each bidder's argmax sets of one, and no choice among ties, so the first
     # profile a run evaluates with a tie names its argmax set in the refusal.
