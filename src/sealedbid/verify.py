@@ -229,14 +229,20 @@ class _Scope(NamedTuple):
     cells in key order, a row per cell: ``(bidder, truthful keys, truthful
     view row, deviated view row)`` (see ``_scope``).  ``templates`` maps a
     comparison's class, (value, truthful view, deviated view), to its
-    template's id in ``templates.values`` (see ``_template``).  The fold and
-    the block scan share it, so each class's template is computed once.
+    template's id in ``templates.values`` (see ``_template``).  Every run
+    reads it through ``classes``, so each class's template is computed once.
     ``valuations`` None means every bidder values what it bids.
     """
 
     view_rows: Callable[[], Iterator[tuple]]
     templates: _Interned
     valuations: "ValuationProfile | None"
+
+    def classes(self, values, truth_views, dev_views) -> Iterator[int]:
+        """A block's (a cell's values and view rows) template ids, lazily, in key order."""
+        templates = self.templates
+        return (templates[value, truth_view, dev_view]
+                for (value, truth_view), dev_view in product(zip(values, truth_views), dev_views))
 
 
 def _scope(groups, rows, budget, policies, rule, adversarial, valuations=None,
@@ -338,24 +344,24 @@ def _first_failure(scope) -> "Counterexample | None":
     """The scope's first failing row in key order (value, deviation bid,
     bidder within each group, pairing): the minimal counterexample.  Each
     distinct block, (values, truthful view row, deviated view row), has its
-    first failing (value index, deviation index, template row) found once;
-    a group's is the least over its cells, the earlier bidder winning a tie."""
-    templates, built = scope.templates, scope.templates.values
+    first failing (class index, template row) found once; a group's is the
+    least over its cells, the earlier bidder winning a tie."""
+    built = scope.templates.values
 
     @cache
     def first(values, truth_views, dev_views):
-        for i, (value, truth_view) in enumerate(zip(values, truth_views)):
-            for j, dev_view in enumerate(dev_views):
-                for row in built[templates[value, truth_view, dev_view]]:
-                    if not row[3]:
-                        return i, j, row
+        for k, ident in enumerate(scope.classes(values, truth_views, dev_views)):
+            for row in built[ident]:
+                if not row[3]:
+                    return k, row
         return None
 
     for values, new_bids, rows in scope.view_rows():
         hits = [(*hit, bidder, truths) for bidder, truths, truth_views, dev_views in rows
                 if (hit := first(values, truth_views, dev_views))]
         if hits:
-            i, j, (u_truth, u_dev, _, _, label), bidder, truths = min(hits, key=itemgetter(0, 1))
+            k, (u_truth, u_dev, _, _, label), bidder, truths = min(hits, key=itemgetter(0))
+            i, j = divmod(k, len(new_bids))
             return Counterexample(scope.valuations or truths[i], truths[i], bidder, new_bids[j],
                                   label, u_truth, u_dev)
     return None
@@ -404,19 +410,18 @@ def _fold(scope: _Scope) -> VerificationReport:
     the counts equal a row-by-row fold's, without building a row record.
     When a row failed, the counterexample comes from the block scan
     ``_first_failure``, which reads the templates built here."""
-    templates = scope.templates
     blocks = Counter(
         (values, truth_views, dev_views)
         for values, _, rows in scope.view_rows() for _, _, truth_views, dev_views in rows
     )
     tally = Counter()
-    for (values, truth_views, dev_views), count in blocks.items():
-        for (value, truth_view), dev_view in product(zip(values, truth_views), dev_views):
-            tally[templates[value, truth_view, dev_view]] += count
+    for block, count in blocks.items():
+        for ident in scope.classes(*block):
+            tally[ident] += count
     counts = {tag: 0 for tag in CaseTag}
     pass_count = fail_count = 0
     for ident, count in tally.items():
-        for _, _, case, passed, _ in templates.values[ident]:
+        for _, _, case, passed, _ in scope.templates.values[ident]:
             counts[case] += count
             if passed:
                 pass_count += count
@@ -458,11 +463,12 @@ def check_truthfulness(
         raise InvalidInstanceError(violations)
     scope = _instance_scope(valuations, {bidder: others}, policies, rule, deviations,
                             adversarial, budget)
-    templates, built = scope.templates, scope.templates.values
-    # Each group is one cell: the value, one deviation bid and one view of each.
+    built = scope.templates.values
     return [DeviationCheckResult(bidder, value, new_bid, *row)
-            for (value,), (new_bid,), [(_, _, (truth_view,), (dev_view,))] in scope.view_rows()
-            for row in built[templates[value, truth_view, dev_view]]]
+            for values, new_bids, cells in scope.view_rows() for bidder, _, *views in cells
+            for (value, new_bid), ident in zip(product(values, new_bids),
+                                               scope.classes(values, *views))
+            for row in built[ident]]
 
 
 def check_instance(
