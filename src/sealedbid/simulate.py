@@ -14,7 +14,7 @@ from abc import ABC, abstractmethod
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from operator import eq, getitem, mul, sub
+from operator import mul, sub
 from typing import IO, Mapping, Sequence
 
 from .core import (
@@ -51,8 +51,9 @@ class Strategy(ABC):
     simulation plays each distinct valuation profile of a small profile
     space once and reuses the round's bids, winner and price.  It must also
     be nondecreasing in the value: ``ExperimentConfig`` checks only the bid
-    at ``value_high`` against the tick rule, and an untabled run refuses, at
-    its block, a bid below the bid at ``value_low`` or 2^64 or more above it.
+    at ``value_high`` against the tick rule, and a run refuses, at the block
+    that first draws it, a bid below the bid at ``value_low`` or 2^64 or
+    more above it.
     """
 
     @abstractmethod
@@ -108,11 +109,6 @@ class Overbid(Record, Strategy):
 def strategy_from_dict(doc: Mapping) -> Strategy:
     """Parse a strategy from its document."""
     return record_from_dict(doc, "strategy", (Truthful, Shade, Overbid))
-
-
-def apply_strategy(valuations: Sequence[Money], strategy: Strategy) -> BidProfile:
-    """Element-wise application of a strategy to a valuation profile."""
-    return tuple(map(strategy.bid, valuations))
 
 
 class ExperimentConfig(Record, label="config"):
@@ -187,7 +183,9 @@ def _lanes(words) -> int:
     return int.from_bytes(b"".join(word.to_bytes(16, "little") for word in words), "little")
 
 
-@lru_cache(maxsize=2)  # a run's full block and its last one
+# Sized for an untabled run's full block and its last one.  A tabled run's
+# blocks with new profiles mostly miss it, at under 0.1 ms each.
+@lru_cache(maxsize=2)
 def _lane_constants(count: int) -> tuple[int, int, int, int]:
     """``ones``, holding 1 in each of ``count`` 128-bit lanes; the mask and
     increment repeated in each; and the lanes of ``range(count)``."""
@@ -293,195 +291,166 @@ PROFILE_TABLE_LIMIT = 4096
 def _tabled(config: ExperimentConfig) -> bool:
     """Whether ``config``'s profile space holds at most ``PROFILE_TABLE_LIMIT``
     profiles, so that a run counts its distinct profiles and plays each once
-    (a table freed with the run)."""
+    (a count freed with the run)."""
     span = config.value_high - config.value_low + 1
     # A span of 2 or more passes the limit within its bit length of bidders.
     return span ** min(config.n_bidders, PROFILE_TABLE_LIMIT.bit_length()) <= PROFILE_TABLE_LIMIT
 
 
-def _play(config: ExperimentConfig, profiles: Sequence[ValuationProfile]):
-    """``(bids, winners, prices)`` of ``profiles``, a block's profiles new to a
-    tabled run, under ``config``: three columns, one entry per profile, each
-    played by ``outcome``, looked up at each play so that a wrapper sees
-    every real evaluation."""
-    strategy, policy, rule = config.strategy, config.policy, config.rule
-    bids = profiles if type(strategy) is Truthful else [
-        apply_strategy(valuations, strategy) for valuations in profiles]
-    played = [outcome(profile, policy, rule) for profile in bids]
-    return bids, [winner for winner, _ in played], [price for _, price in played]
+def _play_lanes(config: ExperimentConfig, lanes: Sequence[int], count: int, keep: bool):
+    """Play ``count`` rounds under ``config`` in 128-bit lanes, given
+    ``lanes``, one integer per bidder whose lane i holds round i's value
+    offset ``value - value_low`` (a tabled run passes its new profiles as
+    the rounds).
 
-
-def _play_lanes(configs: Sequence[ExperimentConfig], totals, start: int, stop: int,
-                keep: bool):
-    """Play rounds ``start..stop-1`` of an untabled run under each config in
-    the sampler's 128-bit lanes, and add them to each config's ``totals``.
-
-    Bidders come one at a time from ``_offset_lanes``.  A config's bid lane
-    holds offsets from ``strategy.bid(value_low)``: the value lane itself for
-    ``Truthful`` and ``Overbid``; for any other strategy each word's bid,
-    packed back into lanes, and refused unless it lies within 2^64 - 1 above
-    that base.  Each config keeps lanes of the top bid, the second bid and,
-    if kept, the winner.  With G bit 64 of each lane, ``((x | G) - y - 1) >>
-    64`` is 1 in a lane where x > y, and without the ``- 1`` where x >= y:
-    both words are below 2^64, so a lane borrows only from its own guard
-    bit.  Times ``MASK64`` it is a select mask m, applied as ``a ^ ((a ^ b) &
-    m)``.  A bidder takes the top from a lower bid, and under ``LastIndex``
-    from an equal one too, so ``FirstIndex`` and ``LastIndex`` need no
-    ``select``.  Any other policy's ``select`` runs through ``outcome``, in
-    round order: for ``Seeded`` on tied rounds (top == second) only, since
-    its pick of a unique top needs no hash; for ``ExplicitChoice`` and any
-    other class on every round.  So a fault is raised at the round, and with
-    the message, of a per-round play.
+    A bid lane holds offsets from ``strategy.bid(value_low)``: the value
+    lane itself for ``Truthful`` and ``Overbid``; for any other strategy
+    each word's bid, packed back into lanes, and refused unless it lies
+    within 2^64 - 1 above that base.  The top bid, the second bid and, if
+    kept, the winner are lanes too.  With G bit 64 of each lane, ``((x |
+    G) - y - 1) >> 64`` is 1 in a lane where x > y, and without the ``- 1``
+    where x >= y: both words are below 2^64, so a lane borrows only from
+    its own guard bit.  Times ``MASK64`` it is a select mask m, applied as
+    ``a ^ ((a ^ b) & m)``.  A bidder takes the top from a lower bid, and
+    under ``LastIndex`` from an equal one too, so ``FirstIndex`` and
+    ``LastIndex`` need no ``select``.  Any other policy's ``select`` runs
+    through ``outcome``, in round order: for ``Seeded`` on tied rounds (top
+    == second) only, since its pick of a unique top needs no hash; for
+    ``ExplicitChoice`` and any other class on every round.  So a fault is
+    raised at the round, and with the message, of a per-round play.
 
     The price lane is the top bid under first price and the second under
     second price, whoever wins.  The winner's value lane is the top bid's
-    lane where bids are value offsets, else packed from the winners' values.
-    Revenue and winner value are each one sum of a lane's words, and the
-    efficient rounds the ``bit_count`` of a lane compare of the winner's
-    value with the top value.  With ``keep`` it returns the block's
-    valuations and each config's ``(bids, winners, prices)``, one entry per
-    round, for a sink; else ``None`` and each config's ``(None, None,
-    prices)``."""
-    sampling, count = configs[0], stop - start
-    low, ones = sampling.value_low, _lane_constants(count)[0]
-    guard, values, peak = ones << 64, [], 0
+    lane where bids are value offsets, else packed from the winners'
+    values.  Returns the rounds' valuations with ``keep`` (else None);
+    ``(bids, winners, prices)``, one entry per round, the first two None
+    unless kept; the lane of the winner's value offset; and the efficiency
+    lane, 1 where the winner holds the top value."""
+    low, ones = config.value_low, _lane_constants(count)[0]
+    guard, base, policy = ones << 64, config.strategy.bid(low), config.policy
 
     def above(x: int, y: int, strict: int = 0) -> int:  # 1 where x > y (strict: ones), x >= y (0)
         return ((x | guard) - y - strict) >> 64 & ones
 
-    reused = [type(config.strategy) in (Truthful, Overbid) for config in configs]
+    reuse = type(config.strategy) in (Truthful, Overbid)
     # Unpack each round's values and bids where a select, a strategy or a sink needs them.
-    keep = keep or not all(reused) or any(
-        type(config.policy) not in (FirstIndex, LastIndex) for config in configs)
-    # Each config's base bid, top, second and winner lanes, and each bidder's bids.
-    states = [[config.strategy.bid(low), 0, 0, 0, []] for config in configs]
-    for bidder, lane in enumerate(_offset_lanes(sampling, start, stop)):
+    keep = keep or not reuse or type(policy) not in (FirstIndex, LastIndex)
+    strict = 0 if type(policy) is LastIndex else ones
+    values, columns, top, second, winner, peak = [], [], 0, 0, 0, 0
+    for bidder, lane in enumerate(lanes):
         if keep:
             words = _words(lane, count)
             values.append([low + word for word in words] if low else words)
-        if not all(reused):  # the top value, which a winner at the top bid may lack
+        if reuse:
+            bids = lane
+            column = keep and (values[-1] if base == low else [base + word for word in words])
+        else:  # the top value, which a winner at the top bid may lack
             peak ^= (peak ^ lane) & above(lane, peak) * MASK64
-        for config, state, reuse in zip(configs, states, reused):
-            base, top, second, winner, columns = state
-            if reuse:
-                bids = lane
-                column = keep and (values[-1] if base == low else [base + word for word in words])
-            else:
-                column = list(map(config.strategy.bid, values[-1]))
-                if min(column) < base or max(column) - base > MASK64:
-                    raise ValueError(
-                        f"strategy {config.strategy.kind!r} bids outside {base}..{base + MASK64}: "
-                        f"a strategy must bid nondecreasingly, within 2**64 - 1 ticks of its "
-                        f"bid at value_low")
-                bids = _lanes([bid - base for bid in column])
-            if keep:
-                columns.append(column)
-            if not bidder:
-                state[1] = bids
-                continue
-            mask = above(bids, top, 0 if type(config.policy) is LastIndex else ones) * MASK64
-            swap = (top ^ bids) & mask
-            lower = bids ^ swap  # the lower of the bid and the top
-            state[1] = top ^ swap
-            state[2] = second ^ (second ^ lower) & above(lower, second) * MASK64
-            state[3] = winner ^ (winner ^ bidder * ones) & mask if keep else 0
-    plays = []
-    for config, total, (base, top, second, winner, columns), reuse in zip(
-            configs, totals, states, reused):
-        policy, bids, winners = config.policy, None, None
+            column = list(map(config.strategy.bid, values[-1]))
+            if min(column) < base or max(column) - base > MASK64:
+                raise ValueError(
+                    f"strategy {config.strategy.kind!r} bids outside {base}..{base + MASK64}: "
+                    f"a strategy must bid nondecreasingly, within 2**64 - 1 ticks of its "
+                    f"bid at value_low")
+            bids = _lanes([bid - base for bid in column])
         if keep:
-            bids, winners, rounds = list(zip(*columns)), list(_words(winner, count)), ()
-            if type(policy) is Seeded:
-                ties = above(second, top)
-                rounds = [r for r, tie in enumerate(_words(ties, count)) if tie] if ties else ()
-            elif type(policy) not in (FirstIndex, LastIndex):
-                rounds = range(count)
-            for r in rounds:
-                winners[r] = outcome(bids[r], policy, config.rule)[0]
-        # A top bidder's value offset is its bid offset, where the strategy reuses the lanes.
-        won, most = (top, top) if reuse else (
-            _lanes([values[pick][r] - low for r, pick in enumerate(winners)]), peak)
-        prices = _words(top if config.rule is PaymentRule.FIRST_PRICE else second, count)
-        if base:
-            prices = [base + price for price in prices]
-        revenue, value = sum(prices), sum(_words(won, count)) + low * count
-        total[0] += revenue
-        total[1] += value - revenue
-        total[2] += above(won, most).bit_count()
-        plays.append((bids, winners, prices))
-    return (list(zip(*values)) if keep else None), plays
-
-
-def _fold(totals, profiles, plays, weights):
-    """Add to each config's ``totals`` (revenue, winner utility, efficient
-    rounds) ``weights[i]`` rounds of each distinct profile ``profiles[i]`` of
-    a tabled run, played as each config's ``(winners, prices)`` in
-    ``plays``.  For two configs, returns the least and greatest price
-    difference, first minus second."""
-    tops = list(map(max, profiles))
-    for total, (winners, prices) in zip(totals, plays):
-        values = list(map(getitem, profiles, winners))
-        columns = prices, values, map(eq, values, tops)
-        revenue, value, efficient = (sum(map(mul, weights, column)) for column in columns)
-        total[0] += revenue
-        total[1] += value - revenue
-        total[2] += efficient
-    if len(plays) == 2:
-        diffs = list(map(sub, plays[0][1], plays[1][1]))
-        return min(diffs), max(diffs)
+            columns.append(column)
+        if not bidder:
+            top = bids
+            continue
+        mask = above(bids, top, strict) * MASK64
+        swap = (top ^ bids) & mask
+        lower = bids ^ swap  # the lower of the bid and the top
+        top ^= swap
+        second ^= (second ^ lower) & above(lower, second) * MASK64
+        if keep:
+            winner ^= (winner ^ bidder * ones) & mask
+    bids = winners = None
+    if keep:
+        bids, winners, rounds = list(zip(*columns)), list(_words(winner, count)), ()
+        if type(policy) is Seeded:
+            ties = above(second, top)
+            rounds = [r for r, tie in enumerate(_words(ties, count)) if tie] if ties else ()
+        elif type(policy) not in (FirstIndex, LastIndex):
+            rounds = range(count)
+        for r in rounds:
+            winners[r] = outcome(bids[r], policy, config.rule)[0]
+    # A top bidder's value offset is its bid offset, where the strategy reuses the lanes.
+    won, most = (top, top) if reuse else (
+        _lanes([values[pick][r] - low for r, pick in enumerate(winners)]), peak)
+    prices = _words(top if config.rule is PaymentRule.FIRST_PRICE else second, count)
+    if base:
+        prices = [base + price for price in prices]
+    return (list(zip(*values)) if keep else None), (bids, winners, prices), won, above(won, most)
 
 
 def _simulate(configs: Sequence[ExperimentConfig], budget: int, sink=None):
-    """The one round loop, a sampled block at a time, played under every
-    config (all share the first one's sampling parameters, so ``_tabled`` is
-    asked once, of the first).  Untabled, ``_play_lanes`` samples, plays and
-    folds each block in lanes.  Tabled, a run-wide count of the rounds'
-    profile indices picks each block's new ones, each decoded once and
+    """The one round loop, a sampled block at a time, played by
+    ``_play_lanes`` under each config in turn (all share the first one's
+    sampling parameters, so ``_tabled`` is asked once, of the first, and
+    each block's lanes are read once for every config).  Untabled, the
+    lanes are the block's ``_offset_lanes`` and each block is folded as it
+    is played.  Tabled, a run-wide count of the rounds' profile indices
+    picks each block's new ones; their base-span digits are the lanes,
     played first seen first (so a fault is raised at the round that would
-    raise it untabled), and each distinct profile is folded once at the
-    end, weighted by its count.  Each sampler and player is looked up per
-    block, so a wrapper sees every call.  ``sink(start, block, profiles,
-    plays)`` runs once per block; ``plays`` holds each config's ``(bids,
-    winners, prices)`` over ``profiles``.  Untabled, ``block`` is the
-    rounds' valuations and ``profiles`` is ``block``; tabled, ``block`` is
-    the rounds' indices and ``profiles`` maps each index new to the run to
-    its profile.  Returns the reports and each block's, or the tabled
-    run's, least and greatest price difference of two configs."""
+    raise it untabled), and each distinct profile's price, winner value
+    and efficiency are folded once at the end, weighted by its count.  Each
+    sampler and the player are looked up per block, so a wrapper sees
+    every call.  ``sink(start, block, profiles, plays)`` runs once per
+    block; ``plays`` holds each config's ``(bids, winners, prices)`` over
+    ``profiles``.  Untabled, ``block`` is the rounds' valuations and
+    ``profiles`` is ``block``; tabled, ``block`` is the rounds' indices and
+    ``profiles`` maps each index new to the run to its profile.  Returns the
+    reports and the least and greatest price difference of two configs
+    over each block's rounds, or new profiles."""
     sampling = configs[0]
     sampling.check_budget(budget)
-    rounds, low = sampling.n_rounds, sampling.value_low
-    totals = [[0, 0, 0] for _ in configs]  # revenue, winner utility, efficient rounds
-    tabled = _tabled(sampling)
-    counts = Counter()  # tabled: each distinct profile index's rounds
-    table = []  # tabled: each distinct profile, in the order of counts
-    columns = [([], []) for _ in configs]  # tabled: winners and prices per distinct profile
-    spans = []
+    rounds, low, keep = sampling.n_rounds, sampling.value_low, sink is not None
+    span = sampling.value_high - low + 1
+    # Each config's revenue, winner value offsets and efficient rounds, summed
+    # per block untabled; tabled, a column of each, one entry per distinct profile.
+    totals = [[0, 0, 0] for _ in configs]
+    columns = [([], [], []) for _ in configs]
+    tabled, counts, spans = _tabled(sampling), Counter(), []
     for start in range(0, rounds, SAMPLE_BLOCK):
         stop = min(start + SAMPLE_BLOCK, rounds)
-        if not tabled:
-            block, plays = _play_lanes(configs, totals, start, stop, sink is not None)
+        if tabled:
+            seen = len(counts)
+            counts.update(block := sample_indices(sampling, start, stop))
+            new = list(counts)[seen:]
+            lanes = [_lanes([index // span ** place % span for index in new])
+                     for place in reversed(range(sampling.n_bidders))]
+        else:
+            new, lanes = range(start, stop), list(_offset_lanes(sampling, start, stop))
+        count, profiles, plays = len(new), (), [((), (), ())] * len(configs)
+        if count:
+            plays = []
+            for config, total, column in zip(configs, totals, columns):
+                profiles, play, won, efficient = _play_lanes(config, lanes, count, keep)
+                plays.append(play)
+                if tabled:
+                    column[0].extend(play[2])
+                    column[1].extend(_words(won, count))
+                    column[2].extend(_words(efficient, count))
+                else:
+                    total[0] += sum(play[2])
+                    total[1] += sum(_words(won, count))
+                    total[2] += efficient.bit_count()
             if len(plays) == 2:
                 diffs = list(map(sub, plays[0][2], plays[1][2]))
                 spans.append((min(diffs), max(diffs)))
-            if sink is not None:
-                sink(start, block, block, plays)
-            continue
-        seen, span = len(counts), sampling.value_high - low + 1
-        counts.update(block := sample_indices(sampling, start, stop))
-        new = {index: tuple(low + index // span ** place % span
-                            for place in reversed(range(sampling.n_bidders)))
-               for index in list(counts)[seen:]}
-        table += (profiles := list(new.values()))
-        plays = [_play(config, profiles) for config in configs]
-        for (winners, prices), (_, new_winners, new_prices) in zip(columns, plays):
-            winners += new_winners
-            prices += new_prices
-        if sink is not None:
-            sink(start, block, new, plays)
+        if keep:
+            if tabled:
+                profiles = dict(zip(new, profiles))
+            else:
+                block = profiles
+            sink(start, block, profiles, plays)
     if tabled:
-        spans.append(_fold(totals, table, columns, list(counts.values())))
-    return [SimReport(config, rounds, *(Fraction(value, rounds) for value in total))
-            for config, total in zip(configs, totals)], spans
+        weights = list(counts.values())
+        totals = [[sum(map(mul, weights, figures)) for figures in column] for column in columns]
+    return [SimReport(config, rounds, *(Fraction(figure, rounds) for figure in (
+                revenue, value + low * rounds - revenue, efficient)))
+            for config, (revenue, value, efficient) in zip(configs, totals)], spans
 
 
 def run_experiment(config: ExperimentConfig, budget: int = DEFAULT_BUDGET) -> SimReport:
@@ -520,7 +489,7 @@ def compare_rules(
     """Run two configs on the same sampled valuation stream: they must agree
     on every sampling parameter (bidders, rounds, value bounds, seed) and may
     differ in rule, strategy, or tie-break.  The revenue difference range is
-    taken per block, or once over the distinct profiles of a tabled run.
+    taken per block, over its rounds, or over a tabled run's new profiles.
     """
     for field in ("n_bidders", "n_rounds", "value_low", "value_high", "seed"):
         if getattr(config_a, field) != getattr(config_b, field):

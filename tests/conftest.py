@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from math import comb
 from types import SimpleNamespace
 
@@ -331,21 +331,21 @@ def naive_means(rounds):
 def evaluations(monkeypatch):
     """What a run evaluates, in call order: ``profiles``, one ``(bids, policy,
     rule)`` per profile that ``outcome`` (as bound in ``verify``, ``simulate``
-    and ``cli``) receives, each ``bids`` the object passed, and one ``(round,
-    policy, rule)`` per round and config of each block that
-    ``simulate._play_lanes`` plays; and ``sampled``, the ``(start, stop)``
-    range of each ``simulate._offset_lanes`` call, which every sampler
-    makes once."""
+    and ``cli``) receives, each ``bids`` the object passed, and one ``(index,
+    policy, rule)`` per round, or tabled profile, that a
+    ``simulate._play_lanes`` call plays, the index running on across calls;
+    and ``sampled``, the ``(start, stop)`` range of each
+    ``simulate._offset_lanes`` call, which every sampler makes once."""
     seen = SimpleNamespace(profiles=[], sampled=[])
+    indices = count()
 
     def counted(bids, policy, rule):
         seen.profiles.append((bids, policy, rule))
         return outcome(bids, policy, rule)
 
-    def counted_lanes(configs, totals, start, stop, keep):
-        seen.profiles.extend((index, config.policy, config.rule)
-                             for config in configs for index in range(start, stop))
-        return play_lanes(configs, totals, start, stop, keep)
+    def counted_lanes(config, lanes, rounds, keep):
+        seen.profiles.extend((next(indices), config.policy, config.rule) for _ in range(rounds))
+        return play_lanes(config, lanes, rounds, keep)
 
     def sampling(config, start, stop):
         seen.sampled.append((start, stop))

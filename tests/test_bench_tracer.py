@@ -82,10 +82,14 @@ def test_traced_simulate_counts_each_round_once_and_restores(tmp_path, monkeypat
     assert half == -(-rounds // simulate.SAMPLE_BLOCK)
     assert metrics["simulate.rounds_evaluated"][0] == 0
     assert metrics["seeding.mix64.calls"][0] == 1
-    # The 8^3 profiles are tabled: outcome runs once per distinct (truthful)
-    # bid profile, and every call the tracer sees is a distinct one.
+    # The 8^3 profiles are tabled: each distinct (truthful) bid profile is
+    # played once, in lanes, and the seeded policy's select runs, through the
+    # traced outcome, only on those whose top bid ties; every call the tracer
+    # sees is a distinct one.
     profiles = {tuple(mix64(5, r, b) % 8 for b in range(3)) for r in range(rounds)}
-    assert metrics["core.outcome.calls"][0] == len(profiles) == 167
+    tied = sum(profile.count(max(profile)) > 1 for profile in profiles)
+    assert len(profiles) == 167 and tied == 30
+    assert metrics["core.outcome.calls"][0] == tied
     assert metrics["core.outcome.distinct_ratio"][0] == 1.0
     assert_restored(before)
 

@@ -31,7 +31,6 @@ from sealedbid.simulate import (
     Shade,
     Strategy,
     Truthful,
-    apply_strategy,
     compare_rules,
     run_experiment,
     sample_indices,
@@ -55,13 +54,13 @@ def config(**overrides):
 
 class TestStrategies:
     def test_truthful_is_identity(self):
-        assert apply_strategy((3, 6, 4), Truthful()) == (3, 6, 4)
+        assert [Truthful().bid(value) for value in (3, 6, 4)] == [3, 6, 4]
 
     def test_shade_floor_halving(self):
-        assert apply_strategy((3, 6, 4), Shade(1, 2)) == (1, 3, 2)
+        assert [Shade(1, 2).bid(value) for value in (3, 6, 4)] == [1, 3, 2]
 
     def test_overbid_adds_delta(self):
-        assert apply_strategy((3, 6, 4), Overbid(2)) == (5, 8, 6)
+        assert [Overbid(2).bid(value) for value in (3, 6, 4)] == [5, 8, 6]
 
     def test_shade_factor_must_be_below_one(self):
         with pytest.raises(ValueError):
@@ -745,11 +744,12 @@ def per_round(cfg):
 
 @st.composite
 def tied_configs(draw):
-    """Two untabled configs over one valuation stream whose rounds tie often:
-    8 to 10 bidders over 3 or 4 values, from a ``value_low`` that may pass
-    2^64.  Each draws its rule, a built-in or custom strategy, and a policy
-    of each kind, a custom class, or an explicit table lacking one argmax set."""
-    n_bidders = draw(st.integers(8, 10))
+    """Two configs over one valuation stream whose rounds tie often: 3 or 4
+    values, from a ``value_low`` that may pass 2^64, over 2 or 3 bidders
+    (tabled) or 8 to 10 (untabled).  Each draws its rule, a built-in or
+    custom strategy, and a policy of each kind, a custom class, or an
+    explicit table lacking one argmax set."""
+    n_bidders = draw(st.one_of(st.integers(2, 3), st.integers(8, 10)))
     low = draw(st.sampled_from([0, 5, 2**64 - 2, 2**64 + 3, 2**70]))
     sampling = dict(
         n_bidders=n_bidders, n_rounds=draw(st.integers(1, 2 * SAMPLE_BLOCK + 1)), value_low=low,
@@ -773,8 +773,8 @@ def tied_configs(draw):
 
 
 class TestLanePlay:
-    """An untabled block is played in lanes; every report, difference range,
-    CSV byte and fault is the per-round one."""
+    """A block, or a tabled run's new profiles, is played in lanes; every
+    report, difference range, CSV byte and fault is the per-round one."""
 
     @settings(max_examples=60, deadline=None)
     @given(tied_configs())
@@ -783,7 +783,7 @@ class TestLanePlay:
               for s, rule, policy in ((3, FIRST, Seeded(9)), (3, SECOND, LastIndex()))])
     def test_matches_per_round_outcomes_and_the_naive_fold(self, configs):
         cfg_a, cfg_b = configs
-        assert not simulate._tabled(cfg_a)
+        assert simulate._tabled(cfg_a) == (cfg_a.n_bidders <= 3)
         (rounds_a, fault_a), (rounds_b, fault_b) = per_round(cfg_a), per_round(cfg_b)
         buf = io.StringIO()
         if fault_a is None:
@@ -815,7 +815,8 @@ class TestLanePlay:
         diffs = [a[3] - b[3] for a, b in zip(rounds_a, rounds_b)]
         assert (paired.revenue_diff_min, paired.revenue_diff_max) == (min(diffs), max(diffs))
 
-    def test_refuses_a_strategy_that_bids_below_its_bid_at_value_low(self):
+    @pytest.mark.parametrize("value_high", [9, 99], ids=["tabled", "untabled"])
+    def test_refuses_a_strategy_that_bids_below_its_bid_at_value_low(self, value_high):
         class Falling(Strategy):
             kind = "falling"
 
@@ -823,8 +824,10 @@ class TestLanePlay:
                 return 200 - value
 
         # A decreasing strategy breaks the contract that Strategy states.
+        cfg = config(n_bidders=2, value_high=value_high, strategy=Falling())
+        assert simulate._tabled(cfg) == (value_high == 9)
         with pytest.raises(ValueError, match=r"^strategy 'falling' bids outside 200\.\."):
-            run_experiment(config(n_bidders=2, value_high=99, strategy=Falling()))
+            run_experiment(cfg)
 
 
 # Configs whose sampled means are checked against their exact targets: the
