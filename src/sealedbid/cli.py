@@ -31,6 +31,7 @@ from .core import (
     outcome,
     policy_from_dict,
     seed_violation,
+    standard_policies,
     tick_violation,
 )
 from .reporting import canonical_json, render_table
@@ -234,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep = argparse.ArgumentParser(add_help=False, parents=[common, seeded, budgeted])
     sweep.add_argument(
-        "--policies", default="first-index,last-index,seeded,explicit",
+        "--policies", default=",".join(policy.kind for policy in standard_policies(2)),
         help="comma-joined tie-break policies; explicit covers N <= 16 bidders "
              "(default: %(default)s)",
     )

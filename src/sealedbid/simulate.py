@@ -238,19 +238,14 @@ def sample_valuations(config: ExperimentConfig, start: int, stop: int) -> list[V
     ``((w + 1) * (m - 1)) >> (64 + l)``, and the offset ``w - q * span``.
     Each product is below 2^128, so it stays in its lane, and ``q <
     2^(64-l)``, so one lane mask drops the bits the shift pulls in from the
-    lane above.  ``value_low`` is added in the lanes if ``value_high <
-    2**64``, else per word.
+    lane above.  ``value_low`` is added to each offset word, so a value
+    may pass 2^64.
 
     Not exactly uniform on [value_low, value_high]: each tick's chance is
     1 / span up to a relative error of span / 2^64 (``ExperimentConfig``
     refuses a span above 2^64)."""
     lanes, count, low = _offset_lanes(config, start, stop), stop - start, config.value_low
-    if config.value_high <= MASK64:  # every value fits its lane's low word
-        lows = low * _lane_constants(count)[0]
-        columns = [_words(lane + lows, count) for lane in lanes]
-    else:
-        columns = [[low + word for word in _words(lane, count)] for lane in lanes]
-    return list(zip(*columns))
+    return list(zip(*[[low + word for word in _words(lane, count)] for lane in lanes]))
 
 
 def sample_indices(config: ExperimentConfig, start: int, stop: int) -> tuple[int, ...]:

@@ -258,7 +258,8 @@ def _scope(groups, rows, budget, policies, rule, adversarial, valuations=None,
     policy, each evaluated once per run.  It is keyed by profile alone
     (``ExplicitChoice`` is unhashable), sound as every ``select`` is a pure
     function of the bids.  A view is a bidder's price per policy if it wins,
-    else None."""
+    else None.  A class's template enters ``templates`` as one tuple of its
+    rows, hashed once, so equal templates share one id."""
     check_budget(rows, budget, "evaluated tuples")
     if not policies:
         raise ValueError("at least one tie-break policy is required")
@@ -274,10 +275,8 @@ def _scope(groups, rows, budget, policies, rule, adversarial, valuations=None,
     ]))
     labels = [policy.describe() for policy in policies]
     paired = pairing_count(policies, adversarial) > len(policies)
-    shares = {}  # equal rows of different templates share one tuple
-    templates = _Interned(lambda key: tuple([shares.setdefault(row, row) for row in _template(
-        labels, paired, key[0], views.values[key[1]], views.values[key[2]]
-    )]))
+    templates = _Interned(lambda key: _template(
+        labels, paired, key[0], views.values[key[1]], views.values[key[2]]))
 
     def view(profiles, bidder) -> tuple:
         return tuple([views[table[key], bidder] for key in profiles])
@@ -315,7 +314,7 @@ def _instance_scope(valuations, opposing, policies, rule, deviations, adversaria
     return _scope(groups, rows, budget, policies, rule, adversarial, valuations)
 
 
-def _template(labels, paired, value, truthful_view, deviated_view) -> list[tuple]:
+def _template(labels, paired, value, truthful_view, deviated_view) -> tuple[tuple, ...]:
     """A class's rows without bidder or deviation bid: per policy, plus the
     adversarial pairing when ``paired``, ``(truthful utility, deviation
     utility, case, passed, label)`` from the bidder's views of its two
@@ -336,8 +335,8 @@ def _template(labels, paired, value, truthful_view, deviated_view) -> list[tuple
         _, u_dev, _, won_dev, dev_label = max(rows, key=itemgetter(1))
         label = f"adversarial({truth_label}|{dev_label})"
         rows.append((u_truth, u_dev, won_truth, won_dev, label))
-    return [(u_truth, u_dev, _CASES[won_truth, won_dev], u_truth >= u_dev, label)
-            for u_truth, u_dev, won_truth, won_dev, label in rows]
+    return tuple([(u_truth, u_dev, _CASES[won_truth, won_dev], u_truth >= u_dev, label)
+                  for u_truth, u_dev, won_truth, won_dev, label in rows])
 
 
 def _first_failure(scope) -> "Counterexample | None":

@@ -10,6 +10,8 @@ and plain Python, without ``core.outcome``, strategies' ``bid`` or
 policies' ``select``.  ``order_statistic_targets`` gives the exact means
 that a simulation's sampled means estimate, from order statistics alone.
 ``assert_case`` judges a row by its case's exact second-price contract.
+``interpolate`` is a Lagrange oracle on exact Fractions, from the
+standard library alone.
 The ``evaluations`` fixture records what a run evaluates and samples.
 """
 
@@ -231,23 +233,29 @@ def naive_rounds(config):
     return rounds
 
 
+def interpolate(values, x):
+    """The value at ``x`` of the polynomial of degree below ``len(values)``
+    that takes ``values[k]`` at each k = 0, 1, ..., by Lagrange's formula
+    on exact Fractions."""
+    total = Fraction(0)
+    for j, value in enumerate(values):
+        value = Fraction(value)
+        for k in range(len(values)):
+            if k != j:
+                value *= Fraction(x - k, j - k)
+        total += value
+    return total
+
+
 def polynomial_sum(term, count, degree):
     """``term(0) + ... + term(count - 1)``, exactly, for a polynomial ``term``
     of at most ``degree``: the prefix sums are a polynomial of degree + 1 in
-    their length, so Lagrange interpolation through the first degree + 2 of
-    them gives any other."""
+    their length, so interpolation through the first degree + 2 of them
+    gives any other."""
     sums = [Fraction(0)]
     for q in range(degree + 1):
         sums.append(sums[-1] + term(q))
-    if count < len(sums):
-        return sums[count]
-    total = Fraction(0)
-    for j, value in enumerate(sums):
-        for k in range(len(sums)):
-            if k != j:
-                value *= Fraction(count - k, j - k)
-        total += value
-    return total
+    return sums[count] if count < len(sums) else interpolate(sums, count)
 
 
 def order_statistic_mean(g, span, n_bidders, second, period):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import interpolate
 from sealedbid import simulate
 from sealedbid.core import (
     AuctionInstance, ExplicitChoice, FirstIndex, LastIndex, PaymentRule, Seeded,
@@ -132,6 +133,52 @@ def test_first_price_fail_counts_are_a_polynomial_in_the_tick_bound():
     for _ in range(4):
         fails = [b - a for a, b in zip(fails, fails[1:])]
     assert fails == [0, 0, 0]
+
+
+def interpolated(n, policies, rule, adversarial):
+    """Per T in (N + 3, N + 5): the six counts of the sweep at T, those
+    interpolated through T = 0..N+1, and the counterexample at T, beside
+    the one at T = N."""
+    def sweep(ticks):
+        return dominance_sweep(n, ticks, policies, rule, adversarial=adversarial)
+
+    def six(report):
+        return (report.pass_count, report.fail_count, *report.case_counts.values())
+
+    reports = [sweep(ticks) for ticks in range(n + 2)]
+    columns = list(zip(*map(six, reports)))
+    return [(six(report), tuple(interpolate(column, ticks) for column in columns),
+             report.counterexample, reports[n].counterexample)
+            for ticks in (n + 3, n + 5) for report in [sweep(ticks)]]
+
+
+@pytest.mark.parametrize("covering", [False, True], ids=["first-last", "with-covering"])
+@pytest.mark.parametrize("adversarial", [True, False])
+@pytest.mark.parametrize("rule", PaymentRule)
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_count_is_a_polynomial_in_the_tick_bound(n, rule, adversarial, covering):
+    # A row is decided by the weak order of its N + 1 ticks (opposing bids,
+    # value, deviation bid) when every policy reads only the argmax set, so
+    # each count is a sum over weak orders with k levels of C(T + 1, k) times
+    # a constant: a polynomial of degree at most N + 1 in T, which T = 0..N+1
+    # pins.  The rank realisation of the first failing row is never above
+    # it, so past T = N the counterexample stays put.
+    policies = [FirstIndex(), LastIndex()] + ([ExplicitChoice.covering(n)] if covering else [])
+    for counts_at, interpolated_at, found, found_at_n in interpolated(
+            n, policies, rule, adversarial):
+        assert counts_at == interpolated_at
+        assert found == found_at_n
+
+
+@pytest.mark.parametrize("rule", PaymentRule)
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_seeded_pairing_breaks_the_polynomial(n, rule):
+    # The test of the test: Seeded hashes the bid text, not the argmax set,
+    # so a sweep that pairs it against FirstIndex does not interpolate.
+    # Without the pairing even this list does, as each policy's sum is
+    # symmetric over bidders.
+    assert any(counts_at != interpolated_at for counts_at, interpolated_at, _, _ in
+               interpolated(n, [FirstIndex(), Seeded(0)], rule, adversarial=True))
 
 
 @st.composite
