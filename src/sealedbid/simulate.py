@@ -391,12 +391,13 @@ def _simulate(configs: Sequence[ExperimentConfig], budget: int, sink=None):
     raise it untabled), and each distinct profile's price, winner value
     and efficiency are folded once at the end, weighted by its count.  Each
     sampler and the player are looked up per block, so a wrapper sees
-    every call.  ``sink(start, block, profiles, plays)`` runs once per
-    block; ``plays`` holds each config's ``(bids, winners, prices)`` over
-    ``profiles``.  Untabled, ``block`` is the rounds' valuations and
-    ``profiles`` is ``block``; tabled, ``block`` is the rounds' indices and
-    ``profiles`` maps each index new to the run to its profile.  Returns the
-    reports and the least and greatest price difference of two configs
+    every call.  ``sink(start, keys, new, profiles, plays)`` runs once per
+    block: ``profiles`` are the valuations just played, ``new`` their keys
+    and ``keys`` each round's key, and ``plays`` holds each config's
+    ``(bids, winners, prices)`` over ``profiles``.  Tabled, a key is a
+    profile index and ``new`` the block's indices new to the run;
+    untabled, ``keys`` and ``new`` are both the block's positions.  Returns
+    the reports and the least and greatest price difference of two configs
     over each block's rounds, or new profiles."""
     sampling = configs[0]
     sampling.check_budget(budget)
@@ -411,12 +412,13 @@ def _simulate(configs: Sequence[ExperimentConfig], budget: int, sink=None):
         stop = min(start + SAMPLE_BLOCK, rounds)
         if tabled:
             seen = len(counts)
-            counts.update(block := sample_indices(sampling, start, stop))
+            counts.update(keys := sample_indices(sampling, start, stop))
             new = list(counts)[seen:]
             lanes = [_lanes([index // span ** place % span for index in new])
                      for place in reversed(range(sampling.n_bidders))]
         else:
-            new, lanes = range(start, stop), list(_offset_lanes(sampling, start, stop))
+            keys = new = range(stop - start)
+            lanes = list(_offset_lanes(sampling, start, stop))
         count, profiles, plays = len(new), (), [((), (), ())] * len(configs)
         if count:
             plays = []
@@ -435,11 +437,7 @@ def _simulate(configs: Sequence[ExperimentConfig], budget: int, sink=None):
                 diffs = list(map(sub, plays[0][2], plays[1][2]))
                 spans.append((min(diffs), max(diffs)))
         if keep:
-            if tabled:
-                profiles = dict(zip(new, profiles))
-            else:
-                block = profiles
-            sink(start, block, profiles, plays)
+            sink(start, keys, new, profiles, plays)
     if tabled:
         weights = list(counts.values())
         totals = [[sum(map(mul, weights, figures)) for figures in column] for column in columns]
@@ -515,21 +513,18 @@ def write_rounds_csv(config: ExperimentConfig, stream: IO[str],
 
     Profile columns hold space-joined ticks so each round stays one row; no
     field ever needs CSV quoting, so rows are written as plain text, one
-    joined string per sampled block.  A tabled run, told apart by a sink
-    handed profiles other than the block, builds the text after the round
-    index once per distinct profile and looks each round's up by its
-    profile index.  The header goes out with the first block, so nothing
-    is written when the budget refuses the run.
+    joined string per sampled block.  The text after the round index is
+    built once per played profile, keyed as the sink is handed it, and
+    each round's is looked up by its key: a tabled run so renders each
+    distinct profile once, and an untabled one each round once.  The
+    header goes out with the first block, so nothing is written when the
+    budget refuses the run.
     """
-    texts = {}  # tabled: each distinct profile's text, by index
+    texts = {}  # each played profile's text by its key: at most a block untabled
 
-    def write(start, block, profiles, plays):
-        if profiles is block:
-            rows = map(_row_text, block, *plays[0])
-        else:
-            texts.update(zip(profiles, map(_row_text, profiles.values(), *plays[0])))
-            rows = map(texts.__getitem__, block)
-        rows = "".join([f"{index},{row}\n" for index, row in enumerate(rows, start)])
+    def write(start, keys, new, profiles, plays):
+        texts.update(zip(new, map(_row_text, profiles, *plays[0])))
+        rows = "".join([f"{index},{texts[key]}\n" for index, key in enumerate(keys, start)])
         stream.write(rows if start else "round,valuations,bids,winner,price\n" + rows)
 
     return _simulate([config], budget, write)[0][0]

@@ -4,9 +4,11 @@ The executable claim: under the second-price rule, bidding one's own
 valuation is weakly dominant.  For each bidder the checker compares the
 truthful bid against deviation bids over every opposing-bid vector
 within a tick bound, under every supplied tie-break policy and under an
-adversarial pairing that gives the tie-break maximal power to punish
-truthfulness.  Every comparison is classified into one of four cases by
-the bidder's win/lose status before and after the deviation.  Each case's
+adversarial pairing of the truthful bid's worst listed policy with the
+deviation's best.  It ranges over the listed policies only, so for N >= 4
+a tie can hide a failure that no listed policy realises (ROADMAP item
+15).  Every comparison is classified into one of four cases by the
+bidder's win/lose status before and after the deviation.  Each case's
 exact second-price contract is judged outside the package, by acceptance
 criterion 2's oracle in ``tests/conftest.py``, over N <= 3 and T <= 4; no
 CLI verdict checks it.
@@ -26,7 +28,6 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from enum import Enum
-from functools import cache
 from itertools import islice, product, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
@@ -76,8 +77,8 @@ _CASES = {won: CaseTag.of(*won) for won in product((False, True), repeat=2)}
 
 class DeviationCheckResult(NamedTuple):
     """One truthful-vs-deviation comparison for one bidder.  Only
-    ``check_truthfulness`` returns these; the folds and the first-failure
-    scan read the class templates and build none."""
+    ``check_truthfulness`` returns these; the walk reads the class
+    templates and builds none."""
 
     bidder: BidderId
     truthful_bid: Money
@@ -245,21 +246,21 @@ class _Scope(NamedTuple):
                 for (value, truth_view), dev_view in product(zip(values, truth_views), dev_views))
 
 
-def _scope(groups, rows, budget, policies, rule, adversarial, valuations=None,
-           shared=False) -> _Scope:
+def _scope(groups, rows, budget, policies, rule, adversarial, valuations=None) -> _Scope:
     """Refuse a run over ``budget`` (it has ``rows`` rows), then an empty
     policy list, both before any work; then return the run's one scope.
     ``groups()`` yields ``(values, deviation bids, cells)`` in key order, a
     cell being ``(bidder, opposing bids)``.  A cell's bidder reads its views
     of ``_inserted(others, x, bidder)`` at every value x, then at every
-    deviation bid x, or reuses the first when ``shared`` (the two are equal).
-    ``view(profiles, bidder)`` is the tuple of ``bidder``'s view ids of
-    ``profiles``.  The outcome table maps a profile to one ``Outcome`` per
-    policy, each evaluated once per run.  It is keyed by profile alone
-    (``ExplicitChoice`` is unhashable), sound as every ``select`` is a pure
-    function of the bids.  A view is a bidder's price per policy if it wins,
-    else None.  A class's template enters ``templates`` as one tuple of its
-    rows, hashed once, so equal templates share one id."""
+    deviation bid x, or reuses the first when the deviation bids are the
+    values object itself.  ``view(profiles, bidder)`` is the tuple of
+    ``bidder``'s view ids of ``profiles``.  The outcome table maps a
+    profile to one ``Outcome`` per policy, each evaluated once per run.  It
+    is keyed by profile alone (``ExplicitChoice`` is unhashable), sound as
+    every ``select`` is a pure function of the bids.  A view is a bidder's
+    price per policy if it wins, else None.  A class's template enters
+    ``templates`` as one tuple of its rows, hashed once, so equal templates
+    share one id."""
     check_budget(rows, budget, "evaluated tuples")
     if not policies:
         raise ValueError("at least one tie-break policy is required")
@@ -287,7 +288,7 @@ def _scope(groups, rows, budget, policies, rule, adversarial, valuations=None,
             for b, others in cells:
                 truths = tuple([_inserted(others, value, b) for value in values])
                 truth_views = view(truths, b)
-                dev_views = truth_views if shared else view(
+                dev_views = truth_views if new_bids is values else view(
                     [_inserted(others, bid, b) for bid in new_bids], b)
                 read.append((b, truths, truth_views, dev_views))
             yield values, new_bids, read
@@ -326,44 +327,18 @@ def _template(labels, paired, value, truthful_view, deviated_view) -> tuple[tupl
         u_dev = value - p_dev if won_dev else 0
         rows.append((u_truth, u_dev, won_truth, won_dev, label))
     if paired:
-        # The tie-break abstraction permits any argmax-respecting choice, so the
-        # strongest reading lets it differ between the two evaluations: take the
-        # policy minimizing the truthful utility against the one maximizing the
-        # deviation utility.  min/max keep the first extremal row, so the pairing
-        # label is deterministic for a fixed policy order.
+        # The pairing lets the tie-break differ between the two evaluations, but
+        # only among the listed policies' rows: take the policy minimizing the
+        # truthful utility against the one maximizing the deviation utility.  An
+        # argmax member that no listed policy picks is never scored (ROADMAP
+        # item 15).  min/max keep the first extremal row, so the pairing label is
+        # deterministic for a fixed policy order.
         u_truth, _, won_truth, _, truth_label = min(rows, key=itemgetter(0))
         _, u_dev, _, won_dev, dev_label = max(rows, key=itemgetter(1))
         label = f"adversarial({truth_label}|{dev_label})"
         rows.append((u_truth, u_dev, won_truth, won_dev, label))
     return tuple([(u_truth, u_dev, _CASES[won_truth, won_dev], u_truth >= u_dev, label)
                   for u_truth, u_dev, won_truth, won_dev, label in rows])
-
-
-def _first_failure(scope) -> "Counterexample | None":
-    """The scope's first failing row in key order (value, deviation bid,
-    bidder within each group, pairing): the minimal counterexample.  Each
-    distinct block, (values, truthful view row, deviated view row), has its
-    first failing (class index, template row) found once; a group's is the
-    least over its cells, the earlier bidder winning a tie."""
-    built = scope.templates.values
-
-    @cache
-    def first(values, truth_views, dev_views):
-        for k, ident in enumerate(scope.classes(values, truth_views, dev_views)):
-            for row in built[ident]:
-                if not row[3]:
-                    return k, row
-        return None
-
-    for values, new_bids, rows in scope.view_rows():
-        hits = [(*hit, bidder, truths) for bidder, truths, truth_views, dev_views in rows
-                if (hit := first(values, truth_views, dev_views))]
-        if hits:
-            k, (u_truth, u_dev, _, _, label), bidder, truths = min(hits, key=itemgetter(0))
-            i, j = divmod(k, len(new_bids))
-            return Counterexample(scope.valuations or truths[i], truths[i], bidder, new_bids[j],
-                                  label, u_truth, u_dev)
-    return None
 
 
 def _grid_scope(n_min, n_max, tick_bound, policies, rule, deviations, adversarial,
@@ -374,13 +349,16 @@ def _grid_scope(n_min, n_max, tick_bound, policies, rule, deviations, adversaria
     tables serves every N, as profiles of different N differ in length and a
     class does not depend on N.  A group is, per N, one opposing-bid vector
     in {0..tick_bound}^(N-1), its cells every bidder in order, its values
-    the whole grid."""
+    the whole grid: full-grid deviations are that same range object, so a
+    group reads its truthful views once for both."""
     if fault := bidder_count_violation(n_max):
         raise ValueError(fault)
     if fault := tick_violation("tick_bound", tick_bound):
         raise InvalidInstanceError([fault])
     grid = range(tick_bound + 1)
     deviations = _deviation_set(grid if deviations == "grid" else deviations, budget)
+    if deviations(0) == grid:  # an explicit full grid: its range object serves as the values
+        grid = deviations(0)
     policies = standard_policies(n_max) if policies is None else policies
     pairings, rows = pairing_count(policies, adversarial), 0
     for n in range(n_min, n_max + 1):
@@ -398,24 +376,50 @@ def _grid_scope(n_min, n_max, tick_bound, policies, rule, deviations, adversaria
             for others in product(grid, repeat=n - 1):
                 yield grid, deviations(max(others)), [(b, others) for b in range(n)]
 
-    return _scope(groups, rows, budget, policies, rule, adversarial, shared=deviations(0) == grid)
+    return _scope(groups, rows, budget, policies, rule, adversarial)
+
+
+def _walk(scope: _Scope, search: bool = False) -> tuple[Iterable, "Counterexample | None"]:
+    """Walk the scope's view rows once.  Each distinct block, (values,
+    truthful view row, deviated view row), is expanded once into its
+    cells' template ids and its first failing (class index, template row),
+    and counted per cell: the walk returns each block's ``[ids, first
+    failure, count]``.  The counterexample is the first failing row in key
+    order (value, deviation bid, bidder within each group, pairing), the
+    minimal one: from the first group holding a failure, the least over
+    its cells, the earlier bidder winning a tie.  A ``search`` stops there."""
+    built, blocks, first = scope.templates.values, {}, None
+    for values, new_bids, rows in scope.view_rows():
+        hits = []
+        for bidder, truths, *views in rows:
+            entry = blocks.get(block := (values, *views))
+            if entry is None:
+                ids = tuple(scope.classes(*block))
+                hit = next(((k, row) for k, ident in enumerate(ids)
+                            for row in built[ident] if not row[3]), None)
+                entry = blocks[block] = [ids, hit, 0]
+            entry[2] += 1
+            if entry[1] and first is None:
+                hits.append((*entry[1], bidder, truths))
+        if hits:
+            k, (u_truth, u_dev, _, _, label), bidder, truths = min(hits, key=itemgetter(0))
+            i, j = divmod(k, len(new_bids))
+            first = Counterexample(scope.valuations or truths[i], truths[i], bidder, new_bids[j],
+                                   label, u_truth, u_dev)
+            if search:
+                break
+    return blocks.values(), first
 
 
 def _fold(scope: _Scope) -> VerificationReport:
-    """Count one scope's blocks by (values, truthful view row, deviated
-    view row) and expand each distinct triple once into its cells'
-    classes, tallying each class's template id by the triple's count;
-    then expand each distinct template once, weighted by its tally, so
-    the counts equal a row-by-row fold's, without building a row record.
-    When a row failed, the counterexample comes from the block scan
-    ``_first_failure``, which reads the templates built here."""
-    blocks = Counter(
-        (values, truth_views, dev_views)
-        for values, _, rows in scope.view_rows() for _, _, truth_views, dev_views in rows
-    )
+    """Tally the walk's blocks: each distinct block's template ids by its
+    count of cells, then each distinct template once, weighted by its
+    tally, so the counts equal a row-by-row fold's, without building a row
+    record.  The counterexample is the walk's."""
+    blocks, first = _walk(scope)
     tally = Counter()
-    for block, count in blocks.items():
-        for ident in scope.classes(*block):
+    for ids, _, count in blocks:
+        for ident in ids:
             tally[ident] += count
     counts = {tag: 0 for tag in CaseTag}
     pass_count = fail_count = 0
@@ -426,7 +430,6 @@ def _fold(scope: _Scope) -> VerificationReport:
                 pass_count += count
             else:
                 fail_count += count
-    first = _first_failure(scope) if fail_count else None
     return VerificationReport(pass_count, fail_count, counts, first)
 
 
@@ -525,7 +528,7 @@ def find_counterexample(
     space; no policies means ``standard_policies(n_max)``.  Output is a
     pure function of the arguments.
     """
-    return _first_failure(
-        _grid_scope(2, n_max, tick_bound, policies, rule, "grid", adversarial, budget)
-    )
+    return _walk(
+        _grid_scope(2, n_max, tick_bound, policies, rule, "grid", adversarial, budget), search=True
+    )[1]
 

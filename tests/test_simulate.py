@@ -410,15 +410,16 @@ class TestRunExperiment:
             blocks.clear()
             texts.clear()
             write_rounds_csv(cfg, io.StringIO())
-            ranges = [(start, start + len(block)) for start, block, _, _ in blocks]
+            ranges = [(start, start + len(keys)) for start, keys, _, _, _ in blocks]
             assert tiles(ranges, cfg.n_rounds, SAMPLE_BLOCK)
             assert len(ranges) == -(-cfg.n_rounds // SAMPLE_BLOCK)
-            assert all(len(play) == 3 and all(len(column) == len(profiles) for column in play)
-                       for _, _, profiles, [play] in blocks)
-            played = [profile for _, _, profiles, _ in blocks for profile in profiles]
-            distinct = {values for _, block, _, _ in blocks for values in block}
+            assert all(len(play) == 3 and all(len(column) == len(new)
+                                              for column in (profiles, *play))
+                       for _, _, new, profiles, [play] in blocks)
+            played = [key for _, _, new, _, _ in blocks for key in new]
+            distinct = {key for _, keys, _, _, _ in blocks for key in keys}
             assert len(played) == len(set(played)) == len(distinct) == len(texts)
-            bids = {id(profile): profile for _, _, _, [(column, _, _)] in blocks
+            bids = {id(profile): profile for _, _, _, _, [(column, _, _)] in blocks
                     for profile in column}
             assert len(bids) == len(distinct)
 

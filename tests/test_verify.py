@@ -321,6 +321,12 @@ class TestFindCounterexample:
         ce = find_counterexample(FIRST, 2, 4)
         assert ce.deviation_utility > ce.truthful_utility
 
+    def test_a_search_stops_at_its_first_failing_group(self, evaluations):
+        # The first failure is at N = 2, so no 3-bidder profile is evaluated.
+        assert find_counterexample(FIRST, 3, 3) is not None
+        assert {len(bids) for bids, _, _ in evaluations.profiles} == {2}
+        assert len(evaluations.profiles) == 28
+
     def test_deterministic_across_calls(self):
         first = find_counterexample(FIRST, 3, 3)
         second = find_counterexample(FIRST, 3, 3)
@@ -557,13 +563,50 @@ class TestOutcomeTable:
         assert len(rows) == 9 * 5
         assert [DeviationCheckResult(*args, **fields) for args, fields in built] == rows
 
-    def test_sweep_counts_blocks_not_cells(self, monkeypatch):
-        def scan(scope):
-            raise AssertionError("a passing sweep never scans for a first failure")
+    def test_sweep_counts_blocks_not_cells(self, monkeypatch, built):
+        # A block is (values, truthful view row, deviated view row); the walk
+        # expands each distinct one once, however many cells share it.
+        blocks = []
+        real = verify._Scope.classes
 
-        monkeypatch.setattr(verify, "_first_failure", scan)
+        def classes(scope, *block):
+            blocks.append(block)
+            return real(scope, *block)
+
+        monkeypatch.setattr(verify._Scope, "classes", classes)
         report = dominance_sweep(4, 3)
         assert report.passed and report.evaluated == grid_rows(4, 3, 4, 4, 4)
+        assert len(blocks) == len(set(blocks)) < 4 ** 3 * 4
+        assert built == []
+
+    @pytest.fixture
+    def inserted(self, monkeypatch):
+        """Every profile that a run builds from a cell, in call order."""
+        profiles = []
+        real = verify._inserted
+
+        def insert(*args):
+            profiles.append(real(*args))
+            return profiles[-1]
+
+        monkeypatch.setattr(verify, "_inserted", insert)
+        return profiles
+
+    @pytest.mark.parametrize("deviations", ["grid", range(3)], ids=["grid", "range"])
+    def test_a_failing_sweep_walks_its_cells_once(self, inserted, deviations):
+        assert not dominance_sweep(3, 2, rule=FIRST, deviations=deviations).passed
+        # 9 opposing-bid vectors x 3 bidders x 3 values: the grid's deviation
+        # bids are its values, so a cell's truthful profiles serve both.
+        assert len(inserted) == 3 ** 2 * 3 * 3 == 81
+
+    @pytest.mark.parametrize("deviations", ["critical", range(9)], ids=["critical", "grid"])
+    def test_a_failing_check_builds_each_profile_once(self, inserted, deviations):
+        policies = standard_policies(INSTANCE.n_bidders)
+        report = check_instance(INSTANCE, policies, FIRST, deviations)
+        assert not report.passed
+        # A cell is one bidder and one deviation bid: one truthful, one deviated profile.
+        cells = report.evaluated // verify.pairing_count(policies, True)
+        assert len(inserted) == 2 * cells
 
     def test_search_computes_one_template_per_class(self, monkeypatch):
         built = []
