@@ -14,7 +14,7 @@ from abc import ABC, abstractmethod
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import IO, Mapping, Sequence
 
 from .core import (
@@ -178,9 +178,10 @@ class ExperimentConfig(Record, label="config"):
 SAMPLE_BLOCK = 256
 
 
-def _lanes(words) -> int:
-    """One integer holding ``words`` as 128-bit lanes, the first the lowest."""
-    return int.from_bytes(b"".join(word.to_bytes(16, "little") for word in words), "little")
+def _lanes(words: Sequence[int]) -> int:
+    """One integer holding ``words`` as 128-bit lanes, the first the lowest.
+    Each word must lie in 0..2^64 - 1: ``struct`` raises on any other."""
+    return int.from_bytes(struct.pack("<" + "Q8x" * len(words), *words), "little")
 
 
 # Sized for an untabled run's full block and its last one.  A tabled run's
@@ -207,11 +208,12 @@ def _offset_lanes(config: ExperimentConfig, start: int, stop: int):
     if span & span - 1 == 0:  # a power of 2, 2^64 among them
         return (word & ones * (span - 1) for word in words)
     shift = 63 + span.bit_length()  # 64 + l
-    multiplier, step = -(-(1 << shift) // span), 0  # m, rounded up
-    if multiplier * span - (1 << shift) > 1 << shift - 64:
-        multiplier, step = multiplier - 1, ones  # rounded down, on w + 1
+    multiplier = -(-(1 << shift) // span)  # m, rounded up
+    down = multiplier * span - (1 << shift) > 1 << shift - 64
+    multiplier -= down  # rounded down, on w + 1
     low_bits = ones * ((1 << 128 - shift) - 1)
-    return (word - ((word + step) * multiplier >> shift & low_bits) * span for word in words)
+    return (word - ((word + ones if down else word) * multiplier >> shift & low_bits) * span
+            for word in words)
 
 
 def _words(lanes: int, count: int) -> tuple[int, ...]:
@@ -302,35 +304,38 @@ def _play_lanes(config: ExperimentConfig, lanes: Sequence[int], count: int, keep
     lane itself for ``Truthful`` and ``Overbid``; for any other strategy
     each word's bid, packed back into lanes, and refused unless it lies
     within 2^64 - 1 above that base.  The top bid, the second bid and, if
-    kept, the winner are lanes too.  With G bit 64 of each lane, ``((x |
-    G) - y - 1) >> 64`` is 1 in a lane where x > y, and without the ``- 1``
-    where x >= y: both words are below 2^64, so a lane borrows only from
-    its own guard bit.  Times ``MASK64`` it is a select mask m, applied as
-    ``a ^ ((a ^ b) & m)``.  A bidder takes the top from a lower bid, and
-    under ``LastIndex`` from an equal one too, so ``FirstIndex`` and
-    ``LastIndex`` need no ``select``.  Any other policy's ``select`` runs
-    through ``outcome``, in round order: for ``Seeded`` on tied rounds (top
-    == second) only, since its pick of a unique top needs no hash; for
+    kept, the winner are lanes too.  With G bit 64 of each lane, ``g = ((x
+    | G) - y) & G`` holds G in a lane where x >= y: both words are below
+    2^64, so a lane borrows only from its own guard bit.  Its spread ``g -
+    (g >> 64)`` is a select mask m, all ones in the low word of each such
+    lane, applied as ``a ^ ((a ^ b) & m)``; the mask of x > y is the
+    low-word complement of y >= x's.  A bidder takes the top from a lower
+    bid, and under ``LastIndex`` from an equal one too, so ``FirstIndex``
+    and ``LastIndex`` need no ``select``.  Any other policy's ``select``
+    runs through ``outcome``, in round order: for ``Seeded`` on tied rounds
+    (top == second) only, since its pick of a unique top needs no hash; for
     ``ExplicitChoice`` and any other class on every round.  So a fault is
     raised at the round, and with the message, of a per-round play.
 
-    The price lane is the top bid under first price and the second under
-    second price, whoever wins.  The winner's value lane is the top bid's
-    lane where bids are value offsets, else packed from the winners'
-    values.  Returns the rounds' valuations with ``keep`` (else None);
-    ``(bids, winners, prices)``, one entry per round, the first two None
-    unless kept; the lane of the winner's value offset; and the efficiency
-    lane, 1 where the winner holds the top value."""
-    low, ones = config.value_low, _lane_constants(count)[0]
+    The price lane holds offsets from the base bid: the top bid under first
+    price and the second under second price, whoever wins.  Where bids are
+    value offsets, the winner's value lane is the top bid's and the
+    efficiency lane, 1 where the winner holds the top value, is all ones;
+    else the winners' values are packed into a lane and compared with the
+    top value's.  Returns the rounds' valuations with ``keep`` (else None);
+    their bids and winners, one entry per round, None unless kept; and the
+    price, winner value offset and efficiency lanes."""
+    low, (ones, full) = config.value_low, _lane_constants(count)[:2]
     guard, base, policy = ones << 64, config.strategy.bid(low), config.policy
 
-    def above(x: int, y: int, strict: int = 0) -> int:  # 1 where x > y (strict: ones), x >= y (0)
-        return ((x | guard) - y - strict) >> 64 & ones
+    def at_least(x: int, y: int) -> int:  # all ones in a lane's low word where x >= y, else 0
+        g = ((x | guard) - y) & guard
+        return g - (g >> 64)
 
     reuse = type(config.strategy) in (Truthful, Overbid)
     # Unpack each round's values and bids where a select, a strategy or a sink needs them.
     keep = keep or not reuse or type(policy) not in (FirstIndex, LastIndex)
-    strict = 0 if type(policy) is LastIndex else ones
+    last = type(policy) is LastIndex
     values, columns, top, second, winner, peak = [], [], 0, 0, 0, 0
     for bidder, lane in enumerate(lanes):
         if keep:
@@ -340,7 +345,7 @@ def _play_lanes(config: ExperimentConfig, lanes: Sequence[int], count: int, keep
             bids = lane
             column = keep and (values[-1] if base == low else [base + word for word in words])
         else:  # the top value, which a winner at the top bid may lack
-            peak ^= (peak ^ lane) & above(lane, peak) * MASK64
+            peak ^= (peak ^ lane) & at_least(lane, peak)
             column = list(map(config.strategy.bid, values[-1]))
             if min(column) < base or max(column) - base > MASK64:
                 raise ValueError(
@@ -353,30 +358,29 @@ def _play_lanes(config: ExperimentConfig, lanes: Sequence[int], count: int, keep
         if not bidder:
             top = bids
             continue
-        mask = above(bids, top, strict) * MASK64
+        mask = at_least(bids, top) if last else full ^ at_least(top, bids)
         swap = (top ^ bids) & mask
         lower = bids ^ swap  # the lower of the bid and the top
         top ^= swap
-        second ^= (second ^ lower) & above(lower, second) * MASK64
+        second ^= (second ^ lower) & at_least(lower, second)
         if keep:
             winner ^= (winner ^ bidder * ones) & mask
     bids = winners = None
     if keep:
         bids, winners, rounds = list(zip(*columns)), list(_words(winner, count)), ()
         if type(policy) is Seeded:
-            ties = above(second, top)
+            ties = at_least(second, top)
             rounds = [r for r, tie in enumerate(_words(ties, count)) if tie] if ties else ()
         elif type(policy) not in (FirstIndex, LastIndex):
             rounds = range(count)
         for r in rounds:
             winners[r] = outcome(bids[r], policy, config.rule)[0]
+    price = top if config.rule is PaymentRule.FIRST_PRICE else second
     # A top bidder's value offset is its bid offset, where the strategy reuses the lanes.
-    won, most = (top, top) if reuse else (
-        _lanes([values[pick][r] - low for r, pick in enumerate(winners)]), peak)
-    prices = _words(top if config.rule is PaymentRule.FIRST_PRICE else second, count)
-    if base:
-        prices = [base + price for price in prices]
-    return (list(zip(*values)) if keep else None), (bids, winners, prices), won, above(won, most)
+    if reuse:
+        return (list(zip(*values)) if keep else None), bids, winners, price, top, ones
+    won = _lanes([values[pick][r] - low for r, pick in enumerate(winners)])
+    return list(zip(*values)), bids, winners, price, won, at_least(won, peak) & ones
 
 
 def _simulate(configs: Sequence[ExperimentConfig], budget: int, sink=None):
@@ -384,27 +388,35 @@ def _simulate(configs: Sequence[ExperimentConfig], budget: int, sink=None):
     ``_play_lanes`` under each config in turn (all share the first one's
     sampling parameters, so ``_tabled`` is asked once, of the first, and
     each block's lanes are read once for every config).  Untabled, the
-    lanes are the block's ``_offset_lanes`` and each block is folded as it
-    is played.  Tabled, a run-wide count of the rounds' profile indices
-    picks each block's new ones; their base-span digits are the lanes,
-    played first seen first (so a fault is raised at the round that would
-    raise it untabled), and each distinct profile's price, winner value
-    and efficiency are folded once at the end, weighted by its count.  Each
-    sampler and the player are looked up per block, so a wrapper sees
-    every call.  ``sink(start, keys, new, profiles, plays)`` runs once per
-    block: ``profiles`` are the valuations just played, ``new`` their keys
-    and ``keys`` each round's key, and ``plays`` holds each config's
-    ``(bids, winners, prices)`` over ``profiles``.  Tabled, a key is a
-    profile index and ``new`` the block's indices new to the run;
-    untabled, ``keys`` and ``new`` are both the block's positions.  Returns
-    the reports and the least and greatest price difference of two configs
-    over each block's rounds, or new profiles."""
+    lanes are the block's ``_offset_lanes``, and each config adds each
+    block's price, winner value and efficiency lanes into run-wide lane
+    totals, read after the last block: a run has at most 2^64 rounds, so each lane
+    of a total stays below 2^120, and the read takes both 64-bit halves of
+    each.  Tabled, a run-wide count of the rounds' profile indices picks
+    each block's new ones; their base-span digits are the lanes, played
+    first seen first (so a fault is raised at the round that would raise
+    it untabled), and each distinct profile's price, winner value and
+    efficiency are folded once at the end, weighted by its count.  Either
+    way the prices are offsets from the base bid ``strategy.bid(value_low)``,
+    which the report adds once per round.  Price words are unpacked only
+    where a round's price is read: the tabled columns, the sink and a
+    comparison's differences.  Each sampler and the player are looked up
+    per block, so a wrapper sees every call.  ``sink(start, keys, new,
+    profiles, plays)`` runs once per block: ``profiles`` are the valuations
+    just played, ``new`` their keys and ``keys`` each round's key, and
+    ``plays`` holds each config's ``(bids, winners, prices)`` over
+    ``profiles``.  Tabled, a key is a profile index and ``new`` the block's
+    indices new to the run; untabled, ``keys`` and ``new`` are both the
+    block's positions.  Returns the reports and the least and greatest
+    price difference of two configs over each block's rounds, or new
+    profiles."""
     sampling = configs[0]
     sampling.check_budget(budget)
     rounds, low, keep = sampling.n_rounds, sampling.value_low, sink is not None
-    span = sampling.value_high - low + 1
-    # Each config's revenue, winner value offsets and efficient rounds, summed
-    # per block untabled; tabled, a column of each, one entry per distinct profile.
+    span, bases = sampling.value_high - low + 1, [config.strategy.bid(low) for config in configs]
+    # Each config's price offsets, winner value offsets and efficient rounds:
+    # untabled, a lane total of each; tabled, a column of each, one entry
+    # per distinct profile.
     totals = [[0, 0, 0] for _ in configs]
     columns = [([], [], []) for _ in configs]
     tabled, counts, spans = _tabled(sampling), Counter(), []
@@ -422,17 +434,17 @@ def _simulate(configs: Sequence[ExperimentConfig], budget: int, sink=None):
         count, profiles, plays = len(new), (), [((), (), ())] * len(configs)
         if count:
             plays = []
-            for config, total, column in zip(configs, totals, columns):
-                profiles, play, won, efficient = _play_lanes(config, lanes, count, keep)
-                plays.append(play)
+            for config, base, total, column in zip(configs, bases, totals, columns):
+                profiles, bids, winners, *figures = _play_lanes(config, lanes, count, keep)
                 if tabled:
-                    column[0].extend(play[2])
-                    column[1].extend(_words(won, count))
-                    column[2].extend(_words(efficient, count))
+                    for entries, lane in zip(column, figures):
+                        entries.extend(_words(lane, count))
                 else:
-                    total[0] += sum(play[2])
-                    total[1] += sum(_words(won, count))
-                    total[2] += efficient.bit_count()
+                    total[:] = map(add, total, figures)
+                if keep or len(configs) == 2:
+                    prices = _words(figures[0], count)
+                    plays.append((bids, winners, [base + price for price in prices] if base
+                                  else prices))
             if len(plays) == 2:
                 diffs = list(map(sub, plays[0][2], plays[1][2]))
                 spans.append((min(diffs), max(diffs)))
@@ -441,9 +453,13 @@ def _simulate(configs: Sequence[ExperimentConfig], budget: int, sink=None):
     if tabled:
         weights = list(counts.values())
         totals = [[sum(map(mul, weights, figures)) for figures in column] for column in columns]
+    else:
+        width = min(rounds, SAMPLE_BLOCK)  # the lanes of the first block, the widest
+        totals = [[sum(_words(lanes, width)) + (sum(_words(lanes >> 64, width)) << 64)
+                   for lanes in total] for total in totals]
     return [SimReport(config, rounds, *(Fraction(figure, rounds) for figure in (
-                revenue, value + low * rounds - revenue, efficient)))
-            for config, (revenue, value, efficient) in zip(configs, totals)], spans
+                revenue + base * rounds, value + (low - base) * rounds - revenue, efficient)))
+            for config, base, (revenue, value, efficient) in zip(configs, bases, totals)], spans
 
 
 def run_experiment(config: ExperimentConfig, budget: int = DEFAULT_BUDGET) -> SimReport:

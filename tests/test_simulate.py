@@ -641,6 +641,22 @@ class TestProfileTable:
                      policy=Seeded(4)),
               config(n_bidders=2, n_rounds=2 * SAMPLE_BLOCK + 1, value_high=1,
                      strategy=Overbid(1), policy=LastIndex())])
+    # Untabled, LastIndex over shaded bids that tie in 10 rounds: the later
+    # tied bidder wins, and in 4 of them holds the lower value.
+    @example([config(n_bidders=2, n_rounds=SAMPLE_BLOCK + 1, value_high=64, seed=4,
+                     strategy=Shade(1, 2), policy=LastIndex()),
+              config(n_bidders=2, n_rounds=SAMPLE_BLOCK + 1, value_high=64, seed=4)])
+    # Untabled over the full 64-bit span: a lane of each run-wide total sums
+    # up to three words, so the totals pass 2^64 and are read by both halves.
+    @example([config(n_rounds=2 * SAMPLE_BLOCK + 7, value_high=2**64 - 1),
+              config(n_rounds=2 * SAMPLE_BLOCK + 7, value_high=2**64 - 1, rule=FIRST,
+                     strategy=Overbid(3), policy=LastIndex())])
+    # Untabled with a base bid strategy.bid(value_low) of 750,000: every
+    # price is an offset from it until the report adds it once per round.
+    @example([config(n_rounds=2 * SAMPLE_BLOCK + 7, value_low=10**6, value_high=2 * 10**6,
+                     rule=FIRST, strategy=Shade(3, 4), policy=Seeded(4)),
+              config(n_rounds=2 * SAMPLE_BLOCK + 7, value_low=10**6, value_high=2 * 10**6,
+                     strategy=Overbid(5), policy=LastIndex())])
     def test_matches_a_naive_per_round_recomputation(self, configs):
         cfg_a, cfg_b = configs
         rounds_a, rounds_b = naive_rounds(cfg_a), naive_rounds(cfg_b)
