@@ -282,10 +282,11 @@ class TieBreakPolicy(ABC):
 
     Implementations must return a member of ``argmax_set(bids)``; nothing
     else about the choice is fixed, which is exactly the freedom the
-    verifier has to be robust against.  ``select`` receives a tuple that
-    ``outcome`` has already validated, and must be a pure function of it:
-    reports are reproducible only if it is, and the verifier evaluates each
-    (profile, policy) pair once and reuses the outcome.
+    verifier has to be robust against.  ``select`` is asked only when two or
+    more bidders hold the top bid (``outcome`` takes a unique top unasked),
+    on a tuple that ``outcome`` has already validated, and must be a pure
+    function of it: reports are reproducible only if it is, and the verifier
+    evaluates each (tied profile, policy) pair once and reuses the outcome.
     """
 
     @abstractmethod
@@ -335,8 +336,6 @@ class Seeded(Record, TieBreakPolicy):
 
     def select(self, bids: BidProfile) -> BidderId:
         ties = argmax_set(bids)
-        if len(ties) == 1:
-            return ties[0]  # any hash modulo 1 is 0: the pick needs no hash
         return ties[hash_text(self.seed, canonical_bid_text(bids)) % len(ties)]
 
     def describe(self) -> str:
@@ -349,7 +348,8 @@ class ExplicitChoice(Record, TieBreakPolicy):
     The map is validated at construction: every argmax set is a set of
     distinct nonnegative ``int`` indices, named by no two keys with different
     choices, and every chosen winner is an ``int`` in its own argmax set.
-    Selecting on an argmax set the map does not cover is an error.
+    Selecting on a tied argmax set the map does not cover is an error; a
+    singleton set needs no entry, as its pick is never asked.
     """
 
     kind = "explicit"
@@ -441,18 +441,20 @@ class Outcome(NamedTuple):
 
 def outcome(bids: Sequence[Money], policy: TieBreakPolicy, rule: PaymentRule) -> Outcome:
     """Evaluate one auction under a tie-break policy and payment rule.  The
-    rule is checked first, then the profile for at least two bidders, then
-    the policy's pick for a top bid, each fault raised as ``ValueError``.
-    The second price is the second-highest bid: the highest other bid only
-    when the winner holds a top bid."""
+    rule is checked first, then the profile for at least two bidders; a
+    unique top bidder wins unasked, else the policy's pick is checked for a
+    top bid, each fault raised as ``ValueError``.  The second price is the
+    second-highest bid: the highest other bid only when the winner holds a
+    top bid."""
     if type(rule) is not PaymentRule:  # tested inline, as argmax_set tests its bidder count
         raise ValueError(rule_violation(rule))
     bids = tuple(bids)
     if len(bids) < 2:
         raise ValueError(bidder_count_violation(len(bids)))
-    winner = policy.select(bids)
-    ordered = sorted(bids)  # the top bid, for the check, and the second price
-    if not (0 <= winner < len(bids) and bids[winner] == ordered[-1]):
+    ordered = sorted(bids)  # the top bid, whether it ties, and the second price
+    if ordered[-2] < ordered[-1]:
+        winner = bids.index(ordered[-1])
+    elif not (0 <= (winner := policy.select(bids)) < len(bids) and bids[winner] == ordered[-1]):
         raise ValueError(f"tie-break {policy.describe()} picked {winner}, not a highest bidder")
     price = bids[winner] if rule is PaymentRule.FIRST_PRICE else ordered[-2]
     return tuple.__new__(Outcome, (winner, price))  # no keyword __new__, no _make frame

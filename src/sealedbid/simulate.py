@@ -26,7 +26,6 @@ from .core import (
     Money,
     PaymentRule,
     Record,
-    Seeded,
     SignedMoney,
     TieBreakPolicy,
     ValuationProfile,
@@ -312,10 +311,9 @@ def _play_lanes(config: ExperimentConfig, lanes: Sequence[int], count: int, keep
     low-word complement of y >= x's.  A bidder takes the top from a lower
     bid, and under ``LastIndex`` from an equal one too, so ``FirstIndex``
     and ``LastIndex`` need no ``select``.  Any other policy's ``select``
-    runs through ``outcome``, in round order: for ``Seeded`` on tied rounds
-    (top == second) only, since its pick of a unique top needs no hash; for
-    ``ExplicitChoice`` and any other class on every round.  So a fault is
-    raised at the round, and with the message, of a per-round play.
+    runs through ``outcome``, in round order, on tied rounds (top ==
+    second) only, as ``TieBreakPolicy`` states.  So a fault is raised at
+    the round, and with the message, of a per-round play.
 
     The price lane holds offsets from the base bid: the top bid under first
     price and the second under second price, whoever wins.  Where bids are
@@ -368,11 +366,9 @@ def _play_lanes(config: ExperimentConfig, lanes: Sequence[int], count: int, keep
     bids = winners = None
     if keep:
         bids, winners, rounds = list(zip(*columns)), list(_words(winner, count)), ()
-        if type(policy) is Seeded:
+        if type(policy) not in (FirstIndex, LastIndex):
             ties = at_least(second, top)
             rounds = [r for r, tie in enumerate(_words(ties, count)) if tie] if ties else ()
-        elif type(policy) not in (FirstIndex, LastIndex):
-            rounds = range(count)
         for r in rounds:
             winners[r] = outcome(bids[r], policy, config.rule)[0]
     price = top if config.rule is PaymentRule.FIRST_PRICE else second

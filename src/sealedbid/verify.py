@@ -2,16 +2,17 @@
 
 The executable claim: under the second-price rule, bidding one's own
 valuation is weakly dominant.  For each bidder the checker compares the
-truthful bid against deviation bids over every opposing-bid vector
-within a tick bound, under every supplied tie-break policy and under an
-adversarial pairing of the truthful bid's worst listed policy with the
-deviation's best.  It ranges over the listed policies only, so for N >= 4
-a tie can hide a failure that no listed policy realises (ROADMAP item
-15).  Every comparison is classified into one of four cases by the
-bidder's win/lose status before and after the deviation.  Each case's
-exact second-price contract is judged outside the package, by acceptance
-criterion 2's oracle in ``tests/conftest.py``, over N <= 3 and T <= 4; no
-CLI verdict checks it.
+truthful bid against deviation bids over every opposing-bid vector within a
+tick bound, under every supplied tie-break policy and under an adversarial
+pairing of the truthful bid's worst listed policy with the deviation's best.
+The policies are asked only where a bid ties the top opposing bid M: under
+any of them a bid below M loses and one above M wins.  It ranges over the
+listed policies only, so for N >= 4 a tie can hide a failure that no listed
+policy realises (ROADMAP item 15).  Every comparison is classified into one
+of four cases by the bidder's win/lose status before and after the
+deviation.  Each case's exact second-price contract is judged outside the
+package, by acceptance criterion 2's oracle in ``tests/conftest.py``, over
+N <= 3 and T <= 4; no CLI verdict checks it.
 
 Two guards keep the sweep honest.  Case coverage counts witnesses per
 case and flags a sweep as vacuous when any case never occurred, so a
@@ -49,6 +50,7 @@ from .core import (
     budget_violation,
     check_budget,
     outcome,
+    rule_violation,
     standard_policies,
     tick_violation,
     tick_violations,
@@ -64,6 +66,8 @@ class CaseTag(Enum):
     LOSE_LOSE = "lose-lose"
     LOSE_WIN = "lose-win"
     WIN_LOSE = "win-lose"
+
+    __hash__ = object.__hash__  # equal only to itself: interned rows hash it per row
 
     @classmethod
     def of(cls, won_before: bool, won_after: bool) -> "CaseTag":
@@ -205,7 +209,7 @@ def _inserted(others: BidProfile, bid: Money, bidder: BidderId) -> BidProfile:
 
 class _Interned(dict):
     """A lazy table: a key maps to a small int naming ``compute(key)`` in
-    ``values``, computed on first use; equal values share one int."""
+    ``values``, computed on first use; ``intern`` names any value, once."""
 
     def __init__(self, compute):
         super().__init__()
@@ -213,57 +217,65 @@ class _Interned(dict):
         self.values: list = []
         self._ids: dict = {}
 
-    def __missing__(self, key) -> int:
-        value = self.compute(key)
+    def intern(self, value) -> int:
         ident = self._ids.get(value)
         if ident is None:
             ident = self._ids[value] = len(self.values)
             self.values.append(value)
-        self[key] = ident
+        return ident
+
+    def __missing__(self, key) -> int:
+        self[key] = ident = self.intern(self.compute(key))
         return ident
 
 
 class _Scope(NamedTuple):
-    """A run's one view-row source, template memo and valuations.
+    """A run's one cell source, view rule, template memo and valuations.
 
-    ``view_rows()`` yields ``(values, deviation bids, rows)`` per group of
-    cells in key order, a row per cell: ``(bidder, truthful keys, truthful
-    view row, deviated view row)`` (see ``_scope``).  ``templates`` maps a
-    comparison's class, (value, truthful view, deviated view), to its
-    template's id in ``templates.values`` (see ``_template``).  Every run
-    reads it through ``classes``, so each class's template is computed once.
-    ``valuations`` None means every bidder values what it bids.
+    ``cells()`` yields ``(values, deviation bids, cells)`` per group of
+    cells in key order, a cell being ``(bidder, opposing bids, block)``;
+    ``view_row(bids, M, tie)`` gives a block's view ids (see ``_scope``).
+    ``templates`` maps a comparison's class, (value, truthful view, deviated
+    view), to its template's id in ``templates.values`` (see ``_template``).
+    Every run reads it through ``classes``, so each class's template is
+    computed once.  ``valuations`` None means every bidder values its bid.
     """
 
-    view_rows: Callable[[], Iterator[tuple]]
+    cells: Callable[[], Iterator[tuple]]
+    view_row: Callable[[Sequence[Money], Money, "int | None"], list]
     templates: _Interned
     valuations: "ValuationProfile | None"
 
-    def classes(self, values, truth_views, dev_views) -> Iterator[int]:
-        """A block's (a cell's values and view rows) template ids, lazily, in key order."""
-        templates = self.templates
+    def classes(self, values, new_bids, top, tie) -> Iterator[int]:
+        """A block's template ids, lazily, in key order."""
+        templates, truth_views = self.templates, self.view_row(values, top, tie)
+        dev_views = truth_views if new_bids is values else self.view_row(new_bids, top, tie)
         return (templates[value, truth_view, dev_view]
                 for (value, truth_view), dev_view in product(zip(values, truth_views), dev_views))
 
 
 def _scope(groups, rows, budget, policies, rule, adversarial, valuations=None) -> _Scope:
     """Refuse a run over ``budget`` (it has ``rows`` rows), then an empty
-    policy list, both before any work; then return the run's one scope.
-    ``groups()`` yields ``(values, deviation bids, cells)`` in key order, a
-    cell being ``(bidder, opposing bids)``.  A cell's bidder reads its views
-    of ``_inserted(others, x, bidder)`` at every value x, then at every
-    deviation bid x, or reuses the first when the deviation bids are the
-    values object itself.  ``view(profiles, bidder)`` is the tuple of
-    ``bidder``'s view ids of ``profiles``.  The outcome table maps a
-    profile to one ``Outcome`` per policy, each evaluated once per run.  It
-    is keyed by profile alone (``ExplicitChoice`` is unhashable), sound as
-    every ``select`` is a pure function of the bids.  A view is a bidder's
-    price per policy if it wins, else None.  A class's template enters
-    ``templates`` as one tuple of its rows, hashed once, so equal templates
-    share one id."""
+    policy list, then a rule that is no ``PaymentRule``, all before any
+    work; then return the run's one scope.  ``groups()`` yields ``(values,
+    deviation bids, M, cells)`` in key order, a cell being ``(bidder,
+    opposing bids)`` whose top is M.  A view, a bidder's price per policy
+    if it wins, else None, is the rule's at every bid x but M: a loss below
+    M under any pick of a top bidder, a win above it at M (second price) or
+    x (first price).  Only a tie, x = M, reads the outcome table, at
+    ``_inserted(others, M, bidder)``, once per cell whose values or
+    deviation bids hold M; the cell's block is (values, deviation bids, M,
+    that view's id or None), and all views share one id space.  The outcome
+    table maps a profile to one ``Outcome`` per policy, each evaluated once
+    per run, keyed by profile alone (``ExplicitChoice`` is unhashable), sound
+    as every ``select`` is a pure function of the bids.  A class's template
+    enters ``templates`` as one tuple of its rows, so equal templates share
+    one id."""
     check_budget(rows, budget, "evaluated tuples")
     if not policies:
         raise ValueError("at least one tie-break policy is required")
+    if fault := rule_violation(rule):
+        raise ValueError(fault)
 
     def entry(bids) -> tuple:
         # tuple() of a list, not of a generator: CPython resizes a generator's
@@ -274,26 +286,23 @@ def _scope(groups, rows, budget, policies, rule, adversarial, valuations=None) -
     views = _Interned(lambda pair: tuple([
         price if winner == pair[1] else None for winner, price in table.values[pair[0]]
     ]))
-    labels = [policy.describe() for policy in policies]
+    labels, width = [policy.describe() for policy in policies], len(policies)
+    lose, first_price = views.intern((None,) * width), rule is PaymentRule.FIRST_PRICE
     paired = pairing_count(policies, adversarial) > len(policies)
     templates = _Interned(lambda key: _template(
         labels, paired, key[0], views.values[key[1]], views.values[key[2]]))
 
-    def view(profiles, bidder) -> tuple:
-        return tuple([views[table[key], bidder] for key in profiles])
+    def view_row(bids, top, tie) -> list:
+        return [lose if bid < top else tie if bid == top
+                else views.intern((bid if first_price else top,) * width) for bid in bids]
 
-    def view_rows():
-        for values, new_bids, cells in groups():
-            read = []
-            for b, others in cells:
-                truths = tuple([_inserted(others, value, b) for value in values])
-                truth_views = view(truths, b)
-                dev_views = truth_views if new_bids is values else view(
-                    [_inserted(others, bid, b) for bid in new_bids], b)
-                read.append((b, truths, truth_views, dev_views))
-            yield values, new_bids, read
+    def cells():
+        for values, new_bids, top, group in groups():
+            read = top in values or top in new_bids
+            yield values, new_bids, [(b, others, (values, new_bids, top, views[
+                table[_inserted(others, top, b)], b] if read else None)) for b, others in group]
 
-    return _Scope(view_rows, templates, valuations)
+    return _Scope(cells, view_row, templates, valuations)
 
 
 def _instance_scope(valuations, opposing, policies, rule, deviations, adversarial, budget):
@@ -310,7 +319,7 @@ def _instance_scope(valuations, opposing, policies, rule, deviations, adversaria
         from heapq import merge  # here: the grid commands never need it
 
         for d, b in merge(*[zip(new_bids, repeat(b)) for b, new_bids in per_bidder.items()]):
-            yield (valuations[b],), (d,), [(b, opposing[b])]
+            yield (valuations[b],), (d,), max(opposing[b]), [(b, opposing[b])]
 
     return _scope(groups, rows, budget, policies, rule, adversarial, valuations)
 
@@ -374,25 +383,26 @@ def _grid_scope(n_min, n_max, tick_bound, policies, rule, deviations, adversaria
     def groups():
         for n in range(n_min, n_max + 1):
             for others in product(grid, repeat=n - 1):
-                yield grid, deviations(max(others)), [(b, others) for b in range(n)]
+                yield grid, deviations(top := max(others)), top, [(b, others) for b in range(n)]
 
     return _scope(groups, rows, budget, policies, rule, adversarial)
 
 
 def _walk(scope: _Scope, search: bool = False) -> tuple[Iterable, "Counterexample | None"]:
-    """Walk the scope's view rows once.  Each distinct block, (values,
-    truthful view row, deviated view row), is expanded once into its
-    cells' template ids and its first failing (class index, template row),
-    and counted per cell: the walk returns each block's ``[ids, first
-    failure, count]``.  The counterexample is the first failing row in key
-    order (value, deviation bid, bidder within each group, pairing), the
-    minimal one: from the first group holding a failure, the least over
-    its cells, the earlier bidder winning a tie.  A ``search`` stops there."""
+    """Walk the scope's cells once.  Each distinct block, (values,
+    deviation bids, M, tie view id), builds its two view rows and is
+    expanded once into its cells' template ids and its first failing
+    (class index, template row), and counted per cell: the walk returns
+    each block's ``[ids, first failure, count]``.  The counterexample is
+    the first failing row in key order (value, deviation bid, bidder within
+    each group, pairing), the minimal one: from the first group holding a
+    failure, the least over its cells, the earlier bidder winning a tie.
+    Its truthful profile is built then, once.  A ``search`` stops there."""
     built, blocks, first = scope.templates.values, {}, None
-    for values, new_bids, rows in scope.view_rows():
+    for values, new_bids, cells in scope.cells():
         hits = []
-        for bidder, truths, *views in rows:
-            entry = blocks.get(block := (values, *views))
+        for bidder, others, block in cells:
+            entry = blocks.get(block)
             if entry is None:
                 ids = tuple(scope.classes(*block))
                 hit = next(((k, row) for k, ident in enumerate(ids)
@@ -400,11 +410,12 @@ def _walk(scope: _Scope, search: bool = False) -> tuple[Iterable, "Counterexampl
                 entry = blocks[block] = [ids, hit, 0]
             entry[2] += 1
             if entry[1] and first is None:
-                hits.append((*entry[1], bidder, truths))
+                hits.append((*entry[1], bidder, others))
         if hits:
-            k, (u_truth, u_dev, _, _, label), bidder, truths = min(hits, key=itemgetter(0))
+            k, (u_truth, u_dev, _, _, label), bidder, others = min(hits, key=itemgetter(0))
             i, j = divmod(k, len(new_bids))
-            first = Counterexample(scope.valuations or truths[i], truths[i], bidder, new_bids[j],
+            bids = _inserted(others, values[i], bidder)
+            first = Counterexample(scope.valuations or bids, bids, bidder, new_bids[j],
                                    label, u_truth, u_dev)
             if search:
                 break
@@ -467,9 +478,8 @@ def check_truthfulness(
                             adversarial, budget)
     built = scope.templates.values
     return [DeviationCheckResult(bidder, value, new_bid, *row)
-            for values, new_bids, cells in scope.view_rows() for bidder, _, *views in cells
-            for (value, new_bid), ident in zip(product(values, new_bids),
-                                               scope.classes(values, *views))
+            for values, new_bids, cells in scope.cells() for bidder, _, block in cells
+            for (value, new_bid), ident in zip(product(values, new_bids), scope.classes(*block))
             for row in built[ident]]
 
 

@@ -197,10 +197,13 @@ def bruteforce_minimal_counterexample(rule, n_max, tick_bound):
 
 
 def naive_outcome(bids, policy, rule):
-    """``(winner, price)`` of one auction, recomputed in plain Python: the
-    tie-break policy is read by kind, the rule by its value."""
+    """``(winner, price)`` of one auction, recomputed in plain Python: a
+    unique top bidder wins, else the tie-break policy is read by kind; the
+    rule is read by its value."""
     ties = [b for b, bid in enumerate(bids) if bid == max(bids)]
-    if policy.kind == "first-index":
+    if len(ties) == 1:
+        winner = ties[0]
+    elif policy.kind == "first-index":
         winner = ties[0]
     elif policy.kind == "last-index":
         winner = ties[-1]

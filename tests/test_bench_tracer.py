@@ -11,6 +11,7 @@ import contextlib
 import importlib.util
 import io
 import json
+from itertools import product
 from pathlib import Path
 
 from conftest import tiles
@@ -121,8 +122,10 @@ def test_traced_dominance_sees_every_outcome_and_restores():
     metrics = probe.metrics(csv_bytes=0)
 
     assert traced == expected
-    # every profile of {0..2}^2 once per standard policy
-    assert metrics["core.outcome.calls"][0] == 3 ** 2 * 4
+    # every tied profile of {0..2}^2 once per standard policy: (0, 0), (1, 1), (2, 2)
+    tied = [bids for bids in product(range(3), repeat=2) if bids.count(max(bids)) > 1]
+    assert len(tied) == 3
+    assert metrics["core.outcome.calls"][0] == len(tied) * 4
     assert_restored(before)
 
 
@@ -141,8 +144,11 @@ def test_traced_search_builds_no_row_record_and_restores():
     assert rows == 1_485
     assert run(cli.dispatch, [*argv, "--budget", str(rows - 1)]) == (3, "")
     assert run(cli.dispatch, [*argv, "--budget", str(rows)]) == expected
-    # every profile of {0..2}^N once per standard policy, for N = 2 and 3
-    assert metrics["core.outcome.calls"][0] == (3 ** 2 + 3 ** 3) * 4
+    # every tied profile of {0..2}^N once per standard policy, for N = 2 and 3
+    tied = [sum(bids.count(max(bids)) > 1 for bids in product(range(3), repeat=n))
+            for n in (2, 3)]
+    assert tied == [3, 12]
+    assert metrics["core.outcome.calls"][0] == (3 + 12) * 4
     assert_restored(before)
 
 

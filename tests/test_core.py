@@ -24,7 +24,7 @@ from sealedbid.core import (
     policy_from_dict,
     standard_policies,
 )
-from sealedbid.seeding import hash_text
+from sealedbid.seeding import hash_text, mix64
 from sealedbid.simulate import (
     ExperimentConfig,
     Overbid,
@@ -32,13 +32,16 @@ from sealedbid.simulate import (
     Shade,
     SimReport,
     Truthful,
+    run_experiment,
 )
 from sealedbid.verify import (
     CaseTag,
     Counterexample,
     VerificationReport,
+    check_instance,
     check_truthfulness,
     deviation_profile,
+    dominance_sweep,
 )
 
 SECOND = PaymentRule.SECOND_PRICE
@@ -310,12 +313,109 @@ class TestTieBreakContract:
         assert outcome((3, 5, 5), RoguePolicy(1), rule) == (1, 5)
         assert outcome((3, 5, 5), RoguePolicy(2), rule) == (2, 5)
 
+    @pytest.mark.parametrize("rule", list(PaymentRule))
+    @pytest.mark.parametrize("pick", [0, 1, 7, -1])
+    def test_a_unique_top_wins_without_asking_select(self, rule, pick):
+        # select is asked only on a tie, so a pick that is no top bidder goes unseen here
+        policy = RecordingPolicy(pick)
+        price = 6 if rule is PaymentRule.FIRST_PRICE else 5
+        assert outcome((3, 5, 6, 5), policy, rule) == (2, price)
+        assert policy.seen == []
+
     def test_outcome_is_an_immutable_record(self):
         o = Outcome(winner=1, price=4)
         assert (o.winner, o.price) == (1, 4)
         with pytest.raises(AttributeError):
             o.price = 0
         assert o == Outcome(1, 4)
+
+
+class Lowest(TieBreakPolicy):
+    """Breaks the tie-break contract on a tie beside a lower bid: picks the
+    first lowest bidder."""
+
+    kind = "lowest"
+
+    def select(self, bids):
+        return bids.index(min(bids))
+
+
+def without_singletons(n_bidders):
+    """``ExplicitChoice.covering(n_bidders)`` without its N singleton keys."""
+    return ExplicitChoice({ties: pick for ties, pick in
+                           ExplicitChoice.covering(n_bidders).choice.items() if len(ties) > 1})
+
+
+class TestOneTieContract:
+    """The verifier and the simulator, tabled or not, ask ``select`` only on
+    a tie: an explicit table needs no singleton keys, and a pick of a lower
+    bidder on a tied profile is refused with ``outcome``'s message."""
+
+    # (N, value_high): 3^8 profiles keep no table, 8^3 do.
+    SAMPLING = {"tabled": (3, 7), "untabled": (8, 2)}
+
+    def config(self, sampling, policy, rule=SECOND):
+        n_bidders, value_high = self.SAMPLING[sampling]
+        return ExperimentConfig(n_bidders=n_bidders, n_rounds=700, value_low=0,
+                                value_high=value_high, rule=rule, strategy=Truthful(),
+                                policy=policy(n_bidders), seed=3)
+
+    def runs(self, policy):
+        """Each entry point's result under ``policy`` beside ``FirstIndex``."""
+        yield dominance_sweep(3, 2, [FirstIndex(), policy])
+        yield dominance_sweep(3, 2, [FirstIndex(), policy], PaymentRule.FIRST_PRICE, "critical")
+        for bids in ((5, 5, 1), (4, 6, 6), (2, 0, 7)):
+            yield check_instance(AuctionInstance((5, 6, 1), bids), [FirstIndex(), policy],
+                                 PaymentRule.FIRST_PRICE, range(8))
+
+    def test_a_table_without_singletons_runs_as_the_covering_table(self):
+        covering = ExplicitChoice.covering(3)
+        assert list(self.runs(without_singletons(3))) == list(self.runs(covering))
+
+    @pytest.mark.parametrize("sampling", SAMPLING)
+    @pytest.mark.parametrize("rule", list(PaymentRule))
+    def test_a_simulation_without_singletons_runs_as_the_covering_table(self, sampling, rule):
+        reports = [run_experiment(self.config(sampling, policy, rule))
+                   for policy in (without_singletons, ExplicitChoice.covering)]
+        figures = [(r.rounds, r.mean_revenue, r.mean_winner_utility, r.efficiency_rate)
+                   for r in reports]
+        assert figures[0] == figures[1]
+
+    @pytest.mark.parametrize("sampling", SAMPLING)
+    def test_a_simulation_asks_select_on_tied_rounds_only(self, evaluations, sampling):
+        # outcome sees the tied rounds in round order, or, tabled, the tied
+        # distinct profiles in the order first drawn; the lanes play the rest.
+        cfg = self.config(sampling, without_singletons)
+        run_experiment(cfg)
+        span = cfg.value_high + 1
+        rounds = [tuple(mix64(cfg.seed, r, b) % span for b in range(cfg.n_bidders))
+                  for r in range(cfg.n_rounds)]
+        played = list(dict.fromkeys(rounds)) if sampling == "tabled" else rounds
+        asked = [bids for bids, _, _ in evaluations.profiles if isinstance(bids, tuple)]
+        assert asked == [bids for bids in played if bids.count(max(bids)) > 1]
+        assert 0 < len(asked) < len(played)
+
+    @pytest.mark.parametrize("run, pick", [
+        # (0, 0, 0) is the first tie, and picks a top bidder; (1, 0, 1) the second.
+        (lambda: dominance_sweep(3, 2, [Lowest()]), 1),
+        (lambda: check_instance(AuctionInstance((5, 5, 1), (5, 5, 1)), [Lowest()]), 2),
+    ], ids=["dominance_sweep", "check_instance"])
+    def test_a_verifier_refuses_a_lower_pick_on_a_tie(self, run, pick):
+        with pytest.raises(ValueError) as raised:
+            run()
+        assert str(raised.value) == f"tie-break lowest picked {pick}, not a highest bidder"
+
+    @pytest.mark.parametrize("sampling", SAMPLING)
+    def test_a_simulation_refuses_a_lower_pick_on_a_tie(self, sampling):
+        cfg = self.config(sampling, lambda n_bidders: Lowest())
+        for r in range(cfg.n_rounds):  # the first tied round beside a lower value
+            bids = [mix64(cfg.seed, r, b) % (cfg.value_high + 1) for b in range(cfg.n_bidders)]
+            if bids.count(max(bids)) > 1 and min(bids) < max(bids):
+                break
+        with pytest.raises(ValueError) as raised:
+            run_experiment(cfg)
+        assert str(raised.value) == (
+            f"tie-break lowest picked {bids.index(min(bids))}, not a highest bidder")
 
 
 class RecordingPolicy(RoguePolicy):
@@ -353,7 +453,7 @@ class TestOutcomeChecks:
 
     @pytest.mark.parametrize("rule", list(PaymentRule))
     @pytest.mark.parametrize("bids, fault, seen", [
-        ([1, 5], r"tie-break rogue picked 0, not a highest bidder", [(1, 5)]),
+        ([1, 5, 5], r"tie-break rogue picked 0, not a highest bidder", [(1, 5, 5)]),
         ([7], r"N >= 2 required \(got 1\)", []),
     ])
     def test_a_profile_is_refused_before_or_after_its_select(self, rule, bids, fault, seen):

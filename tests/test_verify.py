@@ -1,7 +1,7 @@
 """Truthfulness verification: cases, coverage, sweeps, counterexamples."""
 
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -210,6 +210,40 @@ def truthfulness_checks(draw):
             deviations, draw(st.booleans()))
 
 
+class TestRuleViews:
+    """A cell's view of a bid x, its price per policy if it wins, else None,
+    comes from the rule below and above the top opposing bid M, and from
+    the outcome table only at x = M: it equals the view that ``outcome``
+    gives on the profile with x inserted."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_each_view_is_the_outcome_of_the_inserted_profile(self, data):
+        n_bidders = data.draw(st.integers(2, 5))
+        ticks = st.integers(0, data.draw(st.integers(0, 4)))
+        others = data.draw(st.tuples(*[ticks] * (n_bidders - 1)))
+        bidder = data.draw(st.integers(0, n_bidders - 1))
+        value, bid = data.draw(ticks), data.draw(ticks)
+        rule = data.draw(st.sampled_from(list(PaymentRule)))
+        covering = {ties: data.draw(st.sampled_from(ties)) for size in range(1, n_bidders + 1)
+                    for ties in combinations(range(n_bidders), size)}
+        policies = [*standard_policies(n_bidders, data.draw(st.integers(0, 2**64 - 1))),
+                    core.ExplicitChoice(covering)]
+        rows = check_truthfulness(others[:bidder] + (value,) + others[bidder:], others, bidder,
+                                  policies, rule, [bid], adversarial=False)
+
+        def view(x, policy):
+            result = outcome(others[:bidder] + (x,) + others[bidder:], policy, rule)
+            return result.price if result.winner == bidder else None
+
+        def read(row):  # a row's two views, from its utilities and its case
+            won = [side == "win" for side in row.case.value.split("-")]
+            return tuple(value - utility if win else None for win, utility in
+                         zip(won, (row.truthful_utility, row.deviation_utility)))
+
+        assert [read(row) for row in rows] == [(view(value, p), view(bid, p)) for p in policies]
+
+
 class TestCheckTruthfulnessAgainstOracle:
     @settings(max_examples=150, deadline=None)
     @given(truthfulness_checks())
@@ -322,10 +356,11 @@ class TestFindCounterexample:
         assert ce.deviation_utility > ce.truthful_utility
 
     def test_a_search_stops_at_its_first_failing_group(self, evaluations):
-        # The first failure is at N = 2, so no 3-bidder profile is evaluated.
+        # The first failure is at N = 2, in the first group (opposing bid 0),
+        # so no 3-bidder profile is evaluated: that group's one tied profile,
+        # (0, 0), once per standard policy.
         assert find_counterexample(FIRST, 3, 3) is not None
-        assert {len(bids) for bids, _, _ in evaluations.profiles} == {2}
-        assert len(evaluations.profiles) == 28
+        assert [bids for bids, _, _ in evaluations.profiles] == [(0, 0)] * 4
 
     def test_deterministic_across_calls(self):
         first = find_counterexample(FIRST, 3, 3)
@@ -468,8 +503,10 @@ class TestEfficiency:
             def select(self, bids):
                 return bids.index(min(bids))
 
-        with pytest.raises(ValueError, match="^tie-break first-index picked 0, not a highest"):
-            outcome((3, 6), Lowest(), SECOND)
+        # A unique top wins unasked, so the pick is checked on a tied profile.
+        assert outcome((3, 6), Lowest(), SECOND) == (1, 3)
+        with pytest.raises(ValueError, match="^tie-break first-index picked 1, not a highest"):
+            outcome((6, 3, 6), Lowest(), SECOND)
 
 
 class TestSweepAggregationOrderIndependence:
@@ -490,27 +527,31 @@ class TestSweepAggregationOrderIndependence:
 
 
 class TestOutcomeTable:
-    """Each (profile, policy) pair is evaluated once per run."""
+    """Each (tied profile, policy) pair is evaluated once per run, and no
+    other: a bid below or above the top opposing bid needs no table."""
 
     @staticmethod
     def pairs(evaluations):
         """Each evaluation as ``(bids, policy identity)``, in call order."""
         return [(tuple(bids), id(policy)) for bids, policy, _ in evaluations.profiles]
 
-    def test_sweep_evaluates_every_profile_once_per_policy(self, evaluations):
+    def test_sweep_evaluates_every_tied_profile_once_per_policy(self, evaluations):
         dominance_sweep(3, 3)
         calls = self.pairs(evaluations)
-        assert len(calls) == 4 ** 3 * 4
+        assert len(tied_profiles(3, 3)) == 4 ** 3 - 3 * (1 + 2 ** 2 + 3 ** 2) == 22
+        assert len(calls) == 22 * 4
         assert len(set(calls)) == len(calls)
+        assert {bids for bids, _ in calls} == tied_profiles(3, 3)
 
     def test_each_profile_reaches_outcome_as_one_tuple(self, evaluations):
         dominance_sweep(3, 3)  # the fixture keeps each profile alive, so the ids stay distinct
-        assert len({id(bids) for bids, _, _ in evaluations.profiles}) == 4 ** 3
+        assert len({id(bids) for bids, _, _ in evaluations.profiles}) == 22
 
     def test_exhausting_search_evaluates_each_n_once(self, evaluations):
         assert find_counterexample(SECOND, 3, 2) is None
         calls = self.pairs(evaluations)
-        assert len(calls) == (3 ** 2 + 3 ** 3) * 4
+        assert len(tied_profiles(2, 2)) == 3 and len(tied_profiles(3, 2)) == 12
+        assert len(calls) == (3 + 12) * 4
         assert len(set(calls)) == len(calls)
 
     def test_fold_and_scan_compute_each_class_template_once(self, monkeypatch):
@@ -541,7 +582,7 @@ class TestOutcomeTable:
 
     def test_passing_sweep_builds_no_row_record(self, evaluations, built):
         report = dominance_sweep(4, 3)
-        assert len(evaluations.profiles) == 4 ** 4 * 4
+        assert len(evaluations.profiles) == len(tied_profiles(4, 3)) * 4 == 112 * 4
         assert report.passed and report.evaluated == grid_rows(4, 3, 4, 4, 4)
         assert built == []
 
@@ -564,8 +605,10 @@ class TestOutcomeTable:
         assert [DeviationCheckResult(*args, **fields) for args, fields in built] == rows
 
     def test_sweep_counts_blocks_not_cells(self, monkeypatch, built):
-        # A block is (values, truthful view row, deviated view row); the walk
-        # expands each distinct one once, however many cells share it.
+        # A block is (values, deviation bids, M, tie view); the walk expands
+        # each distinct one once, however many cells share it.  Over the grid
+        # the values and deviation bids are one range, so a block is (M, the
+        # bidder's view of its tie at M), counted here from outcome alone.
         blocks = []
         real = verify._Scope.classes
 
@@ -576,7 +619,13 @@ class TestOutcomeTable:
         monkeypatch.setattr(verify._Scope, "classes", classes)
         report = dominance_sweep(4, 3)
         assert report.passed and report.evaluated == grid_rows(4, 3, 4, 4, 4)
-        assert len(blocks) == len(set(blocks)) < 4 ** 3 * 4
+        policies = standard_policies(4)
+        ties = {(max(others), tuple(
+            result.price if result.winner == b else None for result in (
+                outcome(others[:b] + (max(others),) + others[b:], policy, SECOND)
+                for policy in policies)))
+            for others in product(range(4), repeat=3) for b in range(4)}
+        assert len(blocks) == len(set(blocks)) == len(ties) == 31 < 4 ** 3 * 4
         assert built == []
 
     @pytest.fixture
@@ -595,18 +644,29 @@ class TestOutcomeTable:
     @pytest.mark.parametrize("deviations", ["grid", range(3)], ids=["grid", "range"])
     def test_a_failing_sweep_walks_its_cells_once(self, inserted, deviations):
         assert not dominance_sweep(3, 2, rule=FIRST, deviations=deviations).passed
-        # 9 opposing-bid vectors x 3 bidders x 3 values: the grid's deviation
-        # bids are its values, so a cell's truthful profiles serve both.
-        assert len(inserted) == 3 ** 2 * 3 * 3 == 81
+        # 9 opposing-bid vectors x 3 bidders, one tie at M each (the grid's
+        # values and deviation bids alike), and the counterexample's bids,
+        # built once, after the three ties of the first group, which fails.
+        assert len(inserted) == 3 ** 2 * 3 + 1 == 28
+        assert inserted[:4] == [(0, 0, 0)] * 3 + [(1, 0, 0)]
 
     @pytest.mark.parametrize("deviations", ["critical", range(9)], ids=["critical", "grid"])
     def test_a_failing_check_builds_each_profile_once(self, inserted, deviations):
         policies = standard_policies(INSTANCE.n_bidders)
         report = check_instance(INSTANCE, policies, FIRST, deviations)
         assert not report.passed
-        # A cell is one bidder and one deviation bid: one truthful, one deviated profile.
-        cells = report.evaluated // verify.pairing_count(policies, True)
-        assert len(inserted) == 2 * cells
+        # A cell is one bidder and one deviation bid; it reads its tie at M
+        # only if M is its value or its deviation bid, here once per bidder.
+        # The counterexample's truthful profile is built once, too.
+        values, bids = INSTANCE.valuations, INSTANCE.bids
+        reads = 0
+        for b in range(4):
+            top = max(bids[:b] + bids[b + 1:])
+            new_bids = verify._critical(top) if deviations == "critical" else deviations
+            reads += sum(top in (values[b], d) for d in new_bids)
+        assert len(inserted) == reads + 1 == 4 + 1
+        assert len(set(inserted)) == len(inserted)
+        assert report.counterexample.bids in inserted
 
     def test_search_computes_one_template_per_class(self, monkeypatch):
         built = []
@@ -628,6 +688,12 @@ class TestOutcomeTable:
             check_instance(instance, standard_policies(instance.n_bidders), FIRST, deviations)
             calls = self.pairs(evaluations)
             assert calls and len(set(calls)) == len(calls)
+
+
+def tied_profiles(n_bidders, ticks):
+    """The profiles of {0..ticks}^N whose top bid two or more bidders hold."""
+    return {bids for bids in product(range(ticks + 1), repeat=n_bidders)
+            if bids.count(max(bids)) > 1}
 
 
 def grid_rows(n_bidders, ticks, values, bidders, deviations, pairings=5):
@@ -943,9 +1009,12 @@ class TestMinimalOrder:
         with pytest.raises(ValueError, match=r"argmax set \[0, 1, 2\]$"):
             run(self.SINGLES)
 
-    @pytest.mark.parametrize("choice, first", [({}, "0, 1, 2"), ({(0, 1, 2): 0}, "0")])
+    @pytest.mark.parametrize("choice, first", [({}, "0, 1, 2"), ({(0, 1, 2): 0}, "0, 2")])
     def test_the_grid_reads_bidders_in_order_each_truthful_views_first(self, choice, first):
-        # At T = 0 bidder b's truthful profile is (0, 0, 0) and its deviation to 1 ties
-        # at [b]; a deviated view read first would name [0], a later bidder's its own.
+        # A cell reads one profile, its tie at M, for its values and its
+        # deviation bid alike.  At T = 1 the first group's ties are all
+        # (0, 0, 0); the second's (opposing bids (0, 1)) are (1, 0, 1),
+        # (0, 1, 1) and (0, 1, 1) for bidders 0, 1, 2: read in order, [0, 2]
+        # comes first, read in reverse [1, 2].
         with pytest.raises(ValueError, match=rf"argmax set \[{first}\]$"):
-            dominance_sweep(3, 0, [core.ExplicitChoice(choice)], deviations=[1])
+            dominance_sweep(3, 1, [core.ExplicitChoice(choice)], deviations=[1])
